@@ -5,6 +5,8 @@ and correlation measures of the stationary memory."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .linalg import (
     DensityMatrix,
     PureState,
@@ -94,4 +96,8 @@ from .trajectories import (
     sample_trajectory,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# importing a name from a submodule also binds the submodule; leave those out
+__all__ = [
+    name for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

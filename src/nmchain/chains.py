@@ -18,6 +18,7 @@ a sliding-window engine that keeps only the currently open molecules.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -48,7 +49,8 @@ WINDOW_QUBIT_CAP = 6
 _GATE_NAMES = {"xor": xor_gate, "sqrt-xor": sqrt_xor_gate}
 
 
-def _mol_slot(molecule: int) -> str:
+def mol_slot(molecule: int) -> str:
+    """Register slot name of a molecule in the sliding window."""
     return f"mol{molecule}"
 
 
@@ -274,7 +276,8 @@ def custom_chain(
     return ChainModel(CUSTOM, phi, gate=gate, schedule=schedule, molecule=molecule)
 
 
-def _system_state(rho0) -> DensityMatrix:
+def system_state(rho0) -> DensityMatrix:
+    """A single-qubit state (DensityMatrix or array) on the system slot."""
     if isinstance(rho0, DensityMatrix):
         if rho0.n_qubits != 1:
             raise ValueError("system state must be a single qubit")
@@ -322,14 +325,14 @@ def markov_xor_fixed_point(rho0, phi: float) -> DensityMatrix:
     """
     if abs(abs(np.sin(2.0 * phi)) - 1.0) < 1e-12:
         raise ValueError("coherence is not contracting at this angle; no unique fixed point")
-    rho0 = _system_state(rho0)
+    rho0 = system_state(rho0)
     out = np.diag(np.diagonal(rho0.matrix)).astype(complex)
     return DensityMatrix(out, rho0.slots)
 
 
 # --- satellite-memory embedding -------------------------------------------
 
-_EMBED_CACHE: dict = {}
+EMBED_CACHE_SIZE = 128
 
 
 def build_embedding(model: ChainModel) -> tuple[UnitaryGate, KrausSet]:
@@ -342,9 +345,14 @@ def build_embedding(model: ChainModel) -> tuple[UnitaryGate, KrausSet]:
     """
     if model.kind not in (REPEATED_XOR, SQRT_XOR):
         raise ValueError(f"no satellite embedding for model kind {model.kind!r}")
-    key = (model.kind, model.phi)
-    if key in _EMBED_CACHE:
-        return _EMBED_CACHE[key]
+    return _cached_embedding(model.kind, model.phi)
+
+
+@lru_cache(maxsize=EMBED_CACHE_SIZE)
+def _cached_embedding(kind: str, phi: float) -> tuple[UnitaryGate, KrausSet]:
+    # the two-collision models take no gate or molecule override, so
+    # (kind, phi) fixes the embedding
+    model = ChainModel(kind, phi)
     register = ("mol", MEMORY_SLOT, SYSTEM_SLOT)
     g = model.collision_gate()
     acting = tuple("mol" if role == "mol" else SYSTEM_SLOT for role in g.slot_roles)
@@ -352,7 +360,6 @@ def build_embedding(model: ChainModel) -> tuple[UnitaryGate, KrausSet]:
     u_swap = embed(swap_gate(), register, ("mol", MEMORY_SLOT)).matrix
     step = UnitaryGate(u_collide @ u_swap @ u_collide, register, label=f"{g.label}-step")
     kraus = kraus_from_collision(step, model.molecule_pure(), computational_basis(2))
-    _EMBED_CACHE[key] = (step, kraus)
     return step, kraus
 
 
@@ -430,7 +437,7 @@ def simulate_embedding(model: ChainModel, rho0, steps: int, mem0=None) -> list[D
     """Compound trajectory [t=0 .. steps] from memory (x) system product start."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    sys0 = _system_state(rho0)
+    sys0 = system_state(rho0)
     mem = _memory_array(mem0)
     state = DensityMatrix(tensor(mem, sys0.matrix), (MEMORY_SLOT, SYSTEM_SLOT))
     out = [state]
@@ -458,7 +465,7 @@ def stationary_state(model: ChainModel, rho0, mem0=None) -> DensityMatrix:
     non-decaying coherence survives; use relax_to_stationary to inspect
     that case numerically).
     """
-    sys0 = _system_state(rho0)
+    sys0 = system_state(rho0)
     mem = _memory_array(mem0)
     transverse = abs(mem[0, 1] + mem[1, 0])
     if transverse > 1e-12:
@@ -515,7 +522,7 @@ class ChainState:
 
 
 def initial_window_state(rho0) -> ChainState:
-    return ChainState(_system_state(rho0), (), 0)
+    return ChainState(system_state(rho0), (), 0)
 
 
 def window_collide(
@@ -539,7 +546,7 @@ def window_collide(
     open_ids = list(open_ids)
     xi = model.molecule_pure().density()
     for ev in schedule.events_at(t):
-        name = _mol_slot(ev.molecule)
+        name = mol_slot(ev.molecule)
         if ev.molecule not in open_ids:
             if len(slots) + 1 > qubit_cap:
                 raise ValueError(
@@ -579,7 +586,7 @@ def sliding_window_step(
     closing = set(closing_molecules(schedule, open_ids, t))
     dm = DensityMatrix(joint, tuple(slots))
     if closing:
-        keep = [s for s in slots if s == SYSTEM_SLOT or s not in {_mol_slot(m) for m in closing}]
+        keep = [s for s in slots if s == SYSTEM_SLOT or s not in {mol_slot(m) for m in closing}]
         dm = partial_trace(dm, keep)
     remaining = tuple(m for m in open_ids if m not in closing)
     return ChainState(dm, remaining, t + 1)

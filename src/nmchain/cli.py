@@ -41,13 +41,7 @@ from .channels import divisibility_scan
 from .gates import sqrt_xor_gate, xor_gate
 from .linalg import DensityMatrix, partial_trace
 from .measures import nm_report
-from .trajectories import (
-    UnsupportedScheduleError,
-    _builtin_setup,
-    _evolve_block,
-    _uniform_block,
-    sample_trajectory,
-)
+from .trajectories import UnsupportedScheduleError, sample_ensemble
 
 _FIGURES = {
     "1a": chain_schedule,
@@ -281,46 +275,12 @@ def _cmd_trajectories(args) -> int:
     seed = args.seed if args.seed is not None else 0
     if seed < 0 or seed >= 2 ** 64:
         raise ConfigError("--seed must fit an unsigned 64-bit integer")
-    threads = _threads(args)
-
-    if model.kind == CUSTOM:
-        records = [
-            sample_trajectory(model, rho0, args.steps, seed, index=i, keep_states=True)
-            for i in range(samples)
-        ]
-        outcome_rows = [list(r.outcomes) for r in records]
-        log_ps = [r.log_probability for r in records]
-        finals = np.stack([r.conditional_states[-1].matrix for r in records])
-        mean = finals.mean(axis=0)
-        width = max(len(r) for r in outcome_rows)
-        freqs = []
-        for t in range(width):
-            counts: dict = {}
-            for row in outcome_rows:
-                if t < len(row):
-                    counts[row[t]] = counts.get(row[t], 0) + 1
-            freqs.append({str(k): v for k, v in sorted(counts.items())})
-    else:
-        kraus, _, start = _builtin_setup(model)
-        ops = np.stack(kraus.operators)
-        state0 = start(rho0)
-        threads = max(1, min(threads, samples))
-        bounds = np.linspace(0, samples, threads + 1).astype(int)
-        chunks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-        parts = []
-        for lo, hi in chunks:
-            uniforms = _uniform_block(seed, lo, hi, args.steps)
-            parts.append(_evolve_block(ops, state0, uniforms))
-        states = np.concatenate([p[0] for p in parts])
-        log_p_arr = np.concatenate([p[1] for p in parts])
-        outcomes = np.concatenate([p[2] for p in parts])
-        outcome_rows = [[int(x) for x in row] for row in outcomes]
-        log_ps = [float(x) for x in log_p_arr]
-        mean = states.mean(axis=0)
-        freqs = []
-        for t in range(args.steps):
-            counts = np.bincount(outcomes[:, t], minlength=len(kraus.labels))
-            freqs.append({str(kraus.labels[k]): int(counts[k]) for k in range(len(kraus.labels))})
+    stats = sample_ensemble(model, rho0, args.steps, samples, seed, _threads(args))
+    outcome_rows = stats.outcomes.tolist()
+    log_ps = stats.log_probabilities.tolist()
+    # readouts are bits; built-in rows list both, custom rows only those drawn
+    freqs = [{str(k): f.get(k, 0) for k in (sorted(f) if model.kind == CUSTOM else (0, 1))}
+             for f in stats.outcome_frequencies]
 
     if args.format == "json":
         for row, lp in zip(outcome_rows, log_ps):
@@ -333,7 +293,7 @@ def _cmd_trajectories(args) -> int:
     summary = {
         "n_samples": samples,
         "seed": seed,
-        "mean_state": _mat(mean),
+        "mean_state": _mat(stats.mean_state.matrix),
         "outcome_frequencies": freqs,
     }
     print(json.dumps(summary), file=sys.stderr)
@@ -394,7 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", required=True, help="system state p00,p11,re01,im01")
     p.add_argument("--seed", type=int, help="RNG seed (default 0)")
     p.add_argument("--samples", type=int, help="number of trajectories (default 1)")
-    p.add_argument("--threads", type=int, help="worker threads (default: NMCHAIN_THREADS or 1)")
+    p.add_argument("--threads", type=int,
+                   help="split the built-in sample range over this many threads; custom models "
+                        "run on one; records are identical for any count "
+                        "(default: NMCHAIN_THREADS or 1)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_trajectories)
 

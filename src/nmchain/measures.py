@@ -156,7 +156,6 @@ def classical_correlation(rho: DensityMatrix, measured: str = "mem") -> tuple[fl
 
 def discord(rho: DensityMatrix, measured: str = "mem") -> float:
     """Mutual information minus the best classical correlation (unclamped)."""
-    other = tuple(s for s in rho.slots if s != measured)
     j, _ = classical_correlation(rho, measured)
     return mutual_information(rho, (measured,)) - j
 

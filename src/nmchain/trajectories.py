@@ -15,7 +15,7 @@ over threads.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,11 +27,11 @@ from .chains import (
     SYSTEM_SLOT,
     WINDOW_QUBIT_CAP,
     ChainModel,
-    _mol_slot,
-    _system_state,
     build_embedding,
     closing_molecules,
     markov_xor_kraus,
+    mol_slot,
+    system_state,
     window_collide,
 )
 from .linalg import DensityMatrix, dagger, tensor
@@ -60,10 +60,15 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleStats:
+    """Ensemble aggregate; `sample_ensemble` also fills the per-sample
+    `outcomes` (n_samples x readouts ints) and `log_probabilities`."""
+
     n_samples: int
     mean_state: DensityMatrix
     outcome_frequencies: tuple[dict, ...]
     seed: Optional[int] = None
+    outcomes: Optional[np.ndarray] = None
+    log_probabilities: Optional[np.ndarray] = None
 
 
 def _spawned_rng(seed: int, index: int) -> np.random.Generator:
@@ -78,14 +83,14 @@ def _builtin_setup(model: ChainModel):
         slots = (SYSTEM_SLOT,)
 
         def start(rho0):
-            return _system_state(rho0).matrix
+            return system_state(rho0).matrix
     else:
         kraus = build_embedding(model)[1]
         slots = (MEMORY_SLOT, SYSTEM_SLOT)
 
         def start(rho0):
             mem = np.diag([1.0, 0.0]).astype(complex)
-            return tensor(mem, _system_state(rho0).matrix)
+            return tensor(mem, system_state(rho0).matrix)
     return kraus, slots, start
 
 
@@ -159,7 +164,7 @@ def enumerate_branches(
 def _enumerate_window(model, rho0, t_max, prune_below, keep_states):
     _check_selective_window(model, t_max)
     sched = model.schedule
-    start = _system_state(rho0)
+    start = system_state(rho0)
     branches = [(start.matrix, [SYSTEM_SLOT], [], 0.0, (), ())]
     for t in range(t_max):
         new = []
@@ -169,13 +174,13 @@ def _enumerate_window(model, rho0, t_max, prune_below, keep_states):
             for m in closing_molecules(sched, op, t):
                 expanded = []
                 for pj, psl, pop, plp, pout in partial:
-                    pos = psl.index(_mol_slot(m))
+                    pos = psl.index(mol_slot(m))
                     for lam in (0, 1):
                         raw = _project_out(pj, len(psl), pos, lam)
                         p = float(np.trace(raw).real)
                         if p <= 1e-300 or np.exp(plp) * p <= prune_below:
                             continue
-                        nsl = [s for s in psl if s != _mol_slot(m)]
+                        nsl = [s for s in psl if s != mol_slot(m)]
                         nop = [x for x in pop if x != m]
                         expanded.append((raw / p, nsl, nop, plp + np.log(p), pout + (lam,)))
                 partial = expanded
@@ -243,7 +248,7 @@ def sample_trajectory(
 def _sample_window(model, rho0, t_max, rng, keep_states):
     _check_selective_window(model, t_max)
     sched = model.schedule
-    joint = _system_state(rho0).matrix
+    joint = system_state(rho0).matrix
     slots, open_ids = [SYSTEM_SLOT], []
     log_p = 0.0
     outcomes = []
@@ -251,14 +256,16 @@ def _sample_window(model, rho0, t_max, rng, keep_states):
     for t in range(t_max):
         joint, slots, open_ids = window_collide(joint, slots, open_ids, model, sched, t)
         for m in closing_molecules(sched, open_ids, t):
-            pos = slots.index(_mol_slot(m))
+            pos = slots.index(mol_slot(m))
             raw0 = _project_out(joint, len(slots), pos, 0)
             p0 = float(np.trace(raw0).real)
             lam = 0 if rng.random() < p0 else 1
             raw = raw0 if lam == 0 else _project_out(joint, len(slots), pos, 1)
-            p = p0 if lam == 0 else 1.0 - p0
+            # the branch's own trace, not 1 - p0: an unlikely branch would
+            # otherwise be renormalised with an error of ~1e-16 / p
+            p = float(np.trace(raw).real)
             joint = raw / p
-            slots = [s for s in slots if s != _mol_slot(m)]
+            slots = [s for s in slots if s != mol_slot(m)]
             open_ids = [x for x in open_ids if x != m]
             log_p += float(np.log(p))
             outcomes.append(lam)
@@ -303,45 +310,50 @@ def sample_ensemble(
     seed: int,
     threads: int = 1,
 ) -> EnsembleStats:
-    """Monte Carlo ensemble for the built-in models, vectorized over samples.
+    """Monte Carlo ensemble with per-sample outcomes and log-probabilities.
 
-    The result is independent of `threads`: the stream of sample i is fixed
-    by (seed, i) alone, threads only split the index range.
+    Built-in models are vectorized over samples, and `threads` splits the
+    sample range into chunks; the calling thread runs the first chunk and
+    `threads - 1` workers the rest. Custom models draw one sample at a time
+    on the calling thread. The result is independent of `threads`: the
+    stream of sample i is fixed by (seed, i) alone.
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be positive")
     if model.kind == CUSTOM:
         records = [
             sample_trajectory(model, rho0, t_max, seed, index=i, keep_states=True)
             for i in range(n_samples)
         ]
-        return ensemble_stats(records, seed=seed)
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+        return replace(
+            ensemble_stats(records, seed=seed),
+            outcomes=np.array([r.outcomes for r in records], dtype=np.int64),
+            log_probabilities=np.array([r.log_probability for r in records]),
+        )
     kraus, slots, start = _builtin_setup(model)
     ops = np.stack(kraus.operators)
     state0 = start(rho0)
-    threads = max(1, int(threads))
+    threads = max(1, min(int(threads), n_samples))
     bounds = np.linspace(0, n_samples, threads + 1).astype(int)
-    chunks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
+    chunks = list(zip(bounds, bounds[1:]))
 
     def work(chunk):
         lo, hi = chunk
         uniforms = _uniform_block(seed, lo, hi, t_max)
         return _evolve_block(ops, state0, uniforms)
 
-    if len(chunks) == 1:
-        results = [work(chunks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(work, chunks))
+    # the pool starts a worker only on submit, so one chunk starts none
+    with ThreadPoolExecutor(max_workers=max(1, len(chunks) - 1)) as pool:
+        rest = pool.map(work, chunks[1:])
+        results = [work(chunks[0]), *rest]
 
-    states = np.concatenate([r[0] for r in results])
-    outcomes = np.concatenate([r[2] for r in results])
+    states, log_p, outcomes = (np.concatenate(part) for part in zip(*results))
     mean = DensityMatrix(states.mean(axis=0), slots)
     freqs = []
     for t in range(t_max):
         counts = np.bincount(outcomes[:, t], minlength=len(kraus.labels))
         freqs.append({kraus.labels[k]: int(counts[k]) for k in range(len(kraus.labels)) if counts[k]})
-    return EnsembleStats(n_samples, mean, tuple(freqs), seed)
+    return EnsembleStats(n_samples, mean, tuple(freqs), seed, outcomes, log_p)
 
 
 def ensemble_stats(records: Sequence[TrajectoryRecord], seed: Optional[int] = None) -> EnsembleStats:
@@ -354,7 +366,7 @@ def ensemble_stats(records: Sequence[TrajectoryRecord], seed: Optional[int] = No
     slots = final[0].slots
     if any(f.slots != slots for f in final):
         raise ValueError("records end on different registers; cannot average")
-    mean = DensityMatrix(sum(f.matrix for f in final) / len(final), slots)
+    mean = DensityMatrix(np.stack([f.matrix for f in final]).mean(axis=0), slots)
     width = max(len(r.outcomes) for r in records)
     freqs = []
     for t in range(width):

@@ -232,6 +232,14 @@ def test_build_embedding_is_cached():
         build_embedding(markov_xor(0.3))
 
 
+def test_embedding_cache_is_bounded():
+    from nmchain import chains
+
+    for phi in np.linspace(0.01, 1.5, chains.EMBED_CACHE_SIZE + 10):
+        build_embedding(repeated_xor(float(phi)))
+    assert chains._cached_embedding.cache_info().currsize <= chains.EMBED_CACHE_SIZE
+
+
 @pytest.mark.parametrize("factory", [repeated_xor, sqrt_xor])
 def test_embedded_step_methods_agree(factory):
     rng = np.random.default_rng(42)

@@ -5,7 +5,10 @@ import subprocess
 import numpy as np
 import pytest
 
+from nmchain.chains import ChainModel, custom_chain, schedule_from_records
 from nmchain.cli import main
+from nmchain.gates import sqrt_xor_gate
+from nmchain.trajectories import sample_ensemble
 
 
 def run(capsys, *argv):
@@ -253,16 +256,66 @@ def test_trajectories_json_and_summary(capsys):
 
 
 def test_trajectories_reproducible_and_thread_invariant(capsys, monkeypatch):
+    # 40 samples: every chunk of 2, 3 or 4 threads is non-empty, so the
+    # byte-identity check runs through the worker pool
     args = ("trajectories", "--model", "repeated-xor", "--phi", "0.4",
-            "--steps", "4", "--initial", INIT, "--samples", "12", "--seed", "7")
+            "--steps", "4", "--initial", INIT, "--samples", "40", "--seed", "7")
     rc1, out1, err1 = run(capsys, *args)
-    rc2, out2, err2 = run(capsys, *args, "--threads", "4")
-    assert rc1 == rc2 == 0
-    assert out1 == out2
-    assert err1 == err2
+    assert rc1 == 0
+    for threads in ("2", "4"):
+        assert run(capsys, *args, "--threads", threads) == (0, out1, err1)
     monkeypatch.setenv("NMCHAIN_THREADS", "3")
-    rc3, out3, err3 = run(capsys, *args)
-    assert rc3 == 0 and out3 == out1 and err3 == err1
+    assert run(capsys, *args) == (0, out1, err1)
+
+
+def test_trajectories_builtin_records_are_sample_ensemble(capsys):
+    rc, out, _ = run(capsys, "trajectories", "--model", "sqrt-xor", "--phi", "0.3",
+                     "--steps", "6", "--initial", INIT, "--samples", "30", "--seed", "5",
+                     "--threads", "2")
+    assert rc == 0
+    rows = jl(out)
+    rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+    stats = sample_ensemble(ChainModel("sqrt-xor", 0.3), rho0, 6, 30, 5)
+    assert [r["outcomes"] for r in rows] == stats.outcomes.tolist()
+    assert [r["log_p"] for r in rows] == stats.log_probabilities.tolist()
+
+
+# gap-2 double-collision layout over 8 steps: molecule m meets the system at
+# steps m - 2 and m (fresh molecules first within a step)
+GAP2_H8 = [
+    {"t": 0, "mol": 2}, {"t": 0, "mol": 0}, {"t": 1, "mol": 3}, {"t": 1, "mol": 1},
+    {"t": 2, "mol": 4}, {"t": 2, "mol": 2}, {"t": 3, "mol": 5}, {"t": 3, "mol": 3},
+    {"t": 4, "mol": 6}, {"t": 4, "mol": 4}, {"t": 5, "mol": 7}, {"t": 5, "mol": 5},
+    {"t": 6, "mol": 6}, {"t": 7, "mol": 7},
+]
+
+
+def test_trajectories_custom_records_are_sample_ensemble(tmp_path, capsys):
+    path = tmp_path / "gap2.json"
+    path.write_text(json.dumps(GAP2_H8))
+    rc, out, _ = run(capsys, "trajectories", "--model", "custom", "--phi", "0.6",
+                     "--schedule", str(path), "--gate", "sqrt-xor", "--steps", "8",
+                     "--initial", DIAG, "--samples", "10", "--seed", "3")
+    assert rc == 0
+    rows = jl(out)
+    model = custom_chain(sqrt_xor_gate(), schedule_from_records(GAP2_H8), phi=0.6)
+    rho0 = np.diag([0.3, 0.7]).astype(complex)
+    stats = sample_ensemble(model, rho0, 8, 10, 3)
+    assert [r["outcomes"] for r in rows] == stats.outcomes.tolist()
+    assert [r["log_p"] for r in rows] == stats.log_probabilities.tolist()
+
+
+def test_trajectories_custom_unlikely_branch_keeps_unit_trace(tmp_path, capsys):
+    # at small phi an outcome-1 readout is unlikely; renormalising it by
+    # 1 - p0 instead of its own trace left a trace error above 1e-12 (exit 3)
+    path = tmp_path / "gap2.json"
+    path.write_text(json.dumps(GAP2_H8))
+    rc, out, err = run(capsys, "trajectories", "--model", "custom", "--phi", "0.2592173703633698",
+                       "--schedule", str(path), "--gate", "xor", "--steps", "8",
+                       "--initial", "0.5213337903213392,0.4786662096786608,0.122968610707531,0.27116369751151226",
+                       "--samples", "16", "--seed", "556068890")
+    assert rc == 0, err
+    assert len(jl(out)) == 16
 
 
 def test_trajectories_csv(capsys):

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -165,13 +167,15 @@ def test_one_uniform_per_outcome_pin():
 def test_ensemble_matches_sequential_sampling(factory):
     model = factory(0.36)
     n = 40
-    ens = sample_ensemble(model, _rho0(), t_max=5, n_samples=n, seed=9)
+    ens = sample_ensemble(model, _rho0(), t_max=5, n_samples=n, seed=9, threads=3)
     seq = [sample_trajectory(model, _rho0(), t_max=5, seed=9, index=i, keep_states=True)
            for i in range(n)]
     agg = ensemble_stats(seq, seed=9)
     assert ens.n_samples == agg.n_samples == n
     assert np.abs(ens.mean_state.matrix - agg.mean_state.matrix).max() < 1e-13
     assert ens.outcome_frequencies == agg.outcome_frequencies
+    assert ens.outcomes.tolist() == [list(r.outcomes) for r in seq]
+    assert np.abs(ens.log_probabilities - [r.log_probability for r in seq]).max() < 1e-12
 
 
 def test_ensemble_thread_invariance():
@@ -180,6 +184,27 @@ def test_ensemble_thread_invariance():
     four = sample_ensemble(model, _rho0(), t_max=6, n_samples=33, seed=4, threads=4)
     assert np.array_equal(one.mean_state.matrix, four.mean_state.matrix)
     assert one.outcome_frequencies == four.outcome_frequencies
+
+
+@pytest.mark.parametrize("threads,workers", [(1, 0), (2, 1), (4, 3)])
+def test_caller_runs_first_chunk(monkeypatch, threads, workers):
+    import nmchain.trajectories as T
+
+    calls = []
+    evolve = T._evolve_block
+
+    def spy(ops, state0, uniforms):
+        calls.append((threading.get_ident(), uniforms[0, 0]))
+        return evolve(ops, state0, uniforms)
+
+    monkeypatch.setattr(T, "_evolve_block", spy)
+    sample_ensemble(repeated_xor(0.4), _rho0(), t_max=3, n_samples=20, seed=1, threads=threads)
+    first = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=1, spawn_key=(0,)))).random()
+    me = threading.get_ident()
+    assert len(calls) == threads
+    assert [u for ident, u in calls if ident == me] == [first]
+    others = {ident for ident, _ in calls} - {me}
+    assert len(others) <= workers and bool(others) == bool(workers)
 
 
 def test_ensemble_mean_approaches_nonselective():
@@ -196,6 +221,9 @@ def test_ensemble_custom_model():
     assert ens.n_samples == 25
     assert ens.mean_state.slots == ("sys",)
     assert sum(ens.outcome_frequencies[0].values()) == 25
+    seq = [sample_trajectory(model, _rho0(), t_max=4, seed=2, index=i) for i in range(25)]
+    assert ens.outcomes.tolist() == [list(r.outcomes) for r in seq]
+    assert ens.log_probabilities.tolist() == [r.log_probability for r in seq]
 
 
 def test_ensemble_stats_validation():
