@@ -28,6 +28,7 @@ from .gates import UnitaryGate, embed, molecule_state, sqrt_xor_gate, swap_gate,
 from .linalg import (
     DensityMatrix,
     PureState,
+    as_matrix,
     computational_basis,
     dagger,
     partial_trace,
@@ -290,7 +291,7 @@ def system_state(rho0) -> DensityMatrix:
 def _memory_array(mem0) -> np.ndarray:
     if mem0 is None:
         return np.diag([1.0, 0.0]).astype(complex)
-    m = mem0.matrix if isinstance(mem0, DensityMatrix) else np.asarray(mem0, dtype=complex)
+    m = as_matrix(mem0)
     if m.shape != (2, 2):
         raise ValueError("memory state must be a single qubit")
     return m
@@ -303,7 +304,7 @@ def markov_xor_step(rho, phi: float):
 
     Populations are untouched; the coherence shrinks by sin(2 phi).
     """
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    m = as_matrix(rho)
     if m.shape != (2, 2):
         raise ValueError("markov_xor_step acts on a single qubit")
     k = np.sin(2.0 * phi)
@@ -365,7 +366,7 @@ def _cached_embedding(kind: str, phi: float) -> tuple[UnitaryGate, KrausSet]:
 
 def delta(rho_tilde) -> complex:
     """The single decaying coherence combination of the split-collision compound."""
-    m = rho_tilde.matrix if isinstance(rho_tilde, DensityMatrix) else np.asarray(rho_tilde, dtype=complex)
+    m = as_matrix(rho_tilde)
     if m.shape != (4, 4):
         raise ValueError("delta takes a two-qubit compound state")
     return complex(-1j * (m[0, 1] + m[2, 3]) + (m[0, 3] + m[2, 1]))
@@ -414,7 +415,7 @@ def embedded_step(model: ChainModel, rho_tilde, method: str = "kraus"):
     uses the model's closed-form update. The two agree to round-off and the
     tests pin that.
     """
-    m = rho_tilde.matrix if isinstance(rho_tilde, DensityMatrix) else np.asarray(rho_tilde, dtype=complex)
+    m = as_matrix(rho_tilde)
     if m.shape != (4, 4):
         raise ValueError("compound state must be two qubits")
     if method == "kraus":

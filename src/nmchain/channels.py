@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .linalg import DensityMatrix, PureState, dagger, eig_hermitian
+from .linalg import DensityMatrix, PureState, as_matrix, dagger, eig_hermitian
 
 COMPLETENESS_TOL = 1e-12
 CP_TOL_DEFAULT = 1e-9
@@ -82,13 +82,9 @@ def kraus_from_collision(
     return KrausSet(tuple(ops), tuple(range(len(ops))))
 
 
-def _as_array(rho) -> np.ndarray:
-    return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-
-
 def apply_kraus(kraus: KrausSet, rho):
     """Non-selective application; preserves the input type."""
-    m = _as_array(rho)
+    m = as_matrix(rho)
     out = np.zeros_like(m)
     for op in kraus.operators:
         out += op @ m @ dagger(op)
@@ -103,7 +99,7 @@ def apply_selective(kraus: KrausSet, rho, label: int):
         k = kraus.labels.index(label)
     except ValueError:
         raise ValueError(f"no outcome labelled {label!r}") from None
-    m = _as_array(rho)
+    m = as_matrix(rho)
     op = kraus.operators[k]
     raw = op @ m @ dagger(op)
     p = float(np.trace(raw).real)
@@ -157,7 +153,7 @@ def map_from_kraus(kraus: KrausSet) -> LinearMap:
 
 
 def apply_map(m: LinearMap, rho):
-    out = unvec(m.matrix @ vec(_as_array(rho)))
+    out = unvec(m.matrix @ vec(as_matrix(rho)))
     if isinstance(rho, DensityMatrix):
         return DensityMatrix(out, rho.slots)
     return out
@@ -191,13 +187,10 @@ class ChoiMatrix:
 
 
 def choi(m: LinearMap) -> ChoiMatrix:
+    """Block (i, j) of the Choi matrix is the map applied to |i><j|."""
     d = m.dim
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            c[i * d:(i + 1) * d, j * d:(j + 1) * d] = apply_map(m, e)
+    # column stacking: S[b*d + a, j*d + i] is entry (a, b) of map(|i><j|)
+    c = m.matrix.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
     return ChoiMatrix(c, d)
 
 
@@ -251,10 +244,8 @@ def map_tomography(evolve: Callable[[np.ndarray], np.ndarray], dim: int) -> Line
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values (descending) via the Hermitian eigensolver on m^dagger m."""
-    a = np.asarray(m, dtype=complex)
-    w, _ = eig_hermitian(dagger(a) @ a)
-    return np.sqrt(np.clip(w, 0.0, None))
+    """Singular values (descending), taken by SVD so small ones stay resolved."""
+    return np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
 
 
 @dataclass(frozen=True)

@@ -132,11 +132,8 @@ def embed(gate: UnitaryGate, register_slots: Sequence[str], acting_on: Sequence[
     k = gate.arity
     front = positions + [q for q in range(n) if q not in positions]
     big = tensor(gate.matrix, np.eye(2 ** (n - k))) if n > k else gate.matrix
-    # fidx[i] = index of register basis state i in the front-ordered basis
-    fidx = np.zeros(2 ** n, dtype=np.intp)
-    for i in range(2 ** n):
-        f = 0
-        for j, q in enumerate(front):
-            f |= ((i >> (n - 1 - q)) & 1) << (n - 1 - j)
-        fidx[i] = f
-    return UnitaryGate(big[np.ix_(fidx, fidx)], register, label=gate.label)
+    # axis j of big (as a (2,)*2n tensor) belongs to register qubit front[j];
+    # put every row and column axis back at its register position
+    order = list(np.argsort(front))
+    u = big.reshape((2,) * (2 * n)).transpose(order + [n + q for q in order])
+    return UnitaryGate(u.reshape(2 ** n, 2 ** n), register, label=gate.label)

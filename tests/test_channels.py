@@ -4,6 +4,7 @@ import pytest
 import helpers as H
 from nmchain.chains import build_embedding, repeated_xor, sqrt_xor
 from nmchain.channels import (
+    SINGULAR_CUTOFF,
     ChoiMatrix,
     KrausSet,
     LinearMap,
@@ -168,6 +169,21 @@ def test_singular_values_match_lapack():
         got = singular_values(m)
         want = np.linalg.svd(m, compute_uv=False)
         assert np.allclose(got, want, atol=1e-11)
+
+
+@pytest.mark.parametrize("sigma", [1e-9, 3e-10, 3e-11, 1e-12])
+def test_singular_values_resolve_known_smallest(sigma):
+    # squaring m (eigenvalues of m^dagger m) cannot resolve sigma near the cutoff;
+    # abs covers the round-off in forming m itself (~1e-16 against sigma_max = 1)
+    rng = np.random.default_rng(12)
+    u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    v, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    m = u @ np.diag([1.0, 0.5, 0.2, sigma]) @ v.conj().T
+    assert singular_values(m)[-1] == pytest.approx(sigma, rel=1e-6, abs=1e-15)
+    if sigma < SINGULAR_CUTOFF:
+        step = divisibility_step(identity_map(2), LinearMap(m))
+        assert step.exists is None
+        assert step.smallest_singular == pytest.approx(sigma, rel=1e-6, abs=1e-15)
 
 
 def test_divisibility_step_recovers_intermediate():

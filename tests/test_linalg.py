@@ -5,6 +5,7 @@ import helpers as H
 from nmchain.linalg import (
     DensityMatrix,
     PureState,
+    as_matrix,
     basis_state,
     computational_basis,
     dagger,
@@ -17,6 +18,13 @@ from nmchain.linalg import (
     trace_norm_distance,
     von_neumann_entropy,
 )
+
+
+def test_as_matrix_unwraps_states_and_coerces_arrays():
+    rho = DensityMatrix(np.diag([0.25, 0.75]), slots=("sys",))
+    assert as_matrix(rho) is rho.matrix
+    m = as_matrix([[1, 0], [0, 0]])
+    assert m.dtype == complex and np.array_equal(m, np.diag([1.0, 0.0]))
 
 
 def test_dagger_and_tensor():
