@@ -97,24 +97,30 @@ class CollisionSchedule:
             seen[key] = True
         order = sorted(range(len(events)), key=lambda i: events[i].step)
         object.__setattr__(self, "events", tuple(events[i] for i in order))
+        # index each molecule's (first, last) step and each step's events; the
+        # events are in step order, so the last step seen is the last event
+        spans, at = {}, {}
+        for ev in self.events:
+            spans[ev.molecule] = (spans.get(ev.molecule, (ev.step,))[0], ev.step)
+            at.setdefault(ev.step, []).append(ev)
+        object.__setattr__(self, "_spans", dict(sorted(spans.items())))
+        object.__setattr__(self, "_events_at", {t: tuple(evs) for t, evs in at.items()})
 
     def molecules(self) -> tuple[int, ...]:
-        return tuple(sorted({ev.molecule for ev in self.events}))
+        return tuple(self._spans)
 
     def first_event(self, molecule: int) -> int:
-        steps = [ev.step for ev in self.events if ev.molecule == molecule]
-        if not steps:
+        if molecule not in self._spans:
             raise ValueError(f"molecule {molecule} has no events")
-        return min(steps)
+        return self._spans[molecule][0]
 
     def last_event(self, molecule: int) -> int:
-        steps = [ev.step for ev in self.events if ev.molecule == molecule]
-        if not steps:
+        if molecule not in self._spans:
             raise ValueError(f"molecule {molecule} has no events")
-        return max(steps)
+        return self._spans[molecule][1]
 
     def events_at(self, step: int) -> tuple[CollisionEvent, ...]:
-        return tuple(ev for ev in self.events if ev.step == step)
+        return self._events_at.get(step, ())
 
     def to_records(self) -> list[dict]:
         out = []
@@ -197,11 +203,11 @@ def satellite_count(schedule: CollisionSchedule) -> int:
     is at or before t and its last is after t. This is the number of memory
     qubits a Markov embedding of the schedule needs.
     """
-    best = 0
-    spans = [(schedule.first_event(m), schedule.last_event(m)) for m in schedule.molecules()]
-    for t in range(schedule.horizon - 1):
-        best = max(best, sum(1 for lo, hi in spans if lo <= t < hi))
-    return best
+    change = np.zeros(schedule.horizon, dtype=int)
+    for m in schedule.molecules():
+        change[schedule.first_event(m)] += 1
+        change[schedule.last_event(m)] -= 1
+    return int(np.cumsum(change)[:-1].max(initial=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -537,9 +543,10 @@ def window_collide(
 ) -> tuple[np.ndarray, list, list]:
     """Attach fresh molecules and run the collisions of step t, in listed order.
 
-    Mutates nothing; returns the new (joint, slots, open_ids). Closing the
-    finished molecules is up to the caller, who may trace them out or read
-    them out selectively.
+    joint may be one state or a stack of states (..., D, D) on the same
+    register; each is evolved alike. Mutates nothing; returns the new
+    (joint, slots, open_ids). Closing the finished molecules is up to the
+    caller, who may trace them out or read them out selectively.
     """
     if t >= schedule.horizon:
         raise ValueError(f"schedule horizon {schedule.horizon} exhausted at t={t}")

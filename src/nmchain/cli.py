@@ -355,9 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="RNG seed (default 0)")
     p.add_argument("--samples", type=int, help="number of trajectories (default 1)")
     p.add_argument("--threads", type=int,
-                   help="split the built-in sample range over this many threads; custom models "
-                        "run on one; records are identical for any count "
-                        "(default: NMCHAIN_THREADS or 1)")
+                   help="split the sample range over this many threads; records are "
+                        "identical for any count (default: NMCHAIN_THREADS or 1)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_trajectories)
 

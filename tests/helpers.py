@@ -331,3 +331,64 @@ def discord_oracle(r, n_theta=640, n_alpha=1280):
         h_min = min(h_min, float(res.fun))
     j = entropy_oracle(_ptrace_sys_side(r)) - h_min
     return mutual_info_oracle(r) - j, j
+
+
+# ---- collision schedules by linear scans (the definitions the index replaced) ----
+
+def scan_molecules(sched):
+    return tuple(sorted({ev.molecule for ev in sched.events}))
+
+
+def scan_span(sched, molecule):
+    steps = [ev.step for ev in sched.events if ev.molecule == molecule]
+    return (min(steps), max(steps)) if steps else None
+
+
+def scan_events_at(sched, step):
+    return tuple(ev for ev in sched.events if ev.step == step)
+
+
+def scan_satellite_count(sched):
+    spans = [scan_span(sched, m) for m in scan_molecules(sched)]
+    return max([sum(1 for lo, hi in spans if lo <= t < hi) for t in range(sched.horizon - 1)], default=0)
+
+
+def scan_window_width(sched):
+    open_ids, width = set(), 1
+    for t in range(sched.horizon):
+        for ev in scan_events_at(sched, t):
+            open_ids.add(ev.molecule)
+            width = max(width, len(open_ids) + 1)
+        open_ids -= {m for m in open_ids if scan_span(sched, m)[1] <= t}
+    return width
+
+
+# ---- batched sampler: every sample evolved on its own row ----
+
+def spawned_uniforms(seed, n, draws):
+    """Row i holds the first draws uniforms of the stream (seed, spawn_key=(i,))."""
+    return np.array([
+        np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))).random(draws)
+        for i in range(n)
+    ])
+
+
+def evolve_block_oracle(ops, state0, uniforms):
+    """Per-sample Kraus sampling with one uniform per step: final states,
+    log-probabilities and outcome indices, one row per sample."""
+    n, t_max = uniforms.shape
+    k_count = ops.shape[0]
+    states = np.broadcast_to(state0, (n,) + state0.shape).copy()
+    log_p = np.zeros(n)
+    outcomes = np.zeros((n, t_max), dtype=np.int64)
+    rows = np.arange(n)
+    for t in range(t_max):
+        raws = np.einsum("kab,nbc,kdc->knad", ops, states, ops.conj(), optimize=False)
+        ps = np.einsum("knaa->kn", raws).real
+        cum = np.cumsum(ps, axis=0)
+        choice = np.minimum((uniforms[:, t][None, :] >= cum).sum(axis=0), k_count - 1)
+        sel_p = ps[choice, rows]
+        states = raws[choice, rows] / sel_p[:, None, None]
+        log_p += np.log(sel_p)
+        outcomes[:, t] = choice
+    return states, log_p, outcomes

@@ -136,6 +136,31 @@ def test_satellite_count_and_window_width():
     assert window_width(advanced_overlap_schedule(6)) == 4
 
 
+def test_schedule_index_matches_linear_scans():
+    rng = np.random.default_rng(12)
+    for _ in range(400):
+        horizon = int(rng.integers(1, 12))
+        pairs = {(int(rng.integers(0, 9)), int(rng.integers(0, horizon)))
+                 for _ in range(int(rng.integers(1, 25)))}
+        events = [CollisionEvent(t, m) for m, t in pairs]
+        rng.shuffle(events)
+        sched = CollisionSchedule(tuple(events), horizon)
+        assert sched.molecules() == H.scan_molecules(sched)
+        for m in range(10):
+            span = H.scan_span(sched, m)
+            if span is None:
+                with pytest.raises(ValueError):
+                    sched.first_event(m)
+                with pytest.raises(ValueError):
+                    sched.last_event(m)
+            else:
+                assert (sched.first_event(m), sched.last_event(m)) == span
+        for t in range(horizon + 1):
+            assert sched.events_at(t) == H.scan_events_at(sched, t)
+        assert satellite_count(sched) == H.scan_satellite_count(sched)
+        assert window_width(sched) == H.scan_window_width(sched)
+
+
 # ---- model construction ---------------------------------------------------
 
 def test_model_factories_and_validation():

@@ -5,9 +5,12 @@ import pytest
 
 import helpers as H
 from nmchain.chains import (
+    MARKOV_XOR,
     advanced_overlap_schedule,
+    build_embedding,
     custom_chain,
     markov_xor,
+    markov_xor_kraus,
     overlap_schedule,
     repeated_xor,
     run_window,
@@ -172,10 +175,27 @@ def test_ensemble_matches_sequential_sampling(factory):
            for i in range(n)]
     agg = ensemble_stats(seq, seed=9)
     assert ens.n_samples == agg.n_samples == n
-    assert np.abs(ens.mean_state.matrix - agg.mean_state.matrix).max() < 1e-13
+    assert np.array_equal(ens.mean_state.matrix, agg.mean_state.matrix)
     assert ens.outcome_frequencies == agg.outcome_frequencies
     assert ens.outcomes.tolist() == [list(r.outcomes) for r in seq]
-    assert np.abs(ens.log_probabilities - [r.log_probability for r in seq]).max() < 1e-12
+    assert ens.log_probabilities.tolist() == [r.log_probability for r in seq]
+
+
+@pytest.mark.parametrize("factory", [markov_xor, repeated_xor, sqrt_xor])
+def test_ensemble_bitwise_matches_per_sample_oracle(factory):
+    model = factory(0.36)
+    n, t_max, seed = 10_000, 10, 21
+    if model.kind == MARKOV_XOR:
+        ops, state0 = np.stack(markov_xor_kraus(model.phi).operators), _rho0().astype(complex)
+    else:
+        ops = np.stack(build_embedding(model)[1].operators)
+        state0 = np.kron(np.diag([1.0, 0.0]), _rho0()).astype(complex)
+    states, log_p, outcomes = H.evolve_block_oracle(ops, state0, H.spawned_uniforms(seed, n, t_max))
+    for threads in (1, 2):
+        ens = sample_ensemble(model, _rho0(), t_max, n, seed, threads=threads)
+        assert np.array_equal(ens.outcomes, outcomes)
+        assert np.array_equal(ens.log_probabilities, log_p)
+        assert np.array_equal(ens.mean_state.matrix, states.mean(axis=0))
 
 
 def test_ensemble_thread_invariance():
@@ -193,9 +213,9 @@ def test_caller_runs_first_chunk(monkeypatch, threads, workers):
     calls = []
     evolve = T._evolve_block
 
-    def spy(ops, state0, uniforms):
+    def spy(model, rho0, t_max, uniforms=None, **kwargs):
         calls.append((threading.get_ident(), uniforms[0, 0]))
-        return evolve(ops, state0, uniforms)
+        return evolve(model, rho0, t_max, uniforms, **kwargs)
 
     monkeypatch.setattr(T, "_evolve_block", spy)
     sample_ensemble(repeated_xor(0.4), _rho0(), t_max=3, n_samples=20, seed=1, threads=threads)
