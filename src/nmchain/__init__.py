@@ -68,6 +68,7 @@ from .chains import (
     run_window,
     satellite_count,
     schedule_from_records,
+    simulate,
     simulate_embedding,
     single_molecule_schedule,
     sliding_window_step,

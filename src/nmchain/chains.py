@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .channels import KrausSet, apply_kraus, compose, kraus_from_collision, map_from_kraus, map_tomography, LinearMap
+from .channels import KrausSet, LinearMap, apply_kraus, kraus_from_collision, map_from_probes, tomography_probes
 from .gates import UnitaryGate, embed, molecule_state, sqrt_xor_gate, swap_gate, xor_gate
 from .linalg import (
     DensityMatrix,
@@ -32,7 +32,6 @@ from .linalg import (
     computational_basis,
     dagger,
     partial_trace,
-    partial_trace_array,
     tensor,
     trace_norm_distance,
 )
@@ -539,7 +538,6 @@ def window_collide(
     model: ChainModel,
     schedule: CollisionSchedule,
     t: int,
-    qubit_cap: int = WINDOW_QUBIT_CAP,
 ) -> tuple[np.ndarray, list, list]:
     """Attach fresh molecules and run the collisions of step t, in listed order.
 
@@ -556,9 +554,9 @@ def window_collide(
     for ev in schedule.events_at(t):
         name = mol_slot(ev.molecule)
         if ev.molecule not in open_ids:
-            if len(slots) + 1 > qubit_cap:
+            if len(slots) + 1 > WINDOW_QUBIT_CAP:
                 raise ValueError(
-                    f"window would need {len(slots) + 1} qubits at step {t}, cap is {qubit_cap}"
+                    f"window would need {len(slots) + 1} qubits at step {t}, cap is {WINDOW_QUBIT_CAP}"
                 )
             joint = tensor(xi, joint)
             slots.insert(0, name)
@@ -575,12 +573,7 @@ def closing_molecules(schedule: CollisionSchedule, open_ids, t: int) -> list:
     return sorted(m for m in open_ids if schedule.last_event(m) <= t)
 
 
-def sliding_window_step(
-    state: ChainState,
-    model: ChainModel,
-    schedule: CollisionSchedule,
-    qubit_cap: int = WINDOW_QUBIT_CAP,
-) -> ChainState:
+def sliding_window_step(state: ChainState, model: ChainModel, schedule: CollisionSchedule) -> ChainState:
     """Advance the window by one step of the schedule.
 
     Molecules are attached on their first event, all collisions of the step
@@ -588,8 +581,7 @@ def sliding_window_step(
     """
     t = state.t
     joint, slots, open_ids = window_collide(
-        state.joint.matrix, list(state.joint.slots), list(state.open_molecules),
-        model, schedule, t, qubit_cap,
+        state.joint.matrix, list(state.joint.slots), list(state.open_molecules), model, schedule, t
     )
     closing = set(closing_molecules(schedule, open_ids, t))
     dm = DensityMatrix(joint, tuple(slots))
@@ -600,12 +592,7 @@ def sliding_window_step(
     return ChainState(dm, remaining, t + 1)
 
 
-def run_window(
-    model: ChainModel,
-    rho0,
-    steps: Optional[int] = None,
-    qubit_cap: int = WINDOW_QUBIT_CAP,
-) -> list[DensityMatrix]:
+def run_window(model: ChainModel, rho0, steps: Optional[int] = None) -> list[DensityMatrix]:
     """System marginals [t=0 .. steps] under the windowed schedule."""
     if model.kind == CUSTOM:
         horizon = model.schedule.horizon
@@ -621,50 +608,45 @@ def run_window(
     state = initial_window_state(rho0)
     out = [state.joint]
     for _ in range(steps):
-        state = sliding_window_step(state, model, schedule, qubit_cap=qubit_cap)
+        state = sliding_window_step(state, model, schedule)
         out.append(partial_trace(state.joint, SYSTEM_SLOT) if state.joint.n_qubits > 1 else state.joint)
     return out
 
 
-# --- accumulated system maps for divisibility ------------------------------
+# --- one evolution per model, and the reduced maps it defines --------------
 
-def system_maps(model: ChainModel, t_max: int, mem0=None, qubit_cap: int = WINDOW_QUBIT_CAP) -> list[LinearMap]:
+def simulate(model: ChainModel, rho0, steps: int, mem0=None) -> list[DensityMatrix]:
+    """States [t=0 .. steps] on the model's register.
+
+    markov-xor gives the system state (closed-form step), the two-collision
+    models the ("mem", "sys") compound of the satellite embedding with the
+    memory starting in mem0 (default |0><0|), and custom models the system
+    marginal of the window engine. Only the two-collision models have a
+    memory slot; mem0 for any other kind raises.
+    """
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
+    if model.kind in (REPEATED_XOR, SQRT_XOR):
+        return simulate_embedding(model, rho0, steps, mem0)
+    if mem0 is not None:
+        raise ValueError(f"{model.kind} has no memory slot; mem0 does not apply")
+    if model.kind == CUSTOM:
+        return run_window(model, rho0, steps)
+    out = [system_state(rho0)]
+    for _ in range(steps):
+        out.append(markov_xor_step(out[-1], model.phi))
+    return out
+
+
+def system_maps(model: ChainModel, t_max: int, mem0=None) -> list[LinearMap]:
     """Accumulated reduced maps of the system, entries t = 1 .. t_max.
 
-    For the two-collision models the memory starts in mem0 (default |0><0|)
-    and each map is reconstructed by process tomography of the embedded
-    evolution. The single-collision model composes its one channel; custom
-    models run through the window engine.
+    Each of the four tomography probes runs through simulate once, for
+    t_max steps (the two-collision models start their memory in mem0,
+    default |0><0|); the map at step t is rebuilt from the probes' system
+    marginals at t. The cost is O(t_max) for every model.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    if model.kind == MARKOV_XOR:
-        one = map_from_kraus(markov_xor_kraus(model.phi))
-        maps = [one]
-        for _ in range(t_max - 1):
-            maps.append(compose(one, maps[-1]))
-        return maps
-    if model.kind in (REPEATED_XOR, SQRT_XOR):
-        mem = _memory_array(mem0)
-        kraus = build_embedding(model)[1]
-
-        def evolve_for(t):
-            def evolve(rho_sys):
-                r = tensor(mem, rho_sys)
-                for _ in range(t):
-                    r = apply_kraus(kraus, r)
-                return partial_trace_array(r, 2, [1])
-            return evolve
-
-        return [map_tomography(evolve_for(t), 2) for t in range(1, t_max + 1)]
-    # custom: window marginals define the reduced evolution
-    if model.schedule.horizon < t_max:
-        raise ValueError(f"schedule horizon {model.schedule.horizon} shorter than t_max {t_max}")
-
-    def evolve_custom(t):
-        def evolve(rho_sys):
-            dm = DensityMatrix(rho_sys, (SYSTEM_SLOT,))
-            return run_window(model, dm, steps=t, qubit_cap=qubit_cap)[-1].matrix
-        return evolve
-
-    return [map_tomography(evolve_custom(t), 2) for t in range(1, t_max + 1)]
+    runs = [simulate(model, system_state(p), t_max, mem0)[1:] for p in tomography_probes(2)]
+    return [map_from_probes([partial_trace(run[t], SYSTEM_SLOT).matrix for run in runs], 2) for t in range(t_max)]

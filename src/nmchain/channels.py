@@ -16,6 +16,7 @@ import numpy as np
 from .linalg import DensityMatrix, PureState, as_matrix, dagger, eig_hermitian
 
 COMPLETENESS_TOL = 1e-12
+CHOI_HERMITIAN_TOL = 1e-8
 CP_TOL_DEFAULT = 1e-9
 SINGULAR_CUTOFF = 1e-10
 
@@ -197,7 +198,7 @@ def choi(m: LinearMap) -> ChoiMatrix:
 def min_choi_eigenvalue(c: Union[ChoiMatrix, np.ndarray]) -> float:
     m = c.matrix if isinstance(c, ChoiMatrix) else np.asarray(c, dtype=complex)
     skew = np.abs(m - dagger(m)).max()
-    if skew > 1e-8:
+    if skew > CHOI_HERMITIAN_TOL:
         raise ValueError(f"Choi matrix is far from Hermitian (residual {skew:.3e})")
     w, _ = eig_hermitian((m + dagger(m)) / 2.0)
     return float(w[-1])
@@ -207,40 +208,51 @@ def is_cp(c: Union[ChoiMatrix, np.ndarray], tol: float = CP_TOL_DEFAULT) -> bool
     return min_choi_eigenvalue(c) >= -tol
 
 
+def tomography_probes(dim: int) -> list[np.ndarray]:
+    """Physical probe states of map_tomography, in the order map_from_probes reads them.
+
+    The basis projectors come first, then for every index pair i < j the
+    +x and +y style superpositions of |i> and |j>.
+    """
+    def proj(v):
+        return np.outer(v, v.conj()) / np.vdot(v, v).real
+
+    eye = np.eye(dim, dtype=complex)
+    probes = [proj(eye[i]) for i in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            probes += [proj(eye[i] + eye[j]), proj(eye[i] + 1j * eye[j])]
+    return probes
+
+
+def map_from_probes(outputs: Sequence[np.ndarray], dim: int) -> LinearMap:
+    """The linear map whose outputs on tomography_probes(dim) are `outputs`.
+
+    The action on |i><j| follows by linearity from the probe outputs, and
+    that on |j><i| as its adjoint, so the map must preserve Hermiticity.
+    """
+    outputs = [np.asarray(o, dtype=complex) for o in outputs]
+    s = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for i in range(dim):
+        s[:, i * dim + i] = vec(outputs[i])
+    k = dim
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            plus, circ = outputs[k], outputs[k + 1]
+            k += 2
+            cross = plus + 1j * circ - (1 + 1j) / 2.0 * (outputs[i] + outputs[j])
+            s[:, j * dim + i] = vec(cross)
+            s[:, i * dim + j] = vec(dagger(cross))
+    return LinearMap(s)
+
+
 def map_tomography(evolve: Callable[[np.ndarray], np.ndarray], dim: int) -> LinearMap:
     """Reconstruct a linear map from its action on physical probe states.
 
-    Probes are the basis projectors plus the +x and +y style superpositions
-    for every index pair; the action on |i><j| follows by linearity, so
-    evolve() is only ever handed genuine density matrices.
+    evolve() is only ever handed the genuine density matrices of
+    tomography_probes; map_from_probes rebuilds the map from the outputs.
     """
-    def proj(v):
-        v = np.asarray(v, dtype=complex)
-        return np.outer(v, v.conj()) / np.vdot(v, v).real
-
-    basis_out = {}
-    diag_out = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        diag_out.append(np.asarray(evolve(proj(e)), dtype=complex))
-        basis_out[(i, i)] = diag_out[i]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            ei = np.zeros(dim)
-            ei[i] = 1.0
-            ej = np.zeros(dim)
-            ej[j] = 1.0
-            plus = np.asarray(evolve(proj(ei + ej)), dtype=complex)
-            circ = np.asarray(evolve(proj(ei + 1j * ej)), dtype=complex)
-            cross = plus + 1j * circ - (1 + 1j) / 2.0 * (diag_out[i] + diag_out[j])
-            basis_out[(i, j)] = cross
-            basis_out[(j, i)] = dagger(cross)
-    s = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            s[:, j * dim + i] = vec(basis_out[(i, j)])
-    return LinearMap(s)
+    return map_from_probes([evolve(p) for p in tomography_probes(dim)], dim)
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
@@ -253,7 +265,9 @@ class DivisibilityStep:
     """Outcome of one intermediate-map CP check.
 
     exists is True/False when the previous map is invertible, None when it
-    is too singular for the check to decide anything.
+    is too singular for the check to decide anything: a singular value
+    below the cutoff, or an intermediate map whose Choi matrix round-off
+    has pushed off Hermitian by more than CHOI_HERMITIAN_TOL.
     """
 
     exists: Optional[bool]
@@ -272,8 +286,10 @@ def divisibility_step(
     """CP test of the map connecting two accumulated evolutions.
 
     Solves L m_prev = m_t for the intermediate L and checks its Choi
-    spectrum. When m_prev has a singular value below sv_cutoff the step is
-    reported as indeterminate rather than guessed.
+    spectrum. When m_prev has a singular value below sv_cutoff, or the
+    solve's round-off (which grows like eps / sigma_min) leaves the Choi
+    matrix of L far from Hermitian, the step is reported as indeterminate
+    rather than guessed.
     """
     if m_t.dim != m_prev.dim:
         raise ValueError("maps act on different dimensions")
@@ -282,7 +298,10 @@ def divisibility_step(
     if smallest < sv_cutoff:
         return DivisibilityStep(None, None, None, smallest)
     inter = LinearMap(np.linalg.solve(m_prev.matrix.T, m_t.matrix.T).T)
-    mn = min_choi_eigenvalue(choi(inter))
+    c = choi(inter)
+    if np.abs(c.matrix - dagger(c.matrix)).max() > CHOI_HERMITIAN_TOL:
+        return DivisibilityStep(None, None, None, smallest)
+    mn = min_choi_eigenvalue(c)
     return DivisibilityStep(mn >= -cp_tol, inter, mn, smallest)
 
 

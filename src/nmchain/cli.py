@@ -27,12 +27,10 @@ from .chains import (
     chain_schedule,
     custom_chain,
     delta,
-    markov_xor_step,
     overlap_schedule,
-    run_window,
     satellite_count,
     schedule_from_records,
-    simulate_embedding,
+    simulate,
     single_molecule_schedule,
     system_maps,
     window_width,
@@ -161,19 +159,9 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("--steps must be non-negative")
 
     rows = []
-    if model.kind == MARKOV_XOR:
-        state = rho0
-        for t in range(steps + 1):
-            rows.append({"t": t, "system": state, "compound": None})
-            state = markov_xor_step(state, model.phi)
-    elif model.kind in (REPEATED_XOR, SQRT_XOR):
-        compounds = simulate_embedding(model, rho0, steps, mem0)
-        for t, comp in enumerate(compounds):
-            rows.append({"t": t, "system": partial_trace(comp, "sys"), "compound": comp})
-    else:
-        marginals = run_window(model, rho0, steps)
-        for t, st in enumerate(marginals):
-            rows.append({"t": t, "system": st, "compound": None})
+    for t, state in enumerate(simulate(model, rho0, steps, mem0)):
+        compound = state if state.n_qubits == 2 else None
+        rows.append({"t": t, "system": partial_trace(state, "sys"), "compound": compound})
 
     with_delta = model.kind == SQRT_XOR
     if args.format == "json":

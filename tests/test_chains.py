@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import helpers as H
+from nmchain import chains
 from nmchain.chains import (
     CUSTOM,
     MARKOV_XOR,
@@ -29,6 +30,7 @@ from nmchain.chains import (
     run_window,
     satellite_count,
     schedule_from_records,
+    simulate,
     simulate_embedding,
     single_molecule_schedule,
     sliding_window_step,
@@ -505,12 +507,14 @@ def test_run_window_errors_and_cap():
     with pytest.raises(ValueError):
         run_window(cm, np.diag([1.0, 0.0]), steps=9)
     assert len(run_window(cm, np.diag([1.0, 0.0]))) == 5
-    # a schedule that holds every molecule open blows past a small cap
+    # a schedule that holds every molecule open outgrows the window cap
+    horizon = WINDOW_QUBIT_CAP
     wide = schedule_from_records(
-        [{"t": t, "mol": m} for t in range(4) for m in range(t + 1)], horizon=4)
+        [{"t": t, "mol": m} for t in range(horizon) for m in range(t + 1)], horizon=horizon)
+    assert window_width(wide) > WINDOW_QUBIT_CAP
     wide_model = custom_chain(xor_gate(), wide, phi=0.3)
     with pytest.raises(ValueError, match="cap"):
-        run_window(wide_model, np.diag([1.0, 0.0]), qubit_cap=3)
+        run_window(wide_model, np.diag([1.0, 0.0]))
 
 
 def test_sliding_window_state_bookkeeping():
@@ -591,3 +595,57 @@ def test_system_maps_custom_matches_builtin_on_same_schedule():
         system_maps(custom, 9)
     with pytest.raises(ValueError):
         system_maps(markov_xor(0.3), 0)
+
+
+def test_system_maps_runs_each_probe_once(monkeypatch):
+    calls = []
+    real = chains.run_window
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(chains, "run_window", spy)
+    custom = custom_chain(xor_gate(), advanced_overlap_schedule(8), phi=0.3)
+    for t_max in (3, 8):
+        calls.clear()
+        assert len(system_maps(custom, t_max)) == t_max
+        assert len(calls) == 4
+
+
+# ---- one evolution per model ------------------------------------------------
+
+def test_simulate_picks_the_model_register():
+    phi = 0.37
+    rng = np.random.default_rng(41)
+    r0 = _rho(rng)
+    steps = 4
+    got = simulate(markov_xor(phi), r0, steps)
+    want = [r0]
+    for _ in range(steps):
+        want.append(markov_xor_step(want[-1], phi))
+    assert [s.slots for s in got] == [("sys",)] * (steps + 1)
+    assert all(np.array_equal(g.matrix, w) for g, w in zip(got, want))
+    for factory in (repeated_xor, sqrt_xor):
+        got = simulate(factory(phi), r0, steps, mem0=H.molecule_density(phi))
+        want = simulate_embedding(factory(phi), r0, steps, mem0=H.molecule_density(phi))
+        assert [s.slots for s in got] == [("mem", "sys")] * (steps + 1)
+        assert all(np.array_equal(g.matrix, w.matrix) for g, w in zip(got, want))
+    custom = custom_chain(sqrt_xor_gate(), advanced_overlap_schedule(6), phi=phi)
+    got = simulate(custom, r0, steps)
+    want = run_window(custom, r0, steps)
+    assert [s.slots for s in got] == [("sys",)] * (steps + 1)
+    assert all(np.array_equal(g.matrix, w.matrix) for g, w in zip(got, want))
+    with pytest.raises(ValueError):
+        simulate(markov_xor(phi), r0, -1)
+
+
+def test_mem0_rejected_without_memory_slot():
+    mem = _mem0()
+    r0 = np.diag([1.0, 0.0])
+    custom = custom_chain(xor_gate(), overlap_schedule(4), phi=0.3)
+    for model in (markov_xor(0.3), custom):
+        with pytest.raises(ValueError, match="memory"):
+            simulate(model, r0, 2, mem0=mem)
+        with pytest.raises(ValueError, match="memory"):
+            system_maps(model, 2, mem0=mem)

@@ -20,9 +20,11 @@ from nmchain.channels import (
     is_trace_preserving,
     kraus_from_collision,
     map_from_kraus,
+    map_from_probes,
     map_tomography,
     min_choi_eigenvalue,
     singular_values,
+    tomography_probes,
     unvec,
     vec,
 )
@@ -162,6 +164,22 @@ def test_map_tomography_four_dimensional():
     assert np.abs(rebuilt.matrix - map_from_kraus(ks).matrix).max() < 1e-12
 
 
+def test_map_from_probes_inverts_the_probe_outputs():
+    rng = np.random.default_rng(13)
+    for dim in (2, 3):
+        probes = tomography_probes(dim)
+        assert len(probes) == dim * dim
+        for p in probes:
+            assert np.array_equal(p, p.conj().T)
+            assert abs(np.trace(p) - 1.0) < 1e-15
+            assert np.linalg.eigvalsh(p).min() > -1e-15
+        # Hermiticity-preserving, as every map probed by physical states is
+        a, b = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2))
+        g = np.kron(a.conj(), a) - 0.5 * np.kron(b.conj(), b)
+        outputs = [unvec(g @ vec(p)) for p in probes]
+        assert np.abs(map_from_probes(outputs, dim).matrix - g).max() < 1e-12
+
+
 def test_singular_values_match_lapack():
     rng = np.random.default_rng(8)
     for n in (2, 3, 4):
@@ -206,6 +224,31 @@ def test_divisibility_step_indeterminate_on_singular_previous():
     assert step.exists is None
     assert step.intermediate is None and step.min_choi_eig is None
     assert step.smallest_singular < 1e-10
+
+
+def _rotated_dephasing(lam, u):
+    # coherences of the rotated basis scaled by lam
+    su = np.kron(u.conj(), u)
+    return LinearMap(su @ np.diag([1.0, lam, lam, 1.0]) @ su.conj().T)
+
+
+def test_divisibility_step_round_off_is_indeterminate():
+    # lam then lam/2 is CP-divisible by construction; at these coherences the
+    # solve's round-off leaves most intermediate Choi matrices far from
+    # Hermitian, and those steps must come back undecided, not raise
+    rng = np.random.default_rng(3)
+    rotations = [np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0] for _ in range(40)]
+    for lam in (1e-9, 3e-10):
+        undecided = 0
+        for u in rotations:
+            prev = _rotated_dephasing(lam, u)
+            step = divisibility_step(_rotated_dephasing(lam / 2, u), prev)
+            assert step.smallest_singular == singular_values(prev.matrix)[-1]
+            assert step.smallest_singular >= SINGULAR_CUTOFF
+            if step.exists is None:
+                undecided += 1
+                assert step.intermediate is None and step.min_choi_eig is None
+        assert undecided >= 30
 
 
 def test_divisibility_scan_shapes():
