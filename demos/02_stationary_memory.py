@@ -15,7 +15,7 @@ from nmchain.chains import (
     embedded_step,
     relax_to_stationary,
     repeated_xor,
-    simulate_embedding,
+    simulate,
     sqrt_xor,
     stationary_overlap,
     stationary_state,
@@ -46,7 +46,7 @@ print(f"{min(stationary_overlap(sqrt_xor(p)) for p in grid):.6f}  (1/sqrt 2 = {1
 print()
 print("critical angle phi = pi/4, coherent start:")
 model = sqrt_xor(np.pi / 4)
-start = simulate_embedding(model, rho0, steps=0)[0]
+start = simulate(model, rho0, steps=0)[0]
 frozen = relax_to_stationary(model, start)
 print("  residual coherence parameter |Delta| =", f"{abs(delta(frozen)):.6f}")
 print("  one-step movement =", f"{trace_norm_distance(embedded_step(model, frozen), frozen):.2e}")

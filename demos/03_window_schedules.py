@@ -18,7 +18,7 @@ from nmchain.chains import (
     run_window,
     satellite_count,
     schedule_from_records,
-    simulate_embedding,
+    simulate,
     single_molecule_schedule,
     sqrt_xor,
     window_width,
@@ -45,7 +45,7 @@ rho0 = np.array([[0.55, 0.21 + 0.08j], [0.21 - 0.08j, 0.45]])
 model = sqrt_xor(phi)
 window = run_window(model, rho0, steps=steps)
 psi = molecule_state(phi).amplitudes
-emb = simulate_embedding(model, rho0, steps=steps, mem0=np.outer(psi, psi.conj()))
+emb = simulate(model, rho0, steps=steps, mem0=np.outer(psi, psi.conj()))
 print()
 print("window engine vs satellite embedding (system marginals):")
 for t in range(steps - 1):

@@ -48,7 +48,6 @@ from .channels import (
 )
 from .chains import (
     ChainModel,
-    ChainState,
     CollisionEvent,
     CollisionSchedule,
     advanced_overlap_schedule,
@@ -57,7 +56,6 @@ from .chains import (
     custom_chain,
     delta,
     embedded_step,
-    initial_window_state,
     markov_xor,
     markov_xor_fixed_point,
     markov_xor_kraus,
@@ -69,9 +67,7 @@ from .chains import (
     satellite_count,
     schedule_from_records,
     simulate,
-    simulate_embedding,
     single_molecule_schedule,
-    sliding_window_step,
     sqrt_xor,
     stationary_overlap,
     stationary_state,

@@ -32,6 +32,7 @@ from .linalg import (
     computational_basis,
     dagger,
     partial_trace,
+    partial_trace_array,
     tensor,
     trace_norm_distance,
 )
@@ -143,7 +144,10 @@ def schedule_from_records(records: Sequence[dict], horizon: Optional[int] = None
         t, mol = rec["t"], rec["mol"]
         if not isinstance(t, int) or isinstance(t, bool) or not isinstance(mol, int) or isinstance(mol, bool):
             raise ValueError(f"record {i}: 't' and 'mol' must be integers")
-        events.append(CollisionEvent(t, mol, rec.get("gate")))
+        gate = rec.get("gate")
+        if gate is not None and not isinstance(gate, str):
+            raise ValueError(f"record {i}: 'gate' must be a string, got {gate!r}")
+        events.append(CollisionEvent(t, mol, gate))
     if not events:
         raise ValueError("schedule has no events")
     if horizon is None:
@@ -439,20 +443,6 @@ def embedded_step(model: ChainModel, rho_tilde, method: str = "kraus"):
     return out
 
 
-def simulate_embedding(model: ChainModel, rho0, steps: int, mem0=None) -> list[DensityMatrix]:
-    """Compound trajectory [t=0 .. steps] from memory (x) system product start."""
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    sys0 = system_state(rho0)
-    mem = _memory_array(mem0)
-    state = DensityMatrix(tensor(mem, sys0.matrix), (MEMORY_SLOT, SYSTEM_SLOT))
-    out = [state]
-    for _ in range(steps):
-        state = embedded_step(model, state)
-        out.append(state)
-    return out
-
-
 def stationary_memory_vector(model: ChainModel) -> np.ndarray:
     """Memory state left behind when the system holds |1>."""
     c, s = np.cos(model.phi), np.sin(model.phi)
@@ -515,22 +505,6 @@ def stationary_overlap(model: ChainModel) -> float:
 
 # --- sliding-window engine -------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class ChainState:
-    """Joint state of the open molecules plus the system at time t.
-
-    Slots are ordered newest molecule first, system last.
-    """
-
-    joint: DensityMatrix
-    open_molecules: tuple[int, ...]
-    t: int
-
-
-def initial_window_state(rho0) -> ChainState:
-    return ChainState(system_state(rho0), (), 0)
-
-
 def window_collide(
     joint: np.ndarray,
     slots: list,
@@ -573,27 +547,14 @@ def closing_molecules(schedule: CollisionSchedule, open_ids, t: int) -> list:
     return sorted(m for m in open_ids if schedule.last_event(m) <= t)
 
 
-def sliding_window_step(state: ChainState, model: ChainModel, schedule: CollisionSchedule) -> ChainState:
-    """Advance the window by one step of the schedule.
-
-    Molecules are attached on their first event, all collisions of the step
-    run in listed order, and molecules past their last event are traced out.
-    """
-    t = state.t
-    joint, slots, open_ids = window_collide(
-        state.joint.matrix, list(state.joint.slots), list(state.open_molecules), model, schedule, t
-    )
-    closing = set(closing_molecules(schedule, open_ids, t))
-    dm = DensityMatrix(joint, tuple(slots))
-    if closing:
-        keep = [s for s in slots if s == SYSTEM_SLOT or s not in {mol_slot(m) for m in closing}]
-        dm = partial_trace(dm, keep)
-    remaining = tuple(m for m in open_ids if m not in closing)
-    return ChainState(dm, remaining, t + 1)
-
-
 def run_window(model: ChainModel, rho0, steps: Optional[int] = None) -> list[DensityMatrix]:
-    """System marginals [t=0 .. steps] under the windowed schedule."""
+    """System marginals [t=0 .. steps] under the windowed schedule.
+
+    The joint state of the open molecules plus the system (newest molecule
+    first, system last) is carried as a raw array: each step runs the
+    step's collisions, then traces out every molecule past its last event
+    in one pass. Only the returned marginals are built as DensityMatrix.
+    """
     if model.kind == CUSTOM:
         horizon = model.schedule.horizon
         schedule = model.schedule
@@ -605,11 +566,17 @@ def run_window(model: ChainModel, rho0, steps: Optional[int] = None) -> list[Den
         if steps is None:
             raise ValueError("built-in models need an explicit number of steps")
         schedule = model.window_schedule(steps)
-    state = initial_window_state(rho0)
-    out = [state.joint]
-    for _ in range(steps):
-        state = sliding_window_step(state, model, schedule)
-        out.append(partial_trace(state.joint, SYSTEM_SLOT) if state.joint.n_qubits > 1 else state.joint)
+    out = [system_state(rho0)]
+    joint, slots, open_ids = out[0].matrix, [SYSTEM_SLOT], []
+    for t in range(steps):
+        joint, slots, open_ids = window_collide(joint, slots, open_ids, model, schedule, t)
+        closing = closing_molecules(schedule, open_ids, t)
+        gone = {mol_slot(m) for m in closing}
+        keep = [q for q, s in enumerate(slots) if s not in gone]
+        joint = partial_trace_array(joint, len(slots), keep)
+        slots = [slots[q] for q in keep]
+        open_ids = [m for m in open_ids if m not in closing]
+        out.append(DensityMatrix(partial_trace_array(joint, len(slots), [len(slots) - 1]), (SYSTEM_SLOT,)))
     return out
 
 
@@ -626,15 +593,17 @@ def simulate(model: ChainModel, rho0, steps: int, mem0=None) -> list[DensityMatr
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    if model.kind in (REPEATED_XOR, SQRT_XOR):
-        return simulate_embedding(model, rho0, steps, mem0)
-    if mem0 is not None:
+    embedded = model.kind in (REPEATED_XOR, SQRT_XOR)
+    if mem0 is not None and not embedded:
         raise ValueError(f"{model.kind} has no memory slot; mem0 does not apply")
     if model.kind == CUSTOM:
         return run_window(model, rho0, steps)
-    out = [system_state(rho0)]
+    state = system_state(rho0)
+    if embedded:
+        state = DensityMatrix(tensor(_memory_array(mem0), state.matrix), (MEMORY_SLOT, SYSTEM_SLOT))
+    out = [state]
     for _ in range(steps):
-        out.append(markov_xor_step(out[-1], model.phi))
+        out.append(embedded_step(model, out[-1]) if embedded else markov_xor_step(out[-1], model.phi))
     return out
 
 

@@ -25,7 +25,6 @@ from .chains import (
     ChainModel,
     advanced_overlap_schedule,
     chain_schedule,
-    custom_chain,
     delta,
     overlap_schedule,
     satellite_count,
@@ -99,6 +98,7 @@ def _load_schedule(path: str):
 
 
 def _build_model(args) -> ChainModel:
+    payload = {}
     if args.model == CUSTOM:
         if not getattr(args, "schedule", None):
             raise ConfigError("--model custom requires --schedule")
@@ -109,11 +109,11 @@ def _build_model(args) -> ChainModel:
                 f"schedule needs a {width}-qubit window; the engine cap is {WINDOW_QUBIT_CAP}"
             )
         gate = sqrt_xor_gate() if getattr(args, "gate", "xor") == "sqrt-xor" else xor_gate()
-        return custom_chain(gate, schedule, phi=args.phi)
-    if getattr(args, "schedule", None):
+        payload = {"gate": gate, "schedule": schedule}
+    elif getattr(args, "schedule", None):
         raise ConfigError("--schedule only applies to --model custom")
     try:
-        return ChainModel(args.model, args.phi)
+        return ChainModel(args.model, args.phi, **payload)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -127,7 +127,9 @@ def _memory_arg(args, model):
     return _parse_state(mem_text, "--memory")
 
 
-def _threads(args) -> int:
+def _check_threads(args) -> None:
+    """Validate --threads or NMCHAIN_THREADS. Sampling runs on one thread and
+    its records never depend on the count, so the value is not used."""
     if getattr(args, "threads", None) is not None:
         n = args.threads
     else:
@@ -138,7 +140,6 @@ def _threads(args) -> int:
             raise ConfigError(f"NMCHAIN_THREADS={raw!r} is not an integer") from None
     if n < 1:
         raise ConfigError("thread count must be at least 1")
-    return n
 
 
 def _cmd_simulate(args) -> int:
@@ -228,6 +229,8 @@ def _cmd_divisibility(args) -> int:
         raise ConfigError("--steps must be at least 1")
     if model.kind == CUSTOM and steps > model.schedule.horizon:
         raise ConfigError(f"--steps {steps} exceeds the schedule horizon {model.schedule.horizon}")
+    if not np.isfinite(args.tol_cp) or args.tol_cp < 0:
+        raise ConfigError(f"--tol-cp must be finite and non-negative, got {args.tol_cp!r}")
     mem_arr = mem0.matrix if mem0 is not None else None
     maps = system_maps(model, steps, mem_arr)
     results = divisibility_scan(maps, cp_tol=args.tol_cp)
@@ -263,7 +266,10 @@ def _cmd_trajectories(args) -> int:
     seed = args.seed if args.seed is not None else 0
     if seed < 0 or seed >= 2 ** 64:
         raise ConfigError("--seed must fit an unsigned 64-bit integer")
-    stats = sample_ensemble(model, rho0, args.steps, samples, seed, _threads(args))
+    _check_threads(args)
+    if model.kind == CUSTOM and args.steps > model.schedule.horizon:
+        raise ConfigError(f"--steps {args.steps} exceeds the schedule horizon {model.schedule.horizon}")
+    stats = sample_ensemble(model, rho0, args.steps, samples, seed)
     outcome_rows = stats.outcomes.tolist()
     log_ps = stats.log_probabilities.tolist()
     # readouts are bits; built-in rows list both, custom rows only those drawn
@@ -343,8 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="RNG seed (default 0)")
     p.add_argument("--samples", type=int, help="number of trajectories (default 1)")
     p.add_argument("--threads", type=int,
-                   help="split the sample range over this many threads; records are "
-                        "identical for any count (default: NMCHAIN_THREADS or 1)")
+                   help="thread count, checked to be at least 1; sampling runs on one "
+                        "thread and records never depend on the value "
+                        "(default: NMCHAIN_THREADS or 1)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_trajectories)
 

@@ -15,12 +15,10 @@ evolution.
 
 Sampling is reproducible by construction: sample index i always uses the
 generator spawned from (seed, spawn_key=(i,)), one uniform per outcome, so
-ensembles are bit-identical whether drawn sequentially, batched, or split
-over threads.
+ensembles are bit-identical whether drawn one sample at a time or batched.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -257,34 +255,20 @@ def sample_ensemble(
     t_max: int,
     n_samples: int,
     seed: int,
-    threads: int = 1,
 ) -> EnsembleStats:
     """Monte Carlo ensemble with per-sample outcomes and log-probabilities.
 
-    `threads` splits the sample range into chunks; the calling thread runs
-    the first chunk and `threads - 1` workers the rest. The result is
-    independent of `threads`: the stream of sample i is fixed by (seed, i)
-    alone. Custom models validate every conditional state, once per prefix.
+    Sample i is drawn from the stream (seed, i) alone, so its row does not
+    depend on n_samples or on the samples it is walked with. Custom models
+    validate every conditional state, once per prefix.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    readouts = _readout_count(model, t_max)
-    threads = max(1, min(int(threads), n_samples))
-    bounds = np.linspace(0, n_samples, threads + 1).astype(int)
-    chunks = list(zip(bounds, bounds[1:]))
-
-    def work(chunk):
-        uniforms = _uniform_block(seed, *chunk, readouts)
-        return _evolve_block(model, rho0, t_max, uniforms, keep_states=model.kind == CUSTOM)
-
-    # the pool starts a worker only on submit, so one chunk starts none
-    with ThreadPoolExecutor(max_workers=max(1, len(chunks) - 1)) as pool:
-        rest = pool.map(work, chunks[1:])
-        results = [work(chunks[0]), *rest]
-
-    states, log_p, outcomes, _, slots = zip(*results)
-    states, log_p, outcomes = (np.concatenate(part) for part in (states, log_p, outcomes))
-    mean = DensityMatrix(states.mean(axis=0), slots[0])
+    uniforms = _uniform_block(seed, 0, n_samples, _readout_count(model, t_max))
+    states, log_p, outcomes, _, slots = _evolve_block(
+        model, rho0, t_max, uniforms, keep_states=model.kind == CUSTOM
+    )
+    mean = DensityMatrix(states.mean(axis=0), slots)
     freqs = tuple({k: int(c) for k, c in enumerate(np.bincount(col)) if c} for col in outcomes.T)
     return EnsembleStats(n_samples, mean, freqs, seed, outcomes, log_p)
 

@@ -392,3 +392,30 @@ def evolve_block_oracle(ops, state0, uniforms):
         log_p += np.log(sel_p)
         outcomes[:, t] = choice
     return states, log_p, outcomes
+
+
+# ---- window loop: the per-step DensityMatrix loop that run_window replaced ----
+# Unlike the oracles above, this one reuses the package's collision step and
+# partial trace: it pins the raw-array loop of run_window bit for bit, not
+# the physics.
+
+def window_step_oracle(model, rho0, steps):
+    """System marginals [t=0 .. steps]; the joint state is rebuilt as a
+    validated DensityMatrix after every step and its closing molecules are
+    traced out by name."""
+    from nmchain.chains import SYSTEM_SLOT, closing_molecules, mol_slot, system_state, window_collide
+    from nmchain.linalg import DensityMatrix, partial_trace
+
+    schedule = model.window_schedule(None if model.kind == "custom" else steps)
+    joint, open_ids = system_state(rho0), ()
+    out = [joint]
+    for t in range(steps):
+        m, slots, ids = window_collide(joint.matrix, list(joint.slots), list(open_ids), model, schedule, t)
+        closing = set(closing_molecules(schedule, ids, t))
+        joint = DensityMatrix(m, tuple(slots))
+        if closing:
+            keep = [s for s in slots if s == SYSTEM_SLOT or s not in {mol_slot(c) for c in closing}]
+            joint = partial_trace(joint, keep)
+        open_ids = tuple(i for i in ids if i not in closing)
+        out.append(partial_trace(joint, SYSTEM_SLOT) if joint.n_qubits > 1 else joint)
+    return out

@@ -25,7 +25,7 @@ from nmchain.chains import (
     repeated_xor,
     run_window,
     satellite_count,
-    simulate_embedding,
+    simulate,
     sqrt_xor,
     stationary_state,
     system_maps,
@@ -151,7 +151,7 @@ def test_criterion_03_one_step_stationarity():
         model = repeated_xor(phi)
         for _ in range(10):
             r0 = _rand_qubit(rng)
-            one = simulate_embedding(model, r0, steps=2, mem0=mem0)
+            one = simulate(model, r0, steps=2, mem0=mem0)
             worst_fix = max(worst_fix, np.abs(one[2].matrix - one[1].matrix).max())
             want = H.stat_double(phi, r0[0, 0].real, r0[1, 1].real)
             worst_closed = max(worst_closed, np.abs(one[1].matrix - want).max())
@@ -197,8 +197,7 @@ def test_criterion_05_window_vs_embedding():
             model = factory(phi)
             steps = 12
             window = run_window(model, r0, steps=steps)
-            emb = simulate_embedding(model, r0, steps=steps,
-                                     mem0=molecule_state(phi).density())
+            emb = simulate(model, r0, steps=steps, mem0=molecule_state(phi).density())
             for t in range(11):
                 sys_emb = partial_trace(emb[t], "sys")
                 worst = max(worst, H.tdist(window[t].matrix, sys_emb.matrix))
@@ -243,11 +242,11 @@ def test_criterion_07_selective_readout():
             for _ in range(10):
                 want = markov_xor_step(want, 0.36)
         else:
-            want = simulate_embedding(model, r0, steps=10)[-1].matrix
+            want = simulate(model, r0, steps=10)[-1].matrix
         worst_avg = max(worst_avg, np.abs(avg - want).max())
     model = sqrt_xor(0.36)
     ens = sample_ensemble(model, r0, t_max=10, n_samples=100_000, seed=20260819)
-    want = simulate_embedding(model, r0, steps=10)[-1].matrix
+    want = simulate(model, r0, steps=10)[-1].matrix
     mc_dev = H.tdist(ens.mean_state.matrix, want)
     ok = worst_avg <= 1e-11 and mc_dev <= 5e-3
     _line("07", "branch enumeration and MC reproduce the average chain",

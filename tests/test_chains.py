@@ -19,7 +19,6 @@ from nmchain.chains import (
     custom_chain,
     delta,
     embedded_step,
-    initial_window_state,
     markov_xor,
     markov_xor_fixed_point,
     markov_xor_kraus,
@@ -31,14 +30,13 @@ from nmchain.chains import (
     satellite_count,
     schedule_from_records,
     simulate,
-    simulate_embedding,
     single_molecule_schedule,
-    sliding_window_step,
     sqrt_xor,
     stationary_memory_vector,
     stationary_overlap,
     stationary_state,
     system_maps,
+    window_collide,
     window_width,
 )
 from nmchain.channels import apply_kraus
@@ -320,7 +318,7 @@ def test_simulate_embedding_reduced_coherence_ratio():
     phi = 0.35
     model = sqrt_xor(phi)
     rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-    traj = simulate_embedding(model, rho0, steps=12)
+    traj = simulate(model, rho0, steps=12)
     offs = [st.matrix[0, 1] + st.matrix[2, 3] for st in traj]
     k = np.sin(2 * phi)
     for t in range(1, 12):
@@ -328,11 +326,11 @@ def test_simulate_embedding_reduced_coherence_ratio():
 
 
 def test_simulate_embedding_start_and_length():
-    traj = simulate_embedding(repeated_xor(0.2), np.diag([0.7, 0.3]), steps=4)
+    traj = simulate(repeated_xor(0.2), np.diag([0.7, 0.3]), steps=4)
     assert len(traj) == 5
     assert np.allclose(traj[0].matrix, np.kron(_mem0(), np.diag([0.7, 0.3])))
     with pytest.raises(ValueError):
-        simulate_embedding(repeated_xor(0.2), np.diag([0.7, 0.3]), steps=-1)
+        simulate(repeated_xor(0.2), np.diag([0.7, 0.3]), steps=-1)
 
 
 # ---- stationary states ------------------------------------------------------
@@ -456,7 +454,7 @@ def test_window_marginals_match_embedding_from_fresh_memory(factory):
     steps = 7
     window = run_window(model, r0, steps=steps)
     xi = H.molecule_density(phi)
-    emb = simulate_embedding(model, r0, steps=steps, mem0=xi)
+    emb = simulate(model, r0, steps=steps, mem0=xi)
     from nmchain.linalg import partial_trace
     for t in range(steps - 1):  # the final window step lacks its second collision
         sys_emb = partial_trace(emb[t], "sys")
@@ -520,14 +518,43 @@ def test_run_window_errors_and_cap():
 def test_sliding_window_state_bookkeeping():
     model = repeated_xor(0.3)
     sched = model.window_schedule(4)
-    state = initial_window_state(np.diag([1.0, 0.0]))
-    state = sliding_window_step(state, model, sched)
-    # molecule 0 finished (single event) and was traced; molecule 1 stays open
-    assert state.open_molecules == (1,)
-    assert state.t == 1
-    assert state.joint.slots == ("mol1", "sys")
+    joint, slots, open_ids = window_collide(np.diag([1.0, 0.0]).astype(complex), ["sys"], [], model, sched, 0)
+    # step 0 attaches molecule 1 (fresh) and molecule 0 (single event), newest first
+    assert slots == ["mol0", "mol1", "sys"] and open_ids == [0, 1]
+    assert joint.shape == (8, 8)
+    # molecule 0 closes at once; molecule 1 stays open until its second event
+    assert closing_molecules(sched, open_ids, 0) == [0]
     assert closing_molecules(sched, [1], 1) == [1]
     assert closing_molecules(sched, [1], 0) == []
+
+
+def _burst_schedule(horizon):
+    # molecules 2k and 2k + 1 open on steps 3k and 3k + 1 and both close on
+    # step 3k + 2; two closings in one step pin the order of the joint trace
+    recs = []
+    for k in range(horizon // 3):
+        recs += [{"t": 3 * k, "mol": 2 * k}, {"t": 3 * k + 1, "mol": 2 * k + 1},
+                 {"t": 3 * k + 2, "mol": 2 * k + 1}, {"t": 3 * k + 2, "mol": 2 * k}]
+    return schedule_from_records(recs, horizon=horizon)
+
+
+_STEP_ORACLE_MODELS = {
+    **{f"gap{gap}-{gate.__name__}": custom_chain(gate(), chains._double_collision_schedule(40, gap), phi=0.43)
+       for gap in (1, 2, 3) for gate in (xor_gate, sqrt_xor_gate)},
+    **{f"burst-{gate.__name__}": custom_chain(gate(), _burst_schedule(40), phi=0.43)
+       for gate in (xor_gate, sqrt_xor_gate)},
+    **{factory.__name__: factory(0.31) for factory in (markov_xor, repeated_xor, sqrt_xor)},
+}
+
+
+@pytest.mark.parametrize("name", list(_STEP_ORACLE_MODELS))
+def test_run_window_bitwise_matches_step_oracle(name):
+    model = _STEP_ORACLE_MODELS[name]
+    r0 = _rho(np.random.default_rng(53))
+    got = run_window(model, r0, steps=40)
+    want = H.window_step_oracle(model, r0, 40)
+    assert len(got) == len(want) == 41
+    assert all(g.slots == ("sys",) and np.array_equal(g.matrix, w.matrix) for g, w in zip(got, want))
 
 
 # ---- accumulated system maps ---------------------------------------------------
@@ -628,9 +655,11 @@ def test_simulate_picks_the_model_register():
     assert all(np.array_equal(g.matrix, w) for g, w in zip(got, want))
     for factory in (repeated_xor, sqrt_xor):
         got = simulate(factory(phi), r0, steps, mem0=H.molecule_density(phi))
-        want = simulate_embedding(factory(phi), r0, steps, mem0=H.molecule_density(phi))
+        want = [tensor(H.molecule_density(phi), r0)]
+        for _ in range(steps):
+            want.append(embedded_step(factory(phi), want[-1]))
         assert [s.slots for s in got] == [("mem", "sys")] * (steps + 1)
-        assert all(np.array_equal(g.matrix, w.matrix) for g, w in zip(got, want))
+        assert all(np.array_equal(g.matrix, w) for g, w in zip(got, want))
     custom = custom_chain(sqrt_xor_gate(), advanced_overlap_schedule(6), phi=phi)
     got = simulate(custom, r0, steps)
     want = run_window(custom, r0, steps)

@@ -135,6 +135,27 @@ def test_simulate_rejects_wide_schedule(tmp_path, capsys):
     assert rc == 2 and "cap" in err
 
 
+def test_schedule_gate_must_be_a_string(tmp_path, capsys):
+    # an unhashable gate escaped as a TypeError traceback (exit 1)
+    sched = tmp_path / "gate.json"
+    sched.write_text(json.dumps([{"t": 0, "mol": 0, "gate": ["x"]}]))
+    rc, out, err = run(capsys, "simulate", "--model", "custom", "--phi", "0.3",
+                       "--schedule", str(sched), "--initial", INIT)
+    assert (rc, out) == (2, "")
+    assert "record 0" in err and "'gate' must be a string" in err
+
+
+@pytest.mark.parametrize("phi", ["nan", "inf"])
+def test_custom_phi_not_finite_is_config_error(tmp_path, capsys, phi):
+    # the built-in models exit 2 here; custom models exited 3
+    sched = tmp_path / "s.json"
+    sched.write_text(json.dumps([{"t": 0, "mol": 0}, {"t": 1, "mol": 1}]))
+    rc, out, err = run(capsys, "simulate", "--model", "custom", "--phi", phi,
+                       "--schedule", str(sched), "--initial", INIT)
+    assert (rc, out) == (2, "")
+    assert "phi must be finite" in err
+
+
 # ---- measures ---------------------------------------------------------------
 
 def test_measures_double_collision_json(capsys):
@@ -238,6 +259,15 @@ def test_divisibility_step_validation(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9"])
+def test_divisibility_rejects_bad_tol_cp(capsys, tol):
+    # a nan tolerance printed "exists": false for every step and exited 0
+    rc, out, err = run(capsys, "divisibility", "--model", "markov-xor", "--phi", "0.3",
+                       "--steps", "3", f"--tol-cp={tol}")
+    assert (rc, out) == (2, "")
+    assert "--tol-cp" in err
+
+
 # ---- trajectories --------------------------------------------------------------
 
 def test_trajectories_json_and_summary(capsys):
@@ -256,8 +286,8 @@ def test_trajectories_json_and_summary(capsys):
 
 
 def test_trajectories_reproducible_and_thread_invariant(capsys, monkeypatch):
-    # 40 samples: every chunk of 2, 3 or 4 threads is non-empty, so the
-    # byte-identity check runs through the worker pool
+    # --threads and NMCHAIN_THREADS are validated but sampling runs on one
+    # thread, so the records never depend on the count
     args = ("trajectories", "--model", "repeated-xor", "--phi", "0.4",
             "--steps", "4", "--initial", INIT, "--samples", "40", "--seed", "7")
     rc1, out1, err1 = run(capsys, *args)
@@ -316,6 +346,16 @@ def test_trajectories_custom_unlikely_branch_keeps_unit_trace(tmp_path, capsys):
                        "--samples", "16", "--seed", "556068890")
     assert rc == 0, err
     assert len(jl(out)) == 16
+
+
+def test_trajectories_custom_steps_beyond_horizon(tmp_path, capsys):
+    # simulate and divisibility exit 2 here; trajectories exited 3
+    path = tmp_path / "gap2.json"
+    path.write_text(json.dumps(GAP2_H8))
+    rc, out, err = run(capsys, "trajectories", "--model", "custom", "--phi", "0.6",
+                       "--schedule", str(path), "--steps", "9", "--initial", DIAG)
+    assert (rc, out) == (2, "")
+    assert "--steps 9 exceeds the schedule horizon 8" in err
 
 
 def test_trajectories_csv(capsys):

@@ -1,5 +1,3 @@
-import threading
-
 import numpy as np
 import pytest
 
@@ -14,8 +12,8 @@ from nmchain.chains import (
     overlap_schedule,
     repeated_xor,
     run_window,
-    simulate_embedding,
     schedule_from_records,
+    simulate,
     sqrt_xor,
 )
 from nmchain.gates import xor_gate
@@ -54,7 +52,7 @@ def test_branch_average_equals_nonselective(factory):
     model = factory(0.41)
     recs = enumerate_branches(model, _rho0(), t_max=6)
     avg = branch_average(recs)
-    want = simulate_embedding(model, _rho0(), steps=6)[-1].matrix
+    want = simulate(model, _rho0(), steps=6)[-1].matrix
     assert np.abs(avg - want).max() < 1e-12
 
 
@@ -170,7 +168,7 @@ def test_one_uniform_per_outcome_pin():
 def test_ensemble_matches_sequential_sampling(factory):
     model = factory(0.36)
     n = 40
-    ens = sample_ensemble(model, _rho0(), t_max=5, n_samples=n, seed=9, threads=3)
+    ens = sample_ensemble(model, _rho0(), t_max=5, n_samples=n, seed=9)
     seq = [sample_trajectory(model, _rho0(), t_max=5, seed=9, index=i, keep_states=True)
            for i in range(n)]
     agg = ensemble_stats(seq, seed=9)
@@ -191,45 +189,15 @@ def test_ensemble_bitwise_matches_per_sample_oracle(factory):
         ops = np.stack(build_embedding(model)[1].operators)
         state0 = np.kron(np.diag([1.0, 0.0]), _rho0()).astype(complex)
     states, log_p, outcomes = H.evolve_block_oracle(ops, state0, H.spawned_uniforms(seed, n, t_max))
-    for threads in (1, 2):
-        ens = sample_ensemble(model, _rho0(), t_max, n, seed, threads=threads)
-        assert np.array_equal(ens.outcomes, outcomes)
-        assert np.array_equal(ens.log_probabilities, log_p)
-        assert np.array_equal(ens.mean_state.matrix, states.mean(axis=0))
-
-
-def test_ensemble_thread_invariance():
-    model = sqrt_xor(0.29)
-    one = sample_ensemble(model, _rho0(), t_max=6, n_samples=33, seed=4, threads=1)
-    four = sample_ensemble(model, _rho0(), t_max=6, n_samples=33, seed=4, threads=4)
-    assert np.array_equal(one.mean_state.matrix, four.mean_state.matrix)
-    assert one.outcome_frequencies == four.outcome_frequencies
-
-
-@pytest.mark.parametrize("threads,workers", [(1, 0), (2, 1), (4, 3)])
-def test_caller_runs_first_chunk(monkeypatch, threads, workers):
-    import nmchain.trajectories as T
-
-    calls = []
-    evolve = T._evolve_block
-
-    def spy(model, rho0, t_max, uniforms=None, **kwargs):
-        calls.append((threading.get_ident(), uniforms[0, 0]))
-        return evolve(model, rho0, t_max, uniforms, **kwargs)
-
-    monkeypatch.setattr(T, "_evolve_block", spy)
-    sample_ensemble(repeated_xor(0.4), _rho0(), t_max=3, n_samples=20, seed=1, threads=threads)
-    first = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=1, spawn_key=(0,)))).random()
-    me = threading.get_ident()
-    assert len(calls) == threads
-    assert [u for ident, u in calls if ident == me] == [first]
-    others = {ident for ident, _ in calls} - {me}
-    assert len(others) <= workers and bool(others) == bool(workers)
+    ens = sample_ensemble(model, _rho0(), t_max, n, seed)
+    assert np.array_equal(ens.outcomes, outcomes)
+    assert np.array_equal(ens.log_probabilities, log_p)
+    assert np.array_equal(ens.mean_state.matrix, states.mean(axis=0))
 
 
 def test_ensemble_mean_approaches_nonselective():
     model = repeated_xor(0.42)
-    want = simulate_embedding(model, _rho0(), steps=4)[-1].matrix
+    want = simulate(model, _rho0(), steps=4)[-1].matrix
     ens = sample_ensemble(model, _rho0(), t_max=4, n_samples=4000, seed=77)
     assert H.tdist(ens.mean_state.matrix, want) < 0.05
 
