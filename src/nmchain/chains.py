@@ -24,13 +24,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channels import KrausSet, LinearMap, apply_kraus, kraus_from_collision, map_from_probes, tomography_probes
-from .gates import UnitaryGate, embed, molecule_state, sqrt_xor_gate, swap_gate, xor_gate
+from .gates import UnitaryGate, apply_gate, embed, molecule_state, sqrt_xor_gate, swap_gate, xor_gate
 from .linalg import (
     DensityMatrix,
     PureState,
     as_matrix,
     computational_basis,
-    dagger,
     partial_trace,
     partial_trace_array,
     tensor,
@@ -48,11 +47,6 @@ MEMORY_SLOT = "mem"
 WINDOW_QUBIT_CAP = 6
 
 _GATE_NAMES = {"xor": xor_gate, "sqrt-xor": sqrt_xor_gate}
-
-
-def mol_slot(molecule: int) -> str:
-    """Register slot name of a molecule in the sliding window."""
-    return f"mol{molecule}"
 
 
 @dataclass(frozen=True)
@@ -99,12 +93,18 @@ class CollisionSchedule:
         object.__setattr__(self, "events", tuple(events[i] for i in order))
         # index each molecule's (first, last) step and each step's events; the
         # events are in step order, so the last step seen is the last event
-        spans, at = {}, {}
+        spans, at, closing = {}, {}, {}
         for ev in self.events:
             spans[ev.molecule] = (spans.get(ev.molecule, (ev.step,))[0], ev.step)
             at.setdefault(ev.step, []).append(ev)
-        object.__setattr__(self, "_spans", dict(sorted(spans.items())))
+        spans = dict(sorted(spans.items()))
+        for m, (_, last) in spans.items():
+            closing.setdefault(last, []).append(m)
+        object.__setattr__(self, "_spans", spans)
         object.__setattr__(self, "_events_at", {t: tuple(evs) for t, evs in at.items()})
+        object.__setattr__(self, "_closing_at", {t: tuple(ms) for t, ms in closing.items()})
+        # for the census: all first steps and all last steps, each sorted
+        object.__setattr__(self, "_ends", np.sort(np.array(list(spans.values()), dtype=np.int64).reshape(-1, 2), 0).T)
 
     def molecules(self) -> tuple[int, ...]:
         return tuple(self._spans)
@@ -121,6 +121,10 @@ class CollisionSchedule:
 
     def events_at(self, step: int) -> tuple[CollisionEvent, ...]:
         return self._events_at.get(step, ())
+
+    def closing_at(self, step: int) -> tuple[int, ...]:
+        """Molecules whose last event is at step, in ascending id order."""
+        return self._closing_at.get(step, ())
 
     def to_records(self) -> list[dict]:
         out = []
@@ -188,15 +192,14 @@ def advanced_overlap_schedule(horizon: int) -> CollisionSchedule:
 
 
 def window_width(schedule: CollisionSchedule) -> int:
-    """Largest register (molecules + system) the window engine will hold."""
-    open_ids: set = set()
-    width = 1
-    for t in range(schedule.horizon):
-        for ev in schedule.events_at(t):
-            open_ids.add(ev.molecule)
-            width = max(width, len(open_ids) + 1)
-        open_ids -= {m for m in open_ids if schedule.last_event(m) <= t}
-    return width
+    """Largest register (molecules + system) the window engine will hold.
+
+    During step t it holds the molecules with first <= t <= last, a count
+    that only grows at a first step.
+    """
+    first, last = schedule._ends
+    held = np.searchsorted(first, first, "right") - np.searchsorted(last, first, "left")
+    return 1 + int(held.max(initial=0))
 
 
 def satellite_count(schedule: CollisionSchedule) -> int:
@@ -206,11 +209,9 @@ def satellite_count(schedule: CollisionSchedule) -> int:
     is at or before t and its last is after t. This is the number of memory
     qubits a Markov embedding of the schedule needs.
     """
-    change = np.zeros(schedule.horizon, dtype=int)
-    for m in schedule.molecules():
-        change[schedule.first_event(m)] += 1
-        change[schedule.last_event(m)] -= 1
-    return int(np.cumsum(change)[:-1].max(initial=0))
+    first, last = schedule._ends
+    straddling = np.searchsorted(first, first, "right") - np.searchsorted(last, first, "right")
+    return int(straddling.max(initial=0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -507,44 +508,34 @@ def stationary_overlap(model: ChainModel) -> float:
 
 def window_collide(
     joint: np.ndarray,
-    slots: list,
-    open_ids: list,
+    open_ids: Sequence[int],
     model: ChainModel,
     schedule: CollisionSchedule,
     t: int,
-) -> tuple[np.ndarray, list, list]:
+) -> tuple[np.ndarray, list]:
     """Attach fresh molecules and run the collisions of step t, in listed order.
 
-    joint may be one state or a stack of states (..., D, D) on the same
-    register; each is evolved alike. Mutates nothing; returns the new
-    (joint, slots, open_ids). Closing the finished molecules is up to the
-    caller, who may trace them out or read them out selectively.
+    joint may be one state or a stack of states (..., D, D) on the register
+    of the open_ids molecules (newest first), then the system. Mutates
+    nothing; returns the new (joint, open_ids). Closing the finished
+    molecules is up to the caller, who may trace or read them out.
     """
     if t >= schedule.horizon:
         raise ValueError(f"schedule horizon {schedule.horizon} exhausted at t={t}")
-    slots = list(slots)
     open_ids = list(open_ids)
     xi = model.molecule_pure().density()
     for ev in schedule.events_at(t):
-        name = mol_slot(ev.molecule)
         if ev.molecule not in open_ids:
-            if len(slots) + 1 > WINDOW_QUBIT_CAP:
+            if len(open_ids) + 2 > WINDOW_QUBIT_CAP:
                 raise ValueError(
-                    f"window would need {len(slots) + 1} qubits at step {t}, cap is {WINDOW_QUBIT_CAP}"
+                    f"window would need {len(open_ids) + 2} qubits at step {t}, cap is {WINDOW_QUBIT_CAP}"
                 )
             joint = tensor(xi, joint)
-            slots.insert(0, name)
             open_ids.insert(0, ev.molecule)
         g = _GATE_NAMES[ev.gate]() if ev.gate is not None else model.collision_gate()
-        acting = tuple(name if role == "mol" else SYSTEM_SLOT for role in g.slot_roles)
-        u = embed(g, tuple(slots), acting).matrix
-        joint = u @ joint @ dagger(u)
-    return joint, slots, open_ids
-
-
-def closing_molecules(schedule: CollisionSchedule, open_ids, t: int) -> list:
-    """Molecules whose last event is step t, in ascending id order."""
-    return sorted(m for m in open_ids if schedule.last_event(m) <= t)
+        acting = [open_ids.index(ev.molecule) if role == "mol" else len(open_ids) for role in g.slot_roles]
+        joint = apply_gate(joint, g, acting, len(open_ids) + 1)
+    return joint, open_ids
 
 
 def run_window(model: ChainModel, rho0, steps: Optional[int] = None) -> list[DensityMatrix]:
@@ -555,28 +546,21 @@ def run_window(model: ChainModel, rho0, steps: Optional[int] = None) -> list[Den
     step's collisions, then traces out every molecule past its last event
     in one pass. Only the returned marginals are built as DensityMatrix.
     """
-    if model.kind == CUSTOM:
-        horizon = model.schedule.horizon
-        schedule = model.schedule
-        if steps is None:
-            steps = horizon
-        if steps > horizon:
-            raise ValueError(f"steps {steps} exceed the schedule horizon {horizon}")
-    else:
-        if steps is None:
-            raise ValueError("built-in models need an explicit number of steps")
-        schedule = model.window_schedule(steps)
+    if steps is None and model.kind == CUSTOM:
+        steps = model.schedule.horizon
+    if steps is None:
+        raise ValueError("built-in models need an explicit number of steps")
+    schedule = model.window_schedule(None if model.kind == CUSTOM else steps)
+    if steps > schedule.horizon:
+        raise ValueError(f"steps {steps} exceed the schedule horizon {schedule.horizon}")
     out = [system_state(rho0)]
-    joint, slots, open_ids = out[0].matrix, [SYSTEM_SLOT], []
+    joint, open_ids = out[0].matrix, []
     for t in range(steps):
-        joint, slots, open_ids = window_collide(joint, slots, open_ids, model, schedule, t)
-        closing = closing_molecules(schedule, open_ids, t)
-        gone = {mol_slot(m) for m in closing}
-        keep = [q for q, s in enumerate(slots) if s not in gone]
-        joint = partial_trace_array(joint, len(slots), keep)
-        slots = [slots[q] for q in keep]
-        open_ids = [m for m in open_ids if m not in closing]
-        out.append(DensityMatrix(partial_trace_array(joint, len(slots), [len(slots) - 1]), (SYSTEM_SLOT,)))
+        joint, open_ids = window_collide(joint, open_ids, model, schedule, t)
+        keep = [q for q, m in enumerate(open_ids) if m not in schedule.closing_at(t)]
+        joint = partial_trace_array(joint, len(open_ids) + 1, keep + [len(open_ids)])
+        open_ids = [open_ids[q] for q in keep]
+        out.append(DensityMatrix(partial_trace_array(joint, len(keep) + 1, [len(keep)]), (SYSTEM_SLOT,)))
     return out
 
 

@@ -289,8 +289,10 @@ def divisibility_step(
     spectrum. When m_prev has a singular value below sv_cutoff, or the
     solve's round-off (which grows like eps / sigma_min) leaves the Choi
     matrix of L far from Hermitian, the step is reported as indeterminate
-    rather than guessed.
+    rather than guessed. Both tolerances must be finite and non-negative.
     """
+    if not (np.isfinite(cp_tol) and cp_tol >= 0 and np.isfinite(sv_cutoff) and sv_cutoff >= 0):
+        raise ValueError(f"cp_tol and sv_cutoff must be finite and non-negative, got {cp_tol!r}, {sv_cutoff!r}")
     if m_t.dim != m_prev.dim:
         raise ValueError("maps act on different dimensions")
     sv = singular_values(m_prev.matrix)

@@ -142,20 +142,19 @@ def _check_threads(args) -> None:
         raise ConfigError("thread count must be at least 1")
 
 
+def _check_horizon(model, steps: int) -> None:
+    if model.kind == CUSTOM and steps > model.schedule.horizon:
+        raise ConfigError(f"--steps {steps} exceeds the schedule horizon {model.schedule.horizon}")
+
+
 def _cmd_simulate(args) -> int:
     model = _build_model(args)
     rho0 = _parse_state(args.initial, "--initial")
     mem0 = _memory_arg(args, model)
-    if model.kind == CUSTOM:
-        steps = args.steps if args.steps is not None else model.schedule.horizon
-        if steps > model.schedule.horizon:
-            raise ConfigError(
-                f"--steps {steps} exceeds the schedule horizon {model.schedule.horizon}"
-            )
-    else:
-        if args.steps is None:
-            raise ConfigError("--steps is required for the built-in models")
-        steps = args.steps
+    if model.kind != CUSTOM and args.steps is None:
+        raise ConfigError("--steps is required for the built-in models")
+    steps = model.schedule.horizon if args.steps is None else args.steps
+    _check_horizon(model, steps)
     if steps < 0:
         raise ConfigError("--steps must be non-negative")
 
@@ -227,8 +226,7 @@ def _cmd_divisibility(args) -> int:
     steps = args.steps if args.steps is not None else 10
     if steps < 1:
         raise ConfigError("--steps must be at least 1")
-    if model.kind == CUSTOM and steps > model.schedule.horizon:
-        raise ConfigError(f"--steps {steps} exceeds the schedule horizon {model.schedule.horizon}")
+    _check_horizon(model, steps)
     if not np.isfinite(args.tol_cp) or args.tol_cp < 0:
         raise ConfigError(f"--tol-cp must be finite and non-negative, got {args.tol_cp!r}")
     mem_arr = mem0.matrix if mem0 is not None else None
@@ -267,8 +265,7 @@ def _cmd_trajectories(args) -> int:
     if seed < 0 or seed >= 2 ** 64:
         raise ConfigError("--seed must fit an unsigned 64-bit integer")
     _check_threads(args)
-    if model.kind == CUSTOM and args.steps > model.schedule.horizon:
-        raise ConfigError(f"--steps {args.steps} exceeds the schedule horizon {model.schedule.horizon}")
+    _check_horizon(model, args.steps)
     stats = sample_ensemble(model, rho0, args.steps, samples, seed)
     outcome_rows = stats.outcomes.tolist()
     log_ps = stats.log_probabilities.tolist()

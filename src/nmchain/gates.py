@@ -3,7 +3,8 @@
 A gate carries its matrix together with a tuple of slot roles written in
 the same ordering convention as the rest of the package (first role = most
 significant bit). embed() places a gate into a larger named register so
-callers never do index bookkeeping by hand.
+callers never do index bookkeeping by hand; apply_gate() applies it to
+states by register position without building the embedded matrix.
 
 The controlled gates here use the system qubit as control and the fresh
 molecule as target; the two constructors expose whichever slot ordering
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import PureState, tensor
+from .linalg import PureState
 
 UNITARITY_TOL = 1e-12
 
@@ -129,11 +130,34 @@ def embed(gate: UnitaryGate, register_slots: Sequence[str], acting_on: Sequence[
         raise ValueError(f"slots {missing} not in register {register}") from None
 
     n = len(register)
-    k = gate.arity
-    front = positions + [q for q in range(n) if q not in positions]
-    big = tensor(gate.matrix, np.eye(2 ** (n - k))) if n > k else gate.matrix
-    # axis j of big (as a (2,)*2n tensor) belongs to register qubit front[j];
-    # put every row and column axis back at its register position
-    order = list(np.argsort(front))
-    u = big.reshape((2,) * (2 * n)).transpose(order + [n + q for q in order])
+    u = _contract(np.eye(2 ** n, dtype=complex).reshape((2,) * (2 * n)), gate.matrix, positions)
     return UnitaryGate(u.reshape(2 ** n, 2 ** n), register, label=gate.label)
+
+
+def apply_gate(states: np.ndarray, gate: UnitaryGate, acting: Sequence[int], n_qubits: int) -> np.ndarray:
+    """u rho u^dagger, u = the gate on register positions `acting` (role order,
+    0 = most significant qubit), for one state or a stack (..., 2^n, 2^n).
+    The gate is contracted on the ket axes, then its conjugate on the bra axes.
+    """
+    if len(acting) != gate.arity or len(set(acting)) != len(acting) or not all(0 <= q < n_qubits for q in acting):
+        raise ValueError(f"cannot place a {gate.arity}-qubit gate on positions {acting} of {n_qubits} qubits")
+    states = np.asarray(states)
+    batch = states.shape[:-2]
+    t = states.reshape(batch + (2,) * (2 * n_qubits))
+    ket = [len(batch) + q for q in acting]
+    t = _contract(t, gate.matrix, ket)
+    t = _contract(t, gate.matrix.conj(), [q + n_qubits for q in ket])
+    return t.reshape(states.shape)
+
+
+def _contract(t: np.ndarray, m: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Apply the k-qubit matrix m to the qubit axes of t listed in role order.
+
+    m's roles are put in axis order first, so each entry sums its terms in
+    the order of the embedded product u @ rho and equals it bit for bit.
+    """
+    k = len(axes)
+    order = sorted(range(k), key=lambda i: axes[i])
+    m = m.reshape((2,) * (2 * k)).transpose(order + [k + i for i in order])
+    axes = sorted(axes)
+    return np.moveaxis(np.tensordot(m, t, axes=(list(range(k, 2 * k)), axes)), list(range(k)), axes)

@@ -27,17 +27,13 @@ import numpy as np
 from .chains import (
     CUSTOM,
     MARKOV_XOR,
-    MEMORY_SLOT,
-    SYSTEM_SLOT,
     ChainModel,
     build_embedding,
-    closing_molecules,
     markov_xor_kraus,
-    mol_slot,
-    system_state,
+    simulate,
     window_collide,
 )
-from .linalg import DensityMatrix, tensor
+from .linalg import DensityMatrix
 
 MAX_ENUMERATION_STEPS = 20
 PRUNE_REQUIRED_ABOVE = 16
@@ -72,15 +68,6 @@ class EnsembleStats:
     seed: Optional[int] = None
     outcomes: Optional[np.ndarray] = None
     log_probabilities: Optional[np.ndarray] = None
-
-
-def _builtin_setup(model: ChainModel, rho0):
-    """Stacked Kraus operators, register and start state of the per-step readout."""
-    if model.kind == MARKOV_XOR:
-        return np.stack(markov_xor_kraus(model.phi).operators), (SYSTEM_SLOT,), system_state(rho0).matrix
-    mem = np.diag([1.0, 0.0]).astype(complex)
-    ops = np.stack(build_embedding(model)[1].operators)
-    return ops, (MEMORY_SLOT, SYSTEM_SLOT), tensor(mem, system_state(rho0).matrix)
 
 
 def _readout_count(model: ChainModel, t_max: int) -> int:
@@ -134,13 +121,16 @@ def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_state
     final states, log-probabilities, outcomes, the conditional states after
     each step (None unless keep_states), and the final register.
     """
-    if model.kind == CUSTOM:
-        sched = model.schedule
-        slots, open_ids = [SYSTEM_SLOT], []
-        states = system_state(rho0).matrix[None]
-    else:
-        ops, slots, state0 = _builtin_setup(model, rho0)
-        states = state0[None]
+    start = simulate(model, rho0, 0)[0]
+    states, open_ids = start.matrix[None], []
+
+    def register():
+        # open molecules (newest first) ahead of the model's own register
+        return tuple(f"mol{m}" for m in open_ids) + start.slots
+
+    if model.kind != CUSTOM:
+        kraus = markov_xor_kraus(model.phi) if model.kind == MARKOV_XOR else build_embedding(model)[1]
+        ops = np.stack(kraus.operators)
     log_p = np.zeros(1)
     outcomes = np.zeros((1, 0), dtype=np.int64)
     history = [()] if keep_states else None
@@ -166,12 +156,10 @@ def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_state
 
     for t in range(t_max):
         if model.kind == CUSTOM:
-            states, slots, open_ids = window_collide(states, slots, open_ids, model, sched, t)
-            for m in closing_molecules(sched, open_ids, t):
-                pos = slots.index(mol_slot(m))
-                raws = np.stack([_project_out(states, len(slots), pos, lam) for lam in (0, 1)])
+            states, open_ids = window_collide(states, open_ids, model, model.schedule, t)
+            for m in model.schedule.closing_at(t):
+                raws = np.stack([_project_out(states, len(open_ids) + 1, open_ids.index(m), lam) for lam in (0, 1)])
                 read(raws, np.trace(raws, axis1=-2, axis2=-1).real)
-                slots.remove(mol_slot(m))
                 open_ids.remove(m)
         else:
             # optimize=False: the contraction order must not depend on the batch,
@@ -181,10 +169,11 @@ def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_state
             raws = np.einsum("kab,nbc,kdc->knad", ops, states, ops.conj(), optimize=False)
             read(raws, np.einsum("knaa->kn", raws).real)
         if keep_states:
-            history = [h + (DensityMatrix(s, tuple(slots)),) for h, s in zip(history, states)]
+            slots = register()
+            history = [h + (DensityMatrix(s, slots),) for h, s in zip(history, states)]
     rows = np.arange(len(states)) if uniforms is None else leaf
     kept = None if history is None else [history[i] for i in rows]
-    return states[rows], log_p[rows], outcomes[rows], kept, tuple(slots)
+    return states[rows], log_p[rows], outcomes[rows], kept, register()
 
 
 def _records(log_p: np.ndarray, outcomes: np.ndarray, history) -> list[TrajectoryRecord]:

@@ -348,6 +348,10 @@ def scan_events_at(sched, step):
     return tuple(ev for ev in sched.events if ev.step == step)
 
 
+def scan_closing(sched, step):
+    return tuple(m for m in scan_molecules(sched) if scan_span(sched, m)[1] == step)
+
+
 def scan_satellite_count(sched):
     spans = [scan_span(sched, m) for m in scan_molecules(sched)]
     return max([sum(1 for lo, hi in spans if lo <= t < hi) for t in range(sched.horizon - 1)], default=0)
@@ -403,18 +407,19 @@ def window_step_oracle(model, rho0, steps):
     """System marginals [t=0 .. steps]; the joint state is rebuilt as a
     validated DensityMatrix after every step and its closing molecules are
     traced out by name."""
-    from nmchain.chains import SYSTEM_SLOT, closing_molecules, mol_slot, system_state, window_collide
+    from nmchain.chains import SYSTEM_SLOT, system_state, window_collide
     from nmchain.linalg import DensityMatrix, partial_trace
 
     schedule = model.window_schedule(None if model.kind == "custom" else steps)
     joint, open_ids = system_state(rho0), ()
     out = [joint]
     for t in range(steps):
-        m, slots, ids = window_collide(joint.matrix, list(joint.slots), list(open_ids), model, schedule, t)
-        closing = set(closing_molecules(schedule, ids, t))
+        m, ids = window_collide(joint.matrix, open_ids, model, schedule, t)
+        closing = {i for i in ids if schedule.last_event(i) <= t}
+        slots = [f"mol{i}" for i in ids] + [SYSTEM_SLOT]
         joint = DensityMatrix(m, tuple(slots))
         if closing:
-            keep = [s for s in slots if s == SYSTEM_SLOT or s not in {mol_slot(c) for c in closing}]
+            keep = [s for s in slots if s == SYSTEM_SLOT or s not in {f"mol{c}" for c in closing}]
             joint = partial_trace(joint, keep)
         open_ids = tuple(i for i in ids if i not in closing)
         out.append(partial_trace(joint, SYSTEM_SLOT) if joint.n_qubits > 1 else joint)

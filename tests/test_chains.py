@@ -15,7 +15,6 @@ from nmchain.chains import (
     advanced_overlap_schedule,
     build_embedding,
     chain_schedule,
-    closing_molecules,
     custom_chain,
     delta,
     embedded_step,
@@ -157,8 +156,17 @@ def test_schedule_index_matches_linear_scans():
                 assert (sched.first_event(m), sched.last_event(m)) == span
         for t in range(horizon + 1):
             assert sched.events_at(t) == H.scan_events_at(sched, t)
+            assert sched.closing_at(t) == H.scan_closing(sched, t)
         assert satellite_count(sched) == H.scan_satellite_count(sched)
         assert window_width(sched) == H.scan_window_width(sched)
+
+
+def test_census_cost_does_not_grow_with_the_horizon():
+    # the census reads the sorted first and last steps; a per-step sweep
+    # would allocate or loop over all 10**12 steps
+    sched = schedule_from_records([{"t": 0, "mol": 0}, {"t": 10**12, "mol": 0}])
+    assert satellite_count(sched) == 1
+    assert window_width(sched) == 2
 
 
 # ---- model construction ---------------------------------------------------
@@ -518,14 +526,15 @@ def test_run_window_errors_and_cap():
 def test_sliding_window_state_bookkeeping():
     model = repeated_xor(0.3)
     sched = model.window_schedule(4)
-    joint, slots, open_ids = window_collide(np.diag([1.0, 0.0]).astype(complex), ["sys"], [], model, sched, 0)
-    # step 0 attaches molecule 1 (fresh) and molecule 0 (single event), newest first
-    assert slots == ["mol0", "mol1", "sys"] and open_ids == [0, 1]
+    joint, open_ids = window_collide(np.diag([1.0, 0.0]).astype(complex), [], model, sched, 0)
+    # step 0 attaches molecule 1 (fresh) and molecule 0 (single event), newest
+    # first; the register is those molecules, then the system
+    assert open_ids == [0, 1]
     assert joint.shape == (8, 8)
     # molecule 0 closes at once; molecule 1 stays open until its second event
-    assert closing_molecules(sched, open_ids, 0) == [0]
-    assert closing_molecules(sched, [1], 1) == [1]
-    assert closing_molecules(sched, [1], 0) == []
+    assert sched.closing_at(0) == (0,)
+    assert sched.closing_at(1) == (1,)
+    assert 1 not in sched.closing_at(0)
 
 
 def _burst_schedule(horizon):

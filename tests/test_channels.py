@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import helpers as H
-from nmchain.chains import build_embedding, repeated_xor, sqrt_xor
+from nmchain.chains import build_embedding, markov_xor, repeated_xor, sqrt_xor, system_maps
 from nmchain.channels import (
     SINGULAR_CUTOFF,
     ChoiMatrix,
@@ -257,6 +257,20 @@ def test_divisibility_scan_shapes():
     assert len(scan) == 4
     assert all(s.exists is True for s in scan)
     assert divisibility_scan([]) == []
+
+
+@pytest.mark.parametrize("tols", [
+    {"cp_tol": np.nan}, {"cp_tol": -1.0}, {"cp_tol": np.inf}, {"cp_tol": -np.inf},
+    {"sv_cutoff": np.nan}, {"sv_cutoff": -1.0}, {"sv_cutoff": np.inf},
+])
+def test_divisibility_rejects_bad_tolerances(tols):
+    # nan or negative cp_tol used to answer "not CP" at every step, inf "CP",
+    # and a nan sv_cutoff silently switched the cutoff off
+    maps = system_maps(markov_xor(0.3), 3)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        divisibility_step(maps[1], maps[0], **tols)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        divisibility_scan(maps, **tols)
 
 
 def test_choi_matrix_validation():

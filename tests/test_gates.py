@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import helpers as H
 from nmchain.gates import (
     SQRT_HALF_I,
     UnitaryGate,
+    apply_gate,
     embed,
     molecule_state,
     prepare_gate,
@@ -123,3 +126,34 @@ def test_collision_sandwich_reproduces_oracle_unitary():
         got = u_g @ u_sw @ u_g
         want = H.step_unitary(0.0, kind, with_prep=False)
         assert np.abs(got - want).max() < 1e-15
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_apply_gate_matches_embedded_sandwich(n):
+    """Contracting the gate on two positions equals u rho u^dagger with
+    u = embed(...): bit for bit for the named gates, to round-off for a
+    random unitary; for one state and for a stack of states."""
+    rng = np.random.default_rng(n)
+    register = tuple(f"q{i}" for i in range(n))
+    rho = H.rand_rho(rng, 2 ** n)
+    stack = np.stack([H.rand_rho(rng, 2 ** n) for _ in range(3)])
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    for gate, exact in [(xor_gate(), True), (sqrt_xor_gate(), True), (UnitaryGate(q, ("x", "y")), False)]:
+        for pos in itertools.permutations(range(n), 2):
+            u = embed(gate, register, acting_on=[register[p] for p in pos]).matrix
+            for states in (rho, stack):
+                got = apply_gate(states, gate, pos, n)
+                want = np.stack([u @ r @ H.dag(u) for r in states.reshape(-1, 2 ** n, 2 ** n)]).reshape(states.shape)
+                assert got.shape == states.shape
+                if exact:
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_apply_gate_errors():
+    g = xor_gate()
+    rho = np.eye(8, dtype=complex) / 8
+    for acting in [(0,), (0, 0), (0, 3), (-1, 0), (0, 1, 2)]:
+        with pytest.raises(ValueError):
+            apply_gate(rho, g, acting, 3)
