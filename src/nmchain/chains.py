@@ -46,7 +46,7 @@ SYSTEM_SLOT = "sys"
 MEMORY_SLOT = "mem"
 WINDOW_QUBIT_CAP = 6
 
-_GATE_NAMES = {"xor": xor_gate, "sqrt-xor": sqrt_xor_gate}
+_GATE_NAMES = {"xor": xor_gate(), "sqrt-xor": sqrt_xor_gate()}
 
 
 @dataclass(frozen=True)
@@ -532,7 +532,7 @@ def window_collide(
                 )
             joint = tensor(xi, joint)
             open_ids.insert(0, ev.molecule)
-        g = _GATE_NAMES[ev.gate]() if ev.gate is not None else model.collision_gate()
+        g = _GATE_NAMES[ev.gate] if ev.gate is not None else model.collision_gate()
         acting = [open_ids.index(ev.molecule) if role == "mol" else len(open_ids) for role in g.slot_roles]
         joint = apply_gate(joint, g, acting, len(open_ids) + 1)
     return joint, open_ids

@@ -61,7 +61,7 @@ def _pair(z: complex) -> list:
 
 
 def _mat(m: np.ndarray) -> list:
-    return [[_pair(x) for x in row] for row in m]
+    return np.stack([m.real, m.imag], -1).tolist()
 
 
 def _parse_state(text: str, flag: str) -> DensityMatrix:

@@ -62,18 +62,41 @@ def prepare_gate(phi: float) -> UnitaryGate:
     return UnitaryGate(m, ("mol",), label="prepare")
 
 
+def _shared(matrix: list, roles: tuple[str, ...], label: str) -> UnitaryGate:
+    """A gate built and validated once, at import, with a read-only matrix."""
+    gate = UnitaryGate(np.array(matrix, dtype=complex), roles, label=label)
+    gate.matrix.flags.writeable = False
+    return gate
+
+
+_XOR = _shared(
+    [
+        [1, 0, 0, 0],
+        [0, 0, 0, 1],
+        [0, 0, 1, 0],
+        [0, 1, 0, 0],
+    ],
+    ("mol", "sys"),
+    "xor",
+)
+_SQRT_XOR = _shared(
+    [
+        [1, 0, 0, 0],
+        [0, 1, 0, 0],
+        [0, 0, SQRT_HALF_I, -1j * SQRT_HALF_I],
+        [0, 0, -1j * SQRT_HALF_I, SQRT_HALF_I],
+    ],
+    ("sys", "mol"),
+    "sqrt-xor",
+)
+
+
 def xor_gate() -> UnitaryGate:
-    """Molecule flips when the system is set; written in |mol, sys> ordering."""
-    m = np.array(
-        [
-            [1, 0, 0, 0],
-            [0, 0, 0, 1],
-            [0, 0, 1, 0],
-            [0, 1, 0, 0],
-        ],
-        dtype=complex,
-    )
-    return UnitaryGate(m, ("mol", "sys"), label="xor")
+    """Molecule flips when the system is set; written in |mol, sys> ordering.
+
+    Every call returns the same instance; its matrix is read-only.
+    """
+    return _XOR
 
 
 def swap_gate() -> UnitaryGate:
@@ -93,19 +116,10 @@ def sqrt_xor_gate() -> UnitaryGate:
     """Square root of the controlled flip; written in |sys, mol> ordering.
 
     The lower block is sqrt(i/2) * (I - i sigma_x); squaring the full gate
-    reproduces xor_gate() exactly.
+    reproduces xor_gate() exactly. Every call returns the same instance; its
+    matrix is read-only.
     """
-    b = SQRT_HALF_I
-    m = np.array(
-        [
-            [1, 0, 0, 0],
-            [0, 1, 0, 0],
-            [0, 0, b, -1j * b],
-            [0, 0, -1j * b, b],
-        ],
-        dtype=complex,
-    )
-    return UnitaryGate(m, ("sys", "mol"), label="sqrt-xor")
+    return _SQRT_XOR
 
 
 def embed(gate: UnitaryGate, register_slots: Sequence[str], acting_on: Sequence[str]) -> UnitaryGate:

@@ -13,13 +13,18 @@ distinct prefix: the enumerator expands every child, the sampler only the
 children that some sample reaches, and samples sharing a prefix share its
 evolution.
 
-Sampling is reproducible by construction: sample index i always uses the
-generator spawned from (seed, spawn_key=(i,)), one uniform per outcome, so
-ensembles are bit-identical whether drawn one sample at a time or batched.
+Sampling is reproducible by construction: sample index i always draws from
+the stream (seed, i), one uniform per outcome, so ensembles are bit-identical
+whether drawn one sample at a time or batched. The streams are computed in
+closed form on whole blocks of indices at once (SeedSequence hash, PCG64
+seeding and LCG advance as array arithmetic), and equal numpy's
+Generator(PCG64(SeedSequence(seed, spawn_key=(i,)))).random() bit for bit.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -99,15 +104,141 @@ def _project_out(m: np.ndarray, n_qubits: int, slot_pos: int, outcome: int) -> n
     return t.reshape(len(m), d, d)
 
 
-def _uniform_block(seed: int, lo: int, hi: int, draws: int) -> np.ndarray:
-    out = np.empty((hi - lo, draws))
-    for i in range(lo, hi):
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(i,))
-        out[i - lo] = np.random.Generator(np.random.PCG64(ss)).random(draws)
+# numpy's SeedSequence (pool size 4, uint32 hash) and PCG64 constants
+_M32, _M64, _M128 = 2 ** 32 - 1, 2 ** 64 - 1, 2 ** 128 - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(x: int) -> list[int]:
+    """x split into little-endian uint32 words, as SeedSequence splits it."""
+    x = operator.index(x)
+    if x < 0:
+        raise ValueError("expected non-negative integer")
+    out = [x & _M32]
+    while x := x >> 32:
+        out.append(x & _M32)
     return out
 
 
-def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_states=False):
+def _hash_pairs(h: int, mult: int):
+    """(xor, multiply) constants of successive hashmix calls of one hash chain."""
+    while True:
+        nxt = h * mult & _M32
+        yield h, nxt
+        h = nxt
+
+
+def _columns(pairs, k: int) -> np.ndarray:
+    """The next k constant pairs as two (k, 1) uint32 columns."""
+    return np.array([next(pairs) for _ in range(k)], dtype=np.uint32).T[..., None]
+
+
+def _hashmix(value, h):
+    # on Python ints, or on uint32 arrays, which wrap by themselves
+    value = (value ^ h[0]) * h[1] & _M32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+_GENERATE = _columns(_hash_pairs(_INIT_B, _MULT_B), 8)
+
+
+@lru_cache(maxsize=16)
+def _seed_pool(seed: int, spawn_words: int):
+    """The pool mixed from the seed alone, as a (4, 1) uint32 column, and the
+    hash constants of the rounds of the first spawn_words spawn-key words.
+
+    The seed's words, zero-padded to 4, fill the pool; words past 4 are mixed
+    in after it is built, as numpy does.
+    """
+    a = _hash_pairs(_INIT_A, _MULT_A)
+    run = _words(seed)
+    pool = [_hashmix(w, next(a)) for w in (run + [0, 0, 0])[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(a)))
+    for w in run[4:]:
+        pool = [_mix(p, _hashmix(w, next(a))) for p in pool]
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    rounds = [_columns(a, 4) for _ in range(spawn_words)]
+    for arr in [pool, *rounds]:
+        arr.flags.writeable = False
+    return pool, rounds
+
+
+@lru_cache(maxsize=16)
+def _advance(draws: int) -> np.ndarray:
+    """(2, 2, draws, 1) uint64: the high, then the low words of MUL^(k+1)
+    and of sum_{j<=k} MUL^j, k = 1 .. draws."""
+    mult, total, table = _PCG_MULT, 1, []
+    for _ in range(draws):
+        mult, total = mult * _PCG_MULT & _M128, (total * _PCG_MULT + 1) & _M128
+        table.append((mult >> 64, total >> 64, mult & _M64, total & _M64))
+    table = np.array(table, dtype=np.uint64).reshape(draws, 4).T.reshape(2, 2, draws, 1)
+    table.flags.writeable = False
+    return table
+
+
+def _dot128(x, c):
+    """x[:, 0] c[:, 0] + x[:, 1] c[:, 1] mod 2**128, the 128-bit numbers held
+    as their (high, low) uint64 words on the first axis. The high word of
+    each low-word product is formed from 32-bit limbs."""
+    (xh, xl), (ch, cl) = x, c
+    x0, x1, c0, c1 = xl & _M32, xl >> 32, cl & _M32, cl >> 32
+    t = x1 * c0 + (x0 * c0 >> 32)  # < 2**64, as is u
+    u = x0 * c1 + (t & _M32)
+    high = x1 * c1 + (t >> 32) + (u >> 32) + xh * cl + xl * ch
+    low = xl * cl
+    total = low[0] + low[1]
+    return high[0] + high[1] + (total < low[0]), total
+
+
+def _uniform_block(seed: int, lo: int, hi: int, draws: int) -> np.ndarray:
+    """Row i - lo holds the first `draws` doubles of
+    Generator(PCG64(SeedSequence(seed, spawn_key=(i,)))), i = lo .. hi-1.
+
+    Computed in closed form on all rows at once, bit for bit: numpy's
+    SeedSequence hash, PCG64's seeding and each draw's LCG advance.
+    """
+    # spawn-key words of i: the low word, then those of (lo >> 32) + carry
+    _words(lo)  # raises for a negative index
+    first = np.arange(hi - lo, dtype=np.uint64) + (lo & _M32)
+    carry = first >> 32
+    tails = [_words(h) if h else [] for h in (lo >> 32, (lo >> 32) + 1)]
+    spawn = [((first & _M32).astype(np.uint32), None)]
+    for j in range(max(map(len, tails))):
+        word = np.array([t[j] if j < len(t) else 0 for t in tails], dtype=np.uint32)
+        spawn.append((word[carry], np.array([j < len(t) for t in tails])[carry]))
+    pool, rounds = _seed_pool(operator.index(seed), len(spawn))
+    for (word, rows), h in zip(spawn, rounds):
+        mixed = _mix(pool, _hashmix(word, h))
+        pool = mixed if rows is None else np.where(rows, mixed, pool)
+
+    # generate_state(4, uint64) seeds PCG64 with initstate = w0:w1 and
+    # inc = (w2:w3) << 1 | 1; its two seeding steps fold into the advance, so
+    # draw k comes from MUL^(k+1) (initstate + inc) + inc * sum_{j<=k} MUL^j
+    state = _hashmix(np.concatenate([pool, pool]), _GENERATE).astype(np.uint64)
+    w0, w1, w2, w3 = state[0::2] | state[1::2] << 32
+    inc_high, inc_low = w2 << 1 | w3 >> 63, w3 << 1 | 1
+    low = w1 + inc_low
+    high = w0 + inc_high + (low < w1)
+    # rows run along the last axis, so each numpy inner loop spans the block
+    s_high, s_low = _dot128(np.array([[high, inc_high], [low, inc_low]])[:, :, None], _advance(draws))
+
+    # XSL-RR output, then numpy's double from its top 53 bits
+    v, rot = s_high ^ s_low, s_high >> 58
+    raw = v >> rot | v << ((64 - rot) & 63)
+    return ((raw >> 11) * 2.0 ** -53).T
+
+
+def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_states=False, mem0=None):
     """Walk the readout tree for t_max steps, one readout at a time.
 
     The walk holds one state per distinct outcome prefix (a node), stacked
@@ -117,11 +248,12 @@ def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_state
     probability exceeds its uniform, and only children some sample reaches
     are kept.
 
-    Returns one row per branch, or per sample when uniforms are given: the
-    final states, log-probabilities, outcomes, the conditional states after
-    each step (None unless keep_states), and the final register.
+    The walk starts from simulate(model, rho0, 0, mem0). Returns one row per
+    branch, or per sample when uniforms are given: the final states,
+    log-probabilities, outcomes, the conditional states after each step
+    (None unless keep_states), and the final register.
     """
-    start = simulate(model, rho0, 0)[0]
+    start = simulate(model, rho0, 0, mem0)[0]
     states, open_ids = start.matrix[None], []
 
     def register():
@@ -189,8 +321,12 @@ def enumerate_branches(
     t_max: int,
     prune_below: float = 0.0,
     keep_states: bool = True,
+    mem0=None,
 ) -> list[TrajectoryRecord]:
     """All readout branches up to t_max, with exact probabilities.
+
+    The two-collision models start their memory in mem0 (default |0><0|),
+    as in simulate; so do sample_trajectory and sample_ensemble.
 
     Branches whose total probability falls to prune_below or less are
     dropped (the surviving records then under-count by the pruned mass).
@@ -202,7 +338,7 @@ def enumerate_branches(
         raise ValueError(f"beyond {PRUNE_REQUIRED_ABOVE} steps a positive prune_below is required")
     _readout_count(model, t_max)
     _, log_p, outcomes, history, _ = _evolve_block(
-        model, rho0, t_max, prune_below=prune_below, keep_states=keep_states
+        model, rho0, t_max, prune_below=prune_below, keep_states=keep_states, mem0=mem0
     )
     return _records(log_p, outcomes, history)
 
@@ -231,10 +367,11 @@ def sample_trajectory(
     seed: int,
     index: int = 0,
     keep_states: bool = False,
+    mem0=None,
 ) -> TrajectoryRecord:
     """Draw one readout record; (seed, index) fixes it bit for bit."""
     uniforms = _uniform_block(seed, index, index + 1, _readout_count(model, t_max))
-    _, log_p, outcomes, history, _ = _evolve_block(model, rho0, t_max, uniforms, keep_states=keep_states)
+    _, log_p, outcomes, history, _ = _evolve_block(model, rho0, t_max, uniforms, keep_states=keep_states, mem0=mem0)
     return _records(log_p, outcomes, history)[0]
 
 
@@ -244,6 +381,7 @@ def sample_ensemble(
     t_max: int,
     n_samples: int,
     seed: int,
+    mem0=None,
 ) -> EnsembleStats:
     """Monte Carlo ensemble with per-sample outcomes and log-probabilities.
 
@@ -255,7 +393,7 @@ def sample_ensemble(
         raise ValueError("n_samples must be positive")
     uniforms = _uniform_block(seed, 0, n_samples, _readout_count(model, t_max))
     states, log_p, outcomes, _, slots = _evolve_block(
-        model, rho0, t_max, uniforms, keep_states=model.kind == CUSTOM
+        model, rho0, t_max, uniforms, keep_states=model.kind == CUSTOM, mem0=mem0
     )
     mean = DensityMatrix(states.mean(axis=0), slots)
     freqs = tuple({k: int(c) for k, c in enumerate(np.bincount(col)) if c} for col in outcomes.T)

@@ -369,11 +369,11 @@ def scan_window_width(sched):
 
 # ---- batched sampler: every sample evolved on its own row ----
 
-def spawned_uniforms(seed, n, draws):
-    """Row i holds the first draws uniforms of the stream (seed, spawn_key=(i,))."""
+def spawned_uniforms(seed, n, draws, lo=0):
+    """Row r holds the first draws uniforms of the stream (seed, spawn_key=(lo + r,))."""
     return np.array([
         np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))).random(draws)
-        for i in range(n)
+        for i in range(lo, lo + n)
     ])
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nmchain.chains import ChainModel, custom_chain, schedule_from_records
+from nmchain import cli
 from nmchain.cli import main
 from nmchain.gates import sqrt_xor_gate
 from nmchain.trajectories import sample_ensemble
@@ -453,3 +454,18 @@ def test_installed_entry_point():
     proc = subprocess.run([exe, "--version"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "nmchain" in proc.stdout
+
+
+def test_mat_json_is_byte_identical_to_per_entry_pairs():
+    rng = np.random.default_rng(5)
+    specials = [-0.0, 5e-324, -5e-324, 1e-300, 0.0]
+    for _ in range(20):
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        flat = m.reshape(-1)
+        for k, x in enumerate(rng.choice(specials, size=6)):
+            pos = rng.integers(16)
+            flat[pos] = complex(x, flat[pos].imag) if k % 2 else complex(flat[pos].real, x)
+        old = [[[float(np.real(x)), float(np.imag(x))] for x in row] for row in m]
+        assert json.dumps(cli._mat(m)) == json.dumps(old)
+    real = np.array([[-0.0, 1e-300], [5e-324, 2.0]])
+    assert json.dumps(cli._mat(real)) == json.dumps([[[float(x), 0.0] for x in row] for row in real])

@@ -16,6 +16,7 @@ from nmchain.chains import (
     simulate,
     sqrt_xor,
 )
+from nmchain import trajectories
 from nmchain.gates import xor_gate
 from nmchain.trajectories import (
     MAX_ENUMERATION_STEPS,
@@ -193,6 +194,71 @@ def test_ensemble_bitwise_matches_per_sample_oracle(factory):
     assert np.array_equal(ens.outcomes, outcomes)
     assert np.array_equal(ens.log_probabilities, log_p)
     assert np.array_equal(ens.mean_state.matrix, states.mean(axis=0))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_uniform_block_equals_numpy_streams(seed):
+    want = H.spawned_uniforms(seed, 10_000, 3)
+    assert np.array_equal(trajectories._uniform_block(seed, 0, 10_000, 3), want)
+    assert np.array_equal(trajectories._uniform_block(seed, 5000, 5100, 3), want[5000:5100])
+
+
+@pytest.mark.parametrize("seed", [7, 2**64, 2**128 + 5, 3**100])
+@pytest.mark.parametrize("lo", [2**32 - 40, 2**64 - 40, 2**96 + 3])
+def test_uniform_block_wide_seeds_and_spawn_keys(seed, lo):
+    # blocks that straddle a word boundary mix a second (or third) spawn word
+    # into some rows only; seeds past 4 words are mixed in after the pool fills
+    got = trajectories._uniform_block(seed, lo, lo + 80, 12)
+    assert np.array_equal(got, H.spawned_uniforms(seed, 80, 12, lo=lo))
+    assert trajectories._uniform_block(seed, lo, lo + 1, 0).shape == (1, 0)
+
+
+@pytest.mark.parametrize("index", [2**32 - 1, 2**32])
+def test_sample_trajectory_index_past_one_word(index):
+    model = sqrt_xor(0.4)
+    ops = np.stack(build_embedding(model)[1].operators)
+    state0 = np.kron(np.diag([1.0, 0.0]), _rho0()).astype(complex)
+    _, log_p, outcomes = H.evolve_block_oracle(ops, state0, H.spawned_uniforms(3, 1, 9, lo=index))
+    rec = sample_trajectory(model, _rho0(), t_max=9, seed=3, index=index)
+    assert list(rec.outcomes) == outcomes[0].tolist()
+    assert rec.log_probability == log_p[0]
+
+
+def test_negative_seed_or_index_raises():
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_trajectory(markov_xor(0.3), _rho0(), t_max=2, seed=-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_trajectory(markov_xor(0.3), _rho0(), t_max=2, seed=0, index=-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        sample_ensemble(markov_xor(0.3), _rho0(), t_max=2, n_samples=3, seed=-5)
+
+
+@pytest.mark.parametrize("factory", [repeated_xor, sqrt_xor])
+def test_readout_walk_starts_memory_in_mem0(factory):
+    model, mem0 = factory(0.41), H.molecule_density(0.7)
+    avg = branch_average(enumerate_branches(model, _rho0(), t_max=6, mem0=mem0))
+    want = simulate(model, _rho0(), steps=6, mem0=mem0)[-1].matrix
+    assert np.abs(avg - want).max() < 1e-12
+    assert np.abs(avg - simulate(model, _rho0(), steps=6)[-1].matrix).max() > 1e-3
+
+    n, t_max, seed = 500, 6, 4
+    ops = np.stack(build_embedding(model)[1].operators)
+    states, log_p, outcomes = H.evolve_block_oracle(
+        ops, np.kron(mem0, _rho0()).astype(complex), H.spawned_uniforms(seed, n, t_max)
+    )
+    ens = sample_ensemble(model, _rho0(), t_max, n, seed, mem0=mem0)
+    assert np.array_equal(ens.outcomes, outcomes)
+    assert np.array_equal(ens.log_probabilities, log_p)
+    assert np.array_equal(ens.mean_state.matrix, states.mean(axis=0))
+    rec = sample_trajectory(model, _rho0(), t_max, seed, index=7, mem0=mem0)
+    assert list(rec.outcomes) == outcomes[7].tolist()
+
+
+def test_mem0_needs_a_memory_slot():
+    with pytest.raises(ValueError, match="no memory slot"):
+        enumerate_branches(markov_xor(0.3), _rho0(), t_max=2, mem0=np.diag([1.0, 0.0]))
+    with pytest.raises(ValueError, match="no memory slot"):
+        sample_ensemble(markov_xor(0.3), _rho0(), t_max=2, n_samples=2, seed=0, mem0=np.diag([1.0, 0.0]))
 
 
 def test_ensemble_mean_approaches_nonselective():
