@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -149,7 +148,6 @@ def _mix(x, y):
 _GENERATE = _columns(_hash_pairs(_INIT_B, _MULT_B), 8)
 
 
-@lru_cache(maxsize=16)
 def _seed_pool(seed: int, spawn_words: int):
     """The pool mixed from the seed alone, as a (4, 1) uint32 column, and the
     hash constants of the rounds of the first spawn_words spawn-key words.
@@ -166,14 +164,9 @@ def _seed_pool(seed: int, spawn_words: int):
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(a)))
     for w in run[4:]:
         pool = [_mix(p, _hashmix(w, next(a))) for p in pool]
-    pool = np.array(pool, dtype=np.uint32)[:, None]
-    rounds = [_columns(a, 4) for _ in range(spawn_words)]
-    for arr in [pool, *rounds]:
-        arr.flags.writeable = False
-    return pool, rounds
+    return np.array(pool, dtype=np.uint32)[:, None], [_columns(a, 4) for _ in range(spawn_words)]
 
 
-@lru_cache(maxsize=16)
 def _advance(draws: int) -> np.ndarray:
     """(2, 2, draws, 1) uint64: the high, then the low words of MUL^(k+1)
     and of sum_{j<=k} MUL^j, k = 1 .. draws."""
@@ -181,9 +174,7 @@ def _advance(draws: int) -> np.ndarray:
     for _ in range(draws):
         mult, total = mult * _PCG_MULT & _M128, (total * _PCG_MULT + 1) & _M128
         table.append((mult >> 64, total >> 64, mult & _M64, total & _M64))
-    table = np.array(table, dtype=np.uint64).reshape(draws, 4).T.reshape(2, 2, draws, 1)
-    table.flags.writeable = False
-    return table
+    return np.array(table, dtype=np.uint64).reshape(draws, 4).T.reshape(2, 2, draws, 1)
 
 
 def _dot128(x, c):
@@ -200,23 +191,40 @@ def _dot128(x, c):
     return high[0] + high[1] + (total < low[0]), total
 
 
+# rows per pass of _uniform_block: its uint64 temporaries stay about 15 MB at
+# 20 draws whatever the block size
+_BLOCK_ROWS = 8192
+
+
 def _uniform_block(seed: int, lo: int, hi: int, draws: int) -> np.ndarray:
     """Row i - lo holds the first `draws` doubles of
     Generator(PCG64(SeedSequence(seed, spawn_key=(i,)))), i = lo .. hi-1.
 
-    Computed in closed form on all rows at once, bit for bit: numpy's
-    SeedSequence hash, PCG64's seeding and each draw's LCG advance.
+    Computed in closed form on _BLOCK_ROWS rows at a time, bit for bit:
+    numpy's SeedSequence hash, PCG64's seeding and each draw's LCG advance.
     """
-    # spawn-key words of i: the low word, then those of (lo >> 32) + carry
     _words(lo)  # raises for a negative index
+    pool, rounds = _seed_pool(operator.index(seed), len(_words(max(lo, hi - 1))))
+    advance = _advance(draws)
+    out = np.empty((draws, hi - lo))
+    for a in range(lo, hi, _BLOCK_ROWS):
+        b = min(a + _BLOCK_ROWS, hi)
+        out[:, a - lo:b - lo] = _stream_rows(pool, rounds, advance, a, b)
+    return out.T
+
+
+def _stream_rows(pool, rounds, advance, lo: int, hi: int) -> np.ndarray:
+    """(draws, hi - lo) doubles of the streams i = lo .. hi-1 (hi - lo <= 2**32),
+    from the seed's pool and spawn rounds and the advance table."""
+    # spawn-key words of i: the low word, then those of lo >> 32, or of
+    # (hi - 1) >> 32 in the rows past the carry
     first = np.arange(hi - lo, dtype=np.uint64) + (lo & _M32)
     carry = first >> 32
-    tails = [_words(h) if h else [] for h in (lo >> 32, (lo >> 32) + 1)]
+    tails = [_words(h) if h else [] for h in (lo >> 32, (hi - 1) >> 32)]
     spawn = [((first & _M32).astype(np.uint32), None)]
     for j in range(max(map(len, tails))):
         word = np.array([t[j] if j < len(t) else 0 for t in tails], dtype=np.uint32)
         spawn.append((word[carry], np.array([j < len(t) for t in tails])[carry]))
-    pool, rounds = _seed_pool(operator.index(seed), len(spawn))
     for (word, rows), h in zip(spawn, rounds):
         mixed = _mix(pool, _hashmix(word, h))
         pool = mixed if rows is None else np.where(rows, mixed, pool)
@@ -230,15 +238,15 @@ def _uniform_block(seed: int, lo: int, hi: int, draws: int) -> np.ndarray:
     low = w1 + inc_low
     high = w0 + inc_high + (low < w1)
     # rows run along the last axis, so each numpy inner loop spans the block
-    s_high, s_low = _dot128(np.array([[high, inc_high], [low, inc_low]])[:, :, None], _advance(draws))
+    s_high, s_low = _dot128(np.array([[high, inc_high], [low, inc_low]])[:, :, None], advance)
 
     # XSL-RR output, then numpy's double from its top 53 bits
     v, rot = s_high ^ s_low, s_high >> 58
     raw = v >> rot | v << ((64 - rot) & 63)
-    return ((raw >> 11) * 2.0 ** -53).T
+    return (raw >> 11) * 2.0 ** -53
 
 
-def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_states=False, mem0=None):
+def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_states=False):
     """Walk the readout tree for t_max steps, one readout at a time.
 
     The walk holds one state per distinct outcome prefix (a node), stacked
@@ -248,12 +256,11 @@ def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_state
     probability exceeds its uniform, and only children some sample reaches
     are kept.
 
-    The walk starts from simulate(model, rho0, 0, mem0). Returns one row per
-    branch, or per sample when uniforms are given: the final states,
-    log-probabilities, outcomes, the conditional states after each step
-    (None unless keep_states), and the final register.
+    Returns one row per branch, or per sample when uniforms are given: the
+    final states, log-probabilities, outcomes, the conditional states after
+    each step (None unless keep_states), and the final register.
     """
-    start = simulate(model, rho0, 0, mem0)[0]
+    start = simulate(model, rho0, 0)[0]
     states, open_ids = start.matrix[None], []
 
     def register():
@@ -321,12 +328,8 @@ def enumerate_branches(
     t_max: int,
     prune_below: float = 0.0,
     keep_states: bool = True,
-    mem0=None,
 ) -> list[TrajectoryRecord]:
     """All readout branches up to t_max, with exact probabilities.
-
-    The two-collision models start their memory in mem0 (default |0><0|),
-    as in simulate; so do sample_trajectory and sample_ensemble.
 
     Branches whose total probability falls to prune_below or less are
     dropped (the surviving records then under-count by the pruned mass).
@@ -338,7 +341,7 @@ def enumerate_branches(
         raise ValueError(f"beyond {PRUNE_REQUIRED_ABOVE} steps a positive prune_below is required")
     _readout_count(model, t_max)
     _, log_p, outcomes, history, _ = _evolve_block(
-        model, rho0, t_max, prune_below=prune_below, keep_states=keep_states, mem0=mem0
+        model, rho0, t_max, prune_below=prune_below, keep_states=keep_states
     )
     return _records(log_p, outcomes, history)
 
@@ -367,11 +370,10 @@ def sample_trajectory(
     seed: int,
     index: int = 0,
     keep_states: bool = False,
-    mem0=None,
 ) -> TrajectoryRecord:
     """Draw one readout record; (seed, index) fixes it bit for bit."""
     uniforms = _uniform_block(seed, index, index + 1, _readout_count(model, t_max))
-    _, log_p, outcomes, history, _ = _evolve_block(model, rho0, t_max, uniforms, keep_states=keep_states, mem0=mem0)
+    _, log_p, outcomes, history, _ = _evolve_block(model, rho0, t_max, uniforms, keep_states=keep_states)
     return _records(log_p, outcomes, history)[0]
 
 
@@ -381,7 +383,6 @@ def sample_ensemble(
     t_max: int,
     n_samples: int,
     seed: int,
-    mem0=None,
 ) -> EnsembleStats:
     """Monte Carlo ensemble with per-sample outcomes and log-probabilities.
 
@@ -393,7 +394,7 @@ def sample_ensemble(
         raise ValueError("n_samples must be positive")
     uniforms = _uniform_block(seed, 0, n_samples, _readout_count(model, t_max))
     states, log_p, outcomes, _, slots = _evolve_block(
-        model, rho0, t_max, uniforms, keep_states=model.kind == CUSTOM, mem0=mem0
+        model, rho0, t_max, uniforms, keep_states=model.kind == CUSTOM
     )
     mean = DensityMatrix(states.mean(axis=0), slots)
     freqs = tuple({k: int(c) for k, c in enumerate(np.bincount(col)) if c} for col in outcomes.T)

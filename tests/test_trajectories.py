@@ -213,6 +213,13 @@ def test_uniform_block_wide_seeds_and_spawn_keys(seed, lo):
     assert trajectories._uniform_block(seed, lo, lo + 1, 0).shape == (1, 0)
 
 
+def test_uniform_block_passes_join_across_a_carry():
+    # more rows than one pass, the carry into a second spawn word in the last pass
+    n = trajectories._BLOCK_ROWS + 50
+    lo = 2**32 - trajectories._BLOCK_ROWS - 10
+    assert np.array_equal(trajectories._uniform_block(5, lo, lo + n, 4), H.spawned_uniforms(5, n, 4, lo=lo))
+
+
 @pytest.mark.parametrize("index", [2**32 - 1, 2**32])
 def test_sample_trajectory_index_past_one_word(index):
     model = sqrt_xor(0.4)
@@ -231,34 +238,6 @@ def test_negative_seed_or_index_raises():
         sample_trajectory(markov_xor(0.3), _rho0(), t_max=2, seed=0, index=-1)
     with pytest.raises(ValueError, match="non-negative"):
         sample_ensemble(markov_xor(0.3), _rho0(), t_max=2, n_samples=3, seed=-5)
-
-
-@pytest.mark.parametrize("factory", [repeated_xor, sqrt_xor])
-def test_readout_walk_starts_memory_in_mem0(factory):
-    model, mem0 = factory(0.41), H.molecule_density(0.7)
-    avg = branch_average(enumerate_branches(model, _rho0(), t_max=6, mem0=mem0))
-    want = simulate(model, _rho0(), steps=6, mem0=mem0)[-1].matrix
-    assert np.abs(avg - want).max() < 1e-12
-    assert np.abs(avg - simulate(model, _rho0(), steps=6)[-1].matrix).max() > 1e-3
-
-    n, t_max, seed = 500, 6, 4
-    ops = np.stack(build_embedding(model)[1].operators)
-    states, log_p, outcomes = H.evolve_block_oracle(
-        ops, np.kron(mem0, _rho0()).astype(complex), H.spawned_uniforms(seed, n, t_max)
-    )
-    ens = sample_ensemble(model, _rho0(), t_max, n, seed, mem0=mem0)
-    assert np.array_equal(ens.outcomes, outcomes)
-    assert np.array_equal(ens.log_probabilities, log_p)
-    assert np.array_equal(ens.mean_state.matrix, states.mean(axis=0))
-    rec = sample_trajectory(model, _rho0(), t_max, seed, index=7, mem0=mem0)
-    assert list(rec.outcomes) == outcomes[7].tolist()
-
-
-def test_mem0_needs_a_memory_slot():
-    with pytest.raises(ValueError, match="no memory slot"):
-        enumerate_branches(markov_xor(0.3), _rho0(), t_max=2, mem0=np.diag([1.0, 0.0]))
-    with pytest.raises(ValueError, match="no memory slot"):
-        sample_ensemble(markov_xor(0.3), _rho0(), t_max=2, n_samples=2, seed=0, mem0=np.diag([1.0, 0.0]))
 
 
 def test_ensemble_mean_approaches_nonselective():
