@@ -23,7 +23,6 @@ from .gates import (
     UnitaryGate,
     embed,
     molecule_state,
-    prepare_gate,
     sqrt_xor_gate,
     swap_gate,
     xor_gate,
@@ -35,7 +34,6 @@ from .channels import (
     LinearMap,
     apply_kraus,
     apply_map,
-    apply_selective,
     choi,
     compose,
     divisibility_scan,
@@ -87,7 +85,6 @@ from .trajectories import (
     TrajectoryRecord,
     UnsupportedScheduleError,
     branch_average,
-    ensemble_stats,
     enumerate_branches,
     sample_ensemble,
     sample_trajectory,

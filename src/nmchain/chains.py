@@ -27,7 +27,6 @@ from .channels import KrausSet, LinearMap, apply_kraus, kraus_from_collision, ma
 from .gates import UnitaryGate, apply_gate, embed, molecule_state, sqrt_xor_gate, swap_gate, xor_gate
 from .linalg import (
     DensityMatrix,
-    PureState,
     as_matrix,
     computational_basis,
     partial_trace,
@@ -222,7 +221,6 @@ class ChainModel:
     phi: float
     gate: Optional[UnitaryGate] = None
     schedule: Optional[CollisionSchedule] = None
-    molecule: Optional[PureState] = None
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -237,10 +235,8 @@ class ChainModel:
             if set(self.gate.slot_roles) != {"mol", SYSTEM_SLOT}:
                 raise ValueError(f"custom gate roles must be mol and sys, got {self.gate.slot_roles}")
         else:
-            if self.gate is not None or self.schedule is not None or self.molecule is not None:
-                raise ValueError(f"{self.kind} takes no custom gate, schedule or molecule")
-        if self.molecule is not None and self.molecule.dim != 2:
-            raise ValueError("molecule override must be a single qubit")
+            if self.gate is not None or self.schedule is not None:
+                raise ValueError(f"{self.kind} takes no custom gate or schedule")
 
     def collision_gate(self) -> UnitaryGate:
         if self.kind == SQRT_XOR:
@@ -248,11 +244,6 @@ class ChainModel:
         if self.kind == CUSTOM:
             return self.gate
         return xor_gate()
-
-    def molecule_pure(self) -> PureState:
-        if self.molecule is not None:
-            return self.molecule
-        return molecule_state(self.phi)
 
     def window_schedule(self, horizon: Optional[int] = None) -> CollisionSchedule:
         if self.kind == CUSTOM:
@@ -278,13 +269,8 @@ def sqrt_xor(phi: float) -> ChainModel:
     return ChainModel(SQRT_XOR, phi)
 
 
-def custom_chain(
-    gate: UnitaryGate,
-    schedule: CollisionSchedule,
-    phi: float = 0.0,
-    molecule: Optional[PureState] = None,
-) -> ChainModel:
-    return ChainModel(CUSTOM, phi, gate=gate, schedule=schedule, molecule=molecule)
+def custom_chain(gate: UnitaryGate, schedule: CollisionSchedule, phi: float = 0.0) -> ChainModel:
+    return ChainModel(CUSTOM, phi, gate=gate, schedule=schedule)
 
 
 def system_state(rho0) -> DensityMatrix:
@@ -361,8 +347,8 @@ def build_embedding(model: ChainModel) -> tuple[UnitaryGate, KrausSet]:
 
 @lru_cache(maxsize=EMBED_CACHE_SIZE)
 def _cached_embedding(kind: str, phi: float) -> tuple[UnitaryGate, KrausSet]:
-    # the two-collision models take no gate or molecule override, so
-    # (kind, phi) fixes the embedding
+    # the two-collision models take no gate override, so (kind, phi) fixes
+    # the embedding
     model = ChainModel(kind, phi)
     register = ("mol", MEMORY_SLOT, SYSTEM_SLOT)
     g = model.collision_gate()
@@ -370,7 +356,7 @@ def _cached_embedding(kind: str, phi: float) -> tuple[UnitaryGate, KrausSet]:
     u_collide = embed(g, register, acting).matrix
     u_swap = embed(swap_gate(), register, ("mol", MEMORY_SLOT)).matrix
     step = UnitaryGate(u_collide @ u_swap @ u_collide, register, label=f"{g.label}-step")
-    kraus = kraus_from_collision(step, model.molecule_pure(), computational_basis(2))
+    kraus = kraus_from_collision(step, molecule_state(phi), computational_basis(2))
     return step, kraus
 
 
@@ -454,22 +440,14 @@ def stationary_memory_vector(model: ChainModel) -> np.ndarray:
     raise ValueError(f"no satellite stationary state for {model.kind!r}")
 
 
-def stationary_state(model: ChainModel, rho0, mem0=None) -> DensityMatrix:
-    """Long-time compound state for a memory start without transverse polarization.
+def stationary_state(model: ChainModel, rho0) -> DensityMatrix:
+    """Long-time compound state of the embedding, the memory starting in |0>.
 
     The populations of rho0 survive; each pairs with its own pure memory
-    state. Requires <sigma_x> of the initial memory to vanish (otherwise a
-    non-decaying coherence survives; use relax_to_stationary to inspect
-    that case numerically).
+    state. (A memory start with transverse polarization keeps a
+    non-decaying coherence; relax_to_stationary iterates such starts.)
     """
     sys0 = system_state(rho0)
-    mem = _memory_array(mem0)
-    transverse = abs(mem[0, 1] + mem[1, 0])
-    if transverse > 1e-12:
-        raise ValueError(
-            f"initial memory has transverse polarization {transverse:.3e}; "
-            "the closed form does not apply, iterate relax_to_stationary instead"
-        )
     if model.kind == SQRT_XOR and abs(abs(np.sin(2.0 * model.phi)) - 1.0) < 1e-12:
         if abs(sys0.matrix[0, 1]) > 1e-12:
             raise ValueError("coherence does not decay at this angle; no stationary limit")
@@ -523,7 +501,7 @@ def window_collide(
     if t >= schedule.horizon:
         raise ValueError(f"schedule horizon {schedule.horizon} exhausted at t={t}")
     open_ids = list(open_ids)
-    xi = model.molecule_pure().density()
+    xi = molecule_state(model.phi).density()
     for ev in schedule.events_at(t):
         if ev.molecule not in open_ids:
             if len(open_ids) + 2 > WINDOW_QUBIT_CAP:

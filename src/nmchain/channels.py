@@ -23,20 +23,15 @@ SINGULAR_CUTOFF = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Kraus operators of a channel, indexed by measurement outcome labels."""
+    """Kraus operators of a channel; operator l belongs to readout outcome l."""
 
     operators: tuple[np.ndarray, ...]
-    labels: tuple[int, ...]
 
     def __post_init__(self):
         ops = tuple(np.ascontiguousarray(np.asarray(m, dtype=complex)) for m in self.operators)
-        labels = tuple(self.labels)
         object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "labels", labels)
         if not ops:
             raise ValueError("KrausSet needs at least one operator")
-        if len(labels) != len(ops):
-            raise ValueError("one label per operator required")
         d = ops[0].shape[0]
         for m in ops:
             if m.shape != (d, d):
@@ -80,7 +75,7 @@ def kraus_from_collision(
     ops = []
     for lam in readout_basis:
         ops.append(np.einsum("a,arbc,b->rc", lam.amplitudes.conj(), blocks, molecule.amplitudes))
-    return KrausSet(tuple(ops), tuple(range(len(ops))))
+    return KrausSet(tuple(ops))
 
 
 def apply_kraus(kraus: KrausSet, rho):
@@ -92,24 +87,6 @@ def apply_kraus(kraus: KrausSet, rho):
     if isinstance(rho, DensityMatrix):
         return DensityMatrix(out, rho.slots)
     return out
-
-
-def apply_selective(kraus: KrausSet, rho, label: int):
-    """One measurement branch: returns (normalized state, probability)."""
-    try:
-        k = kraus.labels.index(label)
-    except ValueError:
-        raise ValueError(f"no outcome labelled {label!r}") from None
-    m = as_matrix(rho)
-    op = kraus.operators[k]
-    raw = op @ m @ dagger(op)
-    p = float(np.trace(raw).real)
-    if p <= 1e-15:
-        raise ValueError(f"outcome {label!r} has probability {p:.3e}; branch state undefined")
-    out = raw / p
-    if isinstance(rho, DensityMatrix):
-        return DensityMatrix(out, rho.slots), p
-    return out, p
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,14 +142,6 @@ def compose(outer: LinearMap, inner: LinearMap) -> LinearMap:
     if outer.dim != inner.dim:
         raise ValueError("cannot compose maps of different dimension")
     return LinearMap(outer.matrix @ inner.matrix)
-
-
-def is_trace_preserving(m: LinearMap, tol: float = 1e-12) -> bool:
-    d = m.dim
-    ident = np.eye(d, dtype=complex)
-    # trace of the output of every basis element must equal the input trace
-    resid = vec(ident).conj() @ m.matrix - vec(ident).conj()
-    return bool(np.abs(resid).max() <= tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,24 +249,24 @@ def divisibility_step(
     m_t: LinearMap,
     m_prev: LinearMap,
     *,
-    sv_cutoff: float = SINGULAR_CUTOFF,
     cp_tol: float = CP_TOL_DEFAULT,
 ) -> DivisibilityStep:
     """CP test of the map connecting two accumulated evolutions.
 
     Solves L m_prev = m_t for the intermediate L and checks its Choi
-    spectrum. When m_prev has a singular value below sv_cutoff, or the
-    solve's round-off (which grows like eps / sigma_min) leaves the Choi
-    matrix of L far from Hermitian, the step is reported as indeterminate
-    rather than guessed. Both tolerances must be finite and non-negative.
+    spectrum. When m_prev has a singular value below SINGULAR_CUTOFF, or
+    the solve's round-off (which grows like eps / sigma_min) leaves the
+    Choi matrix of L far from Hermitian, the step is reported as
+    indeterminate rather than guessed. cp_tol must be finite and
+    non-negative.
     """
-    if not (np.isfinite(cp_tol) and cp_tol >= 0 and np.isfinite(sv_cutoff) and sv_cutoff >= 0):
-        raise ValueError(f"cp_tol and sv_cutoff must be finite and non-negative, got {cp_tol!r}, {sv_cutoff!r}")
+    if not (np.isfinite(cp_tol) and cp_tol >= 0):
+        raise ValueError(f"cp_tol must be finite and non-negative, got {cp_tol!r}")
     if m_t.dim != m_prev.dim:
         raise ValueError("maps act on different dimensions")
     sv = singular_values(m_prev.matrix)
     smallest = float(sv[-1])
-    if smallest < sv_cutoff:
+    if smallest < SINGULAR_CUTOFF:
         return DivisibilityStep(None, None, None, smallest)
     inter = LinearMap(np.linalg.solve(m_prev.matrix.T, m_t.matrix.T).T)
     c = choi(inter)
@@ -310,7 +279,6 @@ def divisibility_step(
 def divisibility_scan(
     maps: Sequence[LinearMap],
     *,
-    sv_cutoff: float = SINGULAR_CUTOFF,
     cp_tol: float = CP_TOL_DEFAULT,
 ) -> list[DivisibilityStep]:
     """Stepwise CP checks for a whole trajectory of accumulated maps.
@@ -320,7 +288,7 @@ def divisibility_scan(
     """
     if not maps:
         return []
-    out = [divisibility_step(maps[0], identity_map(maps[0].dim), sv_cutoff=sv_cutoff, cp_tol=cp_tol)]
+    out = [divisibility_step(maps[0], identity_map(maps[0].dim), cp_tol=cp_tol)]
     for prev, cur in zip(maps, maps[1:]):
-        out.append(divisibility_step(cur, prev, sv_cutoff=sv_cutoff, cp_tol=cp_tol))
+        out.append(divisibility_step(cur, prev, cp_tol=cp_tol))
     return out

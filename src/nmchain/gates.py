@@ -12,7 +12,7 @@ makes their matrix most readable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -53,13 +53,6 @@ class UnitaryGate:
 def molecule_state(phi: float) -> PureState:
     """Fresh molecule qubit: cos(phi)|0> + sin(phi)|1>."""
     return PureState(np.array([np.cos(phi), np.sin(phi)], dtype=complex))
-
-
-def prepare_gate(phi: float) -> UnitaryGate:
-    """Real rotation taking |0> to the fresh molecule state."""
-    c, s = np.cos(phi), np.sin(phi)
-    m = np.array([[c, -s], [s, c]], dtype=complex)
-    return UnitaryGate(m, ("mol",), label="prepare")
 
 
 def _shared(matrix: list, roles: tuple[str, ...], label: str) -> UnitaryGate:

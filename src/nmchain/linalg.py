@@ -139,10 +139,6 @@ class DensityMatrix:
         return self
 
 
-def pure_density(state: PureState, slots: tuple[str, ...]) -> DensityMatrix:
-    return DensityMatrix(state.density(), slots)
-
-
 def as_matrix(rho) -> np.ndarray:
     """The complex array behind a DensityMatrix, or the input as a complex array."""
     return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)

@@ -188,12 +188,12 @@ class NMReport:
         )
 
 
-def nm_report(model: ChainModel, rho0, discord_threshold: float = DISCORD_THRESHOLD) -> NMReport:
+def nm_report(model: ChainModel, rho0) -> NMReport:
     """Count the memory qubits and, for the built-in two-collision models,
     measure the stationary system-memory correlations.
 
     Classification: "quantum non-Markovian" when the stationary discord
-    clears the threshold, "classical non-Markovian" when only the memory
+    clears DISCORD_THRESHOLD, "classical non-Markovian" when only the memory
     count does, "Markovian" otherwise. Custom schedules get their count and
     an "undetermined" tag since no stationary compound is singled out.
     """
@@ -210,7 +210,7 @@ def nm_report(model: ChainModel, rho0, discord_threshold: float = DISCORD_THRESH
     d = info - j
     if d < -REPORT_CLAMP or j < -REPORT_CLAMP:
         raise ValueError("correlation measures violate positivity beyond round-off")
-    if d > discord_threshold:
+    if d > DISCORD_THRESHOLD:
         tag = "quantum non-Markovian"
     elif count > 0:
         tag = "classical non-Markovian"

@@ -63,15 +63,15 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleStats:
-    """Ensemble aggregate; `sample_ensemble` also fills the per-sample
-    `outcomes` (n_samples x readouts ints) and `log_probabilities`."""
+    """A sampled ensemble: its aggregate, and the per-sample `outcomes`
+    (n_samples x readouts ints) and `log_probabilities`."""
 
     n_samples: int
     mean_state: DensityMatrix
     outcome_frequencies: tuple[dict, ...]
-    seed: Optional[int] = None
-    outcomes: Optional[np.ndarray] = None
-    log_probabilities: Optional[np.ndarray] = None
+    seed: int
+    outcomes: np.ndarray
+    log_probabilities: np.ndarray
 
 
 def _readout_count(model: ChainModel, t_max: int) -> int:
@@ -333,11 +333,14 @@ def enumerate_branches(
 
     Branches whose total probability falls to prune_below or less are
     dropped (the surviving records then under-count by the pruned mass).
-    Pruning is mandatory beyond 16 steps; 20 is the hard limit.
+    prune_below must lie in [0, 1). Pruning is mandatory beyond 16 steps;
+    20 is the hard limit.
     """
     if t_max > MAX_ENUMERATION_STEPS:
         raise ValueError(f"enumeration supports at most {MAX_ENUMERATION_STEPS} steps")
-    if t_max > PRUNE_REQUIRED_ABOVE and prune_below <= 0.0:
+    if not 0.0 <= prune_below < 1.0:
+        raise ValueError(f"prune_below must satisfy 0 <= prune_below < 1, got {prune_below!r}")
+    if t_max > PRUNE_REQUIRED_ABOVE and prune_below == 0.0:
         raise ValueError(f"beyond {PRUNE_REQUIRED_ABOVE} steps a positive prune_below is required")
     _readout_count(model, t_max)
     _, log_p, outcomes, history, _ = _evolve_block(
@@ -399,25 +402,3 @@ def sample_ensemble(
     mean = DensityMatrix(states.mean(axis=0), slots)
     freqs = tuple({k: int(c) for k, c in enumerate(np.bincount(col)) if c} for col in outcomes.T)
     return EnsembleStats(n_samples, mean, freqs, seed, outcomes, log_p)
-
-
-def ensemble_stats(records: Sequence[TrajectoryRecord], seed: Optional[int] = None) -> EnsembleStats:
-    """Aggregate sampled records: equal-weight mean state and outcome counts."""
-    if not records:
-        raise ValueError("no records to aggregate")
-    if any(r.conditional_states is None for r in records):
-        raise ValueError("records need conditional_states; sample with keep_states=True")
-    final = [r.conditional_states[-1] for r in records]
-    slots = final[0].slots
-    if any(f.slots != slots for f in final):
-        raise ValueError("records end on different registers; cannot average")
-    mean = DensityMatrix(np.stack([f.matrix for f in final]).mean(axis=0), slots)
-    width = max(len(r.outcomes) for r in records)
-    freqs = []
-    for t in range(width):
-        counts: dict = {}
-        for r in records:
-            if t < len(r.outcomes):
-                counts[r.outcomes[t]] = counts.get(r.outcomes[t], 0) + 1
-        freqs.append(counts)
-    return EnsembleStats(len(records), mean, tuple(freqs), seed)

@@ -379,21 +379,6 @@ def test_stationary_state_is_actually_stationary():
         assert np.abs(nxt.matrix - st.matrix).max() < 1e-14
 
 
-def test_stationary_state_accepts_sigma_z_memory():
-    r0 = np.diag([0.3, 0.7]).astype(complex)
-    mem = np.array([[0.8, 0.1j], [-0.1j, 0.2]])  # <sigma_x> = 0, <sigma_y> != 0
-    st = stationary_state(repeated_xor(0.3), r0, mem0=mem)
-    walked = DensityMatrix(tensor(mem, r0), ("mem", "sys"))
-    walked = relax_to_stationary(repeated_xor(0.3), walked)
-    assert H.tdist(st.matrix, walked.matrix) < 1e-12
-
-
-def test_stationary_state_rejects_transverse_memory():
-    mem = np.array([[0.5, 0.5], [0.5, 0.5]])
-    with pytest.raises(ValueError, match="relax_to_stationary"):
-        stationary_state(repeated_xor(0.3), np.diag([1.0, 0.0]), mem0=mem)
-
-
 def test_stationary_state_sqrt_quarter_pi():
     # diagonal system inputs still have a limit at the non-contracting angle
     st = stationary_state(sqrt_xor(np.pi / 4), np.diag([0.5, 0.5]))

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 import helpers as H
-from nmchain.chains import build_embedding, markov_xor, repeated_xor, sqrt_xor, system_maps
+from nmchain.chains import (
+    build_embedding,
+    custom_chain,
+    markov_xor,
+    markov_xor_kraus,
+    overlap_schedule,
+    repeated_xor,
+    sqrt_xor,
+    system_maps,
+)
 from nmchain.channels import (
     SINGULAR_CUTOFF,
     ChoiMatrix,
@@ -10,14 +19,12 @@ from nmchain.channels import (
     LinearMap,
     apply_kraus,
     apply_map,
-    apply_selective,
     choi,
     compose,
     divisibility_scan,
     divisibility_step,
     identity_map,
     is_cp,
-    is_trace_preserving,
     kraus_from_collision,
     map_from_kraus,
     map_from_probes,
@@ -28,23 +35,22 @@ from nmchain.channels import (
     unvec,
     vec,
 )
-from nmchain.gates import molecule_state
+from nmchain.gates import UnitaryGate, molecule_state, swap_gate
 from nmchain.linalg import DensityMatrix, computational_basis
+from nmchain.trajectories import enumerate_branches
 
 
 def _dephase_kraus(p):
     z = np.diag([1.0, -1.0]).astype(complex)
-    return KrausSet((np.sqrt(1 - p) * np.eye(2, dtype=complex), np.sqrt(p) * z), (0, 1))
+    return KrausSet((np.sqrt(1 - p) * np.eye(2, dtype=complex), np.sqrt(p) * z))
 
 
 def test_kraus_set_validation():
     _dephase_kraus(0.3)
     with pytest.raises(ValueError):
-        KrausSet((np.eye(2), np.eye(2)), (0, 1))  # sums to 2*I
+        KrausSet((np.eye(2), np.eye(2)))  # sums to 2*I
     with pytest.raises(ValueError):
-        KrausSet((np.eye(2),), (0, 1))
-    with pytest.raises(ValueError):
-        KrausSet((), ())
+        KrausSet(())
 
 
 @pytest.mark.parametrize("kind", ["double", "split"])
@@ -77,19 +83,18 @@ def test_apply_kraus_and_selective():
     dm = DensityMatrix(r, slots=("sys",))
     out_dm = apply_kraus(ks, dm)
     assert isinstance(out_dm, DensityMatrix) and out_dm.slots == ("sys",)
-    st, p = apply_selective(ks, r, 1)
-    assert p == pytest.approx(0.25, abs=1e-15)
-    assert np.allclose(st, [[0.5, -0.5], [-0.5, 0.5]])
-    probs = [apply_selective(ks, r, l)[1] for l in ks.labels]
-    assert sum(probs) == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        apply_selective(ks, r, 7)
-
-
-def test_apply_selective_rejects_zero_probability_branch():
-    ks = _dephase_kraus(0.0)
-    with pytest.raises(ValueError):
-        apply_selective(ks, np.diag([1.0, 0.0]).astype(complex), 1)
+    # the selective readout is the walker's: branch l of one collision is
+    # K_l r K_l^dagger normalised by its probability, Kraus operator l being outcome l
+    ops = markov_xor_kraus(0.3).operators
+    recs = enumerate_branches(markov_xor(0.3), r, t_max=1)
+    assert [rec.outcomes for rec in recs] == [(0,), (1,)]
+    for rec in recs:
+        (lam,) = rec.outcomes
+        raw = ops[lam] @ r @ ops[lam].conj().T
+        p = np.trace(raw).real
+        assert rec.probability == pytest.approx(p, abs=1e-15)
+        assert np.allclose(rec.conditional_states[-1].matrix, raw / p, atol=1e-14)
+    assert sum(rec.probability for rec in recs) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_vec_unvec_column_stacking():
@@ -102,7 +107,9 @@ def test_map_from_kraus_agrees_with_direct_application():
     rng = np.random.default_rng(2)
     ks = _dephase_kraus(0.3)
     lm = map_from_kraus(ks)
-    assert is_trace_preserving(lm)
+    # trace preservation: vec(I)^dagger S = vec(I)^dagger
+    ident = vec(np.eye(2))
+    assert np.abs(ident @ lm.matrix - ident).max() < 1e-12
     for _ in range(5):
         r = H.rand_rho(rng, 2)
         assert np.allclose(apply_map(lm, r), apply_kraus(ks, r), atol=1e-14)
@@ -159,7 +166,7 @@ def test_map_tomography_four_dimensional():
     rng = np.random.default_rng(5)
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     u, _ = np.linalg.qr(g)
-    ks = KrausSet((u,), (0,))
+    ks = KrausSet((u,))
     rebuilt = map_tomography(lambda r: u @ r @ u.conj().T, 4)
     assert np.abs(rebuilt.matrix - map_from_kraus(ks).matrix).max() < 1e-12
 
@@ -259,13 +266,29 @@ def test_divisibility_scan_shapes():
     assert divisibility_scan([]) == []
 
 
+@pytest.mark.parametrize("theta, false_steps, worst, sigma", [
+    (0.7, [3], -7.179e-3, 0.1907),
+    (1.2, [2, 4, 6, 8, 10], -44.07, 0.01230),
+])
+def test_divisibility_scan_says_false_on_a_partial_swap(theta, false_steps, worst, sigma):
+    # positive control: exp(-i theta SWAP) = cos(theta) I - i sin(theta) SWAP
+    # is no system-controlled collision, and the scan finds CP violations
+    # at well-conditioned steps
+    u = np.cos(theta) * np.eye(4) - 1j * np.sin(theta) * swap_gate().matrix
+    model = custom_chain(UnitaryGate(u, ("mol", "sys")), overlap_schedule(11), phi=0.4)
+    scan = divisibility_scan(system_maps(model, 10))
+    assert all(s.exists is not None for s in scan)
+    assert [t for t, s in enumerate(scan, 1) if s.exists is False] == false_steps
+    low = min(scan, key=lambda s: s.min_choi_eig)
+    assert low.min_choi_eig == pytest.approx(worst, rel=1e-3)
+    assert low.smallest_singular == pytest.approx(sigma, rel=1e-3)
+
+
 @pytest.mark.parametrize("tols", [
     {"cp_tol": np.nan}, {"cp_tol": -1.0}, {"cp_tol": np.inf}, {"cp_tol": -np.inf},
-    {"sv_cutoff": np.nan}, {"sv_cutoff": -1.0}, {"sv_cutoff": np.inf},
 ])
 def test_divisibility_rejects_bad_tolerances(tols):
-    # nan or negative cp_tol used to answer "not CP" at every step, inf "CP",
-    # and a nan sv_cutoff silently switched the cutoff off
+    # nan or negative cp_tol used to answer "not CP" at every step, inf "CP"
     maps = system_maps(markov_xor(0.3), 3)
     with pytest.raises(ValueError, match="finite and non-negative"):
         divisibility_step(maps[1], maps[0], **tols)

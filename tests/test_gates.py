@@ -10,7 +10,6 @@ from nmchain.gates import (
     apply_gate,
     embed,
     molecule_state,
-    prepare_gate,
     sqrt_xor_gate,
     swap_gate,
     xor_gate,
@@ -31,9 +30,7 @@ def test_molecule_state_and_prepare():
     for phi in (0.0, 0.3, np.pi / 6, 1.2):
         v = molecule_state(phi)
         assert np.allclose(v.amplitudes, [np.cos(phi), np.sin(phi)])
-        g = prepare_gate(phi)
-        assert np.allclose(g.matrix @ np.array([1.0, 0.0]), v.amplitudes)
-        assert np.allclose(g.matrix, H.prep(phi))
+        assert np.allclose(H.prep(phi) @ np.array([1.0, 0.0]), v.amplitudes)
 
 
 def test_xor_gate_matrix():

@@ -13,7 +13,6 @@ from nmchain.linalg import (
     partial_trace,
     partial_trace_array,
     partial_transpose,
-    pure_density,
     tensor,
     trace_norm_distance,
     von_neumann_entropy,
@@ -72,7 +71,7 @@ def test_pure_density_roundtrip():
     rng = np.random.default_rng(7)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v /= np.linalg.norm(v)
-    dm = pure_density(PureState(v), slots=("a", "b"))
+    dm = DensityMatrix(PureState(v).density(), slots=("a", "b"))
     assert np.allclose(dm.matrix, np.outer(v, v.conj()))
     assert dm.slots == ("a", "b")
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,6 @@ from nmchain.trajectories import (
     TrajectoryRecord,
     UnsupportedScheduleError,
     branch_average,
-    ensemble_stats,
     enumerate_branches,
     sample_ensemble,
     sample_trajectory,
@@ -79,6 +80,26 @@ def test_enumeration_guards():
     recs = enumerate_branches(model, _rho0(), t_max=PRUNE_REQUIRED_ABOVE + 1,
                               prune_below=1e-4, keep_states=False)
     assert sum(r.probability for r in recs) < 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("t_max", [3, PRUNE_REQUIRED_ABOVE + 1])
+@pytest.mark.parametrize("prune_below", [np.nan, np.inf, -np.inf, -1e-3, 1.0, 2.0])
+def test_enumeration_rejects_invalid_prune_below(t_max, prune_below):
+    # nan, inf and values >= 1 used to return no branches at all
+    with pytest.raises(ValueError, match="prune_below"):
+        enumerate_branches(repeated_xor(0.3), _rho0(), t_max=t_max, prune_below=prune_below)
+
+
+def test_readout_drops_zero_probability_branch():
+    # at phi = 0 the readout copies the system bit, so a system in |0> has no
+    # branch 1: the walker keeps no state for it instead of dividing by zero
+    rho = np.diag([1.0, 0.0]).astype(complex)
+    recs = enumerate_branches(markov_xor(0.0), rho, t_max=1)
+    assert [r.outcomes for r in recs] == [(0,)]
+    assert recs[0].probability == 1.0
+    assert np.array_equal(recs[0].conditional_states[-1].matrix, rho)
+    ens = sample_ensemble(markov_xor(0.0), rho, t_max=1, n_samples=50, seed=4)
+    assert ens.outcome_frequencies == ({0: 50},)
 
 
 def test_enumeration_pruning_drops_mass():
@@ -172,10 +193,12 @@ def test_ensemble_matches_sequential_sampling(factory):
     ens = sample_ensemble(model, _rho0(), t_max=5, n_samples=n, seed=9)
     seq = [sample_trajectory(model, _rho0(), t_max=5, seed=9, index=i, keep_states=True)
            for i in range(n)]
-    agg = ensemble_stats(seq, seed=9)
-    assert ens.n_samples == agg.n_samples == n
-    assert np.array_equal(ens.mean_state.matrix, agg.mean_state.matrix)
-    assert ens.outcome_frequencies == agg.outcome_frequencies
+    # the aggregate of the records, one at a time
+    mean = np.stack([r.conditional_states[-1].matrix for r in seq]).mean(axis=0)
+    freqs = tuple(Counter(r.outcomes[t] for r in seq) for t in range(5))
+    assert ens.n_samples == n and ens.seed == 9
+    assert np.array_equal(ens.mean_state.matrix, mean)
+    assert ens.outcome_frequencies == freqs
     assert ens.outcomes.tolist() == [list(r.outcomes) for r in seq]
     assert ens.log_probabilities.tolist() == [r.log_probability for r in seq]
 
@@ -260,11 +283,6 @@ def test_ensemble_custom_model():
 
 
 def test_ensemble_stats_validation():
-    with pytest.raises(ValueError):
-        ensemble_stats([])
-    bare = sample_trajectory(markov_xor(0.3), _rho0(), t_max=2, seed=0)
-    with pytest.raises(ValueError):
-        ensemble_stats([bare])
     with pytest.raises(ValueError):
         sample_ensemble(markov_xor(0.3), _rho0(), t_max=2, n_samples=0, seed=0)
 
