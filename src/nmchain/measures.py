@@ -3,8 +3,9 @@
 classical_correlation maximizes the information a projective measurement
 on one qubit yields about the other. The maximization runs over the Bloch
 sphere of measurement directions: a coarse deterministic grid picks
-starting points, a simplex refinement polishes the best few. Everything
-downstream (discord, the report classification) builds on that optimum.
+starting points, and BFGS on the closed-form gradient polishes the best
+few. Everything downstream (discord, the report classification) builds
+on that optimum.
 """
 from __future__ import annotations
 
@@ -41,13 +42,18 @@ class ProjectivePair:
     psi: float
 
     def direction(self) -> np.ndarray:
-        st, ct = np.sin(self.theta), np.cos(self.theta)
-        return np.array([st * np.cos(self.psi), st * np.sin(self.psi), ct])
+        return _direction(self.theta, self.psi)
 
     def projectors(self) -> tuple[np.ndarray, np.ndarray]:
         nx, ny, nz = self.direction()
         p0 = 0.5 * np.array([[1 + nz, nx - 1j * ny], [nx + 1j * ny, 1 - nz]], dtype=complex)
         return p0, np.eye(2, dtype=complex) - p0
+
+
+def _direction(theta, psi) -> np.ndarray:
+    """Unit vectors (sin theta cos psi, sin theta sin psi, cos theta) on the last axis."""
+    st = np.sin(theta)
+    return np.stack([st * np.cos(psi), st * np.sin(psi), np.cos(theta)], axis=-1)
 
 
 def _measured_first(rho: DensityMatrix, measured: str) -> np.ndarray:
@@ -60,23 +66,24 @@ def _measured_first(rho: DensityMatrix, measured: str) -> np.ndarray:
     return m.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
 
 
-def _pauli_blocks(m: np.ndarray):
-    # unnormalized conditional blocks of the unmeasured qubit
-    b00, b01 = m[0:2, 0:2], m[0:2, 2:4]
-    b10, b11 = m[2:4, 0:2], m[2:4, 2:4]
-    f_i = b00 + b11
-    f = np.stack([b01 + b10, 1j * (b01 - b10), b00 - b11])
-    return f_i, f
+def _pauli_sums(x00, x01, x10, x11) -> np.ndarray:
+    """tr_1((sigma_j (x) 1) X), j = 0..3 with sigma_0 = 1, for X = [[x00, x01], [x10, x11]]."""
+    return np.stack([x00 + x11, x01 + x10, 1j * (x01 - x10), x00 - x11])
+
+
+def _eigenvalues(tr, gap):
+    """Normalized, floor-clipped eigenvalues of 2x2 states with trace tr and eigenvalue gap."""
+    p = np.clip(tr, _EIG_FLOOR, None)
+    lam1 = np.clip((tr + gap) / (2.0 * p), _EIG_FLOOR, 1.0)
+    lam2 = np.clip((tr - gap) / (2.0 * p), _EIG_FLOOR, 1.0)
+    return lam1, lam2
 
 
 def _entropy2_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Probabilities and entropies of a batch of unnormalized 2x2 states."""
     tr = np.trace(mats, axis1=-2, axis2=-1).real
     det = (mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]).real
-    disc = np.sqrt(np.clip(tr * tr - 4.0 * det, 0.0, None))
-    p = np.clip(tr, _EIG_FLOOR, None)
-    lam1 = np.clip((tr + disc) / (2.0 * p), _EIG_FLOOR, 1.0)
-    lam2 = np.clip((tr - disc) / (2.0 * p), _EIG_FLOOR, 1.0)
+    lam1, lam2 = _eigenvalues(tr, np.sqrt(np.clip(tr * tr - 4.0 * det, 0.0, None)))
     ent = -(lam1 * np.log2(lam1) + lam2 * np.log2(lam2))
     return tr, ent
 
@@ -97,9 +104,33 @@ def _direction_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     alphas = np.arange(GRID_ALPHA) * 2.0 * np.pi / GRID_ALPHA
     tt, aa = np.meshgrid(thetas, alphas, indexing="ij")
     tt, aa = tt.reshape(-1), aa.reshape(-1)
-    st = np.sin(tt)
-    dirs = np.stack([st * np.cos(aa), st * np.sin(aa), np.cos(tt)], axis=1)
-    return tt, aa, dirs
+    return tt, aa, _direction(tt, aa)
+
+
+_BRANCH = np.array([1.0, -1.0])
+
+
+def _polish_objective(x: np.ndarray, corr: np.ndarray) -> tuple[float, np.ndarray]:
+    """Conditional entropy along the direction x = (theta, psi), with its gradient.
+
+    corr[j, k] = tr(rho sigma_j (x) sigma_k), measured qubit first. Along n
+    the outcome blocks (f_i +- n.F)/2 have trace w_0 and Bloch vector w_1:3,
+    w = (corr[0] +- n @ corr[1:]) / 2, hence eigenvalues (w_0 +- gap)/2 with
+    gap = |w_1:3|. A block's entropy term w_0 H(l1, l2), in bits, has
+    derivative -(log2 l1 + log2 l2)/2 in w_0 and -(log2 l1 - log2 l2)/2 in gap.
+    """
+    n, n_theta = _direction(np.array([x[0], x[0] + np.pi / 2]), x[1])
+    w = (corr[0] + _BRANCH[:, None] * (n @ corr[1:])) / 2.0
+    tr, bloch = w[:, 0], w[:, 1:]
+    gap = np.sqrt(np.sum(bloch * bloch, axis=1))
+    lam1, lam2 = _eigenvalues(tr, gap)
+    l1, l2 = np.log2(lam1), np.log2(lam2)
+    live = tr > 1e-14
+    value = np.sum(np.where(live, -tr * (lam1 * l1 + lam2 * l2), 0.0))
+    d_tr = np.where(live, -(l1 + l2) / 2.0, 0.0)
+    d_gap = np.where(live, -(l1 - l2) / 2.0, 0.0) / np.maximum(gap, _EIG_FLOOR)
+    d_n = corr[1:] @ (_BRANCH @ np.column_stack([d_tr, d_gap[:, None] * bloch])) / 2.0
+    return float(value), np.array([n_theta @ d_n, n[0] * d_n[1] - n[1] * d_n[0]])
 
 
 def mutual_information(rho: DensityMatrix, part: Union[str, Sequence[str]] = "mem") -> float:
@@ -121,11 +152,15 @@ def classical_correlation(rho: DensityMatrix, measured: str = "mem") -> tuple[fl
     """Best classical information about the unmeasured qubit, with the argmax basis.
 
     Deterministic: the coarse grid is scanned in a fixed order (first best
-    index wins ties) and the three best grid points seed the simplex
-    refinement.
+    index wins ties) and the three best grid points seed BFGS polishes on
+    the analytic gradient of the conditional entropy. Each polished point
+    is scored with the grid's formula and replaces the grid's best only if
+    it is strictly lower, so J never falls below the grid's estimate.
     """
     m = _measured_first(rho, measured)
-    f_i, f = _pauli_blocks(m)
+    # the unmeasured qubit's state f_i and the unnormalized conditional blocks f
+    blocks = _pauli_sums(m[0:2, 0:2], m[0:2, 2:4], m[2:4, 0:2], m[2:4, 2:4])
+    f_i, f = blocks[0], blocks[1:]
     _, h_other = _entropy2_batch(f_i[None])
     h_other = float(h_other[0])
 
@@ -133,23 +168,19 @@ def classical_correlation(rho: DensityMatrix, measured: str = "mem") -> tuple[fl
     cond = _conditional_entropy(f_i, f, dirs)
     order = np.argsort(cond, kind="stable")
 
-    def objective(x):
-        st, ct = np.sin(x[0]), np.cos(x[0])
-        d = np.array([[st * np.cos(x[1]), st * np.sin(x[1]), ct]])
-        return float(_conditional_entropy(f_i, f, d)[0])
-
+    corr = _pauli_sums(blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1]).real.T
+    polished = np.array([
+        minimize(_polish_objective, np.array([tt[idx], aa[idx]]), args=(corr,),
+                 jac=True, method="BFGS", options={"gtol": 1e-7}).x
+        for idx in order[:3]
+    ])
+    # the gradient only steers: J comes from the grid's own formula
+    polished_vals = _conditional_entropy(f_i, f, _direction(polished[:, 0], polished[:, 1]))
     best_val = float(cond[order[0]])
     best_x = (float(tt[order[0]]), float(aa[order[0]]))
-    for idx in order[:3]:
-        res = minimize(
-            objective,
-            x0=np.array([tt[idx], aa[idx]]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-12, "maxiter": 400},
-        )
-        if res.fun < best_val:
-            best_val = float(res.fun)
-            best_x = (float(res.x[0]), float(res.x[1]))
+    for x, val in zip(polished, polished_vals):
+        if val < best_val:
+            best_val, best_x = float(val), (float(x[0]), float(x[1]))
     j = max(h_other - best_val, 0.0)
     return j, ProjectivePair(*best_x)
 

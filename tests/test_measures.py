@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import helpers as H
+import nmchain.measures as measures_module
 from nmchain.chains import custom_chain, markov_xor, overlap_schedule, repeated_xor, sqrt_xor, stationary_state
 from nmchain.gates import xor_gate
 from nmchain.linalg import DensityMatrix, tensor
@@ -113,6 +114,64 @@ def test_optimizer_against_fine_grid_oracle():
         j_pkg, _ = classical_correlation(dm)
         assert j_pkg == pytest.approx(j_oracle, abs=1e-7)
         assert d_pkg == pytest.approx(d_oracle, abs=1e-7)
+
+
+PAULIS = (np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0]))
+
+
+def _binary_entropy(p):
+    return -(p * np.log2(p) + (1 - p) * np.log2(1 - p))
+
+
+@pytest.mark.parametrize("measured", ["mem", "sys"])
+@pytest.mark.parametrize("c", [
+    (0.3, -0.5, 0.2),
+    (-0.6, 0.1, 0.2),
+    (0.25, 0.25, 0.25),       # Werner: the objective is flat
+    (-0.4, -0.4, -0.4),       # Werner, anti-correlated
+    (0.0, 0.0, 0.7),          # z only: the optimum is the theta = 0 pole
+])
+def test_bell_diagonal_states_match_luo(c, measured):
+    # rho = (1 + sum_i c_i sigma_i (x) sigma_i) / 4 has J = 1 - H2((1 + max|c_i|) / 2)
+    # (Luo, PRA 77, 042303 (2008))
+    r = (np.eye(4) + sum(ci * np.kron(s, s) for ci, s in zip(c, PAULIS))) / 4
+    j, _ = classical_correlation(DensityMatrix(r, ("mem", "sys")), measured)
+    assert j == pytest.approx(1.0 - _binary_entropy((1.0 + max(map(abs, c))) / 2.0), abs=1e-9)
+
+
+@pytest.mark.parametrize("measured", ["mem", "sys"])
+def test_pure_states_have_j_equal_to_entanglement_entropy(measured):
+    # every conditional state of a pure state is pure, so J = S(reduced state),
+    # the same on both sides; the entropy gradient is singular there (l2 -> 0)
+    rng = np.random.default_rng(44)
+    for _ in range(6):
+        v = rng.normal(size=4) + 1j * rng.normal(size=4)
+        r = np.outer(v, v.conj()) / np.vdot(v, v).real
+        j, _ = classical_correlation(DensityMatrix(r, ("mem", "sys")), measured)
+        assert j == pytest.approx(H.entropy_oracle(r[0:2, 0:2] + r[2:4, 2:4]), abs=1e-9)
+
+
+def test_polish_evaluation_count(monkeypatch):
+    # spy on the optimiser the way perfbench's tracer does
+    runs = []
+    minimize = measures_module.minimize
+
+    def spy(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        runs.append(res)
+        return res
+
+    monkeypatch.setattr(measures_module, "minimize", spy)
+    per_call = []
+    for factory in (repeated_xor, sqrt_xor):
+        for phi in (0.2, 0.5, 1.0, 1.3):
+            runs.clear()
+            nm_report(factory(phi), np.diag([0.3, 0.7]))
+            assert len(runs) == 3 and all(res.success for res in runs)
+            per_call.append(sum(res.nfev for res in runs))
+    # the gradient polish measured at most 36 evaluations per call here (44
+    # over 120 angles of both models); a derivative-free polish takes ~370
+    assert max(per_call) <= 80
 
 
 def test_classical_correlation_deterministic():
