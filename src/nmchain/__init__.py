@@ -59,7 +59,6 @@ from .chains import (
     markov_xor_kraus,
     markov_xor_step,
     overlap_schedule,
-    relax_to_stationary,
     repeated_xor,
     run_window,
     satellite_count,

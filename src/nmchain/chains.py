@@ -32,7 +32,6 @@ from .linalg import (
     partial_trace,
     partial_trace_array,
     tensor,
-    trace_norm_distance,
 )
 
 MARKOV_XOR = "markov-xor"
@@ -445,7 +444,7 @@ def stationary_state(model: ChainModel, rho0) -> DensityMatrix:
 
     The populations of rho0 survive; each pairs with its own pure memory
     state. (A memory start with transverse polarization keeps a
-    non-decaying coherence; relax_to_stationary iterates such starts.)
+    non-decaying coherence.)
     """
     sys0 = system_state(rho0)
     if model.kind == SQRT_XOR and abs(abs(np.sin(2.0 * model.phi)) - 1.0) < 1e-12:
@@ -461,19 +460,6 @@ def stationary_state(model: ChainModel, rho0) -> DensityMatrix:
         np.outer(psi_p, psi_p.conj()), np.outer(ket1, ket1)
     )
     return DensityMatrix(out, (MEMORY_SLOT, SYSTEM_SLOT))
-
-
-def relax_to_stationary(model: ChainModel, rho_tilde0, tol: float = 1e-13, max_steps: int = 10000) -> DensityMatrix:
-    """Iterate the embedding until the compound stops moving."""
-    state = rho_tilde0 if isinstance(rho_tilde0, DensityMatrix) else DensityMatrix(
-        np.asarray(rho_tilde0, dtype=complex), (MEMORY_SLOT, SYSTEM_SLOT)
-    )
-    for _ in range(max_steps):
-        nxt = embedded_step(model, state)
-        if trace_norm_distance(nxt, state) < tol:
-            return nxt
-        state = nxt
-    raise ValueError(f"no convergence within {max_steps} steps at tolerance {tol}")
 
 
 def stationary_overlap(model: ChainModel) -> float:

@@ -1,14 +1,19 @@
 """Correlation measures on two-qubit compound states.
 
 classical_correlation maximizes the information a projective measurement
-on one qubit yields about the other. The maximization runs over the Bloch
-sphere of measurement directions: a coarse deterministic grid picks
-starting points, and BFGS on the closed-form gradient polishes the best
-few. Everything downstream (discord, the report classification) builds
-on that optimum.
+on one qubit yields about the other. It reads everything off the real
+correlation matrix corr[j, k] = tr(rho sigma_j (x) sigma_k), sigma_0 = 1,
+the measured qubit's index first (Luo, PRA 77, 042303 (2008)). Measuring
+along the Bloch direction n leaves two outcome blocks, each a qubit
+state of trace w_0 and Bloch vector w_1:3 with w = (corr[0] +- n @ corr[1:]) / 2,
+and one closed-form entropy of such blocks serves the whole maximization:
+a coarse deterministic grid of directions picks starting points, and BFGS
+on the same formula's gradient polishes the best few. Everything
+downstream (discord, the report classification) builds on that optimum.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
@@ -56,81 +61,68 @@ def _direction(theta, psi) -> np.ndarray:
     return np.stack([st * np.cos(psi), st * np.sin(psi), np.cos(theta)], axis=-1)
 
 
-def _measured_first(rho: DensityMatrix, measured: str) -> np.ndarray:
-    if rho.n_qubits != 2:
-        raise ValueError("correlation measures act on two-qubit states")
-    q = rho.slot_index(measured)
-    m = rho.matrix
-    if q == 0:
-        return m
-    return m.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+def _chart(theta: float, psi: float) -> ProjectivePair:
+    """The direction (theta, psi) named with theta in [0, pi] and psi in [0, 2 pi)."""
+    theta = math.remainder(theta, 2.0 * math.pi)
+    if theta < 0.0:
+        theta, psi = -theta, psi + math.pi
+    psi %= 2.0 * math.pi
+    # a tiny negative psi rounds up to 2 pi itself
+    return ProjectivePair(theta, 0.0 if psi == 2.0 * math.pi else psi)
 
 
-def _pauli_sums(x00, x01, x10, x11) -> np.ndarray:
-    """tr_1((sigma_j (x) 1) X), j = 0..3 with sigma_0 = 1, for X = [[x00, x01], [x10, x11]]."""
-    return np.stack([x00 + x11, x01 + x10, 1j * (x01 - x10), x00 - x11])
+# the scan's (theta, psi) points, theta-major, and their Bloch directions
+_GRID = np.stack(np.meshgrid(
+    (np.arange(GRID_THETA) + 0.5) * np.pi / GRID_THETA,
+    np.arange(GRID_ALPHA) * 2.0 * np.pi / GRID_ALPHA,
+    indexing="ij",
+), axis=-1).reshape(-1, 2)
+_GRID_DIRECTIONS = _direction(_GRID[:, 0], _GRID[:, 1])
 
-
-def _eigenvalues(tr, gap):
-    """Normalized, floor-clipped eigenvalues of 2x2 states with trace tr and eigenvalue gap."""
-    p = np.clip(tr, _EIG_FLOOR, None)
-    lam1 = np.clip((tr + gap) / (2.0 * p), _EIG_FLOOR, 1.0)
-    lam2 = np.clip((tr - gap) / (2.0 * p), _EIG_FLOOR, 1.0)
-    return lam1, lam2
-
-
-def _entropy2_batch(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Probabilities and entropies of a batch of unnormalized 2x2 states."""
-    tr = np.trace(mats, axis1=-2, axis2=-1).real
-    det = (mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]).real
-    lam1, lam2 = _eigenvalues(tr, np.sqrt(np.clip(tr * tr - 4.0 * det, 0.0, None)))
-    ent = -(lam1 * np.log2(lam1) + lam2 * np.log2(lam2))
-    return tr, ent
-
-
-def _conditional_entropy(f_i: np.ndarray, f: np.ndarray, directions: np.ndarray) -> np.ndarray:
-    """Average post-measurement entropy for each Bloch direction (G, 3)."""
-    proj = np.einsum("gk,kab->gab", directions, f)
-    up = (f_i[None, :, :] + proj) / 2.0
-    dn = (f_i[None, :, :] - proj) / 2.0
-    p_up, h_up = _entropy2_batch(up)
-    p_dn, h_dn = _entropy2_batch(dn)
-    out = np.where(p_up > 1e-14, p_up * h_up, 0.0) + np.where(p_dn > 1e-14, p_dn * h_dn, 0.0)
-    return out
-
-
-def _direction_grid() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    thetas = (np.arange(GRID_THETA) + 0.5) * np.pi / GRID_THETA
-    alphas = np.arange(GRID_ALPHA) * 2.0 * np.pi / GRID_ALPHA
-    tt, aa = np.meshgrid(thetas, alphas, indexing="ij")
-    tt, aa = tt.reshape(-1), aa.reshape(-1)
-    return tt, aa, _direction(tt, aa)
-
-
+_PAULIS = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# sigma_j (x) sigma_k as _PAULI_PAIRS[j, k]
+_PAULI_PAIRS = np.einsum("jab,kcd->jkacbd", _PAULIS, _PAULIS).reshape(4, 4, 4, 4)
 _BRANCH = np.array([1.0, -1.0])
 
 
-def _polish_objective(x: np.ndarray, corr: np.ndarray) -> tuple[float, np.ndarray]:
-    """Conditional entropy along the direction x = (theta, psi), with its gradient.
+def _correlations(rho: DensityMatrix, measured: str) -> np.ndarray:
+    """corr[j, k] = tr(rho sigma_j (x) sigma_k), the measured qubit's index first."""
+    if rho.n_qubits != 2:
+        raise ValueError("correlation measures act on two-qubit states")
+    corr = np.einsum("jkba,ab->jk", _PAULI_PAIRS, rho.matrix).real
+    return corr if rho.slot_index(measured) == 0 else corr.T
 
-    corr[j, k] = tr(rho sigma_j (x) sigma_k), measured qubit first. Along n
-    the outcome blocks (f_i +- n.F)/2 have trace w_0 and Bloch vector w_1:3,
-    w = (corr[0] +- n @ corr[1:]) / 2, hence eigenvalues (w_0 +- gap)/2 with
-    gap = |w_1:3|. A block's entropy term w_0 H(l1, l2), in bits, has
-    derivative -(log2 l1 + log2 l2)/2 in w_0 and -(log2 l1 - log2 l2)/2 in gap.
+
+def _block_entropy(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """w_0 H, in bits, of qubit blocks with trace w_0 = w[..., 0] and Bloch
+    vector w[..., 1:], and its slopes: the derivative in w_0, and the factor
+    that turns w_1:3 into the gradient in w_1:3.
+
+    The eigenvalues (w_0 +- gap)/2, gap = |w_1:3|, are normalized and
+    clipped at _EIG_FLOOR, and blocks of trace below 1e-14 count zero. With
+    l1, l2 the log2 of the normalized eigenvalues, w_0 H has derivative
+    -(l1 + l2)/2 in w_0 and -(l1 - l2)/2 in the gap.
     """
-    n, n_theta = _direction(np.array([x[0], x[0] + np.pi / 2]), x[1])
-    w = (corr[0] + _BRANCH[:, None] * (n @ corr[1:])) / 2.0
-    tr, bloch = w[:, 0], w[:, 1:]
-    gap = np.sqrt(np.sum(bloch * bloch, axis=1))
-    lam1, lam2 = _eigenvalues(tr, gap)
+    tr, bloch = w[..., 0], w[..., 1:]
+    gap = np.sqrt(np.einsum("...k,...k->...", bloch, bloch))
+    p = np.clip(tr, _EIG_FLOOR, None)
+    lam1 = np.clip((tr + gap) / (2.0 * p), _EIG_FLOOR, 1.0)
+    lam2 = np.clip((tr - gap) / (2.0 * p), _EIG_FLOOR, 1.0)
     l1, l2 = np.log2(lam1), np.log2(lam2)
     live = tr > 1e-14
-    value = np.sum(np.where(live, -tr * (lam1 * l1 + lam2 * l2), 0.0))
+    value = np.where(live, -tr * (lam1 * l1 + lam2 * l2), 0.0)
     d_tr = np.where(live, -(l1 + l2) / 2.0, 0.0)
-    d_gap = np.where(live, -(l1 - l2) / 2.0, 0.0) / np.maximum(gap, _EIG_FLOOR)
-    d_n = corr[1:] @ (_BRANCH @ np.column_stack([d_tr, d_gap[:, None] * bloch])) / 2.0
-    return float(value), np.array([n_theta @ d_n, n[0] * d_n[1] - n[1] * d_n[0]])
+    d_gap = np.where(live, -(l1 - l2) / 2.0, 0.0)
+    return value, d_tr, d_gap / np.maximum(gap, _EIG_FLOOR)
+
+
+def _polish_objective(x: np.ndarray, corr: np.ndarray) -> tuple[float, np.ndarray]:
+    """Conditional entropy along the direction x = (theta, psi), with its gradient."""
+    n, n_theta = _direction(np.array([x[0], x[0] + np.pi / 2]), x[1])
+    w = (corr[0] + _BRANCH[:, None] * (n @ corr[1:])) / 2.0
+    value, d_tr, d_bloch = _block_entropy(w)
+    d_n = corr[1:] @ (_BRANCH @ np.column_stack([d_tr, d_bloch[:, None] * w[:, 1:]])) / 2.0
+    return float(value.sum()), np.array([n_theta @ d_n, n[0] * d_n[1] - n[1] * d_n[0]])
 
 
 def mutual_information(rho: DensityMatrix, part: Union[str, Sequence[str]] = "mem") -> float:
@@ -152,37 +144,24 @@ def classical_correlation(rho: DensityMatrix, measured: str = "mem") -> tuple[fl
     """Best classical information about the unmeasured qubit, with the argmax basis.
 
     Deterministic: the coarse grid is scanned in a fixed order (first best
-    index wins ties) and the three best grid points seed BFGS polishes on
-    the analytic gradient of the conditional entropy. Each polished point
-    is scored with the grid's formula and replaces the grid's best only if
-    it is strictly lower, so J never falls below the grid's estimate.
+    index wins ties) and the three best grid points seed BFGS polishes of
+    the same conditional entropy on its analytic gradient. A polished point
+    replaces the grid's best only if it is strictly lower, so J never falls
+    below the grid's estimate. The basis is returned with theta in [0, pi]
+    and psi in [0, 2 pi).
     """
-    m = _measured_first(rho, measured)
-    # the unmeasured qubit's state f_i and the unnormalized conditional blocks f
-    blocks = _pauli_sums(m[0:2, 0:2], m[0:2, 2:4], m[2:4, 0:2], m[2:4, 2:4])
-    f_i, f = blocks[0], blocks[1:]
-    _, h_other = _entropy2_batch(f_i[None])
-    h_other = float(h_other[0])
-
-    tt, aa, dirs = _direction_grid()
-    cond = _conditional_entropy(f_i, f, dirs)
+    corr = _correlations(rho, measured)
+    h_other = float(_block_entropy(corr[0])[0])
+    blocks = (corr[0] + _BRANCH[:, None, None] * (_GRID_DIRECTIONS @ corr[1:])) / 2.0
+    cond = _block_entropy(blocks)[0].sum(axis=0)
     order = np.argsort(cond, kind="stable")
-
-    corr = _pauli_sums(blocks[:, 0, 0], blocks[:, 0, 1], blocks[:, 1, 0], blocks[:, 1, 1]).real.T
-    polished = np.array([
-        minimize(_polish_objective, np.array([tt[idx], aa[idx]]), args=(corr,),
-                 jac=True, method="BFGS", options={"gtol": 1e-7}).x
-        for idx in order[:3]
-    ])
-    # the gradient only steers: J comes from the grid's own formula
-    polished_vals = _conditional_entropy(f_i, f, _direction(polished[:, 0], polished[:, 1]))
-    best_val = float(cond[order[0]])
-    best_x = (float(tt[order[0]]), float(aa[order[0]]))
-    for x, val in zip(polished, polished_vals):
-        if val < best_val:
-            best_val, best_x = float(val), (float(x[0]), float(x[1]))
-    j = max(h_other - best_val, 0.0)
-    return j, ProjectivePair(*best_x)
+    best_val, best_x = float(cond[order[0]]), _GRID[order[0]]
+    for idx in order[:3]:
+        res = minimize(_polish_objective, _GRID[idx], args=(corr,),
+                       jac=True, method="BFGS", options={"gtol": 1e-7})
+        if res.fun < best_val:
+            best_val, best_x = float(res.fun), res.x
+    return max(h_other - best_val, 0.0), _chart(float(best_x[0]), float(best_x[1]))
 
 
 def discord(rho: DensityMatrix, measured: str = "mem") -> float:

@@ -200,34 +200,30 @@ def _uniform_block(seed: int, lo: int, hi: int, draws: int) -> np.ndarray:
     """Row i - lo holds the first `draws` doubles of
     Generator(PCG64(SeedSequence(seed, spawn_key=(i,)))), i = lo .. hi-1.
 
-    Computed in closed form on _BLOCK_ROWS rows at a time, bit for bit:
-    numpy's SeedSequence hash, PCG64's seeding and each draw's LCG advance.
+    Computed in closed form on at most _BLOCK_ROWS rows at a time, bit for
+    bit: numpy's SeedSequence hash, PCG64's seeding and each draw's LCG
+    advance. A pass ends at the next multiple of 2**32 at the latest, so
+    its rows differ only in the lowest spawn-key word.
     """
     _words(lo)  # raises for a negative index
     pool, rounds = _seed_pool(operator.index(seed), len(_words(max(lo, hi - 1))))
     advance = _advance(draws)
     out = np.empty((draws, hi - lo))
-    for a in range(lo, hi, _BLOCK_ROWS):
-        b = min(a + _BLOCK_ROWS, hi)
+    a = lo
+    while a < hi:
+        b = min(a + _BLOCK_ROWS, hi, ((a >> 32) + 1) << 32)
         out[:, a - lo:b - lo] = _stream_rows(pool, rounds, advance, a, b)
+        a = b
     return out.T
 
 
 def _stream_rows(pool, rounds, advance, lo: int, hi: int) -> np.ndarray:
-    """(draws, hi - lo) doubles of the streams i = lo .. hi-1 (hi - lo <= 2**32),
-    from the seed's pool and spawn rounds and the advance table."""
-    # spawn-key words of i: the low word, then those of lo >> 32, or of
-    # (hi - 1) >> 32 in the rows past the carry
-    first = np.arange(hi - lo, dtype=np.uint64) + (lo & _M32)
-    carry = first >> 32
-    tails = [_words(h) if h else [] for h in (lo >> 32, (hi - 1) >> 32)]
-    spawn = [((first & _M32).astype(np.uint32), None)]
-    for j in range(max(map(len, tails))):
-        word = np.array([t[j] if j < len(t) else 0 for t in tails], dtype=np.uint32)
-        spawn.append((word[carry], np.array([j < len(t) for t in tails])[carry]))
-    for (word, rows), h in zip(spawn, rounds):
-        mixed = _mix(pool, _hashmix(word, h))
-        pool = mixed if rows is None else np.where(rows, mixed, pool)
+    """(draws, hi - lo) doubles of the streams i = lo .. hi-1, which share
+    every spawn-key word but the lowest, from the seed's pool and spawn
+    rounds and the advance table."""
+    low = (np.arange(hi - lo, dtype=np.uint64) + (lo & _M32)).astype(np.uint32)
+    for word, h in zip([low] + (_words(lo >> 32) if lo >> 32 else []), rounds):
+        pool = _mix(pool, _hashmix(word, h))
 
     # generate_state(4, uint64) seeds PCG64 with initstate = w0:w1 and
     # inc = (w2:w3) << 1 | 1; its two seeding steps fold into the advance, so

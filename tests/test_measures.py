@@ -174,6 +174,41 @@ def test_polish_evaluation_count(monkeypatch):
     assert max(per_call) <= 80
 
 
+SWAP = np.eye(4)[[0, 2, 1, 3]]
+
+
+def _swap(r):
+    return SWAP @ r @ SWAP
+
+
+@pytest.mark.parametrize("measured", ["mem", "sys"])
+def test_argmax_basis_is_in_its_chart(measured):
+    # the polish may step past a pole or below psi = 0 (repeated_xor(1.5) at
+    # diag(0.5, 0.5) lands on theta ~ -2e-8); the basis is still reported
+    # with theta in [0, pi] and psi in [0, 2 pi), along the optimal axis
+    for factory in (repeated_xor, sqrt_xor):
+        for phi in np.linspace(0.1, 1.5, 8):
+            for p00 in (0.5, 0.3):
+                st = _stat(factory, phi, p00)
+                j, pair = classical_correlation(st, measured)
+                assert 0.0 <= pair.theta <= np.pi and 0.0 <= pair.psi < 2 * np.pi
+                # the oracle measures the first qubit
+                r = st.matrix if measured == "mem" else _swap(st.matrix)
+                h_cond = H.cond_entropy_point_oracle(r, pair.theta, pair.psi)
+                assert h_cond == pytest.approx(H.entropy_oracle(r[0:2, 0:2] + r[2:4, 2:4]) - j, abs=1e-12)
+
+
+def test_measured_side_is_a_swap():
+    # measuring "sys" is measuring "mem" of the swapped state: same J, same axis
+    rng = np.random.default_rng(17)
+    for _ in range(8):
+        r = H.rand_rho(rng, 4)
+        j_sys, b_sys = classical_correlation(DensityMatrix(r, ("mem", "sys")), "sys")
+        j_mem, b_mem = classical_correlation(DensityMatrix(_swap(r), ("mem", "sys")), "mem")
+        assert j_sys == pytest.approx(j_mem, abs=1e-12)
+        assert abs(b_sys.direction() @ b_mem.direction()) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_classical_correlation_deterministic():
     st = _stat(sqrt_xor, 0.45)
     a = classical_correlation(st)
