@@ -17,6 +17,7 @@ a sliding-window engine that keeps only the currently open molecules.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -470,6 +471,17 @@ def stationary_overlap(model: ChainModel) -> float:
 
 # --- sliding-window engine -------------------------------------------------
 
+MOLECULE_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=MOLECULE_CACHE_SIZE)
+def _molecule_density(phi: float, sign: float) -> np.ndarray:
+    # sign tells -0.0 from 0.0: they hash alike but prepare differently signed zeros
+    xi = molecule_state(phi).density()
+    xi.flags.writeable = False
+    return xi
+
+
 def window_collide(
     joint: np.ndarray,
     open_ids: Sequence[int],
@@ -487,14 +499,16 @@ def window_collide(
     if t >= schedule.horizon:
         raise ValueError(f"schedule horizon {schedule.horizon} exhausted at t={t}")
     open_ids = list(open_ids)
-    xi = molecule_state(model.phi).density()
+    xi = _molecule_density(model.phi, math.copysign(1.0, model.phi))
     for ev in schedule.events_at(t):
         if ev.molecule not in open_ids:
             if len(open_ids) + 2 > WINDOW_QUBIT_CAP:
                 raise ValueError(
                     f"window would need {len(open_ids) + 2} qubits at step {t}, cap is {WINDOW_QUBIT_CAP}"
                 )
-            joint = tensor(xi, joint)
+            # tensor(xi, joint) for every state of the stack: the same products as np.kron
+            d = 2 * joint.shape[-1]
+            joint = (xi[:, None, :, None] * joint[..., None, :, None, :]).reshape(joint.shape[:-2] + (d, d))
             open_ids.insert(0, ev.molecule)
         g = _GATE_NAMES[ev.gate] if ev.gate is not None else model.collision_gate()
         acting = [open_ids.index(ev.molecule) if role == "mol" else len(open_ids) for role in g.slot_roles]
@@ -502,30 +516,40 @@ def window_collide(
     return joint, open_ids
 
 
-def run_window(model: ChainModel, rho0, steps: Optional[int] = None) -> list[DensityMatrix]:
-    """System marginals [t=0 .. steps] under the windowed schedule.
+def _window_marginals(model: ChainModel, schedule: CollisionSchedule, states: np.ndarray, steps: int) -> list:
+    """System marginals [t=1 .. steps] of one system state or a stack (..., 2, 2).
 
     The joint state of the open molecules plus the system (newest molecule
     first, system last) is carried as a raw array: each step runs the
     step's collisions, then traces out every molecule past its last event
-    in one pass. Only the returned marginals are built as DensityMatrix.
+    in one pass.
+    """
+    if steps > schedule.horizon:
+        raise ValueError(f"steps {steps} exceed the schedule horizon {schedule.horizon}")
+    out = []
+    joint, open_ids = states, []
+    for t in range(steps):
+        joint, open_ids = window_collide(joint, open_ids, model, schedule, t)
+        keep = [q for q, m in enumerate(open_ids) if m not in schedule.closing_at(t)]
+        joint = partial_trace_array(joint, len(open_ids) + 1, keep + [len(open_ids)])
+        open_ids = [open_ids[q] for q in keep]
+        out.append(partial_trace_array(joint, len(keep) + 1, [len(keep)]))
+    return out
+
+
+def run_window(model: ChainModel, rho0, steps: Optional[int] = None) -> list[DensityMatrix]:
+    """System marginals [t=0 .. steps] under the windowed schedule.
+
+    Only the returned marginals are built (and validated) as DensityMatrix.
     """
     if steps is None and model.kind == CUSTOM:
         steps = model.schedule.horizon
     if steps is None:
         raise ValueError("built-in models need an explicit number of steps")
     schedule = model.window_schedule(None if model.kind == CUSTOM else steps)
-    if steps > schedule.horizon:
-        raise ValueError(f"steps {steps} exceed the schedule horizon {schedule.horizon}")
-    out = [system_state(rho0)]
-    joint, open_ids = out[0].matrix, []
-    for t in range(steps):
-        joint, open_ids = window_collide(joint, open_ids, model, schedule, t)
-        keep = [q for q, m in enumerate(open_ids) if m not in schedule.closing_at(t)]
-        joint = partial_trace_array(joint, len(open_ids) + 1, keep + [len(open_ids)])
-        open_ids = [open_ids[q] for q in keep]
-        out.append(DensityMatrix(partial_trace_array(joint, len(keep) + 1, [len(keep)]), (SYSTEM_SLOT,)))
-    return out
+    rho0 = system_state(rho0)
+    marginals = _window_marginals(model, schedule, rho0.matrix, steps)
+    return [rho0] + [DensityMatrix(m, (SYSTEM_SLOT,)) for m in marginals]
 
 
 # --- one evolution per model, and the reduced maps it defines --------------
@@ -558,12 +582,20 @@ def simulate(model: ChainModel, rho0, steps: int, mem0=None) -> list[DensityMatr
 def system_maps(model: ChainModel, t_max: int, mem0=None) -> list[LinearMap]:
     """Accumulated reduced maps of the system, entries t = 1 .. t_max.
 
-    Each of the four tomography probes runs through simulate once, for
-    t_max steps (the two-collision models start their memory in mem0,
-    default |0><0|); the map at step t is rebuilt from the probes' system
+    The four tomography probes run for t_max steps: custom models as one
+    stacked window pass, the built-in models through simulate once each
+    (the two-collision models start their memory in mem0, default
+    |0><0|). The map at step t is rebuilt from the probes' system
     marginals at t. The cost is O(t_max) for every model.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    runs = [simulate(model, system_state(p), t_max, mem0)[1:] for p in tomography_probes(2)]
-    return [map_from_probes([partial_trace(run[t], SYSTEM_SLOT).matrix for run in runs], 2) for t in range(t_max)]
+    probes = [system_state(p) for p in tomography_probes(2)]
+    # a custom model given mem0 goes through simulate, which rejects it
+    if model.kind == CUSTOM and mem0 is None:
+        stacked = _window_marginals(model, model.schedule, np.stack([p.matrix for p in probes]), t_max)
+        outputs = [[DensityMatrix(m, (SYSTEM_SLOT,)).matrix for m in step] for step in stacked]
+    else:
+        runs = [simulate(model, p, t_max, mem0)[1:] for p in probes]
+        outputs = [[partial_trace(run[t], SYSTEM_SLOT).matrix for run in runs] for t in range(t_max)]
+    return [map_from_probes(out, 2) for out in outputs]

@@ -160,8 +160,10 @@ def _cmd_simulate(args) -> int:
 
     rows = []
     for t, state in enumerate(simulate(model, rho0, steps, mem0)):
+        # one-qubit states (custom, markov-xor) are the system row already
         compound = state if state.n_qubits == 2 else None
-        rows.append({"t": t, "system": partial_trace(state, "sys"), "compound": compound})
+        system = partial_trace(state, "sys") if compound is not None else state
+        rows.append({"t": t, "system": system, "compound": compound})
 
     with_delta = model.kind == SQRT_XOR
     if args.format == "json":

@@ -13,6 +13,7 @@ makes their matrix most readable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -137,34 +138,69 @@ def embed(gate: UnitaryGate, register_slots: Sequence[str], acting_on: Sequence[
         raise ValueError(f"slots {missing} not in register {register}") from None
 
     n = len(register)
-    u = _contract(np.eye(2 ** n, dtype=complex).reshape((2,) * (2 * n)), gate.matrix, positions)
+    order, (ket, _) = _plan(0, n, tuple(positions))
+    u = _side(np.eye(2 ** n, dtype=complex).reshape((2,) * (2 * n)), _ordered(gate, order)[0], ket)
     return UnitaryGate(u.reshape(2 ** n, 2 ** n), register, label=gate.label)
 
 
 def apply_gate(states: np.ndarray, gate: UnitaryGate, acting: Sequence[int], n_qubits: int) -> np.ndarray:
     """u rho u^dagger, u = the gate on register positions `acting` (role order,
     0 = most significant qubit), for one state or a stack (..., 2^n, 2^n).
-    The gate is contracted on the ket axes, then its conjugate on the bra axes.
+    The gate is applied on the ket axes, then its conjugate on the bra axes.
     """
-    if len(acting) != gate.arity or len(set(acting)) != len(acting) or not all(0 <= q < n_qubits for q in acting):
-        raise ValueError(f"cannot place a {gate.arity}-qubit gate on positions {acting} of {n_qubits} qubits")
     states = np.asarray(states)
-    batch = states.shape[:-2]
-    t = states.reshape(batch + (2,) * (2 * n_qubits))
-    ket = [len(batch) + q for q in acting]
-    t = _contract(t, gate.matrix, ket)
-    t = _contract(t, gate.matrix.conj(), [q + n_qubits for q in ket])
-    return t.reshape(states.shape)
+    if len(acting) != gate.arity:
+        raise ValueError(f"cannot place a {gate.arity}-qubit gate on positions {acting} of {n_qubits} qubits")
+    order, (ket, bra) = _plan(states.ndim - 2, n_qubits, tuple(acting))
+    m, m_conj = _ordered(gate, order)
+    t = states.reshape(states.shape[:-2] + (2,) * (2 * n_qubits))
+    return _side(_side(t, m, ket), m_conj, bra).reshape(states.shape)
 
 
-def _contract(t: np.ndarray, m: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """Apply the k-qubit matrix m to the qubit axes of t listed in role order.
+PLAN_CACHE_SIZE = 256
 
-    m's roles are put in axis order first, so each entry sums its terms in
-    the order of the embedded product u @ rho and equals it bit for bit.
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(batch_ndim: int, n_qubits: int, acting: tuple[int, ...]):
+    """Role order and the (permutation, inverse) of the ket and bra sides.
+
+    The order lists the roles by register position; each permutation brings
+    that side's acting axes to the front, in register order, ahead of every
+    other axis in its original order.
     """
-    k = len(axes)
-    order = sorted(range(k), key=lambda i: axes[i])
-    m = m.reshape((2,) * (2 * k)).transpose(order + [k + i for i in order])
-    axes = sorted(axes)
-    return np.moveaxis(np.tensordot(m, t, axes=(list(range(k, 2 * k)), axes)), list(range(k)), axes)
+    if len(set(acting)) != len(acting) or not all(0 <= q < n_qubits for q in acting):
+        raise ValueError(f"cannot place a {len(acting)}-qubit gate on positions {acting} of {n_qubits} qubits")
+    order = tuple(sorted(range(len(acting)), key=acting.__getitem__))
+    sides = []
+    for offset in (batch_ndim, batch_ndim + n_qubits):
+        front = sorted(offset + q for q in acting)
+        perm = front + [a for a in range(batch_ndim + 2 * n_qubits) if a not in front]
+        sides.append((tuple(perm), tuple(np.argsort(perm).tolist())))
+    return order, tuple(sides)
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _ordered(gate: UnitaryGate, order: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The gate matrix with its roles in register order, and its conjugate.
+
+    Keyed on the gate instance (gates compare by identity), so two gates
+    with the same roles never share an entry.
+    """
+    k = gate.arity
+    m = gate.matrix.reshape((2,) * (2 * k)).transpose(order + tuple(k + i for i in order))
+    m = np.ascontiguousarray(m.reshape(2 ** k, 2 ** k))
+    m_conj = m.conj()
+    m.flags.writeable = m_conj.flags.writeable = False
+    return m, m_conj
+
+
+def _side(t: np.ndarray, m: np.ndarray, side) -> np.ndarray:
+    """Apply the role-ordered matrix m to the axes that side's permutation brings to the front.
+
+    One (2^k, 2^k) @ (2^k, rest) product, the one np.tensordot makes, so each
+    entry sums its terms in the order of the embedded product u @ rho and
+    equals it bit for bit.
+    """
+    perm, inverse = side
+    t = t.transpose(perm)
+    return (m @ t.reshape(m.shape[1], -1)).reshape(t.shape).transpose(inverse)

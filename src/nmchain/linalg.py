@@ -145,15 +145,17 @@ def as_matrix(rho) -> np.ndarray:
 
 
 def partial_trace_array(a: np.ndarray, n_qubits: int, keep: Sequence[int]) -> np.ndarray:
-    """Partial trace of a 2^n x 2^n array; keep lists slot indices (0 = most significant)."""
+    """Partial trace of a 2^n x 2^n array, or of each in a stack (..., 2^n, 2^n);
+    keep lists slot indices (0 = most significant)."""
     keep = sorted(keep)
-    t = a.reshape((2,) * (2 * n_qubits))
+    batch = a.shape[:-2]
+    t = a.reshape(batch + (2,) * (2 * n_qubits))
     remaining = n_qubits
     for q in sorted(set(range(n_qubits)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=q, axis2=q + remaining)
+        t = np.trace(t, axis1=len(batch) + q, axis2=len(batch) + q + remaining)
         remaining -= 1
     d = 2 ** len(keep)
-    return np.ascontiguousarray(t.reshape(d, d))
+    return np.ascontiguousarray(t.reshape(batch + (d, d)))
 
 
 def partial_trace(rho: DensityMatrix, keep: Union[str, Iterable[str]]) -> DensityMatrix:

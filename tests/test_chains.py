@@ -37,7 +37,7 @@ from nmchain.chains import (
     window_collide,
     window_width,
 )
-from nmchain.channels import apply_kraus
+from nmchain.channels import apply_kraus, map_from_probes, tomography_probes
 from nmchain.gates import sqrt_xor_gate, xor_gate
 from nmchain.linalg import DensityMatrix, tensor
 
@@ -618,19 +618,33 @@ def test_system_maps_custom_matches_builtin_on_same_schedule():
 
 
 def test_system_maps_runs_each_probe_once(monkeypatch):
+    """A custom model runs its four probes as one (4, 2, 2) stack through one window pass."""
     calls = []
-    real = chains.run_window
+    real = chains._window_marginals
 
-    def spy(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def spy(model, schedule, states, steps):
+        calls.append((np.shape(states), steps))
+        return real(model, schedule, states, steps)
 
-    monkeypatch.setattr(chains, "run_window", spy)
+    monkeypatch.setattr(chains, "_window_marginals", spy)
+    monkeypatch.setattr(chains, "run_window", None)
     custom = custom_chain(xor_gate(), advanced_overlap_schedule(8), phi=0.3)
     for t_max in (3, 8):
         calls.clear()
         assert len(system_maps(custom, t_max)) == t_max
-        assert len(calls) == 4
+        assert calls == [((4, 2, 2), t_max)]
+
+
+@pytest.mark.parametrize("gap", (1, 2, 3))
+@pytest.mark.parametrize("gate", (xor_gate, sqrt_xor_gate))
+def test_stacked_system_maps_equal_per_probe_runs(gap, gate):
+    t_max = 12
+    custom = custom_chain(gate(), chains._double_collision_schedule(t_max, gap), phi=0.43)
+    runs = [run_window(custom, p) for p in tomography_probes(2)]
+    want = [map_from_probes([run[t].matrix for run in runs], 2) for t in range(1, t_max + 1)]
+    got = system_maps(custom, t_max)
+    assert len(got) == t_max
+    assert all(np.array_equal(g.matrix, w.matrix) for g, w in zip(got, want))
 
 
 # ---- one evolution per model ------------------------------------------------

@@ -129,16 +129,28 @@ def test_collision_sandwich_reproduces_oracle_unitary():
 def test_apply_gate_matches_embedded_sandwich(n):
     """Contracting the gate on two positions equals u rho u^dagger with
     u = embed(...): bit for bit for the named gates, to round-off for a
-    random unitary; for one state and for a stack of states."""
+    random unitary; for one state and for stacks of one and two batch
+    dimensions."""
     rng = np.random.default_rng(n)
     register = tuple(f"q{i}" for i in range(n))
     rho = H.rand_rho(rng, 2 ** n)
     stack = np.stack([H.rand_rho(rng, 2 ** n) for _ in range(3)])
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-    for gate, exact in [(xor_gate(), True), (sqrt_xor_gate(), True), (UnitaryGate(q, ("x", "y")), False)]:
+    # a second random gate with the same roles, run after the first: a plan or
+    # matrix cache keyed on roles or label would hand it the first one's matrix.
+    # The random gates are checked against the index-built embedding, which
+    # shares no cache with apply_gate.
+    q2, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    stack2 = np.stack([H.rand_rho(rng, 2 ** n) for _ in range(4)]).reshape(2, 2, 2 ** n, 2 ** n)
+    gates = [(xor_gate(), True), (sqrt_xor_gate(), True),
+             (UnitaryGate(q, ("x", "y")), False), (UnitaryGate(q2, ("x", "y")), False)]
+    for gate, exact in gates:
         for pos in itertools.permutations(range(n), 2):
-            u = embed(gate, register, acting_on=[register[p] for p in pos]).matrix
-            for states in (rho, stack):
+            if exact:
+                u = embed(gate, register, acting_on=[register[p] for p in pos]).matrix
+            else:
+                u = H.embed_front(gate.matrix, 2, n, pos)
+            for states in (rho, stack, stack2):
                 got = apply_gate(states, gate, pos, n)
                 want = np.stack([u @ r @ H.dag(u) for r in states.reshape(-1, 2 ** n, 2 ** n)]).reshape(states.shape)
                 assert got.shape == states.shape

@@ -76,11 +76,23 @@ def test_pure_density_roundtrip():
     assert dm.slots == ("a", "b")
 
 
-@pytest.mark.parametrize("n,keep", [(2, (0,)), (2, (1,)), (3, (0, 2)), (3, (1,)), (4, (1, 3))])
+# traced as a (2, 3) stack, which must give each state's own result
+_STACKED = (4, (0, 3))
+
+
+@pytest.mark.parametrize("n,keep", [(2, (0,)), (2, (1,)), (3, (0, 2)), (3, (1,)), (4, (1, 3)), _STACKED])
 def test_partial_trace_against_einsum(n, keep):
     rng = np.random.default_rng(n * 10 + keep[0])
-    r = H.rand_rho(rng, 2 ** n)
-    got = partial_trace_array(r, n, keep)
+    if (n, keep) == _STACKED:
+        rs = np.stack([H.rand_rho(rng, 2 ** n) for _ in range(6)]).reshape(2, 3, 2 ** n, 2 ** n)
+        got = partial_trace_array(rs, n, keep)
+        assert got.shape == (2, 3, 4, 4)
+        assert all(np.array_equal(g, partial_trace_array(r, n, keep))
+                   for g, r in zip(got.reshape(6, 4, 4), rs.reshape(6, 2 ** n, 2 ** n)))
+        r, got = rs[1, 2], got[1, 2]
+    else:
+        r = H.rand_rho(rng, 2 ** n)
+        got = partial_trace_array(r, n, keep)
     want = H.ptrace_general(r, n, list(keep))
     assert np.allclose(got, want, atol=1e-14)
 
