@@ -11,6 +11,7 @@ from .linalg import (
     DensityMatrix,
     PureState,
     basis_state,
+    check_states,
     computational_basis,
     eig_hermitian,
     partial_trace,
@@ -54,6 +55,7 @@ from .chains import (
     custom_chain,
     delta,
     embedded_step,
+    evolve,
     markov_xor,
     markov_xor_fixed_point,
     markov_xor_kraus,
@@ -69,6 +71,7 @@ from .chains import (
     stationary_overlap,
     stationary_state,
     system_maps,
+    system_marginals,
     window_width,
 )
 from .measures import (

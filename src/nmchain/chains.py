@@ -29,8 +29,8 @@ from .gates import UnitaryGate, apply_gate, embed, molecule_state, sqrt_xor_gate
 from .linalg import (
     DensityMatrix,
     as_matrix,
+    check_states,
     computational_basis,
-    partial_trace,
     partial_trace_array,
     tensor,
 )
@@ -296,15 +296,21 @@ def _memory_array(mem0) -> np.ndarray:
 # --- single-collision model, closed form ---------------------------------
 
 def markov_xor_step(rho, phi: float):
-    """One collision of the single-collision chain.
+    """One collision of the single-collision chain, on one state or a stack (..., 2, 2).
 
     Populations are untouched; the coherence shrinks by sin(2 phi).
     """
     m = as_matrix(rho)
-    if m.shape != (2, 2):
+    if m.shape[-2:] != (2, 2):
         raise ValueError("markov_xor_step acts on a single qubit")
     k = np.sin(2.0 * phi)
-    out = np.array([[m[0, 0], k * m[0, 1]], [k * m[1, 0], m[1, 1]]], dtype=complex)
+    out = np.array(m, order="C")
+    coherences = out.reshape(m.shape[:-2] + (4,))[..., 1:3]
+    # (k + 0j)(x + iy) one real product at a time, as numpy's complex scalar
+    # product forms it: a complex array product may fuse a multiply-add and
+    # give a zero that underflowed the other sign
+    x, y = coherences.real, coherences.imag
+    coherences.real, coherences.imag = k * x - 0.0 * y, k * y + 0.0 * x
     if isinstance(rho, DensityMatrix):
         return DensityMatrix(out, rho.slots)
     return out
@@ -360,12 +366,16 @@ def _cached_embedding(kind: str, phi: float) -> tuple[UnitaryGate, KrausSet]:
     return step, kraus
 
 
-def delta(rho_tilde) -> complex:
-    """The single decaying coherence combination of the split-collision compound."""
+def delta(rho_tilde):
+    """The single decaying coherence combination of the split-collision compound.
+
+    A complex number for one compound state, an array for a stack (..., 4, 4).
+    """
     m = as_matrix(rho_tilde)
-    if m.shape != (4, 4):
+    if m.shape[-2:] != (4, 4):
         raise ValueError("delta takes a two-qubit compound state")
-    return complex(-1j * (m[0, 1] + m[2, 3]) + (m[0, 3] + m[2, 1]))
+    d = -1j * (m[..., 0, 1] + m[..., 2, 3]) + (m[..., 0, 3] + m[..., 2, 1])
+    return complex(d) if m.ndim == 2 else d
 
 
 def _recursion_repeated(m: np.ndarray, phi: float) -> np.ndarray:
@@ -474,6 +484,13 @@ def stationary_overlap(model: ChainModel) -> float:
 MOLECULE_CACHE_SIZE = 128
 
 
+def _attach(front: np.ndarray, joint: np.ndarray) -> np.ndarray:
+    """tensor(front, joint) for one state or each of a stack (..., D, D):
+    the products np.kron forms, bit for bit."""
+    d = front.shape[-1] * joint.shape[-1]
+    return (front[:, None, :, None] * joint[..., None, :, None, :]).reshape(joint.shape[:-2] + (d, d))
+
+
 @lru_cache(maxsize=MOLECULE_CACHE_SIZE)
 def _molecule_density(phi: float, sign: float) -> np.ndarray:
     # sign tells -0.0 from 0.0: they hash alike but prepare differently signed zeros
@@ -506,9 +523,7 @@ def window_collide(
                 raise ValueError(
                     f"window would need {len(open_ids) + 2} qubits at step {t}, cap is {WINDOW_QUBIT_CAP}"
                 )
-            # tensor(xi, joint) for every state of the stack: the same products as np.kron
-            d = 2 * joint.shape[-1]
-            joint = (xi[:, None, :, None] * joint[..., None, :, None, :]).reshape(joint.shape[:-2] + (d, d))
+            joint = _attach(xi, joint)
             open_ids.insert(0, ev.molecule)
         g = _GATE_NAMES[ev.gate] if ev.gate is not None else model.collision_gate()
         acting = [open_ids.index(ev.molecule) if role == "mol" else len(open_ids) for role in g.slot_roles]
@@ -554,48 +569,84 @@ def run_window(model: ChainModel, rho0, steps: Optional[int] = None) -> list[Den
 
 # --- one evolution per model, and the reduced maps it defines --------------
 
-def simulate(model: ChainModel, rho0, steps: int, mem0=None) -> list[DensityMatrix]:
-    """States [t=0 .. steps] on the model's register.
+def _system_stack(states) -> np.ndarray:
+    """One system state or a stack (..., 2, 2) as a checked complex array."""
+    if isinstance(states, DensityMatrix):
+        return system_state(states).matrix
+    m = np.ascontiguousarray(np.asarray(states, dtype=complex))
+    if m.shape[-2:] != (2, 2):
+        raise ValueError(f"matrix shape {m.shape} does not fit 1 qubit slots")
+    check_states(m)
+    return m
 
-    markov-xor gives the system state (closed-form step), the two-collision
-    models the ("mem", "sys") compound of the satellite embedding with the
-    memory starting in mem0 (default |0><0|), and custom models the system
-    marginal of the window engine. Only the two-collision models have a
-    memory slot; mem0 for any other kind raises.
-    """
+
+def _evolve(model: ChainModel, states, steps: int, mem0) -> tuple[np.ndarray, tuple[str, ...]]:
+    """evolve without the check of the evolved stack."""
     if steps < 0:
         raise ValueError("steps must be non-negative")
     embedded = model.kind in (REPEATED_XOR, SQRT_XOR)
     if mem0 is not None and not embedded:
         raise ValueError(f"{model.kind} has no memory slot; mem0 does not apply")
+    s = _system_stack(states)
     if model.kind == CUSTOM:
-        return run_window(model, rho0, steps)
-    state = system_state(rho0)
+        return np.stack([s] + _window_marginals(model, model.schedule, s, steps), axis=-3), (SYSTEM_SLOT,)
     if embedded:
-        state = DensityMatrix(tensor(_memory_array(mem0), state.matrix), (MEMORY_SLOT, SYSTEM_SLOT))
-    out = [state]
+        kraus = build_embedding(model)[1]
+        s = _attach(_memory_array(mem0), s)
+        check_states(s)
+    out = [s]
     for _ in range(steps):
-        out.append(embedded_step(model, out[-1]) if embedded else markov_xor_step(out[-1], model.phi))
+        out.append(apply_kraus(kraus, out[-1]) if embedded else markov_xor_step(out[-1], model.phi))
+    return np.stack(out, axis=-3), (MEMORY_SLOT, SYSTEM_SLOT) if embedded else (SYSTEM_SLOT,)
+
+
+def evolve(model: ChainModel, states, steps: int, mem0=None) -> tuple[np.ndarray, tuple[str, ...]]:
+    """States [t=0 .. steps] of one system state or a stack (..., 2, 2), as one array.
+
+    Returns (stack, slots): stack has shape (..., steps + 1, D, D) on the
+    register slots. markov-xor gives the system state (closed-form step),
+    the two-collision models the ("mem", "sys") compound of the satellite
+    embedding with the memory starting in mem0 (default |0><0|), and custom
+    models the system marginal of the window engine. Only the two-collision
+    models have a memory slot; mem0 for any other kind raises. Every state
+    of the stack is checked as a DensityMatrix would be, in one pass.
+    """
+    stack, slots = _evolve(model, states, steps, mem0)
+    check_states(stack)
+    return stack, slots
+
+
+def simulate(model: ChainModel, rho0, steps: int, mem0=None) -> list[DensityMatrix]:
+    """States [t=0 .. steps] on the model's register, one DensityMatrix each.
+
+    The list view of evolve for one system state rho0.
+    """
+    stack, slots = _evolve(model, rho0, steps, mem0)
+    return [DensityMatrix(m, slots) for m in stack]
+
+
+def system_marginals(stack: np.ndarray, slots: tuple[str, ...]) -> np.ndarray:
+    """The system states of an evolve stack, checked.
+
+    A stack on the system slot alone is returned as it is: evolve checked it.
+    """
+    if slots == (SYSTEM_SLOT,):
+        return stack
+    out = partial_trace_array(stack, len(slots), [slots.index(SYSTEM_SLOT)])
+    check_states(out)
     return out
 
 
 def system_maps(model: ChainModel, t_max: int, mem0=None) -> list[LinearMap]:
     """Accumulated reduced maps of the system, entries t = 1 .. t_max.
 
-    The four tomography probes run for t_max steps: custom models as one
-    stacked window pass, the built-in models through simulate once each
-    (the two-collision models start their memory in mem0, default
-    |0><0|). The map at step t is rebuilt from the probes' system
-    marginals at t. The cost is O(t_max) for every model.
+    The four tomography probes run for t_max steps as one evolve stack (the
+    two-collision models start their memory in mem0, default |0><0|). The
+    map at step t is rebuilt from the probes' system marginals at t. The
+    cost is O(t_max) for every model.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    probes = [system_state(p) for p in tomography_probes(2)]
-    # a custom model given mem0 goes through simulate, which rejects it
-    if model.kind == CUSTOM and mem0 is None:
-        stacked = _window_marginals(model, model.schedule, np.stack([p.matrix for p in probes]), t_max)
-        outputs = [[DensityMatrix(m, (SYSTEM_SLOT,)).matrix for m in step] for step in stacked]
-    else:
-        runs = [simulate(model, p, t_max, mem0)[1:] for p in probes]
-        outputs = [[partial_trace(run[t], SYSTEM_SLOT).matrix for run in runs] for t in range(t_max)]
-    return [map_from_probes(out, 2) for out in outputs]
+    stack, slots = evolve(model, np.stack(tomography_probes(2)), t_max, mem0)
+    outputs = system_marginals(stack, slots)
+    return [map_from_probes(outputs[:, t], 2) for t in range(1, t_max + 1)]

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import io
 import json
 import os
 import sys
@@ -26,17 +28,18 @@ from .chains import (
     advanced_overlap_schedule,
     chain_schedule,
     delta,
+    evolve,
     overlap_schedule,
     satellite_count,
     schedule_from_records,
-    simulate,
     single_molecule_schedule,
     system_maps,
+    system_marginals,
     window_width,
 )
 from .channels import divisibility_scan
 from .gates import sqrt_xor_gate, xor_gate
-from .linalg import DensityMatrix, partial_trace
+from .linalg import DensityMatrix
 from .measures import nm_report
 from .trajectories import UnsupportedScheduleError, sample_ensemble
 
@@ -56,12 +59,19 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _pair(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
-
-
 def _mat(m: np.ndarray) -> list:
+    """Complex entries as nested [re, im] pairs, for one array or a stack."""
     return np.stack([m.real, m.imag], -1).tolist()
+
+
+def _lines(lines) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def _parse_state(text: str, flag: str) -> DensityMatrix:
@@ -158,35 +168,28 @@ def _cmd_simulate(args) -> int:
     if steps < 0:
         raise ConfigError("--steps must be non-negative")
 
-    rows = []
-    for t, state in enumerate(simulate(model, rho0, steps, mem0)):
-        # one-qubit states (custom, markov-xor) are the system row already
-        compound = state if state.n_qubits == 2 else None
-        system = partial_trace(state, "sys") if compound is not None else state
-        rows.append({"t": t, "system": system, "compound": compound})
+    stack, slots = evolve(model, rho0, steps, mem0)
+    # one-qubit stacks (custom, markov-xor) are the system rows already
+    compound = stack if len(slots) == 2 else None
+    system = system_marginals(stack, slots)
+    d = delta(compound) if model.kind == SQRT_XOR else None
 
-    with_delta = model.kind == SQRT_XOR
     if args.format == "json":
-        for row in rows:
-            rec = {"t": row["t"], "rho_system": _mat(row["system"].matrix)}
-            if row["compound"] is not None:
-                rec["rho_compound"] = _mat(row["compound"].matrix)
-            if with_delta:
-                rec["delta"] = _pair(delta(row["compound"]))
-            print(json.dumps(rec))
+        fields = {"rho_system": _mat(system)}
+        if compound is not None:
+            fields["rho_compound"] = _mat(compound)
+        if d is not None:
+            fields["delta"] = _mat(d)
+        text = _lines(json.dumps({"t": t, **{k: v[t] for k, v in fields.items()}}) for t in range(steps + 1))
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
         header = ["t", "p00", "p11", "re01", "im01"]
-        if with_delta:
+        cols = [system[:, 0, 0].real, system[:, 1, 1].real, system[:, 0, 1].real, system[:, 0, 1].imag]
+        if d is not None:
             header += ["delta_re", "delta_im"]
-        writer.writerow(header)
-        for row in rows:
-            m = row["system"].matrix
-            vals = [str(row["t"]), _fmt(m[0, 0].real), _fmt(m[1, 1].real), _fmt(m[0, 1].real), _fmt(m[0, 1].imag)]
-            if with_delta:
-                d = delta(row["compound"])
-                vals += [_fmt(d.real), _fmt(d.imag)]
-            writer.writerow(vals)
+            cols += [d.real, d.imag]
+        values = zip(*(c.tolist() for c in cols))
+        text = _csv_text([header] + [[str(t)] + [_fmt(x) for x in row] for t, row in enumerate(values)])
+    sys.stdout.write(text)
     return 0
 
 
@@ -206,19 +209,21 @@ def _cmd_measures(args) -> int:
         "classification": report.classification,
     }
     if args.format == "json":
-        print(json.dumps(out))
+        text = _lines([json.dumps(out)])
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["count_qubits", "mutual_info", "classical_J", "discord", "theta", "psi", "classification"])
-        writer.writerow([
-            report.count_qubits,
-            "" if report.mutual_info is None else _fmt(report.mutual_info),
-            "" if report.classical_J is None else _fmt(report.classical_J),
-            "" if report.discord is None else _fmt(report.discord),
-            "" if basis is None else _fmt(basis["theta"]),
-            "" if basis is None else _fmt(basis["psi"]),
-            report.classification,
+        text = _csv_text([
+            ["count_qubits", "mutual_info", "classical_J", "discord", "theta", "psi", "classification"],
+            [
+                report.count_qubits,
+                "" if report.mutual_info is None else _fmt(report.mutual_info),
+                "" if report.classical_J is None else _fmt(report.classical_J),
+                "" if report.discord is None else _fmt(report.discord),
+                "" if basis is None else _fmt(basis["theta"]),
+                "" if basis is None else _fmt(basis["psi"]),
+                report.classification,
+            ],
         ])
+    sys.stdout.write(text)
     return 0
 
 
@@ -231,25 +236,22 @@ def _cmd_divisibility(args) -> int:
     _check_horizon(model, steps)
     if not np.isfinite(args.tol_cp) or args.tol_cp < 0:
         raise ConfigError(f"--tol-cp must be finite and non-negative, got {args.tol_cp!r}")
-    mem_arr = mem0.matrix if mem0 is not None else None
-    maps = system_maps(model, steps, mem_arr)
+    maps = system_maps(model, steps, mem0)
     results = divisibility_scan(maps, cp_tol=args.tol_cp)
     if args.format == "json":
-        for t, step in enumerate(results, start=1):
-            print(json.dumps({
-                "t": t,
-                "exists": step.exists,
-                "min_choi_eig": step.min_choi_eig,
-                "smallest_singular": step.smallest_singular,
-            }))
+        text = _lines(json.dumps({
+            "t": t,
+            "exists": step.exists,
+            "min_choi_eig": step.min_choi_eig,
+            "smallest_singular": step.smallest_singular,
+        }) for t, step in enumerate(results, start=1))
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["t", "exists", "min_choi_eig"])
-        for t, step in enumerate(results, start=1):
-            if step.exists is None:
-                writer.writerow([t, "indeterminate", ""])
-            else:
-                writer.writerow([t, "true" if step.exists else "false", _fmt(step.min_choi_eig)])
+        text = _csv_text([["t", "exists", "min_choi_eig"]] + [
+            [t, "indeterminate", ""] if step.exists is None
+            else [t, "true" if step.exists else "false", _fmt(step.min_choi_eig)]
+            for t, step in enumerate(results, start=1)
+        ])
+    sys.stdout.write(text)
     return 0
 
 
@@ -276,13 +278,12 @@ def _cmd_trajectories(args) -> int:
              for f in stats.outcome_frequencies]
 
     if args.format == "json":
-        for row, lp in zip(outcome_rows, log_ps):
-            print(json.dumps({"outcomes": row, "log_p": lp}))
+        text = _lines(json.dumps({"outcomes": row, "log_p": lp}) for row, lp in zip(outcome_rows, log_ps))
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["outcomes", "log_p"])
-        for row, lp in zip(outcome_rows, log_ps):
-            writer.writerow(["".join(str(x) for x in row), _fmt(lp)])
+        text = _csv_text([["outcomes", "log_p"]] + [
+            ["".join(str(x) for x in row), _fmt(lp)] for row, lp in zip(outcome_rows, log_ps)
+        ])
+    sys.stdout.write(text)
     summary = {
         "n_samples": samples,
         "seed": seed,
@@ -297,7 +298,7 @@ def _cmd_schedule(args) -> int:
     if args.horizon < 1:
         raise ConfigError("--horizon must be at least 1")
     sched = _FIGURES[args.figure](args.horizon)
-    print(json.dumps(sched.to_records()))
+    sys.stdout.write(_lines([json.dumps(sched.to_records())]))
     print(f"satellite_count = {satellite_count(sched)}", file=sys.stderr)
     return 0
 
@@ -362,10 +363,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on first use and kept for the process:
+    parsing leaves no state on it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

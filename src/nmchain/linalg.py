@@ -5,7 +5,8 @@ Conventions used by the whole package:
 * a register is a tuple of named qubit slots; the FIRST slot owns the most
   significant bit of the matrix index, so a state on ("a", "b", "c") is
   indexed like |abc>,
-* density matrices are complex128 arrays validated on construction,
+* density matrices are complex128 arrays validated on construction
+  (check_states, which also takes stacks),
 * entropies are in bits (log base 2),
 * Hermitian eigenproblems go to LAPACK through numpy.linalg.eigh.
 """
@@ -82,14 +83,37 @@ def computational_basis(dim: int) -> list[PureState]:
     return out
 
 
+def check_states(m: np.ndarray) -> None:
+    """Raise unless every state of a stack (..., d, d), or one state, is finite,
+    Hermitian within HERMITICITY_TOL and of unit trace within TRACE_TOL.
+
+    The states are checked in order: the first invalid one raises the
+    message DensityMatrix gives for it alone.
+    """
+    if not np.isfinite(m).all():
+        # the states before the first non-finite one are checked first
+        first = np.isfinite(m).all(axis=(-2, -1)).ravel().argmin()
+        check_states(m.reshape((-1,) + m.shape[-2:])[:first])
+        raise ValueError("density matrix has non-finite entries")
+    herm = abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    tr = m.trace(axis1=-2, axis2=-1)
+    bad = (herm > HERMITICITY_TOL) | (abs(tr - 1.0) > TRACE_TOL)
+    if bad.any():
+        i = bad.ravel().argmax()
+        if herm.ravel()[i] > HERMITICITY_TOL:
+            raise ValueError(f"density matrix not Hermitian (residual {herm.ravel()[i]:.3e})")
+        raise ValueError(f"density matrix trace {complex(tr.ravel()[i])!r} differs from 1")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian unit-trace matrix over named qubit slots.
 
-    Hermiticity, trace and finiteness are enforced on construction.
-    Positivity is checked on demand (validate_positive) because engine
-    loops construct many intermediate states where the eigendecomposition
-    would dominate the runtime.
+    Hermiticity, trace and finiteness are enforced on construction by
+    check_states, which also checks whole stacks of raw states in one
+    pass. Positivity is checked on demand (validate_positive) because
+    engine loops construct many intermediate states where the
+    eigendecomposition would dominate the runtime.
     """
 
     matrix: np.ndarray
@@ -105,14 +129,7 @@ class DensityMatrix:
         d = 2 ** len(slots)
         if m.shape != (d, d):
             raise ValueError(f"matrix shape {m.shape} does not fit {len(slots)} qubit slots")
-        if not np.isfinite(m).all():
-            raise ValueError("density matrix has non-finite entries")
-        herm = np.abs(m - dagger(m)).max()
-        if herm > HERMITICITY_TOL:
-            raise ValueError(f"density matrix not Hermitian (residual {herm:.3e})")
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr!r} differs from 1")
+        check_states(m)
 
     @property
     def n_qubits(self) -> int:

@@ -33,8 +33,8 @@ from .chains import (
     MARKOV_XOR,
     ChainModel,
     build_embedding,
+    evolve,
     markov_xor_kraus,
-    simulate,
     window_collide,
 )
 from .linalg import DensityMatrix
@@ -256,12 +256,13 @@ def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_state
     final states, log-probabilities, outcomes, the conditional states after
     each step (None unless keep_states), and the final register.
     """
-    start = simulate(model, rho0, 0)[0]
-    states, open_ids = start.matrix[None], []
+    # the start state as a one-node stack
+    states, model_slots = evolve(model, rho0, 0)
+    open_ids = []
 
     def register():
         # open molecules (newest first) ahead of the model's own register
-        return tuple(f"mol{m}" for m in open_ids) + start.slots
+        return tuple(f"mol{m}" for m in open_ids) + model_slots
 
     if model.kind != CUSTOM:
         kraus = markov_xor_kraus(model.phi) if model.kind == MARKOV_XOR else build_embedding(model)[1]

@@ -18,6 +18,7 @@ from nmchain.chains import (
     custom_chain,
     delta,
     embedded_step,
+    evolve,
     markov_xor,
     markov_xor_fixed_point,
     markov_xor_kraus,
@@ -34,12 +35,13 @@ from nmchain.chains import (
     stationary_overlap,
     stationary_state,
     system_maps,
+    system_marginals,
     window_collide,
     window_width,
 )
 from nmchain.channels import apply_kraus, map_from_probes, tomography_probes
 from nmchain.gates import sqrt_xor_gate, xor_gate
-from nmchain.linalg import DensityMatrix, tensor
+from nmchain.linalg import DensityMatrix, partial_trace_array, tensor
 
 
 def _rho(rng):
@@ -227,6 +229,32 @@ def test_markov_step_structure():
     dm = DensityMatrix(r, ("sys",))
     out_dm = markov_xor_step(dm, phi)
     assert isinstance(out_dm, DensityMatrix)
+
+
+def _bitwise_equal(a, b):
+    """Equal bit for bit, so also in the sign of every zero."""
+    a, b = np.ascontiguousarray(a, dtype=complex), np.ascontiguousarray(b, dtype=complex)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _markov_scalar_step(m, phi):
+    # the per-state step as numpy scalars form it
+    k = np.sin(2.0 * phi)
+    return np.array([[m[0, 0], k * m[0, 1]], [k * m[1, 0], m[1, 1]]], dtype=complex)
+
+
+def test_markov_step_forms_the_scalar_products():
+    # signed zeros, a subnormal that underflows to zero, and random entries
+    parts = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -0.3, 0.7]
+    coherences = [complex(x, y) for x in parts for y in parts]
+    stack = np.array([[[0.5, c], [np.conj(c), 0.5]] for c in coherences])
+    stack[:, 1, 0] = coherences[::-1]  # the step does not rely on Hermiticity
+    for phi in (0.1, 0.3, 0.7, 1.2, 0.0, -0.0, np.pi / 4):
+        got = markov_xor_step(stack, phi)
+        assert all(_bitwise_equal(g, _markov_scalar_step(m, phi)) for g, m in zip(got, stack))
+        assert all(_bitwise_equal(markov_xor_step(m, phi), g) for g, m in zip(got, stack))
+    with pytest.raises(ValueError, match="single qubit"):
+        markov_xor_step(np.eye(4) / 4, 0.3)
 
 
 def test_markov_fixed_point():
@@ -635,6 +663,21 @@ def test_system_maps_runs_each_probe_once(monkeypatch):
         assert calls == [((4, 2, 2), t_max)]
 
 
+@pytest.mark.parametrize("name,factory", [("apply_kraus", sqrt_xor), ("apply_kraus", repeated_xor),
+                                          ("markov_xor_step", markov_xor)])
+def test_builtin_system_maps_step_the_probes_as_one_stack(monkeypatch, name, factory):
+    shapes = []
+    real = getattr(chains, name)
+
+    def spy(*args):
+        shapes.append(np.shape(args[1] if name == "apply_kraus" else args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(chains, name, spy)
+    assert len(system_maps(factory(0.3), 5)) == 5
+    assert shapes == [(4, 4, 4) if name == "apply_kraus" else (4, 2, 2)] * 5
+
+
 @pytest.mark.parametrize("gap", (1, 2, 3))
 @pytest.mark.parametrize("gate", (xor_gate, sqrt_xor_gate))
 def test_stacked_system_maps_equal_per_probe_runs(gap, gate):
@@ -674,6 +717,119 @@ def test_simulate_picks_the_model_register():
     assert all(np.array_equal(g.matrix, w.matrix) for g, w in zip(got, want))
     with pytest.raises(ValueError):
         simulate(markov_xor(phi), r0, -1)
+
+
+_PHIS = (0.1, 0.3, 0.7, 1.2)
+
+
+def _mixed_memory(phi):
+    return 0.8 * H.molecule_density(phi) + 0.2 * np.eye(2) / 2
+
+
+def _per_step_run(model, r0, steps, mem0=None):
+    """States [t=0 .. steps] of one state, one step at a time: the scalar
+    markov-xor step, embedded_step from tensor(mem0, r0), or run_window."""
+    if model.kind == CUSTOM:
+        return [s.matrix for s in run_window(model, r0, steps)]
+    if model.kind == MARKOV_XOR:
+        out = [np.asarray(r0, dtype=complex)]
+        for _ in range(steps):
+            out.append(_markov_scalar_step(out[-1], model.phi))
+        return out
+    out = [tensor(_mem0() if mem0 is None else mem0, r0)]
+    for _ in range(steps):
+        out.append(embedded_step(model, out[-1]))
+    return out
+
+
+def _oracle_cases():
+    for phi in _PHIS:
+        yield markov_xor(phi), None
+        for factory in (repeated_xor, sqrt_xor):
+            yield factory(phi), None
+            yield factory(phi), _mixed_memory(phi)
+        for gate in (xor_gate, sqrt_xor_gate):
+            yield custom_chain(gate(), advanced_overlap_schedule(9), phi=phi), None
+
+
+def test_evolve_stacks_equal_per_step_runs():
+    rng = np.random.default_rng(61)
+    steps = 9
+    for model, mem0 in _oracle_cases():
+        states = np.stack([_rho(rng) for _ in range(6)])
+        states[0] = np.diag([1.0, 0.0])
+        stack, slots = evolve(model, states.reshape(2, 3, 2, 2), steps, mem0)
+        dim = 4 if model.kind in (REPEATED_XOR, SQRT_XOR) else 2
+        assert stack.shape == (2, 3, steps + 1, dim, dim)
+        assert slots == (("mem", "sys") if dim == 4 else ("sys",))
+        for got, r0 in zip(stack.reshape(6, steps + 1, dim, dim), states):
+            want = _per_step_run(model, r0, steps, mem0)
+            assert all(_bitwise_equal(g, w) for g, w in zip(got, want))
+        one, _ = evolve(model, states[1], steps, mem0)
+        assert _bitwise_equal(one, stack[0, 1])
+
+
+def test_system_maps_equal_per_probe_runs():
+    t_max = 9
+    for model, mem0 in _oracle_cases():
+        runs = [_per_step_run(model, p, t_max, mem0) for p in tomography_probes(2)]
+        outs = [[partial_trace_array(run[t], 2, [1]) if run[t].shape == (4, 4) else run[t] for run in runs]
+                for t in range(1, t_max + 1)]
+        want = [map_from_probes(out, 2) for out in outs]
+        got = system_maps(model, t_max, mem0)
+        assert len(got) == t_max
+        assert all(np.array_equal(g.matrix, w.matrix) for g, w in zip(got, want))
+
+
+def test_evolve_errors_keep_their_messages():
+    r0 = np.diag([0.4, 0.6])
+    custom = custom_chain(xor_gate(), overlap_schedule(4), phi=0.3)
+    cases = [
+        ((markov_xor(0.3), r0, 2, _mem0()), "markov-xor has no memory slot; mem0 does not apply"),
+        ((custom, r0, 2, _mem0()), "custom has no memory slot; mem0 does not apply"),
+        ((custom, r0, 5, None), "steps 5 exceed the schedule horizon 4"),
+        ((sqrt_xor(0.3), r0, -1, None), "steps must be non-negative"),
+        ((sqrt_xor(0.3), np.eye(4) / 4, 2, None), "matrix shape (4, 4) does not fit 1 qubit slots"),
+        ((markov_xor(0.3), np.diag([0.7, 0.7]), 2, None), "density matrix trace (1.4+0j) differs from 1"),
+    ]
+    for args, message in cases:
+        for run in (evolve, simulate):
+            with pytest.raises(ValueError) as err:
+                run(*args)
+            assert str(err.value) == message
+
+
+def test_evolve_checks_every_evolved_state(monkeypatch):
+    r0 = np.diag([0.4, 0.6])
+    # a step that loses trace on its third application
+    real = chains.apply_kraus
+    count = []
+
+    def leaky(kraus, m):
+        count.append(1)
+        return real(kraus, m) * (0.5 if len(count) == 3 else 1.0)
+
+    monkeypatch.setattr(chains, "apply_kraus", leaky)
+    with pytest.raises(ValueError, match="trace"):
+        evolve(sqrt_xor(0.3), r0, 4)
+    count.clear()
+    with pytest.raises(ValueError, match="trace"):
+        simulate(sqrt_xor(0.3), r0, 4)
+    count.clear()
+    with pytest.raises(ValueError, match="trace"):
+        system_maps(sqrt_xor(0.3), 4)
+
+
+def test_system_marginals_trace_out_the_memory():
+    rng = np.random.default_rng(62)
+    r0 = _rho(rng)
+    stack, slots = evolve(sqrt_xor(0.4), r0, 5, H.molecule_density(0.4))
+    got = system_marginals(stack, slots)
+    assert np.array_equal(got, partial_trace_array(stack, 2, [1]))
+    single, slots = evolve(markov_xor(0.4), r0, 5)
+    assert system_marginals(single, slots) is single
+    with pytest.raises(ValueError, match="trace"):
+        system_marginals(stack * 2, ("mem", "sys"))
 
 
 def test_mem0_rejected_without_memory_slot():

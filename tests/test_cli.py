@@ -448,6 +448,44 @@ def test_unknown_commands(capsys):
     assert rc == 2
 
 
+def test_one_parser_per_process_gives_the_results_of_fresh_parsers(tmp_path, capsys, monkeypatch):
+    gap2 = tmp_path / "gap2.json"
+    gap2.write_text(json.dumps(GAP2_H8))
+    strad = tmp_path / "strad.json"
+    strad.write_text(json.dumps([
+        {"t": 0, "mol": 0}, {"t": 1, "mol": 0}, {"t": 2, "mol": 1}, {"t": 3, "mol": 1}]))
+    split = ("--model", "sqrt-xor", "--phi", "0.3")
+    calls = [
+        (0, ("simulate", *split, "--steps", "3", "--initial", INIT, "--memory", DIAG)),
+        (0, ("simulate", "--model", "custom", "--phi", "0.4", "--schedule", str(gap2),
+             "--initial", DIAG, "--format", "csv")),
+        (0, ("measures", *split, "--initial", INIT)),
+        (0, ("divisibility", *split, "--steps", "4", "--format", "csv")),
+        (0, ("trajectories", *split, "--steps", "3", "--initial", INIT, "--samples", "4")),
+        (0, ("schedule", "--figure", "5", "--horizon", "6")),
+        (2, ("simulate", *split, "--steps", "2")),  # argparse: --initial missing
+        (0, ("--version",)),
+        (0, ("--help",)),
+        (0, ("divisibility", "--help")),
+        (2, ("simulate", "--model", "custom", "--phi", "0.3", "--initial", INIT)),  # ConfigError
+        (3, ("measures", "--model", "sqrt-xor", "--phi", str(np.pi / 4), "--initial", INIT)),
+        (4, ("trajectories", "--model", "custom", "--phi", "0.3", "--schedule", str(strad),
+             "--steps", "3", "--initial", INIT)),
+    ]
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._shared_parser.cache_clear()
+    # every call twice, so each also runs after every other on the same parser
+    reused = [run(capsys, *argv) for _ in range(2) for _, argv in calls]
+    assert len(built) == 1
+    assert [r[0] for r in reused] == [rc for rc, _ in calls] * 2
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    fresh = [run(capsys, *argv) for _, argv in calls]
+    assert len(built) == 1 + len(calls)
+    assert reused == fresh * 2
+
+
 def test_installed_entry_point():
     exe = shutil.which("nmchain")
     assert exe, "console script nmchain not on PATH"

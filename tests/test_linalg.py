@@ -7,6 +7,7 @@ from nmchain.linalg import (
     PureState,
     as_matrix,
     basis_state,
+    check_states,
     computational_basis,
     dagger,
     eig_hermitian,
@@ -65,6 +66,51 @@ def test_density_matrix_validation():
     neg = DensityMatrix(np.diag([1.5, -0.5]), slots=("sys",))
     with pytest.raises(ValueError):
         neg.validate_positive()
+
+
+def _dm_error(m):
+    with pytest.raises(ValueError) as err:
+        DensityMatrix(m, ("a", "b")[: int(np.log2(len(m)))])
+    return str(err.value)
+
+
+# one bad state of each kind, and the message it raises on its own
+_BAD_STATES = {
+    "non-finite": (np.diag([np.nan, 1.0]), "density matrix has non-finite entries"),
+    "non-Hermitian": (np.array([[0.5, 0.25], [0.0, 0.5]]), "density matrix not Hermitian (residual 2.500e-01)"),
+    "off-trace": (np.diag([0.7, 0.7]), "density matrix trace (1.4+0j) differs from 1"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_BAD_STATES))
+@pytest.mark.parametrize("shape", [(5,), (2, 3)])
+def test_check_states_raises_as_density_matrix_on_the_bad_state(kind, shape):
+    bad, message = _BAD_STATES[kind]
+    rng = np.random.default_rng(7)
+    stack = np.stack([H.rand_rho(rng, 2) for _ in range(int(np.prod(shape)))]).reshape(shape + (2, 2))
+    check_states(stack)  # a valid stack passes
+    assert _dm_error(bad) == message
+    for index in np.ndindex(shape):
+        broken = stack.copy()
+        broken[index] = bad
+        with pytest.raises(ValueError) as err:
+            check_states(broken)
+        assert str(err.value) == message
+
+
+def test_check_states_raises_for_the_first_bad_state():
+    rng = np.random.default_rng(8)
+    stack = np.stack([H.rand_rho(rng, 4) for _ in range(6)])
+    check_states(stack)
+    check_states(stack[0])
+    check_states(stack[:0])
+    for first, later in [("non-finite", "non-Hermitian"), ("non-Hermitian", "non-finite"), ("off-trace", "non-finite")]:
+        broken = stack.copy()
+        broken[2] = np.kron(np.diag([1.0, 0.0]), _BAD_STATES[first][0])
+        broken[4] = np.kron(np.diag([1.0, 0.0]), _BAD_STATES[later][0])
+        with pytest.raises(ValueError) as err:
+            check_states(broken)
+        assert str(err.value) == _dm_error(broken[2])
 
 
 def test_pure_density_roundtrip():
