@@ -68,6 +68,21 @@ def _lines(lines) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _digit_rows(bits: np.ndarray, sep: str) -> list[str]:
+    """Each row of a (rows, readouts) matrix of 0/1 outcomes as its digits
+    joined by sep ("" for a row with no readouts), cut from one character
+    matrix."""
+    rows, n = bits.shape
+    chars = np.empty((rows, n, 1 + len(sep)), dtype=np.uint8)
+    chars[..., 0] = bits + ord("0")
+    chars[..., 1:] = np.frombuffer(sep.encode("ascii"), dtype=np.uint8)
+    text = chars.tobytes().decode("ascii")
+    # a row is width characters less its trailing separator; with no
+    # readouts the text is empty, and so is every slice of it
+    width = n * (1 + len(sep))
+    return [text[i * width:(i + 1) * width - len(sep)] for i in range(rows)]
+
+
 def _csv_text(rows) -> str:
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
@@ -271,17 +286,23 @@ def _cmd_trajectories(args) -> int:
     _check_threads(args)
     _check_horizon(model, args.steps)
     stats = sample_ensemble(model, rho0, args.steps, samples, seed)
-    outcome_rows = stats.outcomes.tolist()
+    # Every printed log_p is finite: a sample takes a zero-probability child
+    # only when its uniform lies past the last cumulative probability, and
+    # that child's state is 0/0 = NaN, which sample_ensemble's state checks
+    # reject (exit 3) before any stdout is written. So the f-string row below
+    # is the text json.dumps gives: the outcome list's repr and
+    # float.__repr__ of log_p.
     log_ps = stats.log_probabilities.tolist()
     # readouts are bits; built-in rows list both, custom rows only those drawn
     freqs = [{str(k): f.get(k, 0) for k in (sorted(f) if model.kind == CUSTOM else (0, 1))}
              for f in stats.outcome_frequencies]
 
     if args.format == "json":
-        text = _lines(json.dumps({"outcomes": row, "log_p": lp}) for row, lp in zip(outcome_rows, log_ps))
+        text = _lines(f'{{"outcomes": [{bits}], "log_p": {lp!r}}}'
+                      for bits, lp in zip(_digit_rows(stats.outcomes, ", "), log_ps))
     else:
         text = _csv_text([["outcomes", "log_p"]] + [
-            ["".join(str(x) for x in row), _fmt(lp)] for row, lp in zip(outcome_rows, log_ps)
+            [bits, _fmt(lp)] for bits, lp in zip(_digit_rows(stats.outcomes, ""), log_ps)
         ])
     sys.stdout.write(text)
     summary = {

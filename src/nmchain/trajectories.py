@@ -37,7 +37,7 @@ from .chains import (
     markov_xor_kraus,
     window_collide,
 )
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, check_states
 
 MAX_ENUMERATION_STEPS = 20
 PRUNE_REQUIRED_ABOVE = 16
@@ -252,6 +252,8 @@ def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_state
     probability exceeds its uniform, and only children some sample reaches
     are kept.
 
+    Custom models check every node's state after each step, once per stack.
+
     Returns one row per branch, or per sample when uniforms are given: the
     final states, log-probabilities, outcomes, the conditional states after
     each step (None unless keep_states), and the final register.
@@ -297,6 +299,7 @@ def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_state
                 raws = np.stack([_project_out(states, len(open_ids) + 1, open_ids.index(m), lam) for lam in (0, 1)])
                 read(raws, np.trace(raws, axis1=-2, axis2=-1).real)
                 open_ids.remove(m)
+            check_states(states)
         else:
             # optimize=False: the contraction order must not depend on the batch,
             # or a row's round-off would depend on the prefixes it is batched with.
@@ -388,14 +391,13 @@ def sample_ensemble(
 
     Sample i is drawn from the stream (seed, i) alone, so its row does not
     depend on n_samples or on the samples it is walked with. Custom models
-    validate every conditional state, once per prefix.
+    check every conditional state, once per prefix and step, without keeping
+    them.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     uniforms = _uniform_block(seed, 0, n_samples, _readout_count(model, t_max))
-    states, log_p, outcomes, _, slots = _evolve_block(
-        model, rho0, t_max, uniforms, keep_states=model.kind == CUSTOM
-    )
+    states, log_p, outcomes, _, slots = _evolve_block(model, rho0, t_max, uniforms)
     mean = DensityMatrix(states.mean(axis=0), slots)
     freqs = tuple({k: int(c) for k, c in enumerate(np.bincount(col)) if c} for col in outcomes.T)
     return EnsembleStats(n_samples, mean, freqs, seed, outcomes, log_p)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import shutil
 import subprocess
@@ -8,7 +10,7 @@ import pytest
 from nmchain.chains import ChainModel, custom_chain, schedule_from_records
 from nmchain import cli
 from nmchain.cli import main
-from nmchain.gates import sqrt_xor_gate
+from nmchain.gates import sqrt_xor_gate, xor_gate
 from nmchain.trajectories import sample_ensemble
 
 
@@ -359,15 +361,59 @@ def test_trajectories_custom_steps_beyond_horizon(tmp_path, capsys):
     assert "--steps 9 exceeds the schedule horizon 8" in err
 
 
+def _dumped_rows(stats):
+    """The rows as json.dumps and csv.writer print them, one per sample."""
+    pairs = list(zip(stats.outcomes.tolist(), stats.log_probabilities.tolist()))
+    json_text = "".join(json.dumps({"outcomes": row, "log_p": lp}) + "\n" for row, lp in pairs)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [["outcomes", "log_p"]] + [["".join(map(str, row)), format(lp, ".17g")] for row, lp in pairs])
+    return json_text, buf.getvalue()
+
+
+NO_READOUT = [{"t": 1, "mol": 0}]  # no molecule closes in step 0
+
+# (flags, schedule records or None, model, initial state, steps, samples, seed)
+_ROW_CASES = [
+    (["--model", "markov-xor", "--phi", "0.3"], None, ChainModel("markov-xor", 0.3), INIT, 7, 50, 11),
+    (["--model", "sqrt-xor", "--phi", "0.9"], None, ChainModel("sqrt-xor", 0.9), DIAG, 10, 200, 2),
+    (["--model", "custom", "--phi", "0.6", "--gate", "sqrt-xor"], GAP2_H8,
+     custom_chain(sqrt_xor_gate(), schedule_from_records(GAP2_H8), phi=0.6), DIAG, 8, 30, 3),
+    (["--model", "custom", "--phi", "0.3"], NO_READOUT,
+     custom_chain(xor_gate(), schedule_from_records(NO_READOUT), phi=0.3), INIT, 1, 4, 0),
+]
+
+
+@pytest.mark.parametrize("flags,records,model,initial,steps,samples,seed", _ROW_CASES,
+                         ids=["markov-xor", "sqrt-xor", "gap2-custom", "no-readout"])
+def test_trajectories_rows_are_the_dumped_rows(tmp_path, capsys, flags, records, model, initial,
+                                               steps, samples, seed):
+    # every row, in both formats, is byte for byte what json.dumps and
+    # csv.writer print for the sample_ensemble records
+    argv = ["trajectories"] + flags + ["--initial", initial, "--steps", str(steps),
+                                       "--samples", str(samples), "--seed", str(seed)]
+    if records is not None:
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(records))
+        argv += ["--schedule", str(path)]
+    p00, p11, re01, _ = (float(x) for x in initial.split(","))
+    rho0 = np.array([[p00, re01], [re01, p11]], dtype=complex)
+    want_json, want_csv = _dumped_rows(sample_ensemble(model, rho0, steps, samples, seed))
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (0, want_json)
+    assert run(capsys, *argv, "--format", "csv") == (0, want_csv, err)
+    if records is NO_READOUT:
+        assert want_json == '{"outcomes": [], "log_p": 0.0}\n' * samples
+        assert want_csv == "outcomes,log_p\n" + ",0\n" * samples
+
+
 def test_trajectories_csv(capsys):
     rc, out, _ = run(capsys, "trajectories", "--model", "markov-xor", "--phi", "0.3",
                      "--steps", "3", "--initial", INIT, "--samples", "2",
                      "--format", "csv")
     assert rc == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "outcomes,log_p"
-    assert len(lines) == 3
-    assert len(lines[1].split(",")[0]) == 3
+    rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+    assert out == _dumped_rows(sample_ensemble(ChainModel("markov-xor", 0.3), rho0, 3, 2, 0))[1]
 
 
 def test_trajectories_custom_and_straddler(tmp_path, capsys):

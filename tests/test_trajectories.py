@@ -282,6 +282,52 @@ def test_ensemble_custom_model():
     assert ens.log_probabilities.tolist() == [r.log_probability for r in seq]
 
 
+def test_ensemble_custom_model_checks_each_step_without_keeping_states(monkeypatch):
+    # one check_states per step on the (nodes, D, D) stack; the only
+    # DensityMatrix built is the mean state
+    model = custom_chain(xor_gate(), advanced_overlap_schedule(6), phi=0.31)
+    want = sample_ensemble(model, _rho0(), t_max=6, n_samples=40, seed=4)
+    checked, built = [], []
+    real_check, real_density = trajectories.check_states, trajectories.DensityMatrix
+
+    def check(states):
+        checked.append(states.shape)
+        real_check(states)
+
+    def density(m, slots):
+        built.append(slots)
+        return real_density(m, slots)
+
+    monkeypatch.setattr(trajectories, "check_states", check)
+    monkeypatch.setattr(trajectories, "DensityMatrix", density)
+    ens = sample_ensemble(model, _rho0(), t_max=6, n_samples=40, seed=4)
+    assert len(checked) == 6
+    assert all(len(shape) == 3 and 1 <= shape[0] <= 40 for shape in checked)
+    assert built == [("sys",)]
+    assert ens.outcomes.tolist() == want.outcomes.tolist()
+    assert ens.log_probabilities.tolist() == want.log_probabilities.tolist()
+
+
+def test_custom_walk_raises_for_an_invalid_conditional_state(monkeypatch):
+    # a non-Hermitian state inside the walk raises at its step, whether the
+    # conditional states are kept or not
+    model = custom_chain(xor_gate(), advanced_overlap_schedule(4), phi=0.31)
+    collide = trajectories.window_collide
+
+    def broken(states, open_ids, model, sched, t):
+        states, open_ids = collide(states, open_ids, model, sched, t)
+        if t == 2:
+            states = states + 1e-6j * np.eye(states.shape[-1])
+        return states, open_ids
+
+    monkeypatch.setattr(trajectories, "window_collide", broken)
+    for walk in (lambda: sample_ensemble(model, _rho0(), t_max=4, n_samples=8, seed=1),
+                 lambda: enumerate_branches(model, _rho0(), t_max=4, keep_states=False),
+                 lambda: enumerate_branches(model, _rho0(), t_max=4)):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            walk()
+
+
 def test_ensemble_stats_validation():
     with pytest.raises(ValueError):
         sample_ensemble(markov_xor(0.3), _rho0(), t_max=2, n_samples=0, seed=0)
