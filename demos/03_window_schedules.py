@@ -15,7 +15,6 @@ from nmchain.chains import (
     chain_schedule,
     custom_chain,
     overlap_schedule,
-    run_window,
     satellite_count,
     schedule_from_records,
     simulate,
@@ -36,14 +35,16 @@ print(f"{'layout':<32} {'satellites':>10} {'window width':>13}")
 for name, sched in layouts:
     print(f"{name:<32} {satellite_count(sched):>10} {window_width(sched):>13}")
 
-# Window run vs the one-memory-qubit embedding. The embedding starts from
-# a fresh-molecule memory; marginals agree until the last window step,
-# which is still waiting for its second collision.
+# Window run vs the one-memory-qubit embedding: the built-in sqrt-xor
+# layout runs through the window engine as a custom model with the same
+# gate and schedule. The embedding starts from a fresh-molecule memory;
+# marginals agree until the last window step, which is still waiting for
+# its second collision.
 phi = 0.37
 steps = 7
 rho0 = np.array([[0.55, 0.21 + 0.08j], [0.21 - 0.08j, 0.45]])
 model = sqrt_xor(phi)
-window = run_window(model, rho0, steps=steps)
+window = simulate(custom_chain(model.collision_gate(), overlap_schedule(steps), phi=phi), rho0, steps)
 psi = molecule_state(phi).amplitudes
 emb = simulate(model, rho0, steps=steps, mem0=np.outer(psi, psi.conj()))
 print()
@@ -63,7 +64,7 @@ records = [
 ]
 sched = schedule_from_records(records)
 custom = custom_chain(sqrt_xor_gate(), sched, phi=phi)
-out = run_window(custom, rho0)
+out = simulate(custom, rho0, sched.horizon)
 print()
 print(f"custom 3-molecule layout: satellites={satellite_count(sched)},"
       f" width={window_width(sched)}")

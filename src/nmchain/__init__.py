@@ -29,7 +29,6 @@ from .gates import (
     xor_gate,
 )
 from .channels import (
-    ChoiMatrix,
     DivisibilityStep,
     KrausSet,
     LinearMap,
@@ -62,7 +61,6 @@ from .chains import (
     markov_xor_step,
     overlap_schedule,
     repeated_xor,
-    run_window,
     satellite_count,
     schedule_from_records,
     simulate,

@@ -12,8 +12,10 @@ molecule qubits hits the system one collision at a time.
 
 The two-collision models admit an exact satellite picture: one extra
 memory qubit that swaps with the fresh molecule each step. States on that
-compound live on slots ("mem", "sys"). Arbitrary collision layouts run in
-a sliding-window engine that keeps only the currently open molecules.
+compound live on slots ("mem", "sys"). Arbitrary collision layouts
+(custom models) run in a sliding-window engine that keeps only the
+currently open molecules; evolve is its one entry, and the window width a
+schedule needs is checked against WINDOW_QUBIT_CAP when the model is built.
 """
 from __future__ import annotations
 
@@ -30,7 +32,6 @@ from .linalg import (
     DensityMatrix,
     as_matrix,
     check_states,
-    computational_basis,
     partial_trace_array,
     tensor,
 )
@@ -225,18 +226,20 @@ class ChainModel:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; choose from {MODEL_KINDS}")
+        if self.kind == CUSTOM:
+            if self.gate is None or self.schedule is None:
+                raise ValueError("custom models need both a gate and a schedule")
+            width = window_width(self.schedule)
+            if width > WINDOW_QUBIT_CAP:
+                raise ValueError(f"schedule needs a {width}-qubit window; the engine cap is {WINDOW_QUBIT_CAP}")
+            if set(self.gate.slot_roles) != {"mol", SYSTEM_SLOT}:
+                raise ValueError(f"custom gate roles must be mol and sys, got {self.gate.slot_roles}")
+        elif self.gate is not None or self.schedule is not None:
+            raise ValueError(f"{self.kind} takes no custom gate or schedule")
         phi = float(self.phi)
         object.__setattr__(self, "phi", phi)
         if not np.isfinite(phi):
             raise ValueError("phi must be finite")
-        if self.kind == CUSTOM:
-            if self.gate is None or self.schedule is None:
-                raise ValueError("custom models need both a gate and a schedule")
-            if set(self.gate.slot_roles) != {"mol", SYSTEM_SLOT}:
-                raise ValueError(f"custom gate roles must be mol and sys, got {self.gate.slot_roles}")
-        else:
-            if self.gate is not None or self.schedule is not None:
-                raise ValueError(f"{self.kind} takes no custom gate or schedule")
 
     def collision_gate(self) -> UnitaryGate:
         if self.kind == SQRT_XOR:
@@ -244,17 +247,6 @@ class ChainModel:
         if self.kind == CUSTOM:
             return self.gate
         return xor_gate()
-
-    def window_schedule(self, horizon: Optional[int] = None) -> CollisionSchedule:
-        if self.kind == CUSTOM:
-            if horizon is not None and horizon != self.schedule.horizon:
-                raise ValueError("custom models carry a fixed schedule; do not pass a horizon")
-            return self.schedule
-        if horizon is None:
-            raise ValueError("built-in models need a horizon")
-        if self.kind == MARKOV_XOR:
-            return chain_schedule(horizon)
-        return overlap_schedule(horizon)
 
 
 def markov_xor(phi: float) -> ChainModel:
@@ -318,7 +310,7 @@ def markov_xor_step(rho, phi: float):
 
 def markov_xor_kraus(phi: float) -> KrausSet:
     """The same channel as two Kraus operators from the molecule readout."""
-    return kraus_from_collision(xor_gate(), molecule_state(phi), computational_basis(2))
+    return kraus_from_collision(xor_gate(), molecule_state(phi))
 
 
 def markov_xor_fixed_point(rho0, phi: float) -> DensityMatrix:
@@ -362,7 +354,7 @@ def _cached_embedding(kind: str, phi: float) -> tuple[UnitaryGate, KrausSet]:
     u_collide = embed(g, register, acting).matrix
     u_swap = embed(swap_gate(), register, ("mol", MEMORY_SLOT)).matrix
     step = UnitaryGate(u_collide @ u_swap @ u_collide, register, label=f"{g.label}-step")
-    kraus = kraus_from_collision(step, molecule_state(phi), computational_basis(2))
+    kraus = kraus_from_collision(step, molecule_state(phi))
     return step, kraus
 
 
@@ -503,26 +495,23 @@ def window_collide(
     joint: np.ndarray,
     open_ids: Sequence[int],
     model: ChainModel,
-    schedule: CollisionSchedule,
     t: int,
 ) -> tuple[np.ndarray, list]:
-    """Attach fresh molecules and run the collisions of step t, in listed order.
+    """Attach fresh molecules and run the collisions of step t of a custom
+    model's schedule, in listed order.
 
     joint may be one state or a stack of states (..., D, D) on the register
     of the open_ids molecules (newest first), then the system. Mutates
     nothing; returns the new (joint, open_ids). Closing the finished
     molecules is up to the caller, who may trace or read them out.
     """
+    schedule = model.schedule
     if t >= schedule.horizon:
         raise ValueError(f"schedule horizon {schedule.horizon} exhausted at t={t}")
     open_ids = list(open_ids)
     xi = _molecule_density(model.phi, math.copysign(1.0, model.phi))
     for ev in schedule.events_at(t):
         if ev.molecule not in open_ids:
-            if len(open_ids) + 2 > WINDOW_QUBIT_CAP:
-                raise ValueError(
-                    f"window would need {len(open_ids) + 2} qubits at step {t}, cap is {WINDOW_QUBIT_CAP}"
-                )
             joint = _attach(xi, joint)
             open_ids.insert(0, ev.molecule)
         g = _GATE_NAMES[ev.gate] if ev.gate is not None else model.collision_gate()
@@ -531,7 +520,7 @@ def window_collide(
     return joint, open_ids
 
 
-def _window_marginals(model: ChainModel, schedule: CollisionSchedule, states: np.ndarray, steps: int) -> list:
+def _window_marginals(model: ChainModel, states: np.ndarray, steps: int) -> list:
     """System marginals [t=1 .. steps] of one system state or a stack (..., 2, 2).
 
     The joint state of the open molecules plus the system (newest molecule
@@ -539,32 +528,18 @@ def _window_marginals(model: ChainModel, schedule: CollisionSchedule, states: np
     step's collisions, then traces out every molecule past its last event
     in one pass.
     """
+    schedule = model.schedule
     if steps > schedule.horizon:
         raise ValueError(f"steps {steps} exceed the schedule horizon {schedule.horizon}")
     out = []
     joint, open_ids = states, []
     for t in range(steps):
-        joint, open_ids = window_collide(joint, open_ids, model, schedule, t)
+        joint, open_ids = window_collide(joint, open_ids, model, t)
         keep = [q for q, m in enumerate(open_ids) if m not in schedule.closing_at(t)]
         joint = partial_trace_array(joint, len(open_ids) + 1, keep + [len(open_ids)])
         open_ids = [open_ids[q] for q in keep]
         out.append(partial_trace_array(joint, len(keep) + 1, [len(keep)]))
     return out
-
-
-def run_window(model: ChainModel, rho0, steps: Optional[int] = None) -> list[DensityMatrix]:
-    """System marginals [t=0 .. steps] under the windowed schedule.
-
-    Only the returned marginals are built (and validated) as DensityMatrix.
-    """
-    if steps is None and model.kind == CUSTOM:
-        steps = model.schedule.horizon
-    if steps is None:
-        raise ValueError("built-in models need an explicit number of steps")
-    schedule = model.window_schedule(None if model.kind == CUSTOM else steps)
-    rho0 = system_state(rho0)
-    marginals = _window_marginals(model, schedule, rho0.matrix, steps)
-    return [rho0] + [DensityMatrix(m, (SYSTEM_SLOT,)) for m in marginals]
 
 
 # --- one evolution per model, and the reduced maps it defines --------------
@@ -580,26 +555,6 @@ def _system_stack(states) -> np.ndarray:
     return m
 
 
-def _evolve(model: ChainModel, states, steps: int, mem0) -> tuple[np.ndarray, tuple[str, ...]]:
-    """evolve without the check of the evolved stack."""
-    if steps < 0:
-        raise ValueError("steps must be non-negative")
-    embedded = model.kind in (REPEATED_XOR, SQRT_XOR)
-    if mem0 is not None and not embedded:
-        raise ValueError(f"{model.kind} has no memory slot; mem0 does not apply")
-    s = _system_stack(states)
-    if model.kind == CUSTOM:
-        return np.stack([s] + _window_marginals(model, model.schedule, s, steps), axis=-3), (SYSTEM_SLOT,)
-    if embedded:
-        kraus = build_embedding(model)[1]
-        s = _attach(_memory_array(mem0), s)
-        check_states(s)
-    out = [s]
-    for _ in range(steps):
-        out.append(apply_kraus(kraus, out[-1]) if embedded else markov_xor_step(out[-1], model.phi))
-    return np.stack(out, axis=-3), (MEMORY_SLOT, SYSTEM_SLOT) if embedded else (SYSTEM_SLOT,)
-
-
 def evolve(model: ChainModel, states, steps: int, mem0=None) -> tuple[np.ndarray, tuple[str, ...]]:
     """States [t=0 .. steps] of one system state or a stack (..., 2, 2), as one array.
 
@@ -611,9 +566,25 @@ def evolve(model: ChainModel, states, steps: int, mem0=None) -> tuple[np.ndarray
     models have a memory slot; mem0 for any other kind raises. Every state
     of the stack is checked as a DensityMatrix would be, in one pass.
     """
-    stack, slots = _evolve(model, states, steps, mem0)
+    if steps < 0:
+        raise ValueError("steps must be non-negative")
+    embedded = model.kind in (REPEATED_XOR, SQRT_XOR)
+    if mem0 is not None and not embedded:
+        raise ValueError(f"{model.kind} has no memory slot; mem0 does not apply")
+    s = _system_stack(states)
+    if model.kind == CUSTOM:
+        out = [s] + _window_marginals(model, s, steps)
+    else:
+        if embedded:
+            kraus = build_embedding(model)[1]
+            s = _attach(_memory_array(mem0), s)
+            check_states(s)
+        out = [s]
+        for _ in range(steps):
+            out.append(apply_kraus(kraus, out[-1]) if embedded else markov_xor_step(out[-1], model.phi))
+    stack = np.stack(out, axis=-3)
     check_states(stack)
-    return stack, slots
+    return stack, (MEMORY_SLOT, SYSTEM_SLOT) if embedded else (SYSTEM_SLOT,)
 
 
 def simulate(model: ChainModel, rho0, steps: int, mem0=None) -> list[DensityMatrix]:
@@ -621,7 +592,7 @@ def simulate(model: ChainModel, rho0, steps: int, mem0=None) -> list[DensityMatr
 
     The list view of evolve for one system state rho0.
     """
-    stack, slots = _evolve(model, rho0, steps, mem0)
+    stack, slots = evolve(model, rho0, steps, mem0)
     return [DensityMatrix(m, slots) for m in stack]
 
 

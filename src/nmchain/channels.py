@@ -9,7 +9,7 @@ the reference copy on the most significant index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -46,35 +46,21 @@ class KrausSet:
         return self.operators[0].shape[0]
 
 
-def kraus_from_collision(
-    u, molecule: PureState, readout_basis: Sequence[PureState]
-) -> KrausSet:
-    """Kraus operators of one collision followed by a molecule readout.
+def kraus_from_collision(u, molecule: PureState) -> KrausSet:
+    """Kraus operators of one collision followed by a computational readout
+    of the molecule.
 
     The molecule occupies the FIRST (most significant) slot of the unitary;
-    operator number l is <readout_l| u |molecule>, acting on the remaining
-    slots. The readout basis must be a complete orthonormal basis of the
-    molecule space.
+    operator number l is <l| u |molecule>, acting on the remaining slots.
     """
     matrix = u.matrix if hasattr(u, "matrix") else np.asarray(u, dtype=complex)
     d_mol = molecule.dim
-    if len(readout_basis) != d_mol:
-        raise ValueError(f"readout basis must have {d_mol} states, got {len(readout_basis)}")
-    for i, a in enumerate(readout_basis):
-        if a.dim != d_mol:
-            raise ValueError("readout states must match the molecule dimension")
-        for j, b in enumerate(readout_basis):
-            olap = np.vdot(a.amplitudes, b.amplitudes)
-            if abs(olap - (1.0 if i == j else 0.0)) > 1e-12:
-                raise ValueError("readout basis is not orthonormal")
     total = matrix.shape[0]
     if total % d_mol != 0:
         raise ValueError("unitary dimension does not factor over the molecule slot")
     d_rest = total // d_mol
     blocks = matrix.reshape(d_mol, d_rest, d_mol, d_rest)
-    ops = []
-    for lam in readout_basis:
-        ops.append(np.einsum("a,arbc,b->rc", lam.amplitudes.conj(), blocks, molecule.amplitudes))
+    ops = [np.einsum("rbc,b->rc", blocks[l], molecule.amplitudes) for l in range(d_mol)]
     return KrausSet(tuple(ops))
 
 
@@ -144,28 +130,15 @@ def compose(outer: LinearMap, inner: LinearMap) -> LinearMap:
     return LinearMap(outer.matrix @ inner.matrix)
 
 
-@dataclass(frozen=True, eq=False)
-class ChoiMatrix:
-    matrix: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        m = np.ascontiguousarray(np.asarray(self.matrix, dtype=complex))
-        object.__setattr__(self, "matrix", m)
-        if m.shape != (self.dim ** 2, self.dim ** 2):
-            raise ValueError(f"Choi shape {m.shape} does not fit dimension {self.dim}")
-
-
-def choi(m: LinearMap) -> ChoiMatrix:
-    """Block (i, j) of the Choi matrix is the map applied to |i><j|."""
+def choi(m: LinearMap) -> np.ndarray:
+    """The (d^2, d^2) Choi matrix: block (i, j) is the map applied to |i><j|."""
     d = m.dim
     # column stacking: S[b*d + a, j*d + i] is entry (a, b) of map(|i><j|)
-    c = m.matrix.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
-    return ChoiMatrix(c, d)
+    return m.matrix.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
-def min_choi_eigenvalue(c: Union[ChoiMatrix, np.ndarray]) -> float:
-    m = c.matrix if isinstance(c, ChoiMatrix) else np.asarray(c, dtype=complex)
+def min_choi_eigenvalue(c: np.ndarray) -> float:
+    m = np.asarray(c, dtype=complex)
     skew = np.abs(m - dagger(m)).max()
     if skew > CHOI_HERMITIAN_TOL:
         raise ValueError(f"Choi matrix is far from Hermitian (residual {skew:.3e})")
@@ -173,7 +146,7 @@ def min_choi_eigenvalue(c: Union[ChoiMatrix, np.ndarray]) -> float:
     return float(w[-1])
 
 
-def is_cp(c: Union[ChoiMatrix, np.ndarray], tol: float = CP_TOL_DEFAULT) -> bool:
+def is_cp(c: np.ndarray, tol: float = CP_TOL_DEFAULT) -> bool:
     return min_choi_eigenvalue(c) >= -tol
 
 
@@ -270,7 +243,7 @@ def divisibility_step(
         return DivisibilityStep(None, None, None, smallest)
     inter = LinearMap(np.linalg.solve(m_prev.matrix.T, m_t.matrix.T).T)
     c = choi(inter)
-    if np.abs(c.matrix - dagger(c.matrix)).max() > CHOI_HERMITIAN_TOL:
+    if np.abs(c - dagger(c)).max() > CHOI_HERMITIAN_TOL:
         return DivisibilityStep(None, None, None, smallest)
     mn = min_choi_eigenvalue(c)
     return DivisibilityStep(mn >= -cp_tol, inter, mn, smallest)

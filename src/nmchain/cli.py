@@ -23,7 +23,6 @@ from .chains import (
     MARKOV_XOR,
     REPEATED_XOR,
     SQRT_XOR,
-    WINDOW_QUBIT_CAP,
     ChainModel,
     advanced_overlap_schedule,
     chain_schedule,
@@ -35,7 +34,6 @@ from .chains import (
     single_molecule_schedule,
     system_maps,
     system_marginals,
-    window_width,
 )
 from .channels import divisibility_scan
 from .gates import sqrt_xor_gate, xor_gate
@@ -128,11 +126,6 @@ def _build_model(args) -> ChainModel:
         if not getattr(args, "schedule", None):
             raise ConfigError("--model custom requires --schedule")
         schedule = _load_schedule(args.schedule)
-        width = window_width(schedule)
-        if width > WINDOW_QUBIT_CAP:
-            raise ConfigError(
-                f"schedule needs a {width}-qubit window; the engine cap is {WINDOW_QUBIT_CAP}"
-            )
         gate = sqrt_xor_gate() if getattr(args, "gate", "xor") == "sqrt-xor" else xor_gate()
         payload = {"gate": gate, "schedule": schedule}
     elif getattr(args, "schedule", None):

@@ -294,7 +294,7 @@ def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_state
 
     for t in range(t_max):
         if model.kind == CUSTOM:
-            states, open_ids = window_collide(states, open_ids, model, model.schedule, t)
+            states, open_ids = window_collide(states, open_ids, model, t)
             for m in model.schedule.closing_at(t):
                 raws = np.stack([_project_out(states, len(open_ids) + 1, open_ids.index(m), lam) for lam in (0, 1)])
                 read(raws, np.trace(raws, axis1=-2, axis2=-1).real)

@@ -398,23 +398,23 @@ def evolve_block_oracle(ops, state0, uniforms):
     return states, log_p, outcomes
 
 
-# ---- window loop: the per-step DensityMatrix loop that run_window replaced ----
+# ---- window loop: a per-step DensityMatrix loop over the window engine ----
 # Unlike the oracles above, this one reuses the package's collision step and
-# partial trace: it pins the raw-array loop of run_window bit for bit, not
+# partial trace: it pins the raw-array loop of the engine bit for bit, not
 # the physics.
 
 def window_step_oracle(model, rho0, steps):
-    """System marginals [t=0 .. steps]; the joint state is rebuilt as a
-    validated DensityMatrix after every step and its closing molecules are
-    traced out by name."""
+    """System marginals [t=0 .. steps] of a custom model; the joint state is
+    rebuilt as a validated DensityMatrix after every step and its closing
+    molecules are traced out by name."""
     from nmchain.chains import SYSTEM_SLOT, system_state, window_collide
     from nmchain.linalg import DensityMatrix, partial_trace
 
-    schedule = model.window_schedule(None if model.kind == "custom" else steps)
+    schedule = model.schedule
     joint, open_ids = system_state(rho0), ()
     out = [joint]
     for t in range(steps):
-        m, ids = window_collide(joint.matrix, open_ids, model, schedule, t)
+        m, ids = window_collide(joint.matrix, open_ids, model, t)
         closing = {i for i in ids if schedule.last_event(i) <= t}
         slots = [f"mol{i}" for i in ids] + [SYSTEM_SLOT]
         joint = DensityMatrix(m, tuple(slots))

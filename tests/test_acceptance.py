@@ -30,7 +30,6 @@ from nmchain.chains import (
     markov_xor_step,
     overlap_schedule,
     repeated_xor,
-    run_window,
     satellite_count,
     simulate,
     sqrt_xor,
@@ -203,7 +202,7 @@ def test_criterion_05_window_vs_embedding():
             r0 = _rand_qubit(rng)
             model = factory(phi)
             steps = 12
-            window = run_window(model, r0, steps=steps)
+            window = simulate(custom_chain(model.collision_gate(), overlap_schedule(steps), phi=phi), r0, steps)
             emb = simulate(model, r0, steps=steps, mem0=molecule_state(phi).density())
             for t in range(11):
                 sys_emb = partial_trace(emb[t], "sys")
@@ -224,7 +223,8 @@ def test_criterion_06_brute_force_window():
     worst = 0.0
     for factory, gate_ms in ((repeated_xor, H.XOR_MOL_SYS), (sqrt_xor, H.sqrt_xor_mol_sys())):
         phi = 0.37
-        window = run_window(factory(phi), r0, steps=horizon)[-1].matrix
+        model = custom_chain(factory(phi).collision_gate(), overlap_schedule(horizon), phi=phi)
+        window = simulate(model, r0, horizon)[-1].matrix
         brute = H.brute_force_final(H.overlap_events(horizon), horizon, gate_ms, phi, r0,
                                     n_mol=horizon)
         worst = max(worst, H.tdist(window, brute))
@@ -354,7 +354,7 @@ def test_criterion_11_advanced_overlap():
     model = custom_chain(xor_gate(), sched, phi=0.34)
     rng = np.random.default_rng(611)
     r0 = _rand_qubit(rng)
-    window = run_window(model, r0)[-1].matrix
+    window = simulate(model, r0, horizon)[-1].matrix
     brute = H.brute_force_final(H.advanced_overlap_events(horizon), horizon,
                                 H.XOR_MOL_SYS, 0.34, r0, n_mol=horizon)
     dev = H.tdist(window, brute)

@@ -25,7 +25,6 @@ from nmchain.chains import (
     markov_xor_step,
     overlap_schedule,
     repeated_xor,
-    run_window,
     satellite_count,
     schedule_from_records,
     simulate,
@@ -192,18 +191,6 @@ def test_collision_gate_dispatch():
     assert markov_xor(0.2).collision_gate().label == "xor"
     assert repeated_xor(0.2).collision_gate().label == "xor"
     assert sqrt_xor(0.2).collision_gate().label == "sqrt-xor"
-
-
-def test_window_schedule_dispatch():
-    assert [(e.step, e.molecule) for e in markov_xor(0.1).window_schedule(3).events] == [
-        (0, 0), (1, 1), (2, 2)]
-    assert satellite_count(repeated_xor(0.1).window_schedule(5)) == 1
-    cm = custom_chain(xor_gate(), advanced_overlap_schedule(4))
-    assert cm.window_schedule() is cm.schedule
-    with pytest.raises(ValueError):
-        cm.window_schedule(7)
-    with pytest.raises(ValueError):
-        repeated_xor(0.1).window_schedule()
 
 
 # ---- single-collision model ------------------------------------------------
@@ -449,6 +436,8 @@ def test_stationary_overlap_values():
 
 
 # ---- sliding window engine ---------------------------------------------------
+# The window engine runs custom models only; a built-in layout runs through it
+# as the custom model with the same gate and schedule.
 
 @pytest.mark.parametrize("kind,factory,gate_ms", [
     ("double", repeated_xor, H.XOR_MOL_SYS),
@@ -459,7 +448,7 @@ def test_run_window_matches_independent_window_oracle(kind, factory, gate_ms):
     phi = 0.42
     r0 = _rho(rng)
     steps = 6
-    got = run_window(factory(phi), r0, steps=steps)
+    got = simulate(custom_chain(factory(phi).collision_gate(), overlap_schedule(steps), phi=phi), r0, steps)
     want = H.window_run_oracle(H.overlap_events(steps), steps, gate_ms, phi, r0)
     for t in range(steps + 1):
         assert H.tdist(got[t].matrix, want[t]) < 1e-13
@@ -472,7 +461,7 @@ def test_window_marginals_match_embedding_from_fresh_memory(factory):
     model = factory(phi)
     r0 = _rho(rng)
     steps = 7
-    window = run_window(model, r0, steps=steps)
+    window = simulate(custom_chain(model.collision_gate(), overlap_schedule(steps), phi=phi), r0, steps)
     xi = H.molecule_density(phi)
     emb = simulate(model, r0, steps=steps, mem0=xi)
     from nmchain.linalg import partial_trace
@@ -484,7 +473,7 @@ def test_window_marginals_match_embedding_from_fresh_memory(factory):
 def test_run_window_markov_equals_closed_form():
     phi = 0.6
     r = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]])
-    got = run_window(markov_xor(phi), r, steps=5)
+    got = simulate(custom_chain(xor_gate(), chain_schedule(5), phi=phi), r, 5)
     cur = r.copy()
     for t in range(6):
         assert H.tdist(got[t].matrix, cur) < 1e-14
@@ -499,8 +488,8 @@ def test_custom_window_gate_override_consistency():
     phi = 0.33
     custom = custom_chain(xor_gate(), schedule_from_records(recs, horizon=steps), phi=phi)
     r0 = np.diag([0.2, 0.8]).astype(complex)
-    a = run_window(custom, r0)
-    b = run_window(sqrt_xor(phi), r0, steps=steps)
+    a = simulate(custom, r0, steps)
+    b = simulate(custom_chain(sqrt_xor_gate(), sched, phi=phi), r0, steps)
     for x, y in zip(a, b):
         assert H.tdist(x.matrix, y.matrix) < 1e-13
 
@@ -512,33 +501,34 @@ def test_custom_window_against_advanced_oracle():
     model = custom_chain(xor_gate(), sched, phi=phi)
     rng = np.random.default_rng(23)
     r0 = _rho(rng)
-    got = run_window(model, r0)
+    got = simulate(model, r0, steps)
     want = H.window_run_oracle(H.advanced_overlap_events(steps), steps, H.XOR_MOL_SYS, phi, r0)
     for t in range(steps + 1):
         assert H.tdist(got[t].matrix, want[t]) < 1e-13
 
 
 def test_run_window_errors_and_cap():
-    with pytest.raises(ValueError):
-        run_window(repeated_xor(0.3), np.diag([1.0, 0.0]))  # steps required
     cm = custom_chain(xor_gate(), overlap_schedule(4), phi=0.3)
     with pytest.raises(ValueError):
-        run_window(cm, np.diag([1.0, 0.0]), steps=9)
-    assert len(run_window(cm, np.diag([1.0, 0.0]))) == 5
-    # a schedule that holds every molecule open outgrows the window cap
+        simulate(cm, np.diag([1.0, 0.0]), 9)
+    assert len(simulate(cm, np.diag([1.0, 0.0]), 4)) == 5
+    # a schedule that holds every molecule open outgrows the window cap; the
+    # model is refused when it is built, the width reported before phi
     horizon = WINDOW_QUBIT_CAP
     wide = schedule_from_records(
         [{"t": t, "mol": m} for t in range(horizon) for m in range(t + 1)], horizon=horizon)
     assert window_width(wide) > WINDOW_QUBIT_CAP
-    wide_model = custom_chain(xor_gate(), wide, phi=0.3)
-    with pytest.raises(ValueError, match="cap"):
-        run_window(wide_model, np.diag([1.0, 0.0]))
+    for build in (lambda: custom_chain(xor_gate(), wide),
+                  lambda: ChainModel(CUSTOM, float("nan"), gate=xor_gate(), schedule=wide)):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == "schedule needs a 7-qubit window; the engine cap is 6"
 
 
 def test_sliding_window_state_bookkeeping():
-    model = repeated_xor(0.3)
-    sched = model.window_schedule(4)
-    joint, open_ids = window_collide(np.diag([1.0, 0.0]).astype(complex), [], model, sched, 0)
+    sched = overlap_schedule(4)
+    model = custom_chain(xor_gate(), sched, phi=0.3)
+    joint, open_ids = window_collide(np.diag([1.0, 0.0]).astype(complex), [], model, 0)
     # step 0 attaches molecule 1 (fresh) and molecule 0 (single event), newest
     # first; the register is those molecules, then the system
     assert open_ids == [0, 1]
@@ -564,7 +554,10 @@ _STEP_ORACLE_MODELS = {
        for gap in (1, 2, 3) for gate in (xor_gate, sqrt_xor_gate)},
     **{f"burst-{gate.__name__}": custom_chain(gate(), _burst_schedule(40), phi=0.43)
        for gate in (xor_gate, sqrt_xor_gate)},
-    **{factory.__name__: factory(0.31) for factory in (markov_xor, repeated_xor, sqrt_xor)},
+    # the built-in layouts as custom models
+    "markov_xor": custom_chain(xor_gate(), chain_schedule(40), phi=0.31),
+    "repeated_xor": custom_chain(xor_gate(), overlap_schedule(40), phi=0.31),
+    "sqrt_xor": custom_chain(sqrt_xor_gate(), overlap_schedule(40), phi=0.31),
 }
 
 
@@ -572,7 +565,7 @@ _STEP_ORACLE_MODELS = {
 def test_run_window_bitwise_matches_step_oracle(name):
     model = _STEP_ORACLE_MODELS[name]
     r0 = _rho(np.random.default_rng(53))
-    got = run_window(model, r0, steps=40)
+    got = simulate(model, r0, 40)
     want = H.window_step_oracle(model, r0, 40)
     assert len(got) == len(want) == 41
     assert all(g.slots == ("sys",) and np.array_equal(g.matrix, w.matrix) for g, w in zip(got, want))
@@ -650,12 +643,11 @@ def test_system_maps_runs_each_probe_once(monkeypatch):
     calls = []
     real = chains._window_marginals
 
-    def spy(model, schedule, states, steps):
+    def spy(model, states, steps):
         calls.append((np.shape(states), steps))
-        return real(model, schedule, states, steps)
+        return real(model, states, steps)
 
     monkeypatch.setattr(chains, "_window_marginals", spy)
-    monkeypatch.setattr(chains, "run_window", None)
     custom = custom_chain(xor_gate(), advanced_overlap_schedule(8), phi=0.3)
     for t_max in (3, 8):
         calls.clear()
@@ -683,7 +675,7 @@ def test_builtin_system_maps_step_the_probes_as_one_stack(monkeypatch, name, fac
 def test_stacked_system_maps_equal_per_probe_runs(gap, gate):
     t_max = 12
     custom = custom_chain(gate(), chains._double_collision_schedule(t_max, gap), phi=0.43)
-    runs = [run_window(custom, p) for p in tomography_probes(2)]
+    runs = [simulate(custom, p, t_max) for p in tomography_probes(2)]
     want = [map_from_probes([run[t].matrix for run in runs], 2) for t in range(1, t_max + 1)]
     got = system_maps(custom, t_max)
     assert len(got) == t_max
@@ -712,7 +704,7 @@ def test_simulate_picks_the_model_register():
         assert all(np.array_equal(g.matrix, w) for g, w in zip(got, want))
     custom = custom_chain(sqrt_xor_gate(), advanced_overlap_schedule(6), phi=phi)
     got = simulate(custom, r0, steps)
-    want = run_window(custom, r0, steps)
+    want = H.window_step_oracle(custom, r0, steps)
     assert [s.slots for s in got] == [("sys",)] * (steps + 1)
     assert all(np.array_equal(g.matrix, w.matrix) for g, w in zip(got, want))
     with pytest.raises(ValueError):
@@ -728,9 +720,10 @@ def _mixed_memory(phi):
 
 def _per_step_run(model, r0, steps, mem0=None):
     """States [t=0 .. steps] of one state, one step at a time: the scalar
-    markov-xor step, embedded_step from tensor(mem0, r0), or run_window."""
+    markov-xor step, embedded_step from tensor(mem0, r0), or the window
+    engine's per-step DensityMatrix loop."""
     if model.kind == CUSTOM:
-        return [s.matrix for s in run_window(model, r0, steps)]
+        return [s.matrix for s in H.window_step_oracle(model, r0, steps)]
     if model.kind == MARKOV_XOR:
         out = [np.asarray(r0, dtype=complex)]
         for _ in range(steps):

@@ -130,12 +130,14 @@ def test_simulate_config_errors(tmp_path, capsys):
 
 
 def test_simulate_rejects_wide_schedule(tmp_path, capsys):
-    recs = [{"t": t, "mol": m} for t in range(7) for m in range(t + 1)]
+    # six molecules open at once: a 7-qubit window, one over the cap
+    recs = [{"t": t, "mol": m} for t in range(6) for m in range(t + 1)]
     sched = tmp_path / "wide.json"
     sched.write_text(json.dumps(recs))
-    rc, _, err = run(capsys, "simulate", "--model", "custom", "--phi", "0.3",
-                     "--schedule", str(sched), "--initial", INIT)
-    assert rc == 2 and "cap" in err
+    for command, *extra in (("simulate", "--initial", INIT), ("divisibility",),
+                            ("trajectories", "--initial", INIT), ("measures", "--initial", INIT)):
+        got = run(capsys, command, "--model", "custom", "--phi", "0.3", "--schedule", str(sched), *extra)
+        assert got == (2, "", "error: schedule needs a 7-qubit window; the engine cap is 6\n"), command
 
 
 def test_schedule_gate_must_be_a_string(tmp_path, capsys):

@@ -13,7 +13,6 @@ from nmchain.chains import (
     markov_xor_kraus,
     overlap_schedule,
     repeated_xor,
-    run_window,
     schedule_from_records,
     simulate,
     sqrt_xor,
@@ -128,7 +127,7 @@ def test_window_enumeration_matches_nonselective():
     model = custom_chain(xor_gate(), sched, phi=0.33)
     recs = enumerate_branches(model, _rho0(), t_max=5)
     avg = branch_average(recs)
-    want = run_window(model, _rho0())[-1].matrix
+    want = simulate(model, _rho0(), 5)[-1].matrix
     assert np.abs(avg - want).max() < 1e-12
     assert sum(r.probability for r in recs) == pytest.approx(1.0, abs=1e-12)
 
@@ -314,8 +313,8 @@ def test_custom_walk_raises_for_an_invalid_conditional_state(monkeypatch):
     model = custom_chain(xor_gate(), advanced_overlap_schedule(4), phi=0.31)
     collide = trajectories.window_collide
 
-    def broken(states, open_ids, model, sched, t):
-        states, open_ids = collide(states, open_ids, model, sched, t)
+    def broken(states, open_ids, model, t):
+        states, open_ids = collide(states, open_ids, model, t)
         if t == 2:
             states = states + 1e-6j * np.eye(states.shape[-1])
         return states, open_ids
