@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .chains import (
     CUSTOM,
@@ -62,13 +61,21 @@ def _direction(theta, psi) -> np.ndarray:
 
 
 def _chart(theta: float, psi: float) -> ProjectivePair:
-    """The direction (theta, psi) named with theta in [0, pi] and psi in [0, 2 pi)."""
+    """The measurement along (theta, psi), named by the one of n and -n with
+    n_z > 0: theta in [0, pi/2] and psi in [0, 2 pi), and psi in [0, pi) on
+    the equator theta = pi/2. n and -n are the same measurement with its
+    outcomes swapped, and the conditional entropy is even in n."""
     theta = math.remainder(theta, 2.0 * math.pi)
     if theta < 0.0:
         theta, psi = -theta, psi + math.pi
+    if theta > math.pi / 2:
+        theta, psi = math.pi - theta, psi + math.pi
     psi %= 2.0 * math.pi
-    # a tiny negative psi rounds up to 2 pi itself
-    return ProjectivePair(theta, 0.0 if psi == 2.0 * math.pi else psi)
+    if psi == 2.0 * math.pi:
+        psi = 0.0  # a tiny negative psi rounds up to 2 pi itself
+    if theta == math.pi / 2 and psi >= math.pi:
+        psi -= math.pi
+    return ProjectivePair(theta, psi)
 
 
 # the scan's (theta, psi) points, theta-major, and their Bloch directions
@@ -125,6 +132,14 @@ def _polish_objective(x: np.ndarray, corr: np.ndarray) -> tuple[float, np.ndarra
     return float(value.sum()), np.array([n_theta @ d_n, n[0] * d_n[1] - n[1] * d_n[0]])
 
 
+def minimize(fun, x0, **kwargs):
+    """scipy.optimize.minimize, imported on the first call, so that the
+    package loads without scipy until a correlation is polished."""
+    from scipy import optimize
+
+    return optimize.minimize(fun, x0, **kwargs)
+
+
 def mutual_information(rho: DensityMatrix, part: Union[str, Sequence[str]] = "mem") -> float:
     """S(part) + S(rest) - S(whole), in bits."""
     if isinstance(part, str):
@@ -147,8 +162,8 @@ def classical_correlation(rho: DensityMatrix, measured: str = "mem") -> tuple[fl
     index wins ties) and the three best grid points seed BFGS polishes of
     the same conditional entropy on its analytic gradient. A polished point
     replaces the grid's best only if it is strictly lower, so J never falls
-    below the grid's estimate. The basis is returned with theta in [0, pi]
-    and psi in [0, 2 pi).
+    below the grid's estimate. The basis is named as in _chart: theta in
+    [0, pi/2] and psi in [0, 2 pi), with psi in [0, pi) at theta = pi/2.
     """
     corr = _correlations(rho, measured)
     h_other = float(_block_entropy(corr[0])[0])

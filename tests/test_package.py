@@ -1,11 +1,35 @@
 import ast
 import functools
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import nmchain
 
 SRC = Path(nmchain.__file__).parent
+
+# Runs in a fresh interpreter: imports nmchain, then makes each CLI call
+# in turn, and prints the scipy modules loaded after each step.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = {}
+import nmchain
+loaded["import nmchain"] = scipy_modules()
+from nmchain.cli import main
+loaded["import nmchain.cli"] = scipy_modules()
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    loaded[" ".join(argv)] = scipy_modules() if rc == 0 else f"exit code {rc}"
+print(json.dumps(loaded))
+"""
 
 
 def test_no_private_names_imported_across_modules():
@@ -52,3 +76,26 @@ def test_benchmark_trace_names_resolve():
         if not callable(target):
             missing.append(name)
     assert not missing, missing
+
+
+def test_cli_runs_without_scipy_until_a_correlation_is_polished(tmp_path):
+    # scipy.optimize is imported on the first polish only, so every other
+    # subcommand starts without it; module names, not times, keep this exact
+    sched = tmp_path / "gap2.json"
+    sched.write_text(json.dumps([{"t": t, "mol": m} for m in range(4) for t in (m, m + 2)]))
+    init = ["--initial", "0.5,0.5,0.5,0"]
+    without = [
+        ["simulate", "--model", "sqrt-xor", "--phi", "0.3", "--steps", "4", "--memory", "0.3,0.7,0.1,0", *init],
+        ["simulate", "--model", "custom", "--phi", "0.3", "--schedule", str(sched), *init],
+        ["divisibility", "--model", "repeated-xor", "--phi", "0.3", "--steps", "4"],
+        ["trajectories", "--model", "sqrt-xor", "--phi", "0.3", "--steps", "5", "--samples", "8", *init],
+        ["schedule", "--figure", "5", "--horizon", "6"],
+    ]
+    measures = ["measures", "--model", "sqrt-xor", "--phi", "0.3", *init]
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(without + [measures])],
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "scipy.optimize" in loaded.pop(" ".join(measures))
+    assert loaded == {step: [] for step in loaded}, loaded
