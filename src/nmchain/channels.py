@@ -8,7 +8,7 @@ the reference copy on the most significant index.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,9 +23,11 @@ SINGULAR_CUTOFF = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Kraus operators of a channel; operator l belongs to readout outcome l."""
+    """Kraus operators of a channel; operator l belongs to readout outcome l.
+    adjoints holds their conjugate transposes, formed once."""
 
     operators: tuple[np.ndarray, ...]
+    adjoints: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         ops = tuple(np.ascontiguousarray(np.asarray(m, dtype=complex)) for m in self.operators)
@@ -36,7 +38,8 @@ class KrausSet:
         for m in ops:
             if m.shape != (d, d):
                 raise ValueError("all Kraus operators must share one square shape")
-        total = sum(dagger(m) @ m for m in ops)
+        object.__setattr__(self, "adjoints", tuple(dagger(m) for m in ops))
+        total = sum(a @ m for a, m in zip(self.adjoints, ops))
         dev = np.abs(total - np.eye(d)).max()
         if dev > COMPLETENESS_TOL:
             raise ValueError(f"Kraus completeness violated (residual {dev:.3e})")
@@ -68,8 +71,8 @@ def apply_kraus(kraus: KrausSet, rho):
     """Non-selective application; preserves the input type."""
     m = as_matrix(rho)
     out = np.zeros_like(m)
-    for op in kraus.operators:
-        out += op @ m @ dagger(op)
+    for op, adj in zip(kraus.operators, kraus.adjoints):
+        out += op @ m @ adj
     if isinstance(rho, DensityMatrix):
         return DensityMatrix(out, rho.slots)
     return out

@@ -62,6 +62,26 @@ def _mat(m: np.ndarray) -> list:
     return np.stack([m.real, m.imag], -1).tolist()
 
 
+def _cells(blocks, fmt) -> list[list[str]]:
+    """The float64 blocks, each (rows, ...), laid side by side as one
+    (rows, F) matrix and returned as rows of text cells. Each distinct value
+    is formatted once: np.unique runs on the int64 bit view, so -0.0 and 0.0
+    keep their own text."""
+    values = np.concatenate([b.reshape(len(b), -1) for b in blocks], axis=1)
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array([fmt(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+    return text[inverse.reshape(values.shape)].tolist()
+
+
+def _pairs_template(shape) -> str:
+    """json.dumps's text of a nested list of [re, im] pairs of this shape,
+    with %s for each number."""
+    tpl = "[%s, %s]"
+    for n in reversed(shape):
+        tpl = "[" + ", ".join([tpl] * n) + "]"
+    return tpl
+
+
 def _lines(lines) -> str:
     return "".join(line + "\n" for line in lines)
 
@@ -183,20 +203,23 @@ def _cmd_simulate(args) -> int:
     d = delta(compound) if model.kind == SQRT_XOR else None
 
     if args.format == "json":
-        fields = {"rho_system": _mat(system)}
-        if compound is not None:
-            fields["rho_compound"] = _mat(compound)
-        if d is not None:
-            fields["delta"] = _mat(d)
-        text = _lines(json.dumps({"t": t, **{k: v[t] for k, v in fields.items()}}) for t in range(steps + 1))
+        fields = {"rho_system": system, "rho_compound": compound, "delta": d}
+        fields = {k: m for k, m in fields.items() if m is not None}
+        tpl = "{" + ", ".join(['"t": %d'] + [f'"{k}": {_pairs_template(m.shape[1:])}'
+                                             for k, m in fields.items()]) + "}"
+        # float.__repr__ is the text json.dumps writes for a finite float, and
+        # every value here is finite: evolve and system_marginals reject a
+        # non-finite state (exit 3) before any stdout is written, and delta
+        # sums four entries of those checked states.
+        cells = _cells([np.stack([m.real, m.imag], -1) for m in fields.values()], float.__repr__)
+        text = _lines(tpl % (t, *row) for t, row in enumerate(cells))
     else:
         header = ["t", "p00", "p11", "re01", "im01"]
         cols = [system[:, 0, 0].real, system[:, 1, 1].real, system[:, 0, 1].real, system[:, 0, 1].imag]
         if d is not None:
             header += ["delta_re", "delta_im"]
             cols += [d.real, d.imag]
-        values = zip(*(c.tolist() for c in cols))
-        text = _csv_text([header] + [[str(t)] + [_fmt(x) for x in row] for t, row in enumerate(values)])
+        text = _csv_text([header] + [[str(t)] + row for t, row in enumerate(_cells(cols, _fmt))])
     sys.stdout.write(text)
     return 0
 

@@ -52,6 +52,22 @@ def test_kraus_set_validation():
         KrausSet(())
 
 
+def test_apply_kraus_reads_the_adjoints_formed_once():
+    # the sum is the per-call op @ rho @ op^dagger sum from zeros, bit for
+    # bit: signed zeros included, as the CLI prints them
+    ks = build_embedding(sqrt_xor(0.7))[1]
+    for op, adj in zip(ks.operators, ks.adjoints):
+        assert np.array_equal(adj, op.conj().T)
+    rng = np.random.default_rng(7)
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    mixed = g @ g.conj().T
+    for rho in (np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex), mixed / np.trace(mixed)):
+        want = np.zeros_like(rho)
+        for op in ks.operators:
+            want += op @ rho @ op.conj().T
+        assert np.array_equal(apply_kraus(ks, rho).view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("kind", ["double", "split"])
 @pytest.mark.parametrize("phi", [0.3, np.pi / 6, 1.1])
 def test_kraus_from_collision_matches_block_oracle(kind, phi):

@@ -7,7 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from nmchain.chains import ChainModel, custom_chain, schedule_from_records
+from nmchain.chains import ChainModel, custom_chain, delta, evolve, schedule_from_records, system_marginals
 from nmchain import cli
 from nmchain.cli import main
 from nmchain.gates import sqrt_xor_gate, xor_gate
@@ -90,6 +90,99 @@ def test_simulate_custom_default_steps(tmp_path, capsys):
                      "--schedule", str(sched), "--initial", INIT)
     assert rc == 0
     assert len(jl(out)) == 3  # horizon 2 -> t = 0, 1, 2
+
+
+def _state_arg(text):
+    """A --initial / --memory argument as the CLI reads it, signed zeros and all."""
+    p00, p11, re01, im01 = (float(x) for x in text.split(","))
+    return np.array([[p00, re01 + 1j * im01], [re01 - 1j * im01, p11]], dtype=complex)
+
+
+def _simulated_rows(model, initial, steps, memory):
+    """simulate's rows as json.dumps and csv.writer print them, from one evolve stack."""
+    stack, slots = evolve(model, _state_arg(initial), steps,
+                          None if memory is None else _state_arg(memory))
+    system = system_marginals(stack, slots)
+    fields = {"rho_system": system}
+    if len(slots) == 2:
+        fields["rho_compound"] = stack
+    if model.kind == "sqrt-xor":
+        fields["delta"] = delta(stack)
+    pairs = {k: np.stack([m.real, m.imag], -1).tolist() for k, m in fields.items()}
+    json_text = "".join(json.dumps({"t": t, **{k: v[t] for k, v in pairs.items()}}) + "\n"
+                        for t in range(steps + 1))
+    header = ["t", "p00", "p11", "re01", "im01"]
+    cols = [system[:, 0, 0].real, system[:, 1, 1].real, system[:, 0, 1].real, system[:, 0, 1].imag]
+    if "delta" in fields:
+        header += ["delta_re", "delta_im"]
+        cols += [fields["delta"].real, fields["delta"].imag]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(
+        [header] + [[t] + [cli._fmt(x) for x in row] for t, row in enumerate(zip(*cols))])
+    return json_text, buf.getvalue()
+
+
+# gap-2 double-collision layout over 25 steps: molecule m meets the system
+# at steps m - 2 and m (fresh molecules first within a step)
+GAP2_H25 = [{"t": t, "mol": m} for t in range(25) for m in (t + 2, t) if m < 25]
+# re01 = -0.0 with a negative im01 keeps rho[0, 1] = -0.0 - 0.2j, printed as -0.0 / -0
+SIGNED_ZERO = "0.3,0.7,-0.0,-0.2"
+MEMORY = "0.6,0.4,0.1,-0.2"
+
+# (flags, schedule records or None, model, initial state, memory state or None)
+_SIM_CASES = [
+    (["--model", "markov-xor", "--phi", "0.3"], None, ChainModel("markov-xor", 0.3), SIGNED_ZERO, None),
+    (["--model", "repeated-xor", "--phi", "0.8"], None, ChainModel("repeated-xor", 0.8), DIAG, MEMORY),
+    (["--model", "sqrt-xor", "--phi", "0.6"], None, ChainModel("sqrt-xor", 0.6), INIT, MEMORY),
+    (["--model", "custom", "--phi", "0.6", "--gate", "sqrt-xor"], GAP2_H25,
+     custom_chain(sqrt_xor_gate(), schedule_from_records(GAP2_H25), phi=0.6), SIGNED_ZERO, None),
+]
+
+
+@pytest.mark.parametrize("steps", [0, 25])
+@pytest.mark.parametrize("flags,records,model,initial,memory", _SIM_CASES,
+                         ids=["markov-xor", "repeated-xor", "sqrt-xor", "gap2-custom"])
+def test_simulate_rows_are_the_dumped_rows(tmp_path, capsys, flags, records, model, initial,
+                                           memory, steps):
+    # every row, in both formats, is byte for byte what json.dumps and
+    # csv.writer print for the evolve stack
+    argv = ["simulate"] + flags + ["--initial", initial, "--steps", str(steps)]
+    if records is not None:
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(records))
+        argv += ["--schedule", str(path)]
+    if memory is not None:
+        argv += ["--memory", memory]
+    want_json, want_csv = _simulated_rows(model, initial, steps, memory)
+    assert run(capsys, *argv) == (0, want_json, "")
+    assert run(capsys, *argv, "--format", "csv") == (0, want_csv, "")
+    if initial is SIGNED_ZERO:
+        assert "[[0.3, 0.0], [-0.0, -0.2]]" in want_json.splitlines()[0]
+        assert want_csv.splitlines()[1].endswith(",-0,-0.20000000000000001")
+
+
+def test_simulate_formats_each_distinct_value_once(capsys, monkeypatch):
+    # a repeated-xor run repeats its stationary values bit for bit; each
+    # distinct bit pattern is formatted at most once
+    formed = []
+    cells = cli._cells
+
+    def counting_cells(blocks, fmt):
+        def counted(x):
+            formed.append(x)
+            return fmt(x)
+        return cells(blocks, counted)
+
+    monkeypatch.setattr(cli, "_cells", counting_cells)
+    monkeypatch.setattr(cli.json, "dumps", None)  # the rows need no json.dumps call
+    rc, out, _ = run(capsys, "simulate", "--model", "repeated-xor", "--phi", "0.8", "--steps", "60",
+                     "--initial", SIGNED_ZERO, "--memory", MEMORY)
+    assert rc == 0
+    printed = np.array([x for row in jl(out)
+                        for m in (row["rho_system"], row["rho_compound"]) for x in np.ravel(m)])
+    distinct = np.unique(printed.view(np.int64)).size
+    assert 0 < len(formed) <= distinct < printed.size // 10
+    assert np.unique(np.array(formed).view(np.int64)).size == len(formed)
 
 
 def test_simulate_config_errors(tmp_path, capsys):
