@@ -7,9 +7,9 @@ the measured qubit's index first (Luo, PRA 77, 042303 (2008)). Measuring
 along the Bloch direction n leaves two outcome blocks, each a qubit
 state of trace w_0 and Bloch vector w_1:3 with w = (corr[0] +- n @ corr[1:]) / 2,
 and one closed-form entropy of such blocks serves the whole maximization:
-a coarse deterministic grid of directions picks starting points, and BFGS
-on the same formula's gradient polishes the best few. Everything
-downstream (discord, the report classification) builds on that optimum.
+half a coarse deterministic grid of directions (n and -n are one
+measurement) picks the best, and one BFGS polish on the same formula's
+gradient refines it. Everything downstream builds on that optimum.
 """
 from __future__ import annotations
 
@@ -78,13 +78,14 @@ def _chart(theta: float, psi: float) -> ProjectivePair:
     return ProjectivePair(theta, psi)
 
 
-# the scan's (theta, psi) points, theta-major, and their Bloch directions
-_GRID = np.stack(np.meshgrid(
-    (np.arange(GRID_THETA) + 0.5) * np.pi / GRID_THETA,
+# the scanned Bloch directions: the theta < pi/2 half of the GRID_THETA x
+# GRID_ALPHA grid, theta-major. The other half mirrors its theta rows about
+# pi/2 and shifts its psi rows by pi, so it holds exactly their antipodes -n.
+_HALF_GRID = _direction(*np.meshgrid(
+    (np.arange(GRID_THETA // 2) + 0.5) * np.pi / GRID_THETA,
     np.arange(GRID_ALPHA) * 2.0 * np.pi / GRID_ALPHA,
     indexing="ij",
-), axis=-1).reshape(-1, 2)
-_GRID_DIRECTIONS = _direction(_GRID[:, 0], _GRID[:, 1])
+)).reshape(-1, 3)
 
 _PAULIS = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 # sigma_j (x) sigma_k as _PAULI_PAIRS[j, k]
@@ -123,13 +124,15 @@ def _block_entropy(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return value, d_tr, d_gap / np.maximum(gap, _EIG_FLOOR)
 
 
-def _polish_objective(x: np.ndarray, corr: np.ndarray) -> tuple[float, np.ndarray]:
-    """Conditional entropy along the direction x = (theta, psi), with its gradient."""
-    n, n_theta = _direction(np.array([x[0], x[0] + np.pi / 2]), x[1])
+def _polish_objective(x: np.ndarray, frame: np.ndarray, corr: np.ndarray) -> tuple[float, np.ndarray]:
+    """Conditional entropy along n = normalize(frame[0] + x @ frame[1:]), with its gradient in x."""
+    m = frame[0] + x @ frame[1:]
+    norm = math.sqrt(m @ m)
+    n = m / norm
     w = (corr[0] + _BRANCH[:, None] * (n @ corr[1:])) / 2.0
     value, d_tr, d_bloch = _block_entropy(w)
     d_n = corr[1:] @ (_BRANCH @ np.column_stack([d_tr, d_bloch[:, None] * w[:, 1:]])) / 2.0
-    return float(value.sum()), np.array([n_theta @ d_n, n[0] * d_n[1] - n[1] * d_n[0]])
+    return float(value.sum()), frame[1:] @ (d_n - (d_n @ n) * n) / norm
 
 
 def minimize(fun, x0, **kwargs):
@@ -158,25 +161,29 @@ def mutual_information(rho: DensityMatrix, part: Union[str, Sequence[str]] = "me
 def classical_correlation(rho: DensityMatrix, measured: str = "mem") -> tuple[float, ProjectivePair]:
     """Best classical information about the unmeasured qubit, with the argmax basis.
 
-    Deterministic: the coarse grid is scanned in a fixed order (first best
-    index wins ties) and the three best grid points seed BFGS polishes of
-    the same conditional entropy on its analytic gradient. A polished point
+    Deterministic: the theta < pi/2 half grid, which holds one of n and -n
+    for every direction of the full grid, is scanned in a fixed order (first
+    best index wins ties), and one BFGS polish of the same conditional
+    entropy on its analytic gradient runs from the best grid direction n0 in
+    the tangent chart normalize(n0 + u e_theta + v e_psi). The polished point
     replaces the grid's best only if it is strictly lower, so J never falls
     below the grid's estimate. The basis is named as in _chart: theta in
     [0, pi/2] and psi in [0, 2 pi), with psi in [0, pi) at theta = pi/2.
     """
     corr = _correlations(rho, measured)
     h_other = float(_block_entropy(corr[0])[0])
-    blocks = (corr[0] + _BRANCH[:, None, None] * (_GRID_DIRECTIONS @ corr[1:])) / 2.0
+    blocks = (corr[0] + _BRANCH[:, None, None] * (_HALF_GRID @ corr[1:])) / 2.0
     cond = _block_entropy(blocks)[0].sum(axis=0)
-    order = np.argsort(cond, kind="stable")
-    best_val, best_x = float(cond[order[0]]), _GRID[order[0]]
-    for idx in order[:3]:
-        res = minimize(_polish_objective, _GRID[idx], args=(corr,),
-                       jac=True, method="BFGS", options={"gtol": 1e-7})
-        if res.fun < best_val:
-            best_val, best_x = float(res.fun), res.x
-    return max(h_other - best_val, 0.0), _chart(float(best_x[0]), float(best_x[1]))
+    best_val, n = float(cond.min()), _HALF_GRID[np.argmin(cond)]
+    s = math.hypot(n[0], n[1])  # > 0: no grid point is a pole
+    frame = np.array([n, [n[2] * n[0] / s, n[2] * n[1] / s, -s], [-n[1] / s, n[0] / s, 0.0]])
+    res = minimize(_polish_objective, np.zeros(2), args=(frame, corr),
+                   jac=True, method="BFGS", options={"gtol": 1e-7})
+    if res.fun < best_val:
+        best_val, n = float(res.fun), frame[0] + res.x @ frame[1:]
+    # atan2, not acos: acos loses ~1e-8 rad of theta near the pole
+    theta, psi = math.atan2(math.hypot(n[0], n[1]), n[2]), math.atan2(n[1], n[0])
+    return max(h_other - best_val, 0.0), _chart(theta, psi)
 
 
 def discord(rho: DensityMatrix, measured: str = "mem") -> float:
