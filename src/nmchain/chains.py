@@ -19,6 +19,7 @@ schedule needs is checked against WINDOW_QUBIT_CAP when the model is built.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -46,7 +47,10 @@ SYSTEM_SLOT = "sys"
 MEMORY_SLOT = "mem"
 WINDOW_QUBIT_CAP = 6
 
-_GATE_NAMES = {"xor": xor_gate(), "sqrt-xor": sqrt_xor_gate()}
+# Gate codes of schedule events: code c names GATE_NAMES[c]; 0 is the model's own gate.
+GATE_NAMES = (None, "xor", "sqrt-xor")
+_GATE_CODES = {name: code for code, name in enumerate(GATE_NAMES)}
+_GATES = (None, xor_gate(), sqrt_xor_gate())
 
 
 @dataclass(frozen=True)
@@ -66,119 +70,172 @@ class CollisionEvent:
             raise ValueError(f"negative step {self.step}")
         if self.molecule < 0:
             raise ValueError(f"negative molecule id {self.molecule}")
-        if self.gate is not None and self.gate not in _GATE_NAMES:
-            raise ValueError(f"unknown gate {self.gate!r}; choose from {sorted(_GATE_NAMES)}")
+        if self.gate is not None and self.gate not in _GATE_CODES:
+            raise ValueError(f"unknown gate {self.gate!r}; choose from {sorted(GATE_NAMES[1:])}")
 
 
-@dataclass(frozen=True, eq=False)
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class CollisionSchedule:
-    """Events sorted by step; within a step the listed order is execution order."""
+    """Collisions held as three read-only int64 arrays sorted by step:
+    `event_steps`, `event_molecules` and `event_gates` (codes into
+    GATE_NAMES). Within a step the listed order is execution order.
 
-    events: tuple[CollisionEvent, ...]
-    horizon: int
+    The constructor takes CollisionEvents; the built-in layouts and
+    schedule_from_records fill the arrays directly. `events` and
+    `to_records()` are views built on demand.
+    """
 
-    def __post_init__(self):
-        events = tuple(self.events)
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        seen = {}
-        for ev in events:
-            if ev.step >= self.horizon:
-                raise ValueError(f"event at step {ev.step} outside horizon {self.horizon}")
-            key = (ev.molecule, ev.step)
-            if key in seen:
-                raise ValueError(f"molecule {ev.molecule} listed twice at step {ev.step}")
-            seen[key] = True
-        order = sorted(range(len(events)), key=lambda i: events[i].step)
-        object.__setattr__(self, "events", tuple(events[i] for i in order))
-        # index each molecule's (first, last) step and each step's events; the
-        # events are in step order, so the last step seen is the last event
-        spans, at, closing = {}, {}, {}
-        for ev in self.events:
-            spans[ev.molecule] = (spans.get(ev.molecule, (ev.step,))[0], ev.step)
-            at.setdefault(ev.step, []).append(ev)
-        spans = dict(sorted(spans.items()))
-        for m, (_, last) in spans.items():
-            closing.setdefault(last, []).append(m)
-        object.__setattr__(self, "_spans", spans)
-        object.__setattr__(self, "_events_at", {t: tuple(evs) for t, evs in at.items()})
-        object.__setattr__(self, "_closing_at", {t: tuple(ms) for t, ms in closing.items()})
+    def __init__(self, events: Sequence[CollisionEvent], horizon: int):
+        events = tuple(events)
+        self._index(
+            [ev.step for ev in events],
+            [ev.molecule for ev in events],
+            horizon,
+            [_GATE_CODES[ev.gate] for ev in events],
+        )
+
+    @classmethod
+    def _from_arrays(cls, steps, molecules, horizon: int, gates=None) -> CollisionSchedule:
+        # the caller has checked what CollisionEvent checks: no negative
+        # step or molecule, only known gate codes (default 0)
+        sched = cls.__new__(cls)
+        sched._index(steps, molecules, horizon, np.zeros(len(steps), np.int64) if gates is None else gates)
+        return sched
+
+    def _index(self, steps, molecules, horizon: int, gates) -> None:
+        steps, molecules, gates = (np.asarray(a, dtype=np.int64) for a in (steps, molecules, gates))
+        if horizon < 1:
+            raise ValueError(f"horizon must be positive, got {horizon}")
+        # molecule-major, then step; lexsort is stable, so an event that
+        # repeats an earlier (molecule, step) comes right after it
+        by_mol = np.lexsort((steps, molecules))
+        mol, step = molecules[by_mol], steps[by_mol]
+        first, last = np.ones(len(mol), dtype=bool), np.ones(len(mol), dtype=bool)
+        first[1:] = last[:-1] = mol[1:] != mol[:-1]
+        repeat = np.zeros(len(mol), dtype=bool)
+        repeat[1:] = ~first[1:] & (step[1:] == step[:-1])
+        bad = steps >= horizon
+        bad[by_mol[repeat]] = True
+        if bad.any():
+            # the first offending event in listed order, as an event loop would find it
+            i = int(np.argmax(bad))
+            if steps[i] >= horizon:
+                raise ValueError(f"event at step {steps[i]} outside horizon {horizon}")
+            raise ValueError(f"molecule {molecules[i]} listed twice at step {steps[i]}")
+        self.horizon = horizon
+        order = np.argsort(steps, kind="stable")
+        self.event_steps = _readonly(steps[order])
+        self.event_molecules = _readonly(molecules[order])
+        self.event_gates = _readonly(gates[order])
+        # molecule ids ascending, each with its first and last step
+        self._ids, self._first, self._last = (_readonly(a) for a in (mol[first], step[first], step[last]))
+        by_last = np.argsort(self._last, kind="stable")
+        self._closing_ids = self._ids[by_last]
+        # the window engine looks up every step it runs; bisect on lists is
+        # the cheapest search of the sorted steps
+        self._step_list = self.event_steps.tolist()
+        self._closing_list = self._last[by_last].tolist()
         # for the census: all first steps and all last steps, each sorted
-        object.__setattr__(self, "_ends", np.sort(np.array(list(spans.values()), dtype=np.int64).reshape(-1, 2), 0).T)
+        self._ends = (np.sort(self._first), np.sort(self._last))
+
+    def _step_slice(self, step: int) -> slice:
+        lo = bisect.bisect_left(self._step_list, step)
+        return slice(lo, bisect.bisect_right(self._step_list, step, lo))
+
+    def _events(self, rows: slice) -> tuple[CollisionEvent, ...]:
+        return tuple(CollisionEvent(t, m, GATE_NAMES[g]) for t, m, g in zip(
+            self.event_steps[rows].tolist(), self.event_molecules[rows].tolist(), self.event_gates[rows].tolist()))
+
+    @property
+    def events(self) -> tuple[CollisionEvent, ...]:
+        return self._events(slice(None))
+
+    def spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(molecule ids ascending, first steps, last steps) as read-only arrays."""
+        return self._ids, self._first, self._last
 
     def molecules(self) -> tuple[int, ...]:
-        return tuple(self._spans)
+        return tuple(self._ids.tolist())
+
+    def _span_row(self, molecule: int) -> int:
+        i = int(self._ids.searchsorted(molecule))
+        if i == len(self._ids) or self._ids[i] != molecule:
+            raise ValueError(f"molecule {molecule} has no events")
+        return i
 
     def first_event(self, molecule: int) -> int:
-        if molecule not in self._spans:
-            raise ValueError(f"molecule {molecule} has no events")
-        return self._spans[molecule][0]
+        return int(self._first[self._span_row(molecule)])
 
     def last_event(self, molecule: int) -> int:
-        if molecule not in self._spans:
-            raise ValueError(f"molecule {molecule} has no events")
-        return self._spans[molecule][1]
+        return int(self._last[self._span_row(molecule)])
 
     def events_at(self, step: int) -> tuple[CollisionEvent, ...]:
-        return self._events_at.get(step, ())
+        return self._events(self._step_slice(step))
 
     def closing_at(self, step: int) -> tuple[int, ...]:
         """Molecules whose last event is at step, in ascending id order."""
-        return self._closing_at.get(step, ())
+        lo = bisect.bisect_left(self._closing_list, step)
+        return tuple(self._closing_ids[lo:bisect.bisect_right(self._closing_list, step, lo)].tolist())
 
     def to_records(self) -> list[dict]:
-        out = []
-        for ev in self.events:
-            rec = {"t": ev.step, "mol": ev.molecule}
-            if ev.gate is not None:
-                rec["gate"] = ev.gate
-            out.append(rec)
-        return out
+        gate = [{} if name is None else {"gate": name} for name in GATE_NAMES]
+        return [{"t": t, "mol": m, **gate[g]} for t, m, g in zip(
+            self.event_steps.tolist(), self.event_molecules.tolist(), self.event_gates.tolist())]
 
 
 def schedule_from_records(records: Sequence[dict], horizon: Optional[int] = None) -> CollisionSchedule:
     """Build a schedule from parsed JSON records [{"t": int, "mol": int, "gate"?: str}]."""
-    events = []
+    steps, molecules, gates = [], [], []
     for i, rec in enumerate(records):
         if not isinstance(rec, dict) or "t" not in rec or "mol" not in rec:
             raise ValueError(f"record {i} must be an object with keys 't' and 'mol'")
-        extra = set(rec) - {"t", "mol", "gate"}
-        if extra:
-            raise ValueError(f"record {i} has unknown keys {sorted(extra)}")
+        # beside 't' and 'mol' a record may hold only 'gate'
+        if len(rec) > 2 + ("gate" in rec):
+            raise ValueError(f"record {i} has unknown keys {sorted(set(rec) - {'t', 'mol', 'gate'})}")
         t, mol = rec["t"], rec["mol"]
         if not isinstance(t, int) or isinstance(t, bool) or not isinstance(mol, int) or isinstance(mol, bool):
             raise ValueError(f"record {i}: 't' and 'mol' must be integers")
         gate = rec.get("gate")
         if gate is not None and not isinstance(gate, str):
             raise ValueError(f"record {i}: 'gate' must be a string, got {gate!r}")
-        events.append(CollisionEvent(t, mol, gate))
-    if not events:
+        code = _GATE_CODES.get(gate)
+        if t < 0 or mol < 0 or code is None:
+            CollisionEvent(t, mol, gate)  # raises the event's own message
+        steps.append(t)
+        molecules.append(mol)
+        gates.append(code)
+    if not steps:
         raise ValueError("schedule has no events")
     if horizon is None:
-        horizon = max(ev.step for ev in events) + 1
-    return CollisionSchedule(tuple(events), horizon)
+        horizon = max(steps) + 1
+    return CollisionSchedule._from_arrays(steps, molecules, horizon, gates)
 
 
 def chain_schedule(horizon: int) -> CollisionSchedule:
     """Every molecule collides exactly once: molecule t at step t."""
-    return CollisionSchedule(tuple(CollisionEvent(t, t) for t in range(horizon)), horizon)
+    t = np.arange(horizon)
+    return CollisionSchedule._from_arrays(t, t, horizon)
 
 
 def single_molecule_schedule(horizon: int) -> CollisionSchedule:
     """One molecule colliding at every step."""
-    return CollisionSchedule(tuple(CollisionEvent(t, 0) for t in range(horizon)), horizon)
+    t = np.arange(horizon)
+    return CollisionSchedule._from_arrays(t, np.zeros_like(t), horizon)
 
 
 def _double_collision_schedule(horizon: int, gap: int) -> CollisionSchedule:
     # Fresh molecules first within each step, then the one finishing its
     # second (or only) collision. Molecules near the start of the chain
-    # collide once so every molecule's activity fits the horizon.
-    events = []
-    for t in range(horizon):
-        if t + gap <= horizon - 1:
-            events.append(CollisionEvent(t, t + gap))
-        events.append(CollisionEvent(t, t))
-    return CollisionSchedule(tuple(events), horizon)
+    # collide once so every molecule's activity fits the horizon: the fresh
+    # molecule t + gap of step t is kept only while it is below the horizon.
+    t = np.arange(horizon)
+    steps, molecules = np.repeat(t, 2), np.column_stack([t + gap, t]).ravel()
+    keep = molecules < horizon
+    return CollisionSchedule._from_arrays(steps[keep], molecules[keep], horizon)
 
 
 def overlap_schedule(horizon: int) -> CollisionSchedule:
@@ -510,12 +567,13 @@ def window_collide(
         raise ValueError(f"schedule horizon {schedule.horizon} exhausted at t={t}")
     open_ids = list(open_ids)
     xi = _molecule_density(model.phi, math.copysign(1.0, model.phi))
-    for ev in schedule.events_at(t):
-        if ev.molecule not in open_ids:
+    rows = schedule._step_slice(t)
+    for molecule, code in zip(schedule.event_molecules[rows].tolist(), schedule.event_gates[rows].tolist()):
+        if molecule not in open_ids:
             joint = _attach(xi, joint)
-            open_ids.insert(0, ev.molecule)
-        g = _GATE_NAMES[ev.gate] if ev.gate is not None else model.collision_gate()
-        acting = [open_ids.index(ev.molecule) if role == "mol" else len(open_ids) for role in g.slot_roles]
+            open_ids.insert(0, molecule)
+        g = _GATES[code] if code else model.collision_gate()
+        acting = [open_ids.index(molecule) if role == "mol" else len(open_ids) for role in g.slot_roles]
         joint = apply_gate(joint, g, acting, len(open_ids) + 1)
     return joint, open_ids
 
@@ -535,7 +593,8 @@ def _window_marginals(model: ChainModel, states: np.ndarray, steps: int) -> list
     joint, open_ids = states, []
     for t in range(steps):
         joint, open_ids = window_collide(joint, open_ids, model, t)
-        keep = [q for q, m in enumerate(open_ids) if m not in schedule.closing_at(t)]
+        closing = schedule.closing_at(t)
+        keep = [q for q, m in enumerate(open_ids) if m not in closing]
         joint = partial_trace_array(joint, len(open_ids) + 1, keep + [len(open_ids)])
         open_ids = [open_ids[q] for q in keep]
         out.append(partial_trace_array(joint, len(keep) + 1, [len(keep)]))

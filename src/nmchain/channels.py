@@ -23,30 +23,32 @@ SINGULAR_CUTOFF = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """Kraus operators of a channel; operator l belongs to readout outcome l.
-    adjoints holds their conjugate transposes, formed once."""
+    """Kraus operators of a channel as one (L, d, d) array; operator l
+    belongs to readout outcome l. adjoints holds their conjugate
+    transposes, formed once."""
 
-    operators: tuple[np.ndarray, ...]
-    adjoints: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    operators: np.ndarray
+    adjoints: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        ops = tuple(np.ascontiguousarray(np.asarray(m, dtype=complex)) for m in self.operators)
-        object.__setattr__(self, "operators", ops)
+        ops = [np.asarray(m, dtype=complex) for m in self.operators]
         if not ops:
             raise ValueError("KrausSet needs at least one operator")
         d = ops[0].shape[0]
         for m in ops:
             if m.shape != (d, d):
                 raise ValueError("all Kraus operators must share one square shape")
-        object.__setattr__(self, "adjoints", tuple(dagger(m) for m in ops))
-        total = sum(a @ m for a, m in zip(self.adjoints, ops))
-        dev = np.abs(total - np.eye(d)).max()
+        ops = np.stack(ops)
+        adjs = np.ascontiguousarray(dagger(ops))
+        object.__setattr__(self, "operators", ops)
+        object.__setattr__(self, "adjoints", adjs)
+        dev = np.abs((adjs @ ops).sum(0) - np.eye(d)).max()
         if dev > COMPLETENESS_TOL:
             raise ValueError(f"Kraus completeness violated (residual {dev:.3e})")
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[-1]
 
 
 def kraus_from_collision(u, molecule: PureState) -> KrausSet:
@@ -68,11 +70,12 @@ def kraus_from_collision(u, molecule: PureState) -> KrausSet:
 
 
 def apply_kraus(kraus: KrausSet, rho):
-    """Non-selective application; preserves the input type."""
+    """Non-selective application to one state or a stack (..., d, d);
+    preserves the input type."""
     m = as_matrix(rho)
-    out = np.zeros_like(m)
-    for op, adj in zip(kraus.operators, kraus.adjoints):
-        out += op @ m @ adj
+    # one product over the operator axis; the sum starts from 0, as
+    # zeros + sum of terms did, so it gives the same signed zeros
+    out = (kraus.operators @ m[..., None, :, :] @ kraus.adjoints).sum(-3, initial=0)
     if isinstance(rho, DensityMatrix):
         return DensityMatrix(out, rho.slots)
     return out
@@ -135,9 +138,13 @@ def compose(outer: LinearMap, inner: LinearMap) -> LinearMap:
 
 def choi(m: LinearMap) -> np.ndarray:
     """The (d^2, d^2) Choi matrix: block (i, j) is the map applied to |i><j|."""
-    d = m.dim
-    # column stacking: S[b*d + a, j*d + i] is entry (a, b) of map(|i><j|)
-    return m.matrix.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
+    return _choi(m.matrix, m.dim)
+
+
+def _choi(s: np.ndarray, d: int) -> np.ndarray:
+    # for one superoperator or a stack (..., d^2, d^2); column stacking:
+    # S[b*d + a, j*d + i] is entry (a, b) of map(|i><j|)
+    return s.reshape(s.shape[:-2] + (d, d, d, d)).swapaxes(-4, -1).reshape(s.shape)
 
 
 def min_choi_eigenvalue(c: np.ndarray) -> float:
@@ -201,7 +208,8 @@ def map_tomography(evolve: Callable[[np.ndarray], np.ndarray], dim: int) -> Line
 
 
 def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values (descending), taken by SVD so small ones stay resolved."""
+    """Singular values (descending) of one matrix or of each of a stack,
+    taken by SVD so small ones stay resolved."""
     return np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
 
 
@@ -227,29 +235,10 @@ def divisibility_step(
     *,
     cp_tol: float = CP_TOL_DEFAULT,
 ) -> DivisibilityStep:
-    """CP test of the map connecting two accumulated evolutions.
-
-    Solves L m_prev = m_t for the intermediate L and checks its Choi
-    spectrum. When m_prev has a singular value below SINGULAR_CUTOFF, or
-    the solve's round-off (which grows like eps / sigma_min) leaves the
-    Choi matrix of L far from Hermitian, the step is reported as
-    indeterminate rather than guessed. cp_tol must be finite and
-    non-negative.
-    """
-    if not (np.isfinite(cp_tol) and cp_tol >= 0):
-        raise ValueError(f"cp_tol must be finite and non-negative, got {cp_tol!r}")
-    if m_t.dim != m_prev.dim:
-        raise ValueError("maps act on different dimensions")
-    sv = singular_values(m_prev.matrix)
-    smallest = float(sv[-1])
-    if smallest < SINGULAR_CUTOFF:
-        return DivisibilityStep(None, None, None, smallest)
-    inter = LinearMap(np.linalg.solve(m_prev.matrix.T, m_t.matrix.T).T)
-    c = choi(inter)
-    if np.abs(c - dagger(c)).max() > CHOI_HERMITIAN_TOL:
-        return DivisibilityStep(None, None, None, smallest)
-    mn = min_choi_eigenvalue(c)
-    return DivisibilityStep(mn >= -cp_tol, inter, mn, smallest)
+    """CP test of the map connecting two accumulated evolutions: the second
+    step of divisibility_scan([m_prev, m_t]). cp_tol must be finite and
+    non-negative."""
+    return divisibility_scan([m_prev, m_t], cp_tol=cp_tol)[1]
 
 
 def divisibility_scan(
@@ -260,11 +249,43 @@ def divisibility_scan(
     """Stepwise CP checks for a whole trajectory of accumulated maps.
 
     maps[t] is the evolution up to step t+1; the first entry is checked
-    against the identity, later ones against their predecessor.
+    against the identity, later ones against their predecessor. Each step
+    solves L m_prev = m_t for the intermediate L and checks its Choi
+    spectrum. When m_prev has a singular value below SINGULAR_CUTOFF, or
+    the solve's round-off (which grows like eps / sigma_min) leaves the
+    Choi matrix of L far from Hermitian, the step is reported as
+    indeterminate rather than guessed. All steps run as one stack: one
+    SVD, one solve, one Choi reshuffle and one eigh, each batched over the
+    steps. cp_tol must be finite and non-negative.
     """
+    if not (np.isfinite(cp_tol) and cp_tol >= 0):
+        raise ValueError(f"cp_tol must be finite and non-negative, got {cp_tol!r}")
     if not maps:
         return []
-    out = [divisibility_step(maps[0], identity_map(maps[0].dim), cp_tol=cp_tol)]
-    for prev, cur in zip(maps, maps[1:]):
-        out.append(divisibility_step(cur, prev, cp_tol=cp_tol))
+    d = maps[0].dim
+    if any(m.dim != d for m in maps):
+        raise ValueError("maps act on different dimensions")
+    cur = np.stack([m.matrix for m in maps])
+    eye = np.eye(d * d, dtype=complex)
+    prev = np.concatenate([eye[None], cur[:-1]])
+    smallest = singular_values(prev)[:, -1]
+    invertible = smallest >= SINGULAR_CUTOFF
+    # a singular predecessor is swapped for the identity so that the one
+    # batched solve cannot fail on it; its step is reported undecided
+    prev = np.where(invertible[:, None, None], prev, eye)
+    inter = np.linalg.solve(prev.swapaxes(-1, -2), cur.swapaxes(-1, -2)).swapaxes(-1, -2)
+    c = _choi(inter, d)
+    decided = invertible & (np.abs(c - dagger(c)).max((-2, -1)) <= CHOI_HERMITIAN_TOL)
+    # symmetrised twice, as min_choi_eigenvalue and then eig_hermitian do;
+    # an undecided step's Choi matrix is swapped for the identity, so that
+    # eigh only sees the matrices a per-step check would have handed it
+    h = np.where(decided[:, None, None], (c + dagger(c)) / 2.0, eye)
+    w = np.linalg.eigh((h + dagger(h)) / 2.0)[0][:, 0]
+    out = []
+    for k in range(len(maps)):
+        if not decided[k]:
+            out.append(DivisibilityStep(None, None, None, float(smallest[k])))
+        else:
+            mn = float(w[k])
+            out.append(DivisibilityStep(mn >= -cp_tol, LinearMap(inter[k]), mn, float(smallest[k])))
     return out

@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .chains import (
     CUSTOM,
+    GATE_NAMES,
     MARKOV_XOR,
     REPEATED_XOR,
     SQRT_XOR,
@@ -47,6 +48,9 @@ _FIGURES = {
     "1d": single_molecule_schedule,
     "5": advanced_overlap_schedule,
 }
+
+# the text a schedule record's gate adds to it, by gate code
+_GATE_JSON = tuple("" if name is None else f', "gate": {json.dumps(name)}' for name in GATE_NAMES)
 
 
 class ConfigError(Exception):
@@ -335,7 +339,10 @@ def _cmd_schedule(args) -> int:
     if args.horizon < 1:
         raise ConfigError("--horizon must be at least 1")
     sched = _FIGURES[args.figure](args.horizon)
-    sys.stdout.write(_lines([json.dumps(sched.to_records())]))
+    # json.dumps(sched.to_records())'s text, one f-string per event
+    records = (f'{{"t": {t}, "mol": {m}{_GATE_JSON[g]}}}' for t, m, g in zip(
+        sched.event_steps.tolist(), sched.event_molecules.tolist(), sched.event_gates.tolist()))
+    sys.stdout.write(_lines(["[" + ", ".join(records) + "]"]))
     print(f"satellite_count = {satellite_count(sched)}", file=sys.stderr)
     return 0
 

@@ -25,7 +25,8 @@ ENTROPY_EIG_FLOOR = 1e-15
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
+    """Conjugate transpose of one matrix or of each matrix of a stack (..., m, n)."""
+    return a.conj().swapaxes(-1, -2)
 
 
 def tensor(*ops) -> np.ndarray:

@@ -84,13 +84,14 @@ def _readout_count(model: ChainModel, t_max: int) -> int:
     sched = model.schedule
     if t_max > sched.horizon:
         raise ValueError(f"t_max {t_max} exceeds the schedule horizon {sched.horizon}")
-    for m in sched.molecules():
-        if sched.first_event(m) < t_max <= sched.last_event(m):
-            raise UnsupportedScheduleError(
-                f"molecule {m} is still open at t={t_max}; its readout never "
-                "happens inside the sampled window"
-            )
-    return sum(sched.last_event(m) < t_max for m in sched.molecules())
+    ids, first, last = sched.spans()
+    still_open = (first < t_max) & (t_max <= last)
+    if still_open.any():
+        raise UnsupportedScheduleError(
+            f"molecule {ids[np.argmax(still_open)]} is still open at t={t_max}; its readout never "
+            "happens inside the sampled window"
+        )
+    return int(np.count_nonzero(last < t_max))
 
 
 def _project_out(m: np.ndarray, n_qubits: int, slot_pos: int, outcome: int) -> np.ndarray:
@@ -268,7 +269,7 @@ def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_state
 
     if model.kind != CUSTOM:
         kraus = markov_xor_kraus(model.phi) if model.kind == MARKOV_XOR else build_embedding(model)[1]
-        ops = np.stack(kraus.operators)
+        ops = kraus.operators
     log_p = np.zeros(1)
     outcomes = np.zeros((1, 0), dtype=np.int64)
     history = [()] if keep_states else None

@@ -222,6 +222,23 @@ def brute_force_final(events, h, gate_ms, phi, rho0, n_mol):
     return ptrace_general(joint, n, [slots.index("sys")])
 
 
+# ---- built-in layouts as the per-event loops listed them ----
+
+def builtin_layout_records(figure, horizon):
+    """Records of `nmchain schedule --figure`, in listed order."""
+    if figure == "1a":
+        return [{"t": t, "mol": t} for t in range(horizon)]
+    if figure == "1d":
+        return [{"t": t, "mol": 0} for t in range(horizon)]
+    gap = {"1b": 1, "5": 2}[figure]
+    records = []
+    for t in range(horizon):
+        if t + gap <= horizon - 1:
+            records.append({"t": t, "mol": t + gap})
+        records.append({"t": t, "mol": t})
+    return records
+
+
 # ---- reduced-map and Choi oracles ----
 
 def sys_map_oracle(phi, kind, mem, t):
@@ -396,6 +413,34 @@ def evolve_block_oracle(ops, state0, uniforms):
         log_p += np.log(sel_p)
         outcomes[:, t] = choice
     return states, log_p, outcomes
+
+
+# ---- divisibility: the per-step loop the stacked scan replaced ----
+# Like the window loop below, this reuses the package's SVD, Choi reshuffle
+# and min_choi_eigenvalue: it pins the stacked scan to one check per step
+# bit for bit, not the physics.
+
+def divisibility_step_oracle(m_t, m_prev, cp_tol=1e-9):
+    from nmchain.channels import (
+        CHOI_HERMITIAN_TOL, SINGULAR_CUTOFF, DivisibilityStep, LinearMap, choi, min_choi_eigenvalue,
+        singular_values,
+    )
+    smallest = float(singular_values(m_prev.matrix)[-1])
+    if smallest < SINGULAR_CUTOFF:
+        return DivisibilityStep(None, None, None, smallest)
+    inter = LinearMap(np.linalg.solve(m_prev.matrix.T, m_t.matrix.T).T)
+    c = choi(inter)
+    if np.abs(c - dag(c)).max() > CHOI_HERMITIAN_TOL:
+        return DivisibilityStep(None, None, None, smallest)
+    mn = min_choi_eigenvalue(c)
+    return DivisibilityStep(mn >= -cp_tol, inter, mn, smallest)
+
+
+def divisibility_scan_oracle(maps, cp_tol=1e-9):
+    """One divisibility_step_oracle per step, the first against the identity."""
+    from nmchain.channels import identity_map
+    prevs = [identity_map(maps[0].dim)] + list(maps[:-1])
+    return [divisibility_step_oracle(cur, prev, cp_tol) for cur, prev in zip(maps, prevs)]
 
 
 # ---- window loop: a per-step DensityMatrix loop over the window engine ----

@@ -5,6 +5,7 @@ import helpers as H
 from nmchain import chains
 from nmchain.chains import (
     CUSTOM,
+    GATE_NAMES,
     MARKOV_XOR,
     REPEATED_XOR,
     SQRT_XOR,
@@ -159,6 +160,52 @@ def test_schedule_index_matches_linear_scans():
             assert sched.closing_at(t) == H.scan_closing(sched, t)
         assert satellite_count(sched) == H.scan_satellite_count(sched)
         assert window_width(sched) == H.scan_window_width(sched)
+
+
+@pytest.mark.parametrize("events, horizon, message", [
+    # the first offending event in listed order decides the message
+    ([(0, 0), (5, 1), (0, 0)], 3, "event at step 5 outside horizon 3"),
+    ([(0, 0), (0, 0), (5, 1)], 3, "molecule 0 listed twice at step 0"),
+    ([(1, 2), (0, 2), (1, 2), (0, 2)], 2, "molecule 2 listed twice at step 1"),
+    ([(2, 0)], 2, "event at step 2 outside horizon 2"),
+    ([(0, 0)], 0, "horizon must be positive, got 0"),
+])
+def test_schedule_validation_messages(events, horizon, message):
+    with pytest.raises(ValueError) as info:
+        CollisionSchedule(tuple(CollisionEvent(t, m) for t, m in events), horizon)
+    assert str(info.value) == message
+    recs = [{"t": t, "mol": m} for t, m in events]
+    with pytest.raises(ValueError) as info:
+        schedule_from_records(recs, horizon=horizon)
+    assert str(info.value) == message
+
+
+def test_schedule_arrays_are_sorted_read_only_views():
+    evs = (CollisionEvent(2, 4, "sqrt-xor"), CollisionEvent(0, 3), CollisionEvent(2, 1, "xor"), CollisionEvent(0, 4))
+    sched = CollisionSchedule(evs, horizon=3)
+    assert sched.event_steps.tolist() == [0, 0, 2, 2]
+    assert sched.event_molecules.tolist() == [3, 4, 4, 1]
+    assert [GATE_NAMES[g] for g in sched.event_gates.tolist()] == [None, None, "sqrt-xor", "xor"]
+    assert sched.events == (evs[1], evs[3], evs[0], evs[2])
+    ids, first, last = sched.spans()
+    assert (ids.tolist(), first.tolist(), last.tolist()) == ([1, 3, 4], [2, 0, 0], [2, 0, 2])
+    for a in (sched.event_steps, sched.event_molecules, sched.event_gates, ids, first, last):
+        with pytest.raises(ValueError):
+            a[0] = 7
+    assert schedule_from_records(sched.to_records(), horizon=3).to_records() == sched.to_records()
+
+
+@pytest.mark.parametrize("figure, build", [
+    ("1a", chain_schedule), ("1b", overlap_schedule), ("1d", single_molecule_schedule),
+    ("5", advanced_overlap_schedule),
+])
+def test_builtin_layouts_list_the_events_of_the_loops(figure, build):
+    for horizon in (1, 2, 3, 4, 7, 30):
+        sched = build(horizon)
+        assert sched.horizon == horizon
+        assert sched.to_records() == H.builtin_layout_records(figure, horizon)
+    with pytest.raises(ValueError, match="horizon must be positive"):
+        build(0)
 
 
 def test_census_cost_does_not_grow_with_the_horizon():

@@ -68,6 +68,31 @@ def test_apply_kraus_reads_the_adjoints_formed_once():
         assert np.array_equal(apply_kraus(ks, rho).view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("phi", [0.7, 0.0, -0.0])
+def test_apply_kraus_is_the_two_term_sum_bit_for_bit(phi):
+    # one stacked product in place of zeros + K0 rho K0^dagger + K1 rho K1^dagger:
+    # same values and same signed zeros, for one state and for a stack
+    # (phi = +-0 gives Kraus operators and states full of zeros)
+    ks = build_embedding(sqrt_xor(phi))[1]
+    assert ks.operators.shape == ks.adjoints.shape == (2, 4, 4)
+    rng = np.random.default_rng(11)
+    probes = np.stack([np.kron(np.diag([1.0, 0.0]), p) for p in tomography_probes(2)])
+    randoms = np.stack([H.rand_rho(rng, 4) for _ in range(6)])
+    for stack in (probes, randoms, -probes):
+        got, want = stack, stack
+        for _ in range(12):
+            got = apply_kraus(ks, got)
+            loop = np.zeros_like(want)
+            for op in ks.operators:
+                loop += op @ want @ op.conj().T
+            want = loop
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+            assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+        for one, many in zip(stack, apply_kraus(ks, stack)):
+            assert np.array_equal(apply_kraus(ks, one).view(np.int64), many.view(np.int64))
+
+
 @pytest.mark.parametrize("kind", ["double", "split"])
 @pytest.mark.parametrize("phi", [0.3, np.pi / 6, 1.1])
 def test_kraus_from_collision_matches_block_oracle(kind, phi):
@@ -273,6 +298,11 @@ def test_divisibility_scan_shapes():
     assert divisibility_scan([]) == []
 
 
+def _partial_swap_maps(theta):
+    u = np.cos(theta) * np.eye(4) - 1j * np.sin(theta) * swap_gate().matrix
+    return system_maps(custom_chain(UnitaryGate(u, ("mol", "sys")), overlap_schedule(11), phi=0.4), 10)
+
+
 @pytest.mark.parametrize("theta, false_steps, worst, sigma", [
     (0.7, [3], -7.179e-3, 0.1907),
     (1.2, [2, 4, 6, 8, 10], -44.07, 0.01230),
@@ -281,14 +311,54 @@ def test_divisibility_scan_says_false_on_a_partial_swap(theta, false_steps, wors
     # positive control: exp(-i theta SWAP) = cos(theta) I - i sin(theta) SWAP
     # is no system-controlled collision, and the scan finds CP violations
     # at well-conditioned steps
-    u = np.cos(theta) * np.eye(4) - 1j * np.sin(theta) * swap_gate().matrix
-    model = custom_chain(UnitaryGate(u, ("mol", "sys")), overlap_schedule(11), phi=0.4)
-    scan = divisibility_scan(system_maps(model, 10))
+    scan = divisibility_scan(_partial_swap_maps(theta))
     assert all(s.exists is not None for s in scan)
     assert [t for t, s in enumerate(scan, 1) if s.exists is False] == false_steps
     low = min(scan, key=lambda s: s.min_choi_eig)
     assert low.min_choi_eig == pytest.approx(worst, rel=1e-3)
     assert low.smallest_singular == pytest.approx(sigma, rel=1e-3)
+
+
+def _assert_same_steps(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.exists is w.exists
+        assert (g.min_choi_eig, g.smallest_singular) == (w.min_choi_eig, w.smallest_singular)
+        if w.intermediate is None:
+            assert g.intermediate is None
+        else:
+            assert np.array_equal(g.intermediate.matrix, w.intermediate.matrix)
+
+
+def test_stacked_scan_equals_the_per_step_checks():
+    # repeated-xor: every accumulated map from step 1 on is singular
+    maps = system_maps(repeated_xor(0.4), 9)
+    scan = divisibility_scan(maps)
+    _assert_same_steps(scan, H.divisibility_scan_oracle(maps))
+    assert all(s.exists is None for s in scan[1:])
+    # rotated dephasing: invertible predecessors whose intermediate Choi
+    # matrices round-off leaves non-Hermitian
+    rng = np.random.default_rng(3)
+    undecided = 0
+    for _ in range(20):
+        u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        maps = [_rotated_dephasing(1e-9, u), _rotated_dephasing(5e-10, u)]
+        scan = divisibility_scan(maps)
+        _assert_same_steps(scan, H.divisibility_scan_oracle(maps))
+        undecided += scan[1].exists is None and scan[1].smallest_singular >= SINGULAR_CUTOFF
+    assert undecided >= 10
+    # both partial-swap witnesses, with their false steps
+    for theta in (0.7, 1.2):
+        maps = _partial_swap_maps(theta)
+        scan = divisibility_scan(maps, cp_tol=1e-9)
+        _assert_same_steps(scan, H.divisibility_scan_oracle(maps, cp_tol=1e-9))
+        assert any(s.exists is False for s in scan)
+
+
+def test_divisibility_step_equals_the_per_step_check():
+    maps = _partial_swap_maps(1.2)
+    for prev, cur in zip(maps, maps[1:]):
+        _assert_same_steps([divisibility_step(cur, prev)], [H.divisibility_step_oracle(cur, prev)])
 
 
 @pytest.mark.parametrize("tols", [

@@ -7,7 +7,18 @@ import subprocess
 import numpy as np
 import pytest
 
-from nmchain.chains import ChainModel, custom_chain, delta, evolve, schedule_from_records, system_marginals
+import helpers as H
+
+from nmchain.chains import (
+    ChainModel,
+    CollisionEvent,
+    custom_chain,
+    delta,
+    evolve,
+    satellite_count,
+    schedule_from_records,
+    system_marginals,
+)
 from nmchain import cli
 from nmchain.cli import main
 from nmchain.gates import sqrt_xor_gate, xor_gate
@@ -241,6 +252,42 @@ def test_schedule_gate_must_be_a_string(tmp_path, capsys):
                        "--schedule", str(sched), "--initial", INIT)
     assert (rc, out) == (2, "")
     assert "record 0" in err and "'gate' must be a string" in err
+
+
+# (records, extra flags, stderr): each file's first fault in listed order
+# decides the message
+MALFORMED_SCHEDULES = [
+    ([{"t": 0, "mol": 0, "when": 1}], (), "record 0 has unknown keys ['when']"),
+    ([{"t": 0}], (), "record 0 must be an object with keys 't' and 'mol'"),
+    ([[0, 0]], (), "record 0 must be an object with keys 't' and 'mol'"),
+    ([{"t": 0.5, "mol": 0}], (), "record 0: 't' and 'mol' must be integers"),
+    ([{"t": 0, "mol": True}], (), "record 0: 't' and 'mol' must be integers"),
+    ([{"t": 0, "mol": 0, "gate": 3}], (), "record 0: 'gate' must be a string, got 3"),
+    ([{"t": 0, "mol": 1}, {"t": 1, "mol": 1}, {"t": 1, "mol": 1}], (), "molecule 1 listed twice at step 1"),
+    ([{"t": 0, "mol": 0}, {"t": -1, "mol": 2}], (), "negative step -1"),
+    ([{"t": 0, "mol": -3}], (), "negative molecule id -3"),
+    ([{"t": 0, "mol": 0, "gate": "hadamard"}], (), "unknown gate 'hadamard'; choose from ['sqrt-xor', 'xor']"),
+    ([], (), "schedule has no events"),
+    ([{"t": 0, "mol": 0}, {"t": -2, "mol": 0}, {"t": 0, "mol": 1, "x": 0}], (), "negative step -2"),
+    ([{"t": 0, "mol": 0}, {"t": 0, "mol": 0}, {"t": -1, "mol": 0}], (), "negative step -1"),
+]
+
+
+@pytest.mark.parametrize("records, flags, message", MALFORMED_SCHEDULES)
+def test_malformed_schedule_files_keep_their_messages(tmp_path, capsys, records, flags, message):
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(records))
+    got = run(capsys, "simulate", "--model", "custom", "--phi", "0.3", "--schedule", str(path),
+              "--initial", INIT, *flags)
+    assert got == (2, "", f"error: --schedule: {message}\n")
+
+
+def test_steps_past_the_schedule_horizon(tmp_path, capsys):
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps([{"t": 0, "mol": 0}, {"t": 2, "mol": 0, "gate": "sqrt-xor"}]))
+    got = run(capsys, "simulate", "--model", "custom", "--phi", "0.3", "--schedule", str(path),
+              "--initial", INIT, "--steps", "4")
+    assert got == (2, "", "error: --steps 4 exceeds the schedule horizon 3\n")
 
 
 @pytest.mark.parametrize("phi", ["nan", "inf"])
@@ -564,6 +611,37 @@ def test_schedule_fresh_first_order(capsys):
     recs = json.loads(out)
     at2 = [r["mol"] for r in recs if r["t"] == 2]
     assert at2 == [4, 2]
+
+
+@pytest.mark.parametrize("figure", sorted(cli._FIGURES))
+@pytest.mark.parametrize("horizon", [1, 2, 3, 800])
+def test_schedule_figure_text_is_the_dumped_records(capsys, figure, horizon):
+    sched = cli._FIGURES[figure](horizon)
+    got = run(capsys, "schedule", "--figure", figure, "--horizon", str(horizon))
+    assert got == (0, json.dumps(sched.to_records()) + "\n", f"satellite_count = {satellite_count(sched)}\n")
+    assert sched.to_records() == H.builtin_layout_records(figure, horizon)
+
+
+def test_schedules_are_built_without_event_objects(tmp_path, capsys, monkeypatch):
+    made = []
+    init = CollisionEvent.__init__
+
+    def spy(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CollisionEvent, "__init__", spy)
+    path = tmp_path / "gap2.json"
+    path.write_text(json.dumps(GAP2_H8))
+    for figure in sorted(cli._FIGURES):
+        assert run(capsys, "schedule", "--figure", figure, "--horizon", "50")[0] == 0
+    custom = ("--model", "custom", "--phi", "0.3", "--schedule", str(path))
+    assert run(capsys, "simulate", *custom, "--initial", INIT)[0] == 0
+    assert run(capsys, "divisibility", *custom, "--steps", "8")[0] == 0
+    assert run(capsys, "trajectories", *custom, "--initial", INIT, "--steps", "8", "--samples", "3")[0] == 0
+    assert made == []
+    # the spy sees the events the on-demand view builds
+    assert len(schedule_from_records(GAP2_H8).events) == len(made) == len(GAP2_H8)
 
 
 def test_schedule_validation(capsys):
