@@ -11,14 +11,15 @@ import numpy as np
 
 from nmchain import trace_norm_distance
 from nmchain.chains import (
+    build_embedding,
     delta,
-    embedded_step,
     repeated_xor,
     simulate,
     sqrt_xor,
     stationary_overlap,
     stationary_state,
 )
+from nmchain.channels import apply_kraus
 
 rho0 = np.array([[0.62, 0.2 - 0.05j], [0.2 + 0.05j, 0.38]])
 
@@ -27,7 +28,7 @@ for factory in (repeated_xor, sqrt_xor):
     for phi in (0.3, np.pi / 6, 1.1):
         model = factory(phi)
         stat = stationary_state(model, rho0)
-        moved = trace_norm_distance(embedded_step(model, stat), stat)
+        moved = trace_norm_distance(apply_kraus(build_embedding(model)[1], stat), stat)
         ov = stationary_overlap(model)
         print(
             f"phi={phi:.4f}  one-step movement={moved:.2e}"
@@ -48,4 +49,5 @@ print("critical angle phi = pi/4, coherent start:")
 model = sqrt_xor(np.pi / 4)
 frozen = simulate(model, rho0, steps=10)[-1]
 print("  residual coherence parameter |Delta| =", f"{abs(delta(frozen)):.6f}")
-print("  one-step movement =", f"{trace_norm_distance(embedded_step(model, frozen), frozen):.2e}")
+moved = trace_norm_distance(apply_kraus(build_embedding(model)[1], frozen), frozen)
+print("  one-step movement =", f"{moved:.2e}")

@@ -33,16 +33,11 @@ from .channels import (
     KrausSet,
     LinearMap,
     apply_kraus,
-    apply_map,
     choi,
-    compose,
     divisibility_scan,
-    divisibility_step,
-    is_cp,
     kraus_from_collision,
     map_from_kraus,
     map_tomography,
-    min_choi_eigenvalue,
 )
 from .chains import (
     ChainModel,
@@ -53,7 +48,6 @@ from .chains import (
     chain_schedule,
     custom_chain,
     delta,
-    embedded_step,
     evolve,
     markov_xor,
     markov_xor_fixed_point,

@@ -158,9 +158,6 @@ class CollisionSchedule:
         """(molecule ids ascending, first steps, last steps) as read-only arrays."""
         return self._ids, self._first, self._last
 
-    def molecules(self) -> tuple[int, ...]:
-        return tuple(self._ids.tolist())
-
     def _span_row(self, molecule: int) -> int:
         i = int(self._ids.searchsorted(molecule))
         if i == len(self._ids) or self._ids[i] != molecule:
@@ -199,6 +196,8 @@ def schedule_from_records(records: Sequence[dict], horizon: Optional[int] = None
         t, mol = rec["t"], rec["mol"]
         if not isinstance(t, int) or isinstance(t, bool) or not isinstance(mol, int) or isinstance(mol, bool):
             raise ValueError(f"record {i}: 't' and 'mol' must be integers")
+        if t >= 2**63 or mol >= 2**63:
+            raise ValueError(f"record {i}: 't' and 'mol' must be below 2**63")
         gate = rec.get("gate")
         if gate is not None and not isinstance(gate, str):
             raise ValueError(f"record {i}: 'gate' must be a string, got {gate!r}")
@@ -425,68 +424,6 @@ def delta(rho_tilde):
         raise ValueError("delta takes a two-qubit compound state")
     d = -1j * (m[..., 0, 1] + m[..., 2, 3]) + (m[..., 0, 3] + m[..., 2, 1])
     return complex(d) if m.ndim == 2 else d
-
-
-def _recursion_repeated(m: np.ndarray, phi: float) -> np.ndarray:
-    c, s = np.cos(phi), np.sin(phi)
-    a = m[0, 0] + m[2, 2]
-    b = m[1, 1] + m[3, 3]
-    f = m[0, 3] + m[2, 1]
-    g = m[3, 0] + m[1, 2]
-    return np.array(
-        [
-            [c * c * a, c * s * f, c * s * a, c * c * f],
-            [c * s * g, s * s * b, s * s * g, c * s * b],
-            [c * s * a, s * s * f, s * s * a, c * s * f],
-            [c * c * g, c * s * b, c * s * g, c * c * b],
-        ],
-        dtype=complex,
-    )
-
-
-def _recursion_sqrt(m: np.ndarray, phi: float) -> np.ndarray:
-    c, s = np.cos(phi), np.sin(phi)
-    beta = np.exp(1j * phi) / 2.0
-    bb = np.conj(beta)
-    a = m[0, 0] + m[2, 2]
-    b = m[1, 1] + m[3, 3]
-    d = delta(m)
-    dd = np.conj(d)
-    return np.array(
-        [
-            [c * c * a, c * beta * d, c * s * a, 1j * c * bb * d],
-            [c * bb * dd, b / 2.0, s * bb * dd, 2j * bb * bb * b],
-            [c * s * a, s * beta * d, s * s * a, 1j * s * bb * d],
-            [-1j * c * beta * dd, -2j * beta * beta * b, -1j * s * beta * dd, b / 2.0],
-        ],
-        dtype=complex,
-    )
-
-
-def embedded_step(model: ChainModel, rho_tilde, method: str = "kraus"):
-    """One step of the compound ("mem", "sys") state.
-
-    method "kraus" applies the embedding Kraus pair; method "recursion"
-    uses the model's closed-form update. The two agree to round-off and the
-    tests pin that.
-    """
-    m = as_matrix(rho_tilde)
-    if m.shape != (4, 4):
-        raise ValueError("compound state must be two qubits")
-    if method == "kraus":
-        out = apply_kraus(build_embedding(model)[1], m)
-    elif method == "recursion":
-        if model.kind == REPEATED_XOR:
-            out = _recursion_repeated(m, model.phi)
-        elif model.kind == SQRT_XOR:
-            out = _recursion_sqrt(m, model.phi)
-        else:
-            raise ValueError(f"no closed-form recursion for {model.kind!r}")
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    if isinstance(rho_tilde, DensityMatrix):
-        return DensityMatrix(out, rho_tilde.slots)
-    return out
 
 
 def stationary_memory_vector(model: ChainModel) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Quantum channels: Kraus sets, superoperator matrices, Choi tests,
-process tomography and one-step divisibility checks.
+"""Quantum channels: Kraus sets, superoperator matrices, Choi matrices,
+process tomography and stepwise divisibility checks.
 
 Superoperators use the column-stacking convention: vec(|i><j|) is the unit
 vector at index j*d + i, so vec(M rho M^dagger) = (conj(M) kron M) vec(rho).
@@ -13,7 +13,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .linalg import DensityMatrix, PureState, as_matrix, dagger, eig_hermitian
+from .gates import UnitaryGate
+from .linalg import DensityMatrix, PureState, as_matrix, dagger
 
 COMPLETENESS_TOL = 1e-12
 CHOI_HERMITIAN_TOL = 1e-8
@@ -51,14 +52,14 @@ class KrausSet:
         return self.operators.shape[-1]
 
 
-def kraus_from_collision(u, molecule: PureState) -> KrausSet:
+def kraus_from_collision(u: UnitaryGate, molecule: PureState) -> KrausSet:
     """Kraus operators of one collision followed by a computational readout
     of the molecule.
 
     The molecule occupies the FIRST (most significant) slot of the unitary;
     operator number l is <l| u |molecule>, acting on the remaining slots.
     """
-    matrix = u.matrix if hasattr(u, "matrix") else np.asarray(u, dtype=complex)
+    matrix = u.matrix
     d_mol = molecule.dim
     total = matrix.shape[0]
     if total % d_mol != 0:
@@ -105,35 +106,12 @@ def vec(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=complex).reshape(-1, order="F")
 
 
-def unvec(v: np.ndarray) -> np.ndarray:
-    d = int(round(np.sqrt(v.shape[0])))
-    return v.reshape((d, d), order="F")
-
-
-def identity_map(dim: int) -> LinearMap:
-    return LinearMap(np.eye(dim * dim, dtype=complex))
-
-
 def map_from_kraus(kraus: KrausSet) -> LinearMap:
     d = kraus.dim
     s = np.zeros((d * d, d * d), dtype=complex)
     for op in kraus.operators:
         s += np.kron(op.conj(), op)
     return LinearMap(s)
-
-
-def apply_map(m: LinearMap, rho):
-    out = unvec(m.matrix @ vec(as_matrix(rho)))
-    if isinstance(rho, DensityMatrix):
-        return DensityMatrix(out, rho.slots)
-    return out
-
-
-def compose(outer: LinearMap, inner: LinearMap) -> LinearMap:
-    """Map applying inner first, then outer."""
-    if outer.dim != inner.dim:
-        raise ValueError("cannot compose maps of different dimension")
-    return LinearMap(outer.matrix @ inner.matrix)
 
 
 def choi(m: LinearMap) -> np.ndarray:
@@ -145,19 +123,6 @@ def _choi(s: np.ndarray, d: int) -> np.ndarray:
     # for one superoperator or a stack (..., d^2, d^2); column stacking:
     # S[b*d + a, j*d + i] is entry (a, b) of map(|i><j|)
     return s.reshape(s.shape[:-2] + (d, d, d, d)).swapaxes(-4, -1).reshape(s.shape)
-
-
-def min_choi_eigenvalue(c: np.ndarray) -> float:
-    m = np.asarray(c, dtype=complex)
-    skew = np.abs(m - dagger(m)).max()
-    if skew > CHOI_HERMITIAN_TOL:
-        raise ValueError(f"Choi matrix is far from Hermitian (residual {skew:.3e})")
-    w, _ = eig_hermitian((m + dagger(m)) / 2.0)
-    return float(w[-1])
-
-
-def is_cp(c: np.ndarray, tol: float = CP_TOL_DEFAULT) -> bool:
-    return min_choi_eigenvalue(c) >= -tol
 
 
 def tomography_probes(dim: int) -> list[np.ndarray]:
@@ -229,18 +194,6 @@ class DivisibilityStep:
     smallest_singular: float
 
 
-def divisibility_step(
-    m_t: LinearMap,
-    m_prev: LinearMap,
-    *,
-    cp_tol: float = CP_TOL_DEFAULT,
-) -> DivisibilityStep:
-    """CP test of the map connecting two accumulated evolutions: the second
-    step of divisibility_scan([m_prev, m_t]). cp_tol must be finite and
-    non-negative."""
-    return divisibility_scan([m_prev, m_t], cp_tol=cp_tol)[1]
-
-
 def divisibility_scan(
     maps: Sequence[LinearMap],
     *,
@@ -276,7 +229,8 @@ def divisibility_scan(
     inter = np.linalg.solve(prev.swapaxes(-1, -2), cur.swapaxes(-1, -2)).swapaxes(-1, -2)
     c = _choi(inter, d)
     decided = invertible & (np.abs(c - dagger(c)).max((-2, -1)) <= CHOI_HERMITIAN_TOL)
-    # symmetrised twice, as min_choi_eigenvalue and then eig_hermitian do;
+    # symmetrised twice, as the per-step oracle in tests/helpers.py does
+    # (once itself, once in eig_hermitian): it pins this scan bit for bit;
     # an undecided step's Choi matrix is swapped for the identity, so that
     # eigh only sees the matrices a per-step check would have handed it
     h = np.where(decided[:, None, None], (c + dagger(c)) / 2.0, eye)

@@ -338,6 +338,8 @@ def _cmd_trajectories(args) -> int:
 def _cmd_schedule(args) -> int:
     if args.horizon < 1:
         raise ConfigError("--horizon must be at least 1")
+    if args.horizon >= 2**63:
+        raise ConfigError("--horizon must be below 2**63")
     sched = _FIGURES[args.figure](args.horizon)
     # json.dumps(sched.to_records())'s text, one f-string per event
     records = (f'{{"t": {t}, "mol": {m}{_GATE_JSON[g]}}}' for t, m, g in zip(

@@ -115,6 +115,44 @@ def delta_of(r):
     return -1j * (r[0, 1] + r[2, 3]) + (r[0, 3] + r[2, 1])
 
 
+# ---- closed-form one-step recursions of the ("mem", "sys") compound ----
+
+def recursion_repeated(m, phi):
+    c, s = np.cos(phi), np.sin(phi)
+    a = m[0, 0] + m[2, 2]
+    b = m[1, 1] + m[3, 3]
+    f = m[0, 3] + m[2, 1]
+    g = m[3, 0] + m[1, 2]
+    return np.array(
+        [
+            [c * c * a, c * s * f, c * s * a, c * c * f],
+            [c * s * g, s * s * b, s * s * g, c * s * b],
+            [c * s * a, s * s * f, s * s * a, c * s * f],
+            [c * c * g, c * s * b, c * s * g, c * c * b],
+        ],
+        dtype=complex,
+    )
+
+
+def recursion_sqrt(m, phi):
+    c, s = np.cos(phi), np.sin(phi)
+    beta = np.exp(1j * phi) / 2.0
+    bb = np.conj(beta)
+    a = m[0, 0] + m[2, 2]
+    b = m[1, 1] + m[3, 3]
+    d = delta_of(m)
+    dd = np.conj(d)
+    return np.array(
+        [
+            [c * c * a, c * beta * d, c * s * a, 1j * c * bb * d],
+            [c * bb * dd, b / 2.0, s * bb * dd, 2j * bb * bb * b],
+            [c * s * a, s * beta * d, s * s * a, 1j * s * bb * d],
+            [-1j * c * beta * dd, -2j * beta * beta * b, -1j * s * beta * dd, b / 2.0],
+        ],
+        dtype=complex,
+    )
+
+
 # ---- generic register tools (einsum / bit shuffle route) ----
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -254,6 +292,12 @@ def sys_map_oracle(phi, kind, mem, t):
             rs = r[0:2, 0:2] + r[2:4, 2:4]
             s[:, j * 2 + i] = rs.reshape(-1, order="F")
     return s
+
+
+def superop_apply(s, r):
+    """The column-stacked superoperator s applied to the d x d matrix r."""
+    d = r.shape[0]
+    return (s @ np.asarray(r, dtype=complex).reshape(-1, order="F")).reshape(d, d, order="F")
 
 
 def choi_oracle(s):
@@ -417,13 +461,26 @@ def evolve_block_oracle(ops, state0, uniforms):
 
 # ---- divisibility: the per-step loop the stacked scan replaced ----
 # Like the window loop below, this reuses the package's SVD, Choi reshuffle
-# and min_choi_eigenvalue: it pins the stacked scan to one check per step
+# and Hermitian eigensolver: it pins the stacked scan to one check per step
 # bit for bit, not the physics.
+
+def min_choi_eigenvalue(c):
+    """Smallest eigenvalue of a Choi matrix, symmetrised here and again by
+    eig_hermitian; raises when c is far from Hermitian."""
+    from nmchain.channels import CHOI_HERMITIAN_TOL
+    from nmchain.linalg import dagger, eig_hermitian
+
+    m = np.asarray(c, dtype=complex)
+    skew = np.abs(m - dagger(m)).max()
+    if skew > CHOI_HERMITIAN_TOL:
+        raise ValueError(f"Choi matrix is far from Hermitian (residual {skew:.3e})")
+    w, _ = eig_hermitian((m + dagger(m)) / 2.0)
+    return float(w[-1])
+
 
 def divisibility_step_oracle(m_t, m_prev, cp_tol=1e-9):
     from nmchain.channels import (
-        CHOI_HERMITIAN_TOL, SINGULAR_CUTOFF, DivisibilityStep, LinearMap, choi, min_choi_eigenvalue,
-        singular_values,
+        CHOI_HERMITIAN_TOL, SINGULAR_CUTOFF, DivisibilityStep, LinearMap, choi, singular_values,
     )
     smallest = float(singular_values(m_prev.matrix)[-1])
     if smallest < SINGULAR_CUTOFF:
@@ -438,8 +495,9 @@ def divisibility_step_oracle(m_t, m_prev, cp_tol=1e-9):
 
 def divisibility_scan_oracle(maps, cp_tol=1e-9):
     """One divisibility_step_oracle per step, the first against the identity."""
-    from nmchain.channels import identity_map
-    prevs = [identity_map(maps[0].dim)] + list(maps[:-1])
+    from nmchain.channels import LinearMap
+    d = maps[0].dim
+    prevs = [LinearMap(np.eye(d * d, dtype=complex))] + list(maps[:-1])
     return [divisibility_step_oracle(cur, prev, cp_tol) for cur, prev in zip(maps, prevs)]
 
 

@@ -18,7 +18,6 @@ from nmchain.chains import (
     chain_schedule,
     custom_chain,
     delta,
-    embedded_step,
     evolve,
     markov_xor,
     markov_xor_fixed_point,
@@ -83,7 +82,7 @@ def test_schedule_validation():
 
 def test_schedule_queries_and_records():
     sched = overlap_schedule(4)
-    assert sched.molecules() == (0, 1, 2, 3)
+    assert sched.spans()[0].tolist() == [0, 1, 2, 3]
     assert sched.first_event(2) == 1 and sched.last_event(2) == 2
     with pytest.raises(ValueError):
         sched.first_event(99)
@@ -115,12 +114,12 @@ def test_builtin_schedule_shapes():
     sm = single_molecule_schedule(4)
     assert [(e.step, e.molecule) for e in sm.events] == [(t, 0) for t in range(4)]
     ov = overlap_schedule(4)
-    spans = {m: (ov.first_event(m), ov.last_event(m)) for m in ov.molecules()}
+    spans = {m: (ov.first_event(m), ov.last_event(m)) for m in ov.spans()[0].tolist()}
     assert spans == {0: (0, 0), 1: (0, 1), 2: (1, 2), 3: (2, 3)}
     # fresh molecule collides before the one finishing its pair
     assert [e.molecule for e in ov.events_at(1)] == [2, 1]
     av = advanced_overlap_schedule(6)
-    spans = {m: (av.first_event(m), av.last_event(m)) for m in av.molecules()}
+    spans = {m: (av.first_event(m), av.last_event(m)) for m in av.spans()[0].tolist()}
     assert spans == {0: (0, 0), 1: (1, 1), 2: (0, 2), 3: (1, 3), 4: (2, 4), 5: (3, 5)}
     assert [e.molecule for e in av.events_at(2)] == [4, 2]
 
@@ -145,7 +144,7 @@ def test_schedule_index_matches_linear_scans():
         events = [CollisionEvent(t, m) for m, t in pairs]
         rng.shuffle(events)
         sched = CollisionSchedule(tuple(events), horizon)
-        assert sched.molecules() == H.scan_molecules(sched)
+        assert tuple(sched.spans()[0].tolist()) == H.scan_molecules(sched)
         for m in range(10):
             span = H.scan_span(sched, m)
             if span is None:
@@ -334,31 +333,28 @@ def test_embedding_cache_is_bounded():
     assert chains._cached_embedding.cache_info().currsize <= chains.EMBED_CACHE_SIZE
 
 
-@pytest.mark.parametrize("factory", [repeated_xor, sqrt_xor])
-def test_embedded_step_methods_agree(factory):
+@pytest.mark.parametrize("factory, recursion", [
+    (repeated_xor, H.recursion_repeated), (sqrt_xor, H.recursion_sqrt),
+], ids=["repeated_xor", "sqrt_xor"])
+def test_evolve_matches_the_recursion_oracle(factory, recursion):
     rng = np.random.default_rng(42)
-    model = factory(0.31)
+    phi = 0.31
+    model = factory(phi)
+    # the compound step evolve runs, on random (entangled) compound states
+    kraus = build_embedding(model)[1]
     for _ in range(10):
         r = H.rand_rho(rng, 4)
-        a = embedded_step(model, r, method="kraus")
-        b = embedded_step(model, r, method="recursion")
-        assert np.abs(a - b).max() < 1e-13
-
-
-def test_embedded_step_errors():
-    with pytest.raises(ValueError):
-        embedded_step(repeated_xor(0.3), np.eye(2) / 2)
-    with pytest.raises(ValueError):
-        embedded_step(repeated_xor(0.3), np.eye(4) / 4, method="wat")
-    with pytest.raises(ValueError):
-        embedded_step(markov_xor(0.3), np.eye(4) / 4, method="recursion")
-
-
-def test_embedded_step_keeps_density_matrix_type():
-    model = sqrt_xor(0.4)
-    dm = DensityMatrix(np.eye(4) / 4, ("mem", "sys"))
-    out = embedded_step(model, dm)
-    assert isinstance(out, DensityMatrix) and out.slots == ("mem", "sys")
+        assert np.abs(apply_kraus(kraus, r) - recursion(r, phi)).max() < 1e-13
+    # a 20-step evolve stack from a mixed memory, one system state per row
+    mem0 = _mixed_memory(phi)
+    states = np.stack([_rho(rng) for _ in range(4)])
+    stack, slots = evolve(model, states, 20, mem0=mem0)
+    assert slots == ("mem", "sys")
+    for r0, got in zip(states, stack):
+        want = tensor(mem0, r0)
+        for t in range(21):
+            assert np.abs(got[t] - want).max() < 1e-13
+            want = recursion(want, phi)
 
 
 def test_delta_geometric_decay_and_alignment():
@@ -369,7 +365,7 @@ def test_delta_geometric_decay_and_alignment():
     k = np.sin(2 * phi)
     prev = delta(r)
     for _ in range(50):
-        nxt = embedded_step(model, r)
+        nxt = apply_kraus(build_embedding(model)[1], r)
         d = delta(nxt)
         assert abs(d - k * prev) < 1e-12 * max(abs(prev), 1.0)
         # the system coherence one step ahead is locked to the current delta
@@ -411,8 +407,8 @@ def test_one_step_stationarity_repeated():
         for _ in range(10):
             r0 = _rho(rng)
             start = tensor(_mem0(), r0)
-            one = embedded_step(model, start)
-            two = embedded_step(model, one)
+            one = apply_kraus(build_embedding(model)[1], start)
+            two = apply_kraus(build_embedding(model)[1], one)
             assert np.abs(two - one).max() < 1e-14
             want = H.stat_double(phi, r0[0, 0].real, r0[1, 1].real)
             assert np.abs(one - want).max() < 1e-14
@@ -436,14 +432,14 @@ def test_stationary_state_is_actually_stationary():
     for factory in (repeated_xor, sqrt_xor):
         model = factory(0.55)
         st = stationary_state(model, H.rand_rho(rng, 2))
-        nxt = embedded_step(model, st)
+        nxt = apply_kraus(build_embedding(model)[1], st)
         assert np.abs(nxt.matrix - st.matrix).max() < 1e-14
 
 
 def test_stationary_state_sqrt_quarter_pi():
     # diagonal system inputs still have a limit at the non-contracting angle
     st = stationary_state(sqrt_xor(np.pi / 4), np.diag([0.5, 0.5]))
-    nxt = embedded_step(sqrt_xor(np.pi / 4), st)
+    nxt = apply_kraus(build_embedding(sqrt_xor(np.pi / 4))[1], st)
     assert np.abs(nxt.matrix - st.matrix).max() < 1e-14
     with pytest.raises(ValueError):
         stationary_state(sqrt_xor(np.pi / 4), np.array([[0.5, 0.4], [0.4, 0.5]]))
@@ -465,7 +461,7 @@ def test_relax_retains_coherence_at_critical_angle():
     r0 = np.array([[0.5, 0.4], [0.4, 0.5]])
     got = simulate(model, r0, 10)[-1]
     assert abs(delta(got.matrix)) > 0.1
-    nxt = embedded_step(model, got)
+    nxt = apply_kraus(build_embedding(model)[1], got)
     assert H.tdist(nxt.matrix, got.matrix) < 1e-13
 
 
@@ -746,7 +742,7 @@ def test_simulate_picks_the_model_register():
         got = simulate(factory(phi), r0, steps, mem0=H.molecule_density(phi))
         want = [tensor(H.molecule_density(phi), r0)]
         for _ in range(steps):
-            want.append(embedded_step(factory(phi), want[-1]))
+            want.append(apply_kraus(build_embedding(factory(phi))[1], want[-1]))
         assert [s.slots for s in got] == [("mem", "sys")] * (steps + 1)
         assert all(np.array_equal(g.matrix, w) for g, w in zip(got, want))
     custom = custom_chain(sqrt_xor_gate(), advanced_overlap_schedule(6), phi=phi)
@@ -767,7 +763,7 @@ def _mixed_memory(phi):
 
 def _per_step_run(model, r0, steps, mem0=None):
     """States [t=0 .. steps] of one state, one step at a time: the scalar
-    markov-xor step, embedded_step from tensor(mem0, r0), or the window
+    markov-xor step, the compound Kraus pair from tensor(mem0, r0), or the window
     engine's per-step DensityMatrix loop."""
     if model.kind == CUSTOM:
         return [s.matrix for s in H.window_step_oracle(model, r0, steps)]
@@ -778,7 +774,7 @@ def _per_step_run(model, r0, steps, mem0=None):
         return out
     out = [tensor(_mem0() if mem0 is None else mem0, r0)]
     for _ in range(steps):
-        out.append(embedded_step(model, out[-1]))
+        out.append(apply_kraus(build_embedding(model)[1], out[-1]))
     return out
 
 

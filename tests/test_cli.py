@@ -270,6 +270,9 @@ MALFORMED_SCHEDULES = [
     ([], (), "schedule has no events"),
     ([{"t": 0, "mol": 0}, {"t": -2, "mol": 0}, {"t": 0, "mol": 1, "x": 0}], (), "negative step -2"),
     ([{"t": 0, "mol": 0}, {"t": 0, "mol": 0}, {"t": -1, "mol": 0}], (), "negative step -1"),
+    # ids past int64 do not fit the schedule arrays
+    ([{"t": 0, "mol": 0}, {"t": 2**63, "mol": 0}], (), "record 1: 't' and 'mol' must be below 2**63"),
+    ([{"t": 0, "mol": 2**63}], (), "record 0: 't' and 'mol' must be below 2**63"),
 ]
 
 
@@ -649,6 +652,10 @@ def test_schedule_validation(capsys):
     assert rc == 2
     rc, _, _ = run(capsys, "schedule", "--figure", "9z", "--horizon", "3")
     assert rc == 2
+    # the layouts are int64 arrays: np.arange(2**63) is empty, 2**64 cannot be allocated
+    for horizon in (2**63, 2**64):
+        got = run(capsys, "schedule", "--figure", "1a", "--horizon", str(horizon))
+        assert got == (2, "", "error: --horizon must be below 2**63\n")
 
 
 # ---- top level --------------------------------------------------------------------
