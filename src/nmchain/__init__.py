@@ -31,7 +31,6 @@ from .gates import (
 from .channels import (
     DivisibilityStep,
     KrausSet,
-    LinearMap,
     apply_kraus,
     choi,
     divisibility_scan,

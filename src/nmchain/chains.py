@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channels import KrausSet, LinearMap, apply_kraus, kraus_from_collision, map_from_probes, tomography_probes
+from .channels import KrausSet, apply_kraus, kraus_from_collision, map_from_probes, tomography_probes
 from .gates import UnitaryGate, apply_gate, embed, molecule_state, sqrt_xor_gate, swap_gate, xor_gate
 from .linalg import (
     DensityMatrix,
@@ -214,15 +214,23 @@ def schedule_from_records(records: Sequence[dict], horizon: Optional[int] = None
     return CollisionSchedule._from_arrays(steps, molecules, horizon, gates)
 
 
+def _step_range(horizon: int) -> np.ndarray:
+    """np.arange(horizon), refused when the int64 range does not hold the horizon."""
+    t = np.arange(horizon)
+    if horizon > 0 and len(t) != horizon:
+        raise ValueError(f"horizon {horizon} does not fit an int64 step range")
+    return t
+
+
 def chain_schedule(horizon: int) -> CollisionSchedule:
     """Every molecule collides exactly once: molecule t at step t."""
-    t = np.arange(horizon)
+    t = _step_range(horizon)
     return CollisionSchedule._from_arrays(t, t, horizon)
 
 
 def single_molecule_schedule(horizon: int) -> CollisionSchedule:
     """One molecule colliding at every step."""
-    t = np.arange(horizon)
+    t = _step_range(horizon)
     return CollisionSchedule._from_arrays(t, np.zeros_like(t), horizon)
 
 
@@ -231,7 +239,7 @@ def _double_collision_schedule(horizon: int, gap: int) -> CollisionSchedule:
     # second (or only) collision. Molecules near the start of the chain
     # collide once so every molecule's activity fits the horizon: the fresh
     # molecule t + gap of step t is kept only while it is below the horizon.
-    t = np.arange(horizon)
+    t = _step_range(horizon)
     steps, molecules = np.repeat(t, 2), np.column_stack([t + gap, t]).ravel()
     keep = molecules < horizon
     return CollisionSchedule._from_arrays(steps[keep], molecules[keep], horizon)
@@ -604,16 +612,16 @@ def system_marginals(stack: np.ndarray, slots: tuple[str, ...]) -> np.ndarray:
     return out
 
 
-def system_maps(model: ChainModel, t_max: int, mem0=None) -> list[LinearMap]:
-    """Accumulated reduced maps of the system, entries t = 1 .. t_max.
+def system_maps(model: ChainModel, t_max: int, mem0=None) -> np.ndarray:
+    """Accumulated reduced maps of the system as one (t_max, 4, 4) stack;
+    entry t - 1 is the map up to step t.
 
     The four tomography probes run for t_max steps as one evolve stack (the
-    two-collision models start their memory in mem0, default |0><0|). The
-    map at step t is rebuilt from the probes' system marginals at t. The
-    cost is O(t_max) for every model.
+    two-collision models start their memory in mem0, default |0><0|), and
+    one map_from_probes call rebuilds every map from the probes' system
+    marginals. The cost is O(t_max) for every model.
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
     stack, slots = evolve(model, np.stack(tomography_probes(2)), t_max, mem0)
-    outputs = system_marginals(stack, slots)
-    return [map_from_probes(outputs[:, t], 2) for t in range(1, t_max + 1)]
+    return map_from_probes(system_marginals(stack, slots)[:, 1:], 2)

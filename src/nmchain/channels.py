@@ -1,20 +1,23 @@
-"""Quantum channels: Kraus sets, superoperator matrices, Choi matrices,
-process tomography and stepwise divisibility checks.
+"""Quantum channels: Kraus sets, superoperators, Choi matrices, process
+tomography and stepwise divisibility checks.
 
-Superoperators use the column-stacking convention: vec(|i><j|) is the unit
-vector at index j*d + i, so vec(M rho M^dagger) = (conj(M) kron M) vec(rho).
-Choi matrices are unnormalized (trace d for a trace-preserving map) with
-the reference copy on the most significant index.
+A superoperator is a plain complex (d^2, d^2) array, and a trajectory of
+them a (t, d^2, d^2) stack. They use the column-stacking convention:
+vec(|i><j|) is the unit vector at index j*d + i, so
+vec(M rho M^dagger) = (conj(M) kron M) vec(rho). Choi matrices are
+unnormalized (trace d for a trace-preserving map) with the reference copy
+on the most significant index.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .gates import UnitaryGate
-from .linalg import DensityMatrix, PureState, as_matrix, dagger
+from .linalg import DensityMatrix, PureState, as_matrix, dagger, eig_hermitian
 
 COMPLETENESS_TOL = 1e-12
 CHOI_HERMITIAN_TOL = 1e-8
@@ -82,46 +85,26 @@ def apply_kraus(kraus: KrausSet, rho):
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class LinearMap:
-    """Superoperator as a d^2 x d^2 matrix in column-stacking convention."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.ascontiguousarray(np.asarray(self.matrix, dtype=complex))
-        object.__setattr__(self, "matrix", m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"superoperator must be square, got {m.shape}")
-        d = int(round(np.sqrt(m.shape[0])))
-        if d * d != m.shape[0]:
-            raise ValueError(f"superoperator side {m.shape[0]} is not a perfect square")
-
-    @property
-    def dim(self) -> int:
-        return int(round(np.sqrt(self.matrix.shape[0])))
-
-
 def vec(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m, dtype=complex).reshape(-1, order="F")
+    """Column-stacked vector of one matrix, or of each of a stack (..., d, d)."""
+    m = np.asarray(m, dtype=complex)
+    return m.swapaxes(-1, -2).reshape(m.shape[:-2] + (-1,))
 
 
-def map_from_kraus(kraus: KrausSet) -> LinearMap:
+def map_from_kraus(kraus: KrausSet) -> np.ndarray:
     d = kraus.dim
     s = np.zeros((d * d, d * d), dtype=complex)
     for op in kraus.operators:
         s += np.kron(op.conj(), op)
-    return LinearMap(s)
+    return s
 
 
-def choi(m: LinearMap) -> np.ndarray:
-    """The (d^2, d^2) Choi matrix: block (i, j) is the map applied to |i><j|."""
-    return _choi(m.matrix, m.dim)
-
-
-def _choi(s: np.ndarray, d: int) -> np.ndarray:
-    # for one superoperator or a stack (..., d^2, d^2); column stacking:
-    # S[b*d + a, j*d + i] is entry (a, b) of map(|i><j|)
+def choi(s: np.ndarray) -> np.ndarray:
+    """The Choi matrix of one superoperator, or of each of a stack
+    (..., d^2, d^2): block (i, j) is the map applied to |i><j|."""
+    s = np.asarray(s, dtype=complex)
+    d = math.isqrt(s.shape[-1])
+    # column stacking: S[b*d + a, j*d + i] is entry (a, b) of map(|i><j|)
     return s.reshape(s.shape[:-2] + (d, d, d, d)).swapaxes(-4, -1).reshape(s.shape)
 
 
@@ -142,28 +125,29 @@ def tomography_probes(dim: int) -> list[np.ndarray]:
     return probes
 
 
-def map_from_probes(outputs: Sequence[np.ndarray], dim: int) -> LinearMap:
+def map_from_probes(outputs, dim: int) -> np.ndarray:
     """The linear map whose outputs on tomography_probes(dim) are `outputs`.
 
-    The action on |i><j| follows by linearity from the probe outputs, and
-    that on |j><i| as its adjoint, so the map must preserve Hermiticity.
+    outputs is (P, ..., dim, dim), P = dim^2 probe outputs in the order of
+    tomography_probes; the result is one (..., dim^2, dim^2) map per entry
+    of the stack. The action on |i><j| follows by linearity from the probe
+    outputs, and that on |j><i| as its adjoint, so the map must preserve
+    Hermiticity.
     """
-    outputs = [np.asarray(o, dtype=complex) for o in outputs]
-    s = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        s[:, i * dim + i] = vec(outputs[i])
-    k = dim
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            plus, circ = outputs[k], outputs[k + 1]
-            k += 2
-            cross = plus + 1j * circ - (1 + 1j) / 2.0 * (outputs[i] + outputs[j])
-            s[:, j * dim + i] = vec(cross)
-            s[:, i * dim + j] = vec(dagger(cross))
-    return LinearMap(s)
+    out = np.asarray(outputs, dtype=complex)
+    i, j = np.triu_indices(dim, 1)
+    plus, circ = out[dim::2], out[dim + 1::2]
+    cross = plus + 1j * circ - (1 + 1j) / 2.0 * (out[i] + out[j])
+    diag = np.arange(dim) * (dim + 1)
+    s = np.empty(out.shape[1:-2] + (dim * dim, dim * dim), dtype=complex)
+    # vec gives (probe, ..., dim^2); each probe fills one column
+    s[..., diag] = np.moveaxis(vec(out[:dim]), 0, -1)
+    s[..., j * dim + i] = np.moveaxis(vec(cross), 0, -1)
+    s[..., i * dim + j] = np.moveaxis(vec(dagger(cross)), 0, -1)
+    return s
 
 
-def map_tomography(evolve: Callable[[np.ndarray], np.ndarray], dim: int) -> LinearMap:
+def map_tomography(evolve: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
     """Reconstruct a linear map from its action on physical probe states.
 
     evolve() is only ever handed the genuine density matrices of
@@ -189,37 +173,35 @@ class DivisibilityStep:
     """
 
     exists: Optional[bool]
-    intermediate: Optional[LinearMap]
+    intermediate: Optional[np.ndarray]
     min_choi_eig: Optional[float]
     smallest_singular: float
 
 
-def divisibility_scan(
-    maps: Sequence[LinearMap],
-    *,
-    cp_tol: float = CP_TOL_DEFAULT,
-) -> list[DivisibilityStep]:
+def divisibility_scan(maps, *, cp_tol: float = CP_TOL_DEFAULT) -> list[DivisibilityStep]:
     """Stepwise CP checks for a whole trajectory of accumulated maps.
 
-    maps[t] is the evolution up to step t+1; the first entry is checked
+    maps is a (t, d^2, d^2) stack, or a sequence of (d^2, d^2) maps;
+    maps[t] is the evolution up to step t+1. The first entry is checked
     against the identity, later ones against their predecessor. Each step
     solves L m_prev = m_t for the intermediate L and checks its Choi
     spectrum. When m_prev has a singular value below SINGULAR_CUTOFF, or
     the solve's round-off (which grows like eps / sigma_min) leaves the
     Choi matrix of L far from Hermitian, the step is reported as
     indeterminate rather than guessed. All steps run as one stack: one
-    SVD, one solve, one Choi reshuffle and one eigh, each batched over the
-    steps. cp_tol must be finite and non-negative.
+    SVD, one solve, one Choi reshuffle and one eigendecomposition, each
+    batched over the steps. cp_tol must be finite and non-negative.
     """
     if not (np.isfinite(cp_tol) and cp_tol >= 0):
         raise ValueError(f"cp_tol must be finite and non-negative, got {cp_tol!r}")
-    if not maps:
+    cur = np.asarray(maps, dtype=complex)
+    if cur.shape[:1] == (0,):
         return []
-    d = maps[0].dim
-    if any(m.dim != d for m in maps):
-        raise ValueError("maps act on different dimensions")
-    cur = np.stack([m.matrix for m in maps])
-    eye = np.eye(d * d, dtype=complex)
+    if cur.ndim != 3 or cur.shape[1] != cur.shape[2]:
+        raise ValueError(f"expected a (t, d^2, d^2) stack of superoperators, got shape {cur.shape}")
+    if math.isqrt(cur.shape[1]) ** 2 != cur.shape[1]:
+        raise ValueError(f"superoperator side {cur.shape[1]} is not a perfect square")
+    eye = np.eye(cur.shape[1], dtype=complex)
     prev = np.concatenate([eye[None], cur[:-1]])
     smallest = singular_values(prev)[:, -1]
     invertible = smallest >= SINGULAR_CUTOFF
@@ -227,19 +209,13 @@ def divisibility_scan(
     # batched solve cannot fail on it; its step is reported undecided
     prev = np.where(invertible[:, None, None], prev, eye)
     inter = np.linalg.solve(prev.swapaxes(-1, -2), cur.swapaxes(-1, -2)).swapaxes(-1, -2)
-    c = _choi(inter, d)
+    c = choi(inter)
     decided = invertible & (np.abs(c - dagger(c)).max((-2, -1)) <= CHOI_HERMITIAN_TOL)
-    # symmetrised twice, as the per-step oracle in tests/helpers.py does
-    # (once itself, once in eig_hermitian): it pins this scan bit for bit;
-    # an undecided step's Choi matrix is swapped for the identity, so that
-    # eigh only sees the matrices a per-step check would have handed it
+    # symmetrised twice, here and again in eig_hermitian, as the per-step
+    # oracle in tests/helpers.py does: it pins this scan bit for bit; an
+    # undecided step's Choi matrix is swapped for the identity, so that the
+    # eigensolver only sees the matrices a per-step check would hand it
     h = np.where(decided[:, None, None], (c + dagger(c)) / 2.0, eye)
-    w = np.linalg.eigh((h + dagger(h)) / 2.0)[0][:, 0]
-    out = []
-    for k in range(len(maps)):
-        if not decided[k]:
-            out.append(DivisibilityStep(None, None, None, float(smallest[k])))
-        else:
-            mn = float(w[k])
-            out.append(DivisibilityStep(mn >= -cp_tol, LinearMap(inter[k]), mn, float(smallest[k])))
-    return out
+    w = eig_hermitian(h)[0][:, -1].tolist()
+    return [DivisibilityStep(mn >= -cp_tol, m, mn, sv) if ok else DivisibilityStep(None, None, None, sv)
+            for ok, m, mn, sv in zip(decided, inter, w, smallest.tolist())]

@@ -12,7 +12,6 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -170,17 +169,9 @@ def _memory_arg(args, model):
 
 
 def _check_threads(args) -> None:
-    """Validate --threads or NMCHAIN_THREADS. Sampling runs on one thread and
-    its records never depend on the count, so the value is not used."""
-    if getattr(args, "threads", None) is not None:
-        n = args.threads
-    else:
-        raw = os.environ.get("NMCHAIN_THREADS", "1")
-        try:
-            n = int(raw)
-        except ValueError:
-            raise ConfigError(f"NMCHAIN_THREADS={raw!r} is not an integer") from None
-    if n < 1:
+    """Validate --threads. Sampling runs on one thread and its records never
+    depend on the count, so the value is not used."""
+    if args.threads is not None and args.threads < 1:
         raise ConfigError("thread count must be at least 1")
 
 
@@ -340,7 +331,11 @@ def _cmd_schedule(args) -> int:
         raise ConfigError("--horizon must be at least 1")
     if args.horizon >= 2**63:
         raise ConfigError("--horizon must be below 2**63")
-    sched = _FIGURES[args.figure](args.horizon)
+    try:
+        sched = _FIGURES[args.figure](args.horizon)
+    except (ValueError, MemoryError) as exc:
+        # a horizon below 2**63 that np.arange cannot hold, or cannot allocate
+        raise ConfigError(str(exc)) from None
     # json.dumps(sched.to_records())'s text, one f-string per event
     records = (f'{{"t": {t}, "mol": {m}{_GATE_JSON[g]}}}' for t, m, g in zip(
         sched.event_steps.tolist(), sched.event_molecules.tolist(), sched.event_gates.tolist()))
@@ -397,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int,
                    help="thread count, checked to be at least 1; sampling runs on one "
                         "thread and records never depend on the value "
-                        "(default: NMCHAIN_THREADS or 1)")
+                        "(default 1)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_trajectories)
 

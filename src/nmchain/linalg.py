@@ -200,19 +200,20 @@ def partial_transpose(rho: DensityMatrix, slot: str) -> np.ndarray:
 
 
 def eig_hermitian(h: np.ndarray):
-    """Eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
+    """Eigendecomposition of a Hermitian matrix, or of each of a stack
+    (..., d, d), by LAPACK (numpy.linalg.eigh).
 
     Returns (w, v): eigenvalues sorted descending, eigenvectors as the
     columns of the unitary v, with h = v @ diag(w) @ v^dagger.
     """
     a = np.asarray(h, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     herm = np.abs(a - dagger(a)).max()
     if herm > 1e-10:
         raise ValueError(f"matrix not Hermitian (residual {herm:.3e})")
     w, v = np.linalg.eigh((a + dagger(a)) / 2.0)
-    return w[::-1], v[:, ::-1]
+    return w[..., ::-1], v[..., ::-1]
 
 
 def von_neumann_entropy(rho) -> float:

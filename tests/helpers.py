@@ -480,12 +480,12 @@ def min_choi_eigenvalue(c):
 
 def divisibility_step_oracle(m_t, m_prev, cp_tol=1e-9):
     from nmchain.channels import (
-        CHOI_HERMITIAN_TOL, SINGULAR_CUTOFF, DivisibilityStep, LinearMap, choi, singular_values,
+        CHOI_HERMITIAN_TOL, SINGULAR_CUTOFF, DivisibilityStep, choi, singular_values,
     )
-    smallest = float(singular_values(m_prev.matrix)[-1])
+    smallest = float(singular_values(m_prev)[-1])
     if smallest < SINGULAR_CUTOFF:
         return DivisibilityStep(None, None, None, smallest)
-    inter = LinearMap(np.linalg.solve(m_prev.matrix.T, m_t.matrix.T).T)
+    inter = np.linalg.solve(m_prev.T, m_t.T).T
     c = choi(inter)
     if np.abs(c - dag(c)).max() > CHOI_HERMITIAN_TOL:
         return DivisibilityStep(None, None, None, smallest)
@@ -495,9 +495,7 @@ def divisibility_step_oracle(m_t, m_prev, cp_tol=1e-9):
 
 def divisibility_scan_oracle(maps, cp_tol=1e-9):
     """One divisibility_step_oracle per step, the first against the identity."""
-    from nmchain.channels import LinearMap
-    d = maps[0].dim
-    prevs = [LinearMap(np.eye(d * d, dtype=complex))] + list(maps[:-1])
+    prevs = [np.eye(len(maps[0]), dtype=complex)] + list(maps[:-1])
     return [divisibility_step_oracle(cur, prev, cp_tol) for cur, prev in zip(maps, prevs)]
 
 

@@ -621,7 +621,7 @@ def test_system_maps_markov_closed_form():
     maps = system_maps(markov_xor(phi), 5)
     k = np.sin(2 * phi)
     for t, m in enumerate(maps, start=1):
-        assert np.abs(m.matrix - np.diag([1.0, k ** t, k ** t, 1.0])).max() < 1e-13
+        assert np.abs(m - np.diag([1.0, k ** t, k ** t, 1.0])).max() < 1e-13
 
 
 @pytest.mark.parametrize("kind,factory", [("double", repeated_xor), ("split", sqrt_xor)])
@@ -631,7 +631,7 @@ def test_system_maps_match_probe_oracle(kind, factory):
     maps = system_maps(factory(phi), 4)
     for t, m in enumerate(maps, start=1):
         want = H.sys_map_oracle(phi, kind, mem, t)
-        assert np.abs(m.matrix - want).max() < 1e-12
+        assert np.abs(m - want).max() < 1e-12
 
 
 def test_system_maps_first_step_damping_factors():
@@ -646,15 +646,15 @@ def test_system_maps_first_step_damping_factors():
     ]
     for model, mem, want in cases:
         m1 = system_maps(model, 1, mem0=mem)[0]
-        assert abs(m1.matrix[2, 2] - want) < 1e-13
-        assert abs(m1.matrix[1, 1] - np.conj(want)) < 1e-13
+        assert abs(m1[2, 2] - want) < 1e-13
+        assert abs(m1[1, 1] - np.conj(want)) < 1e-13
 
 
 def test_system_maps_split_decay_ratio():
     phi = 0.47
     maps = system_maps(sqrt_xor(phi), 5, mem0=H.molecule_density(phi))
     for prev, cur in zip(maps, maps[1:]):
-        ratio = cur.matrix[2, 2] / prev.matrix[2, 2]
+        ratio = cur[2, 2] / prev[2, 2]
         assert abs(ratio - np.sin(2 * phi)) < 1e-12
 
 
@@ -674,7 +674,7 @@ def test_system_maps_custom_matches_builtin_on_same_schedule():
                 e = np.zeros((2, 2), complex)
                 e[i, j] = 1.0
                 s[:, j * 2 + i] = evolve(e).reshape(-1, order="F")
-        assert np.abs(m.matrix - s).max() < 1e-12
+        assert np.abs(m - s).max() < 1e-12
     with pytest.raises(ValueError):
         system_maps(custom, 9)
     with pytest.raises(ValueError):
@@ -696,6 +696,21 @@ def test_system_maps_runs_each_probe_once(monkeypatch):
         calls.clear()
         assert len(system_maps(custom, t_max)) == t_max
         assert calls == [((4, 2, 2), t_max)]
+
+
+@pytest.mark.parametrize("factory", [markov_xor, repeated_xor, sqrt_xor])
+def test_system_maps_rebuild_every_map_in_one_call(monkeypatch, factory):
+    shapes = []
+    real = chains.map_from_probes
+
+    def spy(outputs, dim):
+        shapes.append(np.shape(outputs))
+        return real(outputs, dim)
+
+    monkeypatch.setattr(chains, "map_from_probes", spy)
+    got = system_maps(factory(0.3), 7)
+    assert shapes == [(4, 7, 2, 2)]
+    assert got.shape == (7, 4, 4) and got.dtype == complex
 
 
 @pytest.mark.parametrize("name,factory", [("apply_kraus", sqrt_xor), ("apply_kraus", repeated_xor),
@@ -722,7 +737,7 @@ def test_stacked_system_maps_equal_per_probe_runs(gap, gate):
     want = [map_from_probes([run[t].matrix for run in runs], 2) for t in range(1, t_max + 1)]
     got = system_maps(custom, t_max)
     assert len(got) == t_max
-    assert all(np.array_equal(g.matrix, w.matrix) for g, w in zip(got, want))
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 # ---- one evolution per model ------------------------------------------------
@@ -814,7 +829,7 @@ def test_system_maps_equal_per_probe_runs():
         want = [map_from_probes(out, 2) for out in outs]
         got = system_maps(model, t_max, mem0)
         assert len(got) == t_max
-        assert all(np.array_equal(g.matrix, w.matrix) for g, w in zip(got, want))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_evolve_errors_keep_their_messages():

@@ -15,7 +15,6 @@ from nmchain.chains import (
 from nmchain.channels import (
     SINGULAR_CUTOFF,
     KrausSet,
-    LinearMap,
     apply_kraus,
     choi,
     divisibility_scan,
@@ -134,14 +133,14 @@ def test_map_from_kraus_agrees_with_direct_application():
     lm = map_from_kraus(ks)
     # trace preservation: vec(I)^dagger S = vec(I)^dagger
     ident = vec(np.eye(2))
-    assert np.abs(ident @ lm.matrix - ident).max() < 1e-12
+    assert np.abs(ident @ lm - ident).max() < 1e-12
     for _ in range(5):
         r = H.rand_rho(rng, 2)
-        assert np.allclose(H.superop_apply(lm.matrix, r), apply_kraus(ks, r), atol=1e-14)
+        assert np.allclose(H.superop_apply(lm, r), apply_kraus(ks, r), atol=1e-14)
 
 
 def _identity_map():
-    return LinearMap(np.eye(4, dtype=complex))
+    return np.eye(4, dtype=complex)
 
 
 def test_choi_of_known_channels():
@@ -158,14 +157,14 @@ def test_choi_of_known_channels():
             e = np.zeros((2, 2), complex)
             e[i, j] = 1.0
             swap[:, j * 2 + i] = vec(e.T)
-    assert H.min_choi_eigenvalue(choi(LinearMap(swap))) == pytest.approx(-1.0, abs=1e-12)
+    assert H.min_choi_eigenvalue(choi(swap)) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_choi_matches_oracle_for_collision_maps():
     for kind, model in [("double", repeated_xor(0.35)), ("split", sqrt_xor(0.35))]:
         mem = np.diag([1.0, 0.0]).astype(complex)
         s = H.sys_map_oracle(0.35, kind, mem, 3)
-        got = choi(LinearMap(s))
+        got = choi(s)
         assert np.abs(got - H.choi_oracle(s)).max() < 1e-13
 
 
@@ -173,7 +172,7 @@ def test_map_tomography_reconstructs_kraus_map():
     ks = _dephase_kraus(0.45)
     lm = map_from_kraus(ks)
     rebuilt = map_tomography(lambda r: apply_kraus(ks, r), 2)
-    assert np.abs(rebuilt.matrix - lm.matrix).max() < 1e-13
+    assert np.abs(rebuilt - lm).max() < 1e-13
 
 
 def test_map_tomography_four_dimensional():
@@ -182,7 +181,7 @@ def test_map_tomography_four_dimensional():
     u, _ = np.linalg.qr(g)
     ks = KrausSet((u,))
     rebuilt = map_tomography(lambda r: u @ r @ u.conj().T, 4)
-    assert np.abs(rebuilt.matrix - map_from_kraus(ks).matrix).max() < 1e-12
+    assert np.abs(rebuilt - map_from_kraus(ks)).max() < 1e-12
 
 
 def test_map_from_probes_inverts_the_probe_outputs():
@@ -198,7 +197,19 @@ def test_map_from_probes_inverts_the_probe_outputs():
         a, b = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2))
         g = np.kron(a.conj(), a) - 0.5 * np.kron(b.conj(), b)
         outputs = [H.superop_apply(g, p) for p in probes]
-        assert np.abs(map_from_probes(outputs, dim).matrix - g).max() < 1e-12
+        assert np.abs(map_from_probes(outputs, dim) - g).max() < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_stacked_map_from_probes_equals_per_slice_calls(dim):
+    # probe outputs (P, 2, 3, dim, dim) give one map per stack entry, bit for bit
+    rng = np.random.default_rng(dim)
+    outputs = rng.normal(size=(dim * dim, 2, 3, dim, dim)) + 1j * rng.normal(size=(dim * dim, 2, 3, dim, dim))
+    got = map_from_probes(outputs, dim)
+    assert got.shape == (2, 3, dim * dim, dim * dim)
+    for k in np.ndindex(2, 3):
+        one = map_from_probes([o[k] for o in outputs], dim)
+        assert np.array_equal(got[k].view(np.uint64), one.view(np.uint64))
 
 
 def test_singular_values_match_lapack():
@@ -220,7 +231,7 @@ def test_singular_values_resolve_known_smallest(sigma):
     m = u @ np.diag([1.0, 0.5, 0.2, sigma]) @ v.conj().T
     assert singular_values(m)[-1] == pytest.approx(sigma, rel=1e-6, abs=1e-15)
     if sigma < SINGULAR_CUTOFF:
-        step = divisibility_scan([LinearMap(m), _identity_map()])[1]
+        step = divisibility_scan([m, _identity_map()])[1]
         assert step.exists is None
         assert step.smallest_singular == pytest.approx(sigma, rel=1e-6, abs=1e-15)
 
@@ -228,11 +239,11 @@ def test_singular_values_resolve_known_smallest(sigma):
 def test_divisibility_step_recovers_intermediate():
     a = map_from_kraus(_dephase_kraus(0.2))
     b = map_from_kraus(_dephase_kraus(0.35))
-    total = LinearMap(b.matrix @ a.matrix)
+    total = b @ a
     step = divisibility_scan([a, total])[1]
     assert step.exists is True
     assert step.min_choi_eig >= -1e-12
-    assert np.abs(step.intermediate.matrix - b.matrix).max() < 1e-12
+    assert np.abs(step.intermediate - b).max() < 1e-12
 
 
 def test_divisibility_step_indeterminate_on_singular_previous():
@@ -240,8 +251,7 @@ def test_divisibility_step_indeterminate_on_singular_previous():
     sink = np.zeros((4, 4), complex)
     sink[:, 0] = vec(np.diag([1.0, 0.0]))
     sink[:, 3] = vec(np.diag([1.0, 0.0]))
-    prev = LinearMap(sink)
-    step = divisibility_scan([prev, _identity_map()])[1]
+    step = divisibility_scan([sink, _identity_map()])[1]
     assert step.exists is None
     assert step.intermediate is None and step.min_choi_eig is None
     assert step.smallest_singular < 1e-10
@@ -250,7 +260,7 @@ def test_divisibility_step_indeterminate_on_singular_previous():
 def _rotated_dephasing(lam, u):
     # coherences of the rotated basis scaled by lam
     su = np.kron(u.conj(), u)
-    return LinearMap(su @ np.diag([1.0, lam, lam, 1.0]) @ su.conj().T)
+    return su @ np.diag([1.0, lam, lam, 1.0]) @ su.conj().T
 
 
 def test_divisibility_step_round_off_is_indeterminate():
@@ -264,7 +274,7 @@ def test_divisibility_step_round_off_is_indeterminate():
         for u in rotations:
             prev = _rotated_dephasing(lam, u)
             step = divisibility_scan([prev, _rotated_dephasing(lam / 2, u)])[1]
-            assert step.smallest_singular == singular_values(prev.matrix)[-1]
+            assert step.smallest_singular == singular_values(prev)[-1]
             assert step.smallest_singular >= SINGULAR_CUTOFF
             if step.exists is None:
                 undecided += 1
@@ -278,6 +288,20 @@ def test_divisibility_scan_shapes():
     assert len(scan) == 4
     assert all(s.exists is True for s in scan)
     assert divisibility_scan([]) == []
+    assert divisibility_scan(np.zeros((0, 4, 4), complex)) == []
+    # the stacked and listed forms of the same maps give the same steps
+    _assert_same_steps(divisibility_scan(np.stack(maps)), scan)
+
+
+@pytest.mark.parametrize("shape, match", [
+    ((4, 4), "stack of superoperators"),
+    ((1, 2, 4, 4), "stack of superoperators"),
+    ((3, 4, 2), "stack of superoperators"),
+    ((3, 3, 3), "not a perfect square"),
+])
+def test_divisibility_scan_rejects_malformed_stacks(shape, match):
+    with pytest.raises(ValueError, match=match):
+        divisibility_scan(np.ones(shape, complex))
 
 
 def _partial_swap_maps(theta):
@@ -309,7 +333,7 @@ def _assert_same_steps(got, want):
         if w.intermediate is None:
             assert g.intermediate is None
         else:
-            assert np.array_equal(g.intermediate.matrix, w.intermediate.matrix)
+            assert np.array_equal(g.intermediate, w.intermediate)
 
 
 def test_stacked_scan_equals_the_per_step_checks():
@@ -356,7 +380,7 @@ def test_divisibility_rejects_bad_tolerances(tols):
 def test_choi_matrix_validation():
     # rho -> D rho with D = diag(1, 2) keeps no Hermiticity: its Choi matrix
     # is far from Hermitian, so the step is left undecided, not judged
-    skewed = LinearMap(np.kron(np.eye(2), np.diag([1.0, 2.0])))
+    skewed = np.kron(np.eye(2), np.diag([1.0, 2.0]))
     with pytest.raises(ValueError, match="far from Hermitian"):
         H.min_choi_eigenvalue(choi(skewed))
     step = divisibility_scan([skewed])[0]

@@ -434,16 +434,18 @@ def test_trajectories_json_and_summary(capsys):
 
 
 def test_trajectories_reproducible_and_thread_invariant(capsys, monkeypatch):
-    # --threads and NMCHAIN_THREADS are validated but sampling runs on one
-    # thread, so the records never depend on the count
+    # --threads is validated but sampling runs on one thread, so the records
+    # never depend on the count; the NMCHAIN_THREADS variable is not read
     args = ("trajectories", "--model", "repeated-xor", "--phi", "0.4",
             "--steps", "4", "--initial", INIT, "--samples", "40", "--seed", "7")
     rc1, out1, err1 = run(capsys, *args)
     assert rc1 == 0
     for threads in ("2", "4"):
         assert run(capsys, *args, "--threads", threads) == (0, out1, err1)
-    monkeypatch.setenv("NMCHAIN_THREADS", "3")
-    assert run(capsys, *args) == (0, out1, err1)
+    for value in ("3", "0", "zebra"):
+        monkeypatch.setenv("NMCHAIN_THREADS", value)
+        assert run(capsys, *args) == (0, out1, err1)
+        assert run(capsys, *args, "--threads", "2") == (0, out1, err1)
 
 
 def test_trajectories_builtin_records_are_sample_ensemble(capsys):
@@ -580,7 +582,7 @@ def test_trajectories_custom_and_straddler(tmp_path, capsys):
     assert "unsupported" in err
 
 
-def test_trajectories_config_errors(capsys, monkeypatch):
+def test_trajectories_config_errors(capsys):
     base = ("trajectories", "--model", "markov-xor", "--phi", "0.3", "--initial", INIT)
     rc, _, err = run(capsys, *base)
     assert rc == 2 and "--steps" in err
@@ -592,9 +594,6 @@ def test_trajectories_config_errors(capsys, monkeypatch):
     assert rc == 2
     rc, _, err = run(capsys, *base, "--steps", "2", "--threads", "0")
     assert rc == 2
-    monkeypatch.setenv("NMCHAIN_THREADS", "zebra")
-    rc, _, err = run(capsys, *base, "--steps", "2")
-    assert rc == 2 and "NMCHAIN_THREADS" in err
 
 
 # ---- schedule -------------------------------------------------------------------
@@ -656,6 +655,24 @@ def test_schedule_validation(capsys):
     for horizon in (2**63, 2**64):
         got = run(capsys, "schedule", "--figure", "1a", "--horizon", str(horizon))
         assert got == (2, "", "error: --horizon must be below 2**63\n")
+    # just below 2**63 np.arange(horizon) is empty or refused outright (no
+    # memory is asked for); either way the layout cannot hold the horizon
+    for horizon in (9223372036854775807, 9223372036854775296):
+        for figure in ("1a", "1b", "1d", "5"):
+            got = run(capsys, "schedule", "--figure", figure, "--horizon", str(horizon))
+            assert got == (2, "", f"error: horizon {horizon} does not fit an int64 step range\n")
+    rc, out, err = run(capsys, "schedule", "--figure", "1a", "--horizon", "9223372036854774783")
+    assert (rc, out) == (2, "") and err.startswith("error: array is too big")
+
+
+def test_schedule_horizon_past_memory_is_a_config_error(capsys, monkeypatch):
+    # a layout numpy cannot allocate, stood in for so that no memory is asked for
+    def refuse(horizon):
+        raise MemoryError(f"Unable to allocate {8 * horizon} bytes")
+
+    monkeypatch.setitem(cli._FIGURES, "1a", refuse)
+    got = run(capsys, "schedule", "--figure", "1a", "--horizon", str(2**40))
+    assert got == (2, "", f"error: Unable to allocate {8 * 2**40} bytes\n")
 
 
 # ---- top level --------------------------------------------------------------------

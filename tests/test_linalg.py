@@ -200,6 +200,22 @@ def test_eig_hermitian_near_degenerate():
 def test_eig_hermitian_rejects_non_hermitian():
     with pytest.raises(ValueError):
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError):
+        eig_hermitian(np.stack([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
+    for shape in ((4,), (2, 3), (5, 2, 3)):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            eig_hermitian(np.zeros(shape))
+
+
+def test_eig_hermitian_stacks_equal_per_matrix_calls():
+    rng = np.random.default_rng(17)
+    g = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
+    a = g + dagger(g)
+    w, v = eig_hermitian(a)
+    assert w.shape == (2, 3, 4) and v.shape == (2, 3, 4, 4)
+    for k in np.ndindex(2, 3):
+        w1, v1 = eig_hermitian(a[k])
+        assert np.array_equal(w[k], w1) and np.array_equal(v[k], v1)
 
 
 def test_entropy_golden_and_edge_cases():
