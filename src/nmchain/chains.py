@@ -16,6 +16,9 @@ compound live on slots ("mem", "sys"). Arbitrary collision layouts
 (custom models) run in a sliding-window engine that keeps only the
 currently open molecules; evolve is its one entry, and the window width a
 schedule needs is checked against WINDOW_QUBIT_CAP when the model is built.
+Each window step is one product V rho V^dagger with the step isometry V
+(attach the fresh molecules, run the step's collisions), built once per
+step shape and kept in a bounded cache.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channels import KrausSet, apply_kraus, kraus_from_collision, map_from_probes, tomography_probes
-from .gates import UnitaryGate, apply_gate, embed, molecule_state, sqrt_xor_gate, swap_gate, xor_gate
+from .gates import UnitaryGate, apply_left, embed, molecule_state, sqrt_xor_gate, swap_gate, xor_gate
 from .linalg import (
     DensityMatrix,
     as_matrix,
@@ -475,7 +478,7 @@ def stationary_overlap(model: ChainModel) -> float:
 
 # --- sliding-window engine -------------------------------------------------
 
-MOLECULE_CACHE_SIZE = 128
+STEP_CACHE_SIZE = 64
 
 
 def _attach(front: np.ndarray, joint: np.ndarray) -> np.ndarray:
@@ -485,12 +488,33 @@ def _attach(front: np.ndarray, joint: np.ndarray) -> np.ndarray:
     return (front[:, None, :, None] * joint[..., None, :, None, :]).reshape(joint.shape[:-2] + (d, d))
 
 
-@lru_cache(maxsize=MOLECULE_CACHE_SIZE)
-def _molecule_density(phi: float, sign: float) -> np.ndarray:
-    # sign tells -0.0 from 0.0: they hash alike but prepare differently signed zeros
-    xi = molecule_state(phi).density()
-    xi.flags.writeable = False
-    return xi
+@lru_cache(maxsize=STEP_CACHE_SIZE)
+def _step_isometry(gate: UnitaryGate, phi: float, sign: float, n_open: int, events: tuple) -> tuple:
+    """(V, V^dagger) of one step shape: V = U_k ... U_1 (|psi(phi)>^fresh (x) I).
+
+    The shape is n_open, the open molecules before the step, and the events
+    in listed order as (position in the incoming register or -1 for a fresh
+    molecule, gate code). The fresh molecules take the front of the new
+    register, the newest first. sign tells -0.0 from 0.0: they hash alike
+    but prepare differently signed zeros. Keyed on the gate instance, so two
+    gates with the same roles never share an entry.
+    """
+    fresh = sum(pos < 0 for pos, _ in events)
+    n = n_open + fresh + 1
+    psi = molecule_state(phi).amplitudes[:, None, None]
+    v = np.eye(2 ** (n_open + 1), dtype=complex)
+    for _ in range(fresh):
+        v = (psi * v).reshape(-1, v.shape[1])  # np.kron(psi, v)
+    newest = fresh  # a fresh molecule takes the slot in front of the one attached before it
+    for pos, code in events:
+        if pos < 0:
+            newest -= 1
+        q = newest if pos < 0 else fresh + pos
+        g = _GATES[code] if code else gate
+        v = apply_left(v, g, [q if role == "mol" else n - 1 for role in g.slot_roles], n)
+    vh = np.ascontiguousarray(v.conj().T)
+    v.flags.writeable = vh.flags.writeable = False
+    return v, vh
 
 
 def window_collide(
@@ -500,27 +524,33 @@ def window_collide(
     t: int,
 ) -> tuple[np.ndarray, list]:
     """Attach fresh molecules and run the collisions of step t of a custom
-    model's schedule, in listed order.
+    model's schedule, in listed order, as one product V @ joint @ V^dagger.
 
     joint may be one state or a stack of states (..., D, D) on the register
-    of the open_ids molecules (newest first), then the system. Mutates
-    nothing; returns the new (joint, open_ids). Closing the finished
+    of the open_ids molecules (newest first), then the system. The step
+    isometry V is compiled once per step shape (open register size, each
+    event's position or "fresh" and its gate code) and kept in a bounded
+    cache keyed on the collision gate instance and phi with its sign.
+    Mutates nothing; returns the new (joint, open_ids). Closing the finished
     molecules is up to the caller, who may trace or read them out.
     """
     schedule = model.schedule
     if t >= schedule.horizon:
         raise ValueError(f"schedule horizon {schedule.horizon} exhausted at t={t}")
     open_ids = list(open_ids)
-    xi = _molecule_density(model.phi, math.copysign(1.0, model.phi))
     rows = schedule._step_slice(t)
+    events, fresh = [], []
     for molecule, code in zip(schedule.event_molecules[rows].tolist(), schedule.event_gates[rows].tolist()):
-        if molecule not in open_ids:
-            joint = _attach(xi, joint)
-            open_ids.insert(0, molecule)
-        g = _GATES[code] if code else model.collision_gate()
-        acting = [open_ids.index(molecule) if role == "mol" else len(open_ids) for role in g.slot_roles]
-        joint = apply_gate(joint, g, acting, len(open_ids) + 1)
-    return joint, open_ids
+        if molecule in open_ids:
+            events.append((open_ids.index(molecule), code))
+        else:
+            events.append((-1, code))
+            fresh.insert(0, molecule)
+    if not events:
+        return joint, open_ids
+    phi = model.phi
+    v, vh = _step_isometry(model.collision_gate(), phi, math.copysign(1.0, phi), len(open_ids), tuple(events))
+    return v @ joint @ vh, fresh + open_ids
 
 
 def _window_marginals(model: ChainModel, states: np.ndarray, steps: int) -> list:

@@ -3,8 +3,9 @@
 A gate carries its matrix together with a tuple of slot roles written in
 the same ordering convention as the rest of the package (first role = most
 significant bit). embed() places a gate into a larger named register so
-callers never do index bookkeeping by hand; apply_gate() applies it to
-states by register position without building the embedded matrix.
+callers never do index bookkeeping by hand; apply_left() multiplies a
+matrix by the gate on given register positions without building the
+embedded matrix (embed is apply_left on the identity).
 
 The controlled gates here use the system qubit as control and the fresh
 molecule as target; the two constructors expose whichever slot ordering
@@ -138,50 +139,46 @@ def embed(gate: UnitaryGate, register_slots: Sequence[str], acting_on: Sequence[
         raise ValueError(f"slots {missing} not in register {register}") from None
 
     n = len(register)
-    order, (ket, _) = _plan(0, n, tuple(positions))
-    u = _side(np.eye(2 ** n, dtype=complex).reshape((2,) * (2 * n)), _ordered(gate, order)[0], ket)
-    return UnitaryGate(u.reshape(2 ** n, 2 ** n), register, label=gate.label)
+    u = apply_left(np.eye(2 ** n, dtype=complex), gate, positions, n)
+    return UnitaryGate(u, register, label=gate.label)
 
 
-def apply_gate(states: np.ndarray, gate: UnitaryGate, acting: Sequence[int], n_qubits: int) -> np.ndarray:
-    """u rho u^dagger, u = the gate on register positions `acting` (role order,
-    0 = most significant qubit), for one state or a stack (..., 2^n, 2^n).
-    The gate is applied on the ket axes, then its conjugate on the bra axes.
+def apply_left(w: np.ndarray, gate: UnitaryGate, acting: Sequence[int], n_qubits: int) -> np.ndarray:
+    """u @ w, u = the gate on register positions `acting` (role order, 0 = most
+    significant qubit), for a (2^n, m) matrix w, without building u.
+
+    One (2^k, 2^k) @ (2^k, rest) product, the one np.tensordot makes; each
+    entry sums the gate's terms in the order of the embedded product u @ w.
     """
-    states = np.asarray(states)
+    w = np.asarray(w)
     if len(acting) != gate.arity:
         raise ValueError(f"cannot place a {gate.arity}-qubit gate on positions {acting} of {n_qubits} qubits")
-    order, (ket, bra) = _plan(states.ndim - 2, n_qubits, tuple(acting))
-    m, m_conj = _ordered(gate, order)
-    t = states.reshape(states.shape[:-2] + (2,) * (2 * n_qubits))
-    return _side(_side(t, m, ket), m_conj, bra).reshape(states.shape)
+    order, perm, inverse = _plan(n_qubits, tuple(acting))
+    t = w.reshape((2,) * n_qubits + (-1,)).transpose(perm)
+    m = _ordered(gate, order)
+    return (m @ t.reshape(m.shape[1], -1)).reshape(t.shape).transpose(inverse).reshape(w.shape)
 
 
 PLAN_CACHE_SIZE = 256
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _plan(batch_ndim: int, n_qubits: int, acting: tuple[int, ...]):
-    """Role order and the (permutation, inverse) of the ket and bra sides.
-
-    The order lists the roles by register position; each permutation brings
-    that side's acting axes to the front, in register order, ahead of every
-    other axis in its original order.
+def _plan(n_qubits: int, acting: tuple[int, ...]):
+    """Role order, and the (permutation, inverse) that brings the acting
+    axes of a (2,) * n + (columns,) tensor to the front, in register order,
+    ahead of every other axis in its original order.
     """
     if len(set(acting)) != len(acting) or not all(0 <= q < n_qubits for q in acting):
         raise ValueError(f"cannot place a {len(acting)}-qubit gate on positions {acting} of {n_qubits} qubits")
     order = tuple(sorted(range(len(acting)), key=acting.__getitem__))
-    sides = []
-    for offset in (batch_ndim, batch_ndim + n_qubits):
-        front = sorted(offset + q for q in acting)
-        perm = front + [a for a in range(batch_ndim + 2 * n_qubits) if a not in front]
-        sides.append((tuple(perm), tuple(np.argsort(perm).tolist())))
-    return order, tuple(sides)
+    front = sorted(acting)
+    perm = front + [a for a in range(n_qubits + 1) if a not in front]
+    return order, tuple(perm), tuple(np.argsort(perm).tolist())
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _ordered(gate: UnitaryGate, order: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The gate matrix with its roles in register order, and its conjugate.
+def _ordered(gate: UnitaryGate, order: tuple[int, ...]) -> np.ndarray:
+    """The gate matrix with its roles in register order, read-only.
 
     Keyed on the gate instance (gates compare by identity), so two gates
     with the same roles never share an entry.
@@ -189,18 +186,5 @@ def _ordered(gate: UnitaryGate, order: tuple[int, ...]) -> tuple[np.ndarray, np.
     k = gate.arity
     m = gate.matrix.reshape((2,) * (2 * k)).transpose(order + tuple(k + i for i in order))
     m = np.ascontiguousarray(m.reshape(2 ** k, 2 ** k))
-    m_conj = m.conj()
-    m.flags.writeable = m_conj.flags.writeable = False
-    return m, m_conj
-
-
-def _side(t: np.ndarray, m: np.ndarray, side) -> np.ndarray:
-    """Apply the role-ordered matrix m to the axes that side's permutation brings to the front.
-
-    One (2^k, 2^k) @ (2^k, rest) product, the one np.tensordot makes, so each
-    entry sums its terms in the order of the embedded product u @ rho and
-    equals it bit for bit.
-    """
-    perm, inverse = side
-    t = t.transpose(perm)
-    return (m @ t.reshape(m.shape[1], -1)).reshape(t.shape).transpose(inverse)
+    m.flags.writeable = False
+    return m

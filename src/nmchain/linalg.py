@@ -12,7 +12,9 @@ Conventions used by the whole package:
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -164,16 +166,37 @@ def as_matrix(rho) -> np.ndarray:
 
 def partial_trace_array(a: np.ndarray, n_qubits: int, keep: Sequence[int]) -> np.ndarray:
     """Partial trace of a 2^n x 2^n array, or of each in a stack (..., 2^n, 2^n);
-    keep lists slot indices (0 = most significant)."""
-    keep = sorted(keep)
+    keep lists slot indices (0 = most significant).
+
+    Each run of adjacent slots, kept or traced, is one axis of the
+    reshaped array, so a run of traced slots costs one np.trace, the last
+    run first.
+    """
+    sizes, traces, d = _trace_plan(n_qubits, tuple(keep))
     batch = a.shape[:-2]
-    t = a.reshape(batch + (2,) * (2 * n_qubits))
-    remaining = n_qubits
-    for q in sorted(set(range(n_qubits)) - set(keep), reverse=True):
-        t = np.trace(t, axis1=len(batch) + q, axis2=len(batch) + q + remaining)
-        remaining -= 1
-    d = 2 ** len(keep)
+    t = a.reshape(batch + sizes)
+    for axis1, axis2 in traces:
+        t = t.trace(axis1=len(batch) + axis1, axis2=len(batch) + axis2)
     return np.ascontiguousarray(t.reshape(batch + (d, d)))
+
+
+TRACE_PLAN_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=TRACE_PLAN_CACHE_SIZE)
+def _trace_plan(n_qubits: int, keep: tuple[int, ...]):
+    """Axis sizes of the reshaped array (the runs of adjacent kept or traced
+    slots, ket side then bra side), the (axis1, axis2) pair of each traced
+    run, last run first, and the kept dimension."""
+    kept = [q in keep for q in range(n_qubits)]
+    runs = [(k, 2 ** len(list(run))) for k, run in itertools.groupby(kept)]
+    traces, remaining = [], len(runs)
+    for r in reversed(range(len(runs))):
+        if not runs[r][0]:
+            traces.append((r, r + remaining))
+            remaining -= 1
+    sizes = tuple(size for _, size in runs)
+    return sizes + sizes, tuple(traces), 2 ** sum(kept)
 
 
 def partial_trace(rho: DensityMatrix, keep: Union[str, Iterable[str]]) -> DensityMatrix:

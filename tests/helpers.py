@@ -188,6 +188,61 @@ def embed_front(g, n_gate, n_total, positions):
     return u_front[np.ix_(fidx, fidx)]
 
 
+def ptrace_per_qubit(a, n, keep):
+    """Partial trace of a 2^n x 2^n array or a stack, one np.trace per traced
+    qubit, the last qubit first."""
+    batch = a.shape[:-2]
+    t = a.reshape(batch + (2,) * (2 * n))
+    remaining = n
+    for q in sorted(set(range(n)) - set(keep), reverse=True):
+        t = np.trace(t, axis1=len(batch) + q, axis2=len(batch) + q + remaining)
+        remaining -= 1
+    d = 2 ** len(keep)
+    return t.reshape(batch + (d, d))
+
+
+def apply_gate(states, gate, acting, n_qubits):
+    """u rho u^dagger, u = the gate on register positions `acting` (role order,
+    0 = most significant qubit), for one state or a stack (..., 2^n, 2^n):
+    the per-gate sandwich. Each side brings its acting axes to the front and
+    makes one (2^k, 2^k) @ (2^k, rest) product, the gate on the ket axes and
+    its conjugate on the bra axes."""
+    states = np.asarray(states)
+    acting = tuple(acting)
+    k = gate.arity
+    if len(acting) != k or len(set(acting)) != k or not all(0 <= q < n_qubits for q in acting):
+        raise ValueError(f"cannot place a {k}-qubit gate on positions {acting} of {n_qubits} qubits")
+    order = tuple(sorted(range(k), key=acting.__getitem__))
+    m = gate.matrix.reshape((2,) * (2 * k)).transpose(order + tuple(k + i for i in order)).reshape(2 ** k, 2 ** k)
+    b = states.ndim - 2
+    t = states.reshape(states.shape[:-2] + (2,) * (2 * n_qubits))
+    for offset, side in ((b, m), (b + n_qubits, m.conj())):
+        front = sorted(offset + q for q in acting)
+        perm = front + [a for a in range(t.ndim) if a not in front]
+        t = t.transpose(perm)
+        t = (side @ t.reshape(2 ** k, -1)).reshape(t.shape).transpose(np.argsort(perm))
+    return t.reshape(states.shape)
+
+
+def window_collide_oracle(joint, open_ids, model, t):
+    """One step of the window engine, one collision at a time: each fresh
+    molecule is attached by np.kron as it comes, then its gate sandwich
+    runs through apply_gate."""
+    from nmchain.gates import sqrt_xor_gate, xor_gate
+
+    open_ids = list(open_ids)
+    xi = molecule_density(model.phi)
+    for ev in model.schedule.events_at(t):
+        if ev.molecule not in open_ids:
+            joint = np.stack([np.kron(xi, r) for r in joint.reshape((-1,) + joint.shape[-2:])]).reshape(
+                joint.shape[:-2] + (2 * joint.shape[-2],) * 2)
+            open_ids.insert(0, ev.molecule)
+        g = model.collision_gate() if ev.gate is None else {"xor": xor_gate, "sqrt-xor": sqrt_xor_gate}[ev.gate]()
+        acting = [open_ids.index(ev.molecule) if role == "mol" else len(open_ids) for role in g.slot_roles]
+        joint = apply_gate(joint, g, acting, len(open_ids) + 1)
+    return joint, open_ids
+
+
 XOR_MOL_SYS = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], complex)
 
 

@@ -39,7 +39,7 @@ from nmchain.chains import (
     window_width,
 )
 from nmchain.channels import apply_kraus, map_from_probes, tomography_probes
-from nmchain.gates import sqrt_xor_gate, xor_gate
+from nmchain.gates import UnitaryGate, sqrt_xor_gate, xor_gate
 from nmchain.linalg import DensityMatrix, partial_trace_array, tensor
 
 
@@ -612,6 +612,96 @@ def test_run_window_bitwise_matches_step_oracle(name):
     want = H.window_step_oracle(model, r0, 40)
     assert len(got) == len(want) == 41
     assert all(g.slots == ("sys",) and np.array_equal(g.matrix, w.matrix) for g, w in zip(got, want))
+
+
+def _random_sys_mol_gate(seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return UnitaryGate(q, ("sys", "mol"), label="random")
+
+
+_COMPILE_GATES = {"xor": xor_gate(), "sqrt-xor": sqrt_xor_gate(), "random": _random_sys_mol_gate(5)}
+
+
+def _mixed_gap2_schedule(horizon):
+    # every third event overridden, alternately by xor and sqrt-xor, so the
+    # model's own gate and both named gates meet in one step
+    recs = chains._double_collision_schedule(horizon, 2).to_records()
+    for i, rec in enumerate(recs[::3]):
+        rec["gate"] = ("xor", "sqrt-xor")[i % 2]
+    return schedule_from_records(recs, horizon=horizon)
+
+
+_COMPILE_LAYOUTS = {
+    **{f"gap{gap}": lambda h, gap=gap: chains._double_collision_schedule(h, gap) for gap in (1, 2, 3)},
+    "burst": _burst_schedule,
+    "mixed": _mixed_gap2_schedule,
+}
+
+
+def _engine_steps(model, start):
+    """(joint, open_ids) before each step of the engine's own run of start."""
+    schedule = model.schedule
+    joint, open_ids = start, []
+    for t in range(schedule.horizon):
+        yield t, joint, open_ids
+        joint, ids = window_collide(joint, open_ids, model, t)
+        keep = [q for q, m in enumerate(ids) if m not in schedule.closing_at(t)]
+        joint = partial_trace_array(joint, len(ids) + 1, keep + [len(ids)])
+        open_ids = [ids[q] for q in keep]
+
+
+@pytest.mark.parametrize("phi", [0.43, 0.0, -0.0])
+@pytest.mark.parametrize("gate", list(_COMPILE_GATES))
+@pytest.mark.parametrize("layout", list(_COMPILE_LAYOUTS))
+def test_compiled_step_matches_per_gate_sandwich(layout, gate, phi):
+    # one state and the four probes as a stack, every step from the engine's
+    # own joint state, against attach-then-sandwich one collision at a time
+    model = custom_chain(_COMPILE_GATES[gate], _COMPILE_LAYOUTS[layout](18), phi=phi)
+    for start in (_rho(np.random.default_rng(29)), np.stack(tomography_probes(2))):
+        for t, joint, open_ids in _engine_steps(model, start):
+            got, ids = window_collide(joint, open_ids, model, t)
+            want, want_ids = H.window_collide_oracle(joint, open_ids, model, t)
+            assert ids == want_ids
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_step_cache_tells_signed_zeros_and_gate_instances_apart():
+    # -0.0 and 0.0 hash alike but prepare differently signed zeros
+    r0 = _rho(np.random.default_rng(31))
+    chains._step_isometry.cache_clear()
+    for phi in (0.0, -0.0):
+        window_collide(r0, [], custom_chain(xor_gate(), chain_schedule(2), phi=phi), 0)
+    assert chains._step_isometry.cache_info().misses == 2
+    shape = (0, ((-1, 0),))  # one fresh molecule and its collision
+    v_pos, _ = chains._step_isometry(xor_gate(), 0.0, 1.0, *shape)
+    v_neg, _ = chains._step_isometry(xor_gate(), -0.0, -1.0, *shape)
+    assert chains._step_isometry.cache_info().misses == 2
+    assert not np.signbit(v_pos.real).any() and np.signbit(v_neg.real).any()
+    # two gates with the same roles, run one after the other on one shape
+    a, b = _random_sys_mol_gate(7), _random_sys_mol_gate(8)
+    for g in (a, b):
+        model = custom_chain(g, chains._double_collision_schedule(12, 2), phi=0.43)
+        for t, joint, open_ids in _engine_steps(model, r0):
+            got, _ = window_collide(joint, open_ids, model, t)
+            want, _ = H.window_collide_oracle(joint, open_ids, model, t)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert chains._step_isometry(a, 0.43, 1.0, *shape)[0] is not chains._step_isometry(b, 0.43, 1.0, *shape)[0]
+
+
+@pytest.mark.parametrize("gap", [1, 2, 3])
+def test_each_step_shape_compiles_once(gap):
+    # a gap-k layout has k start-up shapes, one steady shape and k closing
+    # shapes, whatever the horizon
+    model = custom_chain(sqrt_xor_gate(), chains._double_collision_schedule(300, gap), phi=0.37)
+    chains._step_isometry.cache_clear()
+    evolve(model, _rho(np.random.default_rng(37)), 300)
+    assert chains._step_isometry.cache_info().misses == 2 * gap + 1
+    for horizon in (1, 2, 3, 5, 8, 13, 40, 300):
+        chains._step_isometry.cache_clear()
+        system_maps(custom_chain(xor_gate(), chains._double_collision_schedule(horizon, gap), phi=0.37), horizon)
+        assert chains._step_isometry.cache_info().misses <= 2 * gap + 1
 
 
 # ---- accumulated system maps ---------------------------------------------------

@@ -7,7 +7,7 @@ import helpers as H
 from nmchain.gates import (
     SQRT_HALF_I,
     UnitaryGate,
-    apply_gate,
+    apply_left,
     embed,
     molecule_state,
     sqrt_xor_gate,
@@ -151,7 +151,7 @@ def test_apply_gate_matches_embedded_sandwich(n):
             else:
                 u = H.embed_front(gate.matrix, 2, n, pos)
             for states in (rho, stack, stack2):
-                got = apply_gate(states, gate, pos, n)
+                got = H.apply_gate(states, gate, pos, n)
                 want = np.stack([u @ r @ H.dag(u) for r in states.reshape(-1, 2 ** n, 2 ** n)]).reshape(states.shape)
                 assert got.shape == states.shape
                 if exact:
@@ -165,4 +165,37 @@ def test_apply_gate_errors():
     rho = np.eye(8, dtype=complex) / 8
     for acting in [(0,), (0, 0), (0, 3), (-1, 0), (0, 1, 2)]:
         with pytest.raises(ValueError):
-            apply_gate(rho, g, acting, 3)
+            H.apply_gate(rho, g, acting, 3)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_apply_left_matches_embedded_product(n):
+    """The gate on two positions times a (2^n, m) matrix equals u @ w with
+    u = embed(...): bit for bit for the named gates on a square w, to
+    round-off for a random unitary and for narrow w, whose product u @ w
+    BLAS may sum in another order."""
+    rng = np.random.default_rng(40 + n)
+    register = tuple(f"q{i}" for i in range(n))
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    ws = [rng.normal(size=(2 ** n, m)) + 1j * rng.normal(size=(2 ** n, m)) for m in (2 ** n, 2, 1)]
+    for gate, exact in [(xor_gate(), True), (sqrt_xor_gate(), True), (UnitaryGate(q, ("x", "y")), False)]:
+        for pos in itertools.permutations(range(n), 2):
+            if exact:
+                u = embed(gate, register, acting_on=[register[p] for p in pos]).matrix
+            else:
+                u = H.embed_front(gate.matrix, 2, n, pos)
+            for w in ws:
+                got = apply_left(w, gate, pos, n)
+                assert got.shape == w.shape
+                if exact and w.shape[1] == 2 ** n:
+                    assert np.array_equal(got, u @ w)
+                else:
+                    assert np.abs(got - u @ w).max() <= 1e-15 * np.abs(u @ w).max()
+
+
+def test_apply_left_errors():
+    g = xor_gate()
+    w = np.eye(8, dtype=complex)
+    for acting in [(0,), (0, 0), (0, 3), (-1, 0), (0, 1, 2)]:
+        with pytest.raises(ValueError):
+            apply_left(w, g, acting, 3)

@@ -1,3 +1,4 @@
+import itertools
 import numpy as np
 import pytest
 
@@ -141,6 +142,24 @@ def test_partial_trace_against_einsum(n, keep):
         got = partial_trace_array(r, n, keep)
     want = H.ptrace_general(r, n, list(keep))
     assert np.allclose(got, want, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_partial_trace_traces_each_run_of_slots_at_once(n):
+    # every keep set of a (2, 3) stack against one np.trace per traced qubit:
+    # the same bits when no two traced slots are adjacent, round-off otherwise
+    rng = np.random.default_rng(70 + n)
+    stack = np.stack([H.rand_rho(rng, 2 ** n) for _ in range(6)]).reshape(2, 3, 2 ** n, 2 ** n)
+    for size in range(n + 1):
+        for keep in itertools.combinations(range(n), size):
+            got = partial_trace_array(stack, n, keep)
+            want = H.ptrace_per_qubit(stack, n, keep)
+            assert got.shape == want.shape == (2, 3, 2 ** size, 2 ** size)
+            traced = [q for q in range(n) if q not in keep]
+            if all(b - a > 1 for a, b in zip(traced, traced[1:])):
+                assert np.array_equal(got, want), keep
+            else:
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), keep
 
 
 def test_partial_trace_slot_names():

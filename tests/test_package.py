@@ -44,6 +44,42 @@ def test_no_private_names_imported_across_modules():
     assert not found, found
 
 
+def _int_constants(tree):
+    """Module-level NAME = <int literal> assignments."""
+    return {node.targets[0].id: node.value.value for node in tree.body
+            if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.Constant) and type(node.value.value) is int}
+
+
+def _cache_decorator(node):
+    """True for functools' lru_cache or cache, by name or as functools.<name>."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "functools":
+        return node.attr in ("lru_cache", "cache")
+    return isinstance(node, ast.Name) and node.id in ("lru_cache", "cache")
+
+
+def test_every_lru_cache_has_an_integer_maxsize():
+    # a cache without a size limit grows with every new key (a fresh phi per call)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        constants = _int_constants(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _cache_decorator(node.func):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                size = (node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"] + [None])[0]
+                if isinstance(size, ast.Name):
+                    size = constants.get(size.id)
+                elif isinstance(size, ast.Constant):
+                    size = size.value
+                if name != "lru_cache" or type(size) is not int or size < 1:
+                    found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                # used without a call, as @lru_cache or @functools.cache: unbounded
+                found += [f"{path.name}:{d.lineno} {ast.unparse(d)}" for d in node.decorator_list if _cache_decorator(d)]
+    assert not found, found
+
+
 def test_all_lists_no_modules():
     assert nmchain.__all__
     modules = [n for n in nmchain.__all__ if isinstance(getattr(nmchain, n), types.ModuleType)]
