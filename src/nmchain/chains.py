@@ -17,8 +17,8 @@ compound live on slots ("mem", "sys"). Arbitrary collision layouts
 currently open molecules; evolve is its one entry, and the window width a
 schedule needs is checked against WINDOW_QUBIT_CAP when the model is built.
 Each window step is one product V rho V^dagger with the step isometry V
-(attach the fresh molecules, run the step's collisions), built once per
-step shape and kept in a bounded cache.
+(attach the fresh molecules, run the step's collisions, put the molecules
+read out first), built once per step shape and kept in a bounded cache.
 """
 from __future__ import annotations
 
@@ -26,6 +26,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -136,12 +137,13 @@ class CollisionSchedule:
         self.event_gates = _readonly(gates[order])
         # molecule ids ascending, each with its first and last step
         self._ids, self._first, self._last = (_readonly(a) for a in (mol[first], step[first], step[last]))
-        by_last = np.argsort(self._last, kind="stable")
-        self._closing_ids = self._ids[by_last]
         # the window engine looks up every step it runs; bisect on lists is
-        # the cheapest search of the sorted steps
+        # the cheapest search of the sorted steps. Beside each event, whether
+        # it is its molecule's last: the molecules a step reads out.
         self._step_list = self.event_steps.tolist()
-        self._closing_list = self._last[by_last].tolist()
+        closes = np.empty(len(mol), dtype=bool)
+        closes[by_mol] = last
+        self._closes = closes[order].tolist()
         # for the census: all first steps and all last steps, each sorted
         self._ends = (np.sort(self._first), np.sort(self._last))
 
@@ -175,11 +177,6 @@ class CollisionSchedule:
 
     def events_at(self, step: int) -> tuple[CollisionEvent, ...]:
         return self._events(self._step_slice(step))
-
-    def closing_at(self, step: int) -> tuple[int, ...]:
-        """Molecules whose last event is at step, in ascending id order."""
-        lo = bisect.bisect_left(self._closing_list, step)
-        return tuple(self._closing_ids[lo:bisect.bisect_right(self._closing_list, step, lo)].tolist())
 
     def to_records(self) -> list[dict]:
         gate = [{} if name is None else {"gate": name} for name in GATE_NAMES]
@@ -489,15 +486,17 @@ def _attach(front: np.ndarray, joint: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=STEP_CACHE_SIZE)
-def _step_isometry(gate: UnitaryGate, phi: float, sign: float, n_open: int, events: tuple) -> tuple:
+def _step_isometry(gate: UnitaryGate, phi: float, sign: float, n_open: int, events: tuple, closing: tuple) -> tuple:
     """(V, V^dagger) of one step shape: V = U_k ... U_1 (|psi(phi)>^fresh (x) I).
 
-    The shape is n_open, the open molecules before the step, and the events
-    in listed order as (position in the incoming register or -1 for a fresh
-    molecule, gate code). The fresh molecules take the front of the new
-    register, the newest first. sign tells -0.0 from 0.0: they hash alike
-    but prepare differently signed zeros. Keyed on the gate instance, so two
-    gates with the same roles never share an entry.
+    The shape is n_open, the open molecules before the step, the events in
+    listed order as (position in the incoming register or -1 for a fresh
+    molecule, gate code), and the closing molecules' positions among the
+    fresh (newest first) and open ones, in ascending id. V's output holds
+    those first, then the others in that order, then the system. sign tells
+    -0.0 from 0.0: they hash alike but prepare differently signed zeros.
+    Keyed on the gate instance, so two gates with the same roles never
+    share an entry.
     """
     fresh = sum(pos < 0 for pos, _ in events)
     n = n_open + fresh + 1
@@ -512,6 +511,8 @@ def _step_isometry(gate: UnitaryGate, phi: float, sign: float, n_open: int, even
         q = newest if pos < 0 else fresh + pos
         g = _GATES[code] if code else gate
         v = apply_left(v, g, [q if role == "mol" else n - 1 for role in g.slot_roles], n)
+    order = list(closing) + [q for q in range(n) if q not in closing]
+    v = v.reshape((2,) * n + (-1,)).transpose(order + [n]).reshape(v.shape)
     vh = np.ascontiguousarray(v.conj().T)
     v.flags.writeable = vh.flags.writeable = False
     return v, vh
@@ -522,35 +523,41 @@ def window_collide(
     open_ids: Sequence[int],
     model: ChainModel,
     t: int,
-) -> tuple[np.ndarray, list]:
+) -> tuple[np.ndarray, list, int]:
     """Attach fresh molecules and run the collisions of step t of a custom
     model's schedule, in listed order, as one product V @ joint @ V^dagger.
 
     joint may be one state or a stack of states (..., D, D) on the register
     of the open_ids molecules (newest first), then the system. The step
     isometry V is compiled once per step shape (open register size, each
-    event's position or "fresh" and its gate code) and kept in a bounded
-    cache keyed on the collision gate instance and phi with its sign.
-    Mutates nothing; returns the new (joint, open_ids). Closing the finished
-    molecules is up to the caller, who may trace or read them out.
+    event's position or "fresh" and its gate code, the closing positions)
+    and kept in a bounded cache keyed on the collision gate instance and phi
+    with its sign. Mutates nothing; returns (joint, open_ids, closing): the
+    new register holds the `closing` molecules whose last event is step t,
+    in ascending id, then open_ids and the system; reading or tracing out
+    that front run is up to the caller.
     """
     schedule = model.schedule
     if t >= schedule.horizon:
         raise ValueError(f"schedule horizon {schedule.horizon} exhausted at t={t}")
     open_ids = list(open_ids)
     rows = schedule._step_slice(t)
+    molecules = schedule.event_molecules[rows].tolist()
     events, fresh = [], []
-    for molecule, code in zip(schedule.event_molecules[rows].tolist(), schedule.event_gates[rows].tolist()):
+    for molecule, code in zip(molecules, schedule.event_gates[rows].tolist()):
         if molecule in open_ids:
             events.append((open_ids.index(molecule), code))
         else:
             events.append((-1, code))
             fresh.insert(0, molecule)
     if not events:
-        return joint, open_ids
+        return joint, open_ids, 0
+    register = fresh + open_ids
+    closing = sorted(compress(molecules, schedule._closes[rows]))
     phi = model.phi
-    v, vh = _step_isometry(model.collision_gate(), phi, math.copysign(1.0, phi), len(open_ids), tuple(events))
-    return v @ joint @ vh, fresh + open_ids
+    v, vh = _step_isometry(model.collision_gate(), phi, math.copysign(1.0, phi), len(open_ids), tuple(events),
+                           tuple(map(register.index, closing)))
+    return v @ joint @ vh, [m for m in register if m not in closing], len(closing)
 
 
 def _window_marginals(model: ChainModel, states: np.ndarray, steps: int) -> list:
@@ -558,8 +565,8 @@ def _window_marginals(model: ChainModel, states: np.ndarray, steps: int) -> list
 
     The joint state of the open molecules plus the system (newest molecule
     first, system last) is carried as a raw array: each step runs the
-    step's collisions, then traces out every molecule past its last event
-    in one pass.
+    step's collisions, then traces out the molecules past their last event,
+    the front of the new register, in one pass.
     """
     schedule = model.schedule
     if steps > schedule.horizon:
@@ -567,12 +574,10 @@ def _window_marginals(model: ChainModel, states: np.ndarray, steps: int) -> list
     out = []
     joint, open_ids = states, []
     for t in range(steps):
-        joint, open_ids = window_collide(joint, open_ids, model, t)
-        closing = schedule.closing_at(t)
-        keep = [q for q, m in enumerate(open_ids) if m not in closing]
-        joint = partial_trace_array(joint, len(open_ids) + 1, keep + [len(open_ids)])
-        open_ids = [open_ids[q] for q in keep]
-        out.append(partial_trace_array(joint, len(keep) + 1, [len(keep)]))
+        joint, open_ids, closing = window_collide(joint, open_ids, model, t)
+        n = len(open_ids) + 1
+        joint = partial_trace_array(joint, closing + n, range(closing, closing + n))
+        out.append(partial_trace_array(joint, n, [n - 1]))
     return out
 
 

@@ -256,7 +256,8 @@ def _cmd_measures(args) -> int:
 def _cmd_divisibility(args) -> int:
     model = _build_model(args)
     mem0 = _memory_arg(args, model)
-    steps = args.steps if args.steps is not None else 10
+    default = min(10, model.schedule.horizon) if model.kind == CUSTOM else 10
+    steps = default if args.steps is None else args.steps
     if steps < 1:
         raise ConfigError("--steps must be at least 1")
     _check_horizon(model, steps)
@@ -378,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("divisibility", help="stepwise CP checks of the reduced system maps")
     _add_model_flags(p)
-    p.add_argument("--steps", type=int, help="number of steps to scan (default 10)")
+    p.add_argument("--steps", type=int, help="number of steps to scan (default 10, or a shorter custom horizon)")
     p.add_argument("--tol-cp", type=float, default=1e-9, help="CP tolerance on the Choi spectrum")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(func=_cmd_divisibility)

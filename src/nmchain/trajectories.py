@@ -3,9 +3,9 @@
 Every collision chain here ends each molecule's life with a computational
 readout. For the built-in models that readout happens once per step (the
 Kraus pair of the step), so a trajectory is a bit string of length t_max.
-Custom schedules read a molecule out when its last collision is done;
-outcomes are recorded in closure order (ascending molecule id within a
-step).
+Custom schedules read a molecule out when its last collision is done, off
+the front of the register where the window step leaves it; outcomes are
+recorded in closure order (ascending molecule id within a step).
 
 Enumeration and sampling walk the same readout tree. A conditional state
 depends only on its outcome prefix, so the walk holds one state per
@@ -39,7 +39,7 @@ from .chains import (
 )
 from .linalg import DensityMatrix, check_states
 
-MAX_ENUMERATION_STEPS = 20
+MAX_ENUMERATION_READOUTS = 20
 PRUNE_REQUIRED_ABOVE = 16
 
 
@@ -92,16 +92,6 @@ def _readout_count(model: ChainModel, t_max: int) -> int:
             "happens inside the sampled window"
         )
     return int(np.count_nonzero(last < t_max))
-
-
-def _project_out(m: np.ndarray, n_qubits: int, slot_pos: int, outcome: int) -> np.ndarray:
-    """<outcome| m |outcome> on one slot of a stack of states; drops that
-    slot, unnormalized."""
-    t = m.reshape((len(m),) + (2,) * (2 * n_qubits))
-    t = np.take(t, outcome, axis=1 + slot_pos)
-    t = np.take(t, outcome, axis=slot_pos + n_qubits)
-    d = 2 ** (n_qubits - 1)
-    return t.reshape(len(m), d, d)
 
 
 # numpy's SeedSequence (pool size 4, uint32 hash) and PCG64 constants
@@ -295,11 +285,12 @@ def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_state
 
     for t in range(t_max):
         if model.kind == CUSTOM:
-            states, open_ids = window_collide(states, open_ids, model, t)
-            for m in model.schedule.closing_at(t):
-                raws = np.stack([_project_out(states, len(open_ids) + 1, open_ids.index(m), lam) for lam in (0, 1)])
+            states, open_ids, closing = window_collide(states, open_ids, model, t)
+            for _ in range(closing):
+                # child j of each node: <j| states |j> on the front qubit
+                n, d = states.shape[:2]
+                raws = states.reshape(n, 2, d // 2, 2, d // 2)[:, (0, 1), :, (0, 1), :]
                 read(raws, np.trace(raws, axis1=-2, axis2=-1).real)
-                open_ids.remove(m)
             check_states(states)
         else:
             # optimize=False: the contraction order must not depend on the batch,
@@ -334,16 +325,16 @@ def enumerate_branches(
 
     Branches whose total probability falls to prune_below or less are
     dropped (the surviving records then under-count by the pruned mass).
-    prune_below must lie in [0, 1). Pruning is mandatory beyond 16 steps;
-    20 is the hard limit.
+    prune_below must lie in [0, 1). Pruning is mandatory beyond 16
+    readouts (steps, for the built-in models); 20 is the hard limit.
     """
-    if t_max > MAX_ENUMERATION_STEPS:
-        raise ValueError(f"enumeration supports at most {MAX_ENUMERATION_STEPS} steps")
     if not 0.0 <= prune_below < 1.0:
         raise ValueError(f"prune_below must satisfy 0 <= prune_below < 1, got {prune_below!r}")
-    if t_max > PRUNE_REQUIRED_ABOVE and prune_below == 0.0:
-        raise ValueError(f"beyond {PRUNE_REQUIRED_ABOVE} steps a positive prune_below is required")
-    _readout_count(model, t_max)
+    readouts = _readout_count(model, t_max)
+    if readouts > MAX_ENUMERATION_READOUTS:
+        raise ValueError(f"enumeration supports at most {MAX_ENUMERATION_READOUTS} readouts, got {readouts}")
+    if readouts > PRUNE_REQUIRED_ABOVE and prune_below == 0.0:
+        raise ValueError(f"beyond {PRUNE_REQUIRED_ABOVE} readouts a positive prune_below is required")
     _, log_p, outcomes, history, _ = _evolve_block(
         model, rho0, t_max, prune_below=prune_below, keep_states=keep_states
     )

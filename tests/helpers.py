@@ -243,6 +243,45 @@ def window_collide_oracle(joint, open_ids, model, t):
     return joint, open_ids
 
 
+def closing_first(joint, ids, closing):
+    """joint on the register ids (then the system), its qubits reordered by a
+    transpose into the window engine's layout after a step: the closing
+    molecules in the given order, the other ids, the system. Returns
+    (joint, the other ids)."""
+    n = len(ids) + 1
+    order = [ids.index(m) for m in closing] + [q for q, m in enumerate(ids) if m not in closing] + [n - 1]
+    b = joint.ndim - 2
+    t = joint.reshape(joint.shape[:-2] + (2,) * (2 * n))
+    t = t.transpose(list(range(b)) + [b + q for q in order] + [b + n + q for q in order])
+    return t.reshape(joint.shape), [m for m in ids if m not in closing]
+
+
+def _project_out(m: np.ndarray, n_qubits: int, slot_pos: int, outcome: int) -> np.ndarray:
+    """<outcome| m |outcome> on one slot of a stack of states; drops that
+    slot, unnormalized."""
+    t = m.reshape((len(m),) + (2,) * (2 * n_qubits))
+    t = np.take(t, outcome, axis=1 + slot_pos)
+    t = np.take(t, outcome, axis=slot_pos + n_qubits)
+    d = 2 ** (n_qubits - 1)
+    return t.reshape(len(m), d, d)
+
+
+def window_branch_oracle(model, rho0, t_max):
+    """{outcomes: probability} of every readout branch of a custom model's
+    first t_max steps: each step runs window_collide_oracle on every
+    branch, then projects the closing molecules (scan_closing) one at a
+    time in ascending id, wherever they sit in the register."""
+    keys, states, ids = [()], np.asarray(rho0, dtype=complex)[None], []
+    for t in range(t_max):
+        states, ids = window_collide_oracle(states, ids, model, t)
+        for m in scan_closing(model.schedule, t):
+            children = [_project_out(states, len(ids) + 1, ids.index(m), lam) for lam in (0, 1)]
+            keys = [k + (lam,) for k in keys for lam in (0, 1)]
+            states = np.stack(children, axis=1).reshape((-1,) + children[0].shape[1:])
+            ids.remove(m)
+    return dict(zip(keys, np.trace(states, axis1=-2, axis2=-1).real.tolist()))
+
+
 XOR_MOL_SYS = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], complex)
 
 
@@ -252,6 +291,19 @@ def sqrt_xor_mol_sys(b=B_ROOT):
     u[1, 1] = blk[0, 0]; u[1, 3] = blk[0, 1]
     u[3, 1] = blk[1, 0]; u[3, 3] = blk[1, 1]
     return u
+
+
+def burst_schedule(horizon):
+    """Molecules 2k and 2k + 1 open on steps 3k and 3k + 1 and both close on
+    step 3k + 2, listed newest first: two closings in one step, in a
+    register order that is not their id order."""
+    from nmchain.chains import schedule_from_records
+
+    recs = []
+    for k in range(horizon // 3):
+        recs += [{"t": 3 * k, "mol": 2 * k}, {"t": 3 * k + 1, "mol": 2 * k + 1},
+                 {"t": 3 * k + 2, "mol": 2 * k + 1}, {"t": 3 * k + 2, "mol": 2 * k}]
+    return schedule_from_records(recs, horizon=horizon)
 
 
 # ---- schedules as {molecule: [steps]} dicts ----
@@ -562,21 +614,19 @@ def divisibility_scan_oracle(maps, cp_tol=1e-9):
 def window_step_oracle(model, rho0, steps):
     """System marginals [t=0 .. steps] of a custom model; the joint state is
     rebuilt as a validated DensityMatrix after every step and its closing
-    molecules are traced out by name."""
+    molecules, found by scan_closing, are traced out by name."""
     from nmchain.chains import SYSTEM_SLOT, system_state, window_collide
     from nmchain.linalg import DensityMatrix, partial_trace
 
-    schedule = model.schedule
     joint, open_ids = system_state(rho0), ()
     out = [joint]
     for t in range(steps):
-        m, ids = window_collide(joint.matrix, open_ids, model, t)
-        closing = {i for i in ids if schedule.last_event(i) <= t}
-        slots = [f"mol{i}" for i in ids] + [SYSTEM_SLOT]
-        joint = DensityMatrix(m, tuple(slots))
-        if closing:
-            keep = [s for s in slots if s == SYSTEM_SLOT or s not in {f"mol{c}" for c in closing}]
+        m, open_ids, closing = window_collide(joint.matrix, open_ids, model, t)
+        closing_ids = scan_closing(model.schedule, t)
+        assert closing == len(closing_ids)
+        keep = tuple(f"mol{i}" for i in open_ids) + (SYSTEM_SLOT,)
+        joint = DensityMatrix(m, tuple(f"mol{i}" for i in closing_ids) + keep)
+        if closing_ids:
             joint = partial_trace(joint, keep)
-        open_ids = tuple(i for i in ids if i not in closing)
         out.append(partial_trace(joint, SYSTEM_SLOT) if joint.n_qubits > 1 else joint)
     return out

@@ -156,7 +156,8 @@ def test_schedule_index_matches_linear_scans():
                 assert (sched.first_event(m), sched.last_event(m)) == span
         for t in range(horizon + 1):
             assert sched.events_at(t) == H.scan_events_at(sched, t)
-            assert sched.closing_at(t) == H.scan_closing(sched, t)
+        # beside each event: whether it is its molecule's last
+        assert sched._closes == [H.scan_span(sched, ev.molecule)[1] == ev.step for ev in sched.events]
         assert satellite_count(sched) == H.scan_satellite_count(sched)
         assert window_width(sched) == H.scan_window_width(sched)
 
@@ -571,31 +572,23 @@ def test_run_window_errors_and_cap():
 def test_sliding_window_state_bookkeeping():
     sched = overlap_schedule(4)
     model = custom_chain(xor_gate(), sched, phi=0.3)
-    joint, open_ids = window_collide(np.diag([1.0, 0.0]).astype(complex), [], model, 0)
-    # step 0 attaches molecule 1 (fresh) and molecule 0 (single event), newest
-    # first; the register is those molecules, then the system
-    assert open_ids == [0, 1]
+    joint, open_ids, closing = window_collide(np.diag([1.0, 0.0]).astype(complex), [], model, 0)
+    # step 0 attaches molecule 1 (fresh) and molecule 0 (single event);
+    # molecule 0 closes at once and leads the register, then the molecules
+    # that stay open, newest first, then the system
+    assert (open_ids, closing) == ([1], 1)
     assert joint.shape == (8, 8)
-    # molecule 0 closes at once; molecule 1 stays open until its second event
-    assert sched.closing_at(0) == (0,)
-    assert sched.closing_at(1) == (1,)
-    assert 1 not in sched.closing_at(0)
-
-
-def _burst_schedule(horizon):
-    # molecules 2k and 2k + 1 open on steps 3k and 3k + 1 and both close on
-    # step 3k + 2; two closings in one step pin the order of the joint trace
-    recs = []
-    for k in range(horizon // 3):
-        recs += [{"t": 3 * k, "mol": 2 * k}, {"t": 3 * k + 1, "mol": 2 * k + 1},
-                 {"t": 3 * k + 2, "mol": 2 * k + 1}, {"t": 3 * k + 2, "mol": 2 * k}]
-    return schedule_from_records(recs, horizon=horizon)
+    # molecule 1 stays open until its second event, at step 1
+    joint = partial_trace_array(joint, 3, [1, 2])
+    joint, open_ids, closing = window_collide(joint, open_ids, model, 1)
+    assert (open_ids, closing) == ([2], 1)
+    assert joint.shape == (8, 8)
 
 
 _STEP_ORACLE_MODELS = {
     **{f"gap{gap}-{gate.__name__}": custom_chain(gate(), chains._double_collision_schedule(40, gap), phi=0.43)
        for gap in (1, 2, 3) for gate in (xor_gate, sqrt_xor_gate)},
-    **{f"burst-{gate.__name__}": custom_chain(gate(), _burst_schedule(40), phi=0.43)
+    **{f"burst-{gate.__name__}": custom_chain(gate(), H.burst_schedule(40), phi=0.43)
        for gate in (xor_gate, sqrt_xor_gate)},
     # the built-in layouts as custom models
     "markov_xor": custom_chain(xor_gate(), chain_schedule(40), phi=0.31),
@@ -634,9 +627,16 @@ def _mixed_gap2_schedule(horizon):
 
 _COMPILE_LAYOUTS = {
     **{f"gap{gap}": lambda h, gap=gap: chains._double_collision_schedule(h, gap) for gap in (1, 2, 3)},
-    "burst": _burst_schedule,
+    "burst": H.burst_schedule,
     "mixed": _mixed_gap2_schedule,
 }
+
+
+def _oracle_step(joint, open_ids, model, t):
+    """The per-gate oracle's step, its register reordered to the engine's:
+    the molecules closing at step t first, in ascending id."""
+    want, ids = H.window_collide_oracle(joint, open_ids, model, t)
+    return H.closing_first(want, ids, H.scan_closing(model.schedule, t))
 
 
 def _engine_steps(model, start):
@@ -645,10 +645,9 @@ def _engine_steps(model, start):
     joint, open_ids = start, []
     for t in range(schedule.horizon):
         yield t, joint, open_ids
-        joint, ids = window_collide(joint, open_ids, model, t)
-        keep = [q for q, m in enumerate(ids) if m not in schedule.closing_at(t)]
-        joint = partial_trace_array(joint, len(ids) + 1, keep + [len(ids)])
-        open_ids = [ids[q] for q in keep]
+        joint, open_ids, closing = window_collide(joint, open_ids, model, t)
+        n = closing + len(open_ids) + 1
+        joint = partial_trace_array(joint, n, range(closing, n))
 
 
 @pytest.mark.parametrize("phi", [0.43, 0.0, -0.0])
@@ -660,9 +659,9 @@ def test_compiled_step_matches_per_gate_sandwich(layout, gate, phi):
     model = custom_chain(_COMPILE_GATES[gate], _COMPILE_LAYOUTS[layout](18), phi=phi)
     for start in (_rho(np.random.default_rng(29)), np.stack(tomography_probes(2))):
         for t, joint, open_ids in _engine_steps(model, start):
-            got, ids = window_collide(joint, open_ids, model, t)
-            want, want_ids = H.window_collide_oracle(joint, open_ids, model, t)
-            assert ids == want_ids
+            got, ids, closing = window_collide(joint, open_ids, model, t)
+            want, want_ids = _oracle_step(joint, open_ids, model, t)
+            assert (ids, closing) == (want_ids, len(H.scan_closing(model.schedule, t)))
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -674,7 +673,7 @@ def test_step_cache_tells_signed_zeros_and_gate_instances_apart():
     for phi in (0.0, -0.0):
         window_collide(r0, [], custom_chain(xor_gate(), chain_schedule(2), phi=phi), 0)
     assert chains._step_isometry.cache_info().misses == 2
-    shape = (0, ((-1, 0),))  # one fresh molecule and its collision
+    shape = (0, ((-1, 0),), (0,))  # one fresh molecule, its collision and its readout
     v_pos, _ = chains._step_isometry(xor_gate(), 0.0, 1.0, *shape)
     v_neg, _ = chains._step_isometry(xor_gate(), -0.0, -1.0, *shape)
     assert chains._step_isometry.cache_info().misses == 2
@@ -684,8 +683,8 @@ def test_step_cache_tells_signed_zeros_and_gate_instances_apart():
     for g in (a, b):
         model = custom_chain(g, chains._double_collision_schedule(12, 2), phi=0.43)
         for t, joint, open_ids in _engine_steps(model, r0):
-            got, _ = window_collide(joint, open_ids, model, t)
-            want, _ = H.window_collide_oracle(joint, open_ids, model, t)
+            got, _, _ = window_collide(joint, open_ids, model, t)
+            want, _ = _oracle_step(joint, open_ids, model, t)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     assert chains._step_isometry(a, 0.43, 1.0, *shape)[0] is not chains._step_isometry(b, 0.43, 1.0, *shape)[0]
 

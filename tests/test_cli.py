@@ -374,6 +374,17 @@ def test_divisibility_default_steps_and_split(capsys):
     assert all(r["exists"] is True for r in rows)
 
 
+def test_divisibility_default_steps_stop_at_a_short_horizon(tmp_path, capsys):
+    # without --steps a custom schedule is scanned for min(10, horizon) steps
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps([{"t": 0, "mol": 0}, {"t": 1, "mol": 0}, {"t": 2, "mol": 1}]))
+    custom = ("divisibility", "--model", "custom", "--phi", "0.3", "--schedule", str(path))
+    rc, out, err = run(capsys, *custom)
+    assert (rc, err) == (0, "")
+    assert [r["t"] for r in jl(out)] == [1, 2, 3]
+    assert run(capsys, *custom, "--steps", "10") == (2, "", "error: --steps 10 exceeds the schedule horizon 3\n")
+
+
 def test_divisibility_indeterminate_csv(capsys):
     # the double-collision model dephases completely in one step from |0><0|,
     # so later steps cannot be resolved against the singular first map

@@ -20,7 +20,7 @@ from nmchain.chains import (
 from nmchain import trajectories
 from nmchain.gates import xor_gate
 from nmchain.trajectories import (
-    MAX_ENUMERATION_STEPS,
+    MAX_ENUMERATION_READOUTS,
     PRUNE_REQUIRED_ABOVE,
     TrajectoryRecord,
     UnsupportedScheduleError,
@@ -73,12 +73,33 @@ def test_enumeration_guards():
     with pytest.raises(ValueError):
         enumerate_branches(model, _rho0(), t_max=0)
     with pytest.raises(ValueError):
-        enumerate_branches(model, _rho0(), t_max=MAX_ENUMERATION_STEPS + 1)
+        enumerate_branches(model, _rho0(), t_max=MAX_ENUMERATION_READOUTS + 1)
     with pytest.raises(ValueError):
         enumerate_branches(model, _rho0(), t_max=PRUNE_REQUIRED_ABOVE + 1)  # no prune_below
     recs = enumerate_branches(model, _rho0(), t_max=PRUNE_REQUIRED_ABOVE + 1,
                               prune_below=1e-4, keep_states=False)
     assert sum(r.probability for r in recs) < 1.0 + 1e-12
+
+
+def _four_per_step_schedule(horizon):
+    # four molecules open and close at every step: 4 readouts a step
+    return schedule_from_records([{"t": t, "mol": 4 * t + j} for t in range(horizon) for j in range(4)],
+                                 horizon=horizon)
+
+
+def test_enumeration_limits_count_readouts_not_steps(monkeypatch):
+    # 16 steps of this schedule would be 2**64 branches; the limits refuse
+    # it by its readouts before the walk starts
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the walk should not start")
+
+    monkeypatch.setattr(trajectories, "_evolve_block", no_walk)
+    model = custom_chain(xor_gate(), _four_per_step_schedule(16), phi=0.3)
+    with pytest.raises(ValueError, match=f"beyond {PRUNE_REQUIRED_ABOVE} readouts a positive prune_below"):
+        enumerate_branches(model, _rho0(), t_max=5)  # 20 readouts
+    for prune_below in (0.0, 1e-4, 0.5):
+        with pytest.raises(ValueError, match=f"at most {MAX_ENUMERATION_READOUTS} readouts, got 24"):
+            enumerate_branches(model, _rho0(), t_max=6, prune_below=prune_below)
 
 
 @pytest.mark.parametrize("t_max", [3, PRUNE_REQUIRED_ABOVE + 1])
@@ -133,15 +154,22 @@ def test_window_enumeration_matches_nonselective():
 
 
 def test_window_enumeration_outcome_order():
-    # two molecules close at step 1 of this schedule; ascending id order
+    # two molecules close at step 1 of this schedule, molecule 1 ahead of
+    # molecule 0 in the register; their outcomes are read in ascending id.
+    # The sqrt-xor override makes the two molecules' statistics differ, so
+    # a swapped order shows in the probabilities.
     recs = schedule_from_records(
-        [{"t": 0, "mol": 0}, {"t": 0, "mol": 1}, {"t": 1, "mol": 1}, {"t": 1, "mol": 0}],
+        [{"t": 0, "mol": 0}, {"t": 0, "mol": 1}, {"t": 1, "mol": 1}, {"t": 1, "mol": 0, "gate": "sqrt-xor"}],
         horizon=2)
     model = custom_chain(xor_gate(), recs, phi=0.4)
     branches = enumerate_branches(model, _rho0(), t_max=2, keep_states=False)
     assert all(len(b.outcomes) == 2 for b in branches)
     total = sum(b.probability for b in branches)
     assert total == pytest.approx(1.0, abs=1e-12)
+    want = H.window_branch_oracle(model, _rho0(), 2)
+    assert {b.outcomes for b in branches} == {k for k, p in want.items() if p > 1e-300}
+    for b in branches:
+        assert abs(b.probability - want[b.outcomes]) <= 1e-12
 
 
 def test_selective_window_rejects_straddler():
@@ -270,15 +298,17 @@ def test_ensemble_mean_approaches_nonselective():
 
 
 def test_ensemble_custom_model():
-    sched = advanced_overlap_schedule(4)
-    model = custom_chain(xor_gate(), sched, phi=0.31)
-    ens = sample_ensemble(model, _rho0(), t_max=4, n_samples=25, seed=2)
-    assert ens.n_samples == 25
-    assert ens.mean_state.slots == ("sys",)
-    assert sum(ens.outcome_frequencies[0].values()) == 25
-    seq = [sample_trajectory(model, _rho0(), t_max=4, seed=2, index=i) for i in range(25)]
-    assert ens.outcomes.tolist() == [list(r.outcomes) for r in seq]
-    assert ens.log_probabilities.tolist() == [r.log_probability for r in seq]
+    # burst: two readouts per closing step, in a register order not their id order
+    for sched in (advanced_overlap_schedule(4), H.burst_schedule(6)):
+        model = custom_chain(xor_gate(), sched, phi=0.31)
+        t_max = sched.horizon
+        ens = sample_ensemble(model, _rho0(), t_max=t_max, n_samples=25, seed=2)
+        assert ens.n_samples == 25
+        assert ens.mean_state.slots == ("sys",)
+        assert sum(ens.outcome_frequencies[0].values()) == 25
+        seq = [sample_trajectory(model, _rho0(), t_max=t_max, seed=2, index=i) for i in range(25)]
+        assert ens.outcomes.tolist() == [list(r.outcomes) for r in seq]
+        assert ens.log_probabilities.tolist() == [r.log_probability for r in seq]
 
 
 def test_ensemble_custom_model_checks_each_step_without_keeping_states(monkeypatch):
@@ -314,10 +344,10 @@ def test_custom_walk_raises_for_an_invalid_conditional_state(monkeypatch):
     collide = trajectories.window_collide
 
     def broken(states, open_ids, model, t):
-        states, open_ids = collide(states, open_ids, model, t)
+        states, open_ids, closing = collide(states, open_ids, model, t)
         if t == 2:
             states = states + 1e-6j * np.eye(states.shape[-1])
-        return states, open_ids
+        return states, open_ids, closing
 
     monkeypatch.setattr(trajectories, "window_collide", broken)
     for walk in (lambda: sample_ensemble(model, _rho0(), t_max=4, n_samples=8, seed=1),
