@@ -10,9 +10,7 @@ from types import ModuleType as _ModuleType
 from .linalg import (
     DensityMatrix,
     PureState,
-    basis_state,
     check_states,
-    computational_basis,
     eig_hermitian,
     partial_trace,
     partial_transpose,

@@ -560,24 +560,28 @@ def window_collide(
     return v @ joint @ vh, [m for m in register if m not in closing], len(closing)
 
 
-def _window_marginals(model: ChainModel, states: np.ndarray, steps: int) -> list:
-    """System marginals [t=1 .. steps] of one system state or a stack (..., 2, 2).
+def _window_marginals(model: ChainModel, states: np.ndarray, steps: int) -> np.ndarray:
+    """System marginals [t=1 .. steps] of one system state or a stack (..., 2, 2),
+    as one (..., steps, 2, 2) array.
 
     The joint state of the open molecules plus the system (newest molecule
     first, system last) is carried as a raw array: each step runs the
     step's collisions, then traces out the molecules past their last event,
-    the front of the new register, in one pass.
+    the front of the new register, in one pass. The step product is
+    Hermitian only to round-off, so the marginals' diagonals are made
+    exactly real, once for the whole stack.
     """
     schedule = model.schedule
     if steps > schedule.horizon:
         raise ValueError(f"steps {steps} exceed the schedule horizon {schedule.horizon}")
-    out = []
+    out = np.empty(states.shape[:-2] + (steps, 2, 2), dtype=complex)
     joint, open_ids = states, []
     for t in range(steps):
         joint, open_ids, closing = window_collide(joint, open_ids, model, t)
         n = len(open_ids) + 1
         joint = partial_trace_array(joint, closing + n, range(closing, closing + n))
-        out.append(partial_trace_array(joint, n, [n - 1]))
+        out[..., t, :, :] = partial_trace_array(joint, n, [n - 1])
+    out.imag[..., (0, 1), (0, 1)] = 0.0
     return out
 
 
@@ -612,7 +616,7 @@ def evolve(model: ChainModel, states, steps: int, mem0=None) -> tuple[np.ndarray
         raise ValueError(f"{model.kind} has no memory slot; mem0 does not apply")
     s = _system_stack(states)
     if model.kind == CUSTOM:
-        out = [s] + _window_marginals(model, s, steps)
+        stack = np.concatenate([s[..., None, :, :], _window_marginals(model, s, steps)], axis=-3)
     else:
         if embedded:
             kraus = build_embedding(model)[1]
@@ -621,7 +625,7 @@ def evolve(model: ChainModel, states, steps: int, mem0=None) -> tuple[np.ndarray
         out = [s]
         for _ in range(steps):
             out.append(apply_kraus(kraus, out[-1]) if embedded else markov_xor_step(out[-1], model.phi))
-    stack = np.stack(out, axis=-3)
+        stack = np.stack(out, axis=-3)
     check_states(stack)
     return stack, (MEMORY_SLOT, SYSTEM_SLOT) if embedded else (SYSTEM_SLOT,)
 

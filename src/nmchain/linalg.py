@@ -64,28 +64,6 @@ class PureState:
         return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
-def basis_state(bits: Union[str, Sequence[int]]) -> PureState:
-    """Computational basis vector, e.g. basis_state("01") = |01>."""
-    bits = [int(b) for b in bits]
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("bits must be 0 or 1")
-    index = 0
-    for b in bits:
-        index = (index << 1) | b
-    amp = np.zeros(2 ** len(bits), dtype=complex)
-    amp[index] = 1.0
-    return PureState(amp)
-
-
-def computational_basis(dim: int) -> list[PureState]:
-    out = []
-    for k in range(dim):
-        amp = np.zeros(dim, dtype=complex)
-        amp[k] = 1.0
-        out.append(PureState(amp))
-    return out
-
-
 def check_states(m: np.ndarray) -> None:
     """Raise unless every state of a stack (..., d, d), or one state, is finite,
     Hermitian within HERMITICITY_TOL and of unit trace within TRACE_TOL.

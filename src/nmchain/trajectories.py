@@ -1,11 +1,14 @@
 """Selective readout: branch enumeration and Monte Carlo sampling.
 
 Every collision chain here ends each molecule's life with a computational
-readout. For the built-in models that readout happens once per step (the
-Kraus pair of the step), so a trajectory is a bit string of length t_max.
-Custom schedules read a molecule out when its last collision is done, off
-the front of the register where the window step leaves it; outcomes are
-recorded in closure order (ascending molecule id within a step).
+readout, and every model reads it the same way: a step is one isometry V
+(attach the fresh molecule, collide, leave the molecules read out at this
+step in front), and outcome j of a readout is the block <j| V rho V^dagger |j>
+on the front qubit. For the built-in models the Kraus stack of the step is
+V = sum_k |k> (x) K_k, one readout per step, so a trajectory is a bit string
+of length t_max. Custom schedules take V from the window engine and read a
+molecule out when its last collision is done; outcomes are recorded in
+closure order (ascending molecule id within a step).
 
 Enumeration and sampling walk the same readout tree. A conditional state
 depends only on its outcome prefix, so the walk holds one state per
@@ -237,11 +240,15 @@ def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_state
     """Walk the readout tree for t_max steps, one readout at a time.
 
     The walk holds one state per distinct outcome prefix (a node), stacked
-    as (nodes, D, D). Without uniforms it keeps every child with p > 1e-300
-    and total probability above prune_below, node-major. With uniforms
-    (samples x readouts), sample s takes the first child whose cumulative
-    probability exceeds its uniform, and only children some sample reaches
-    are kept.
+    as (nodes, D, D). Each step maps the stack through its isometry V, one
+    V @ rho @ V^dagger product per node (the window engine's V for custom
+    models, the Kraus stack read as V for the built-in ones). Each readout
+    of the step then splits every node into its children, the diagonal
+    blocks <j| . |j> of its front qubit, with probabilities their traces.
+    Without uniforms it keeps every child with p > 1e-300 and total
+    probability above prune_below, node-major. With uniforms (samples x
+    readouts), sample s takes the first child whose cumulative probability
+    exceeds its uniform, and only children some sample reaches are kept.
 
     Custom models check every node's state after each step, once per stack.
 
@@ -258,47 +265,44 @@ def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_state
         return tuple(f"mol{m}" for m in open_ids) + model_slots
 
     if model.kind != CUSTOM:
-        kraus = markov_xor_kraus(model.phi) if model.kind == MARKOV_XOR else build_embedding(model)[1]
-        ops = kraus.operators
+        # the Kraus stack is the step isometry V = sum_k |k> (x) K_k
+        ops = (markov_xor_kraus(model.phi) if model.kind == MARKOV_XOR else build_embedding(model)[1]).operators
+        v = ops.reshape(-1, ops.shape[-1])
+        vh = np.ascontiguousarray(v.conj().T)
     log_p = np.zeros(1)
     outcomes = np.zeros((1, 0), dtype=np.int64)
     history = [()] if keep_states else None
     leaf = None if uniforms is None else np.zeros(len(uniforms), dtype=np.int64)
 
-    def read(raws, ps):
-        # raws (K, nodes, D, D) are the unnormalised children, ps (K, nodes) their traces
-        nonlocal states, log_p, outcomes, history, leaf
-        if uniforms is None:
-            keep = (ps > 1e-300) & (np.exp(log_p) * ps > prune_below)
-            parent, child = np.nonzero(keep.T)
-        else:
-            u = uniforms[:, outcomes.shape[1]]
-            choice = np.minimum((u >= np.cumsum(ps, axis=0)[:, leaf]).sum(axis=0), len(ps) - 1)
-            keys, leaf = np.unique(leaf * len(ps) + choice, return_inverse=True)
-            parent, child = np.divmod(keys, len(ps))
-        p = ps[child, parent]
-        states = raws[child, parent] / p[:, None, None]
-        log_p = log_p[parent] + np.log(p)
-        outcomes = np.column_stack([outcomes[parent], child])
-        if keep_states:
-            history = [history[i] for i in parent]
-
     for t in range(t_max):
         if model.kind == CUSTOM:
             states, open_ids, closing = window_collide(states, open_ids, model, t)
-            for _ in range(closing):
-                # child j of each node: <j| states |j> on the front qubit
-                n, d = states.shape[:2]
-                raws = states.reshape(n, 2, d // 2, 2, d // 2)[:, (0, 1), :, (0, 1), :]
-                read(raws, np.trace(raws, axis1=-2, axis2=-1).real)
-            check_states(states)
         else:
-            # optimize=False: the contraction order must not depend on the batch,
-            # or a row's round-off would depend on the prefixes it is batched with.
-            # The einsum trace sums in another order than np.trace for D >= 4;
-            # switching would move seeded records by round-off.
-            raws = np.einsum("kab,nbc,kdc->knad", ops, states, ops.conj(), optimize=False)
-            read(raws, np.einsum("knaa->kn", raws).real)
+            # stacked, one product per node: a row's round-off must not depend
+            # on the prefixes it is batched with, and one 2-D GEMM over all
+            # rows does not promise that
+            states, closing = v @ states @ vh, 1
+        for _ in range(closing):
+            # child j of each node: <j| states |j> on the front qubit, and its trace
+            n, d = states.shape[:2]
+            raws = states.reshape(n, 2, d // 2, 2, d // 2)[:, (0, 1), :, (0, 1), :]
+            ps = np.trace(raws, axis1=-2, axis2=-1).real
+            if uniforms is None:
+                keep = (ps > 1e-300) & (np.exp(log_p) * ps > prune_below)
+                parent, child = np.nonzero(keep.T)
+            else:
+                u = uniforms[:, outcomes.shape[1]]
+                choice = np.minimum((u >= np.cumsum(ps, axis=0)[:, leaf]).sum(axis=0), len(ps) - 1)
+                keys, leaf = np.unique(leaf * len(ps) + choice, return_inverse=True)
+                parent, child = np.divmod(keys, len(ps))
+            p = ps[child, parent]
+            states = raws[child, parent] / p[:, None, None]
+            log_p = log_p[parent] + np.log(p)
+            outcomes = np.column_stack([outcomes[parent], child])
+            if keep_states:
+                history = [history[i] for i in parent]
+        if model.kind == CUSTOM:
+            check_states(states)
         if keep_states:
             slots = register()
             history = [h + (DensityMatrix(s, slots),) for h, s in zip(history, states)]

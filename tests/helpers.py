@@ -547,16 +547,26 @@ def spawned_uniforms(seed, n, draws, lo=0):
 
 def evolve_block_oracle(ops, state0, uniforms):
     """Per-sample Kraus sampling with one uniform per step: final states,
-    log-probabilities and outcome indices, one row per sample."""
+    log-probabilities and outcome indices, one row per sample.
+
+    The Kraus stack is read as the isometry V = sum_k |k> (x) K_k; each
+    sample's children are the diagonal blocks of V rho V^dagger on its
+    leading index, one (K d, d) @ (d, d) product per row. This pins the
+    walker's arithmetic bit for bit, not the physics: kraus_children is the
+    physics oracle.
+    """
     n, t_max = uniforms.shape
-    k_count = ops.shape[0]
+    k_count, d = ops.shape[:2]
+    v = ops.reshape(k_count * d, d)
+    vh = np.ascontiguousarray(dag(v))
     states = np.broadcast_to(state0, (n,) + state0.shape).copy()
     log_p = np.zeros(n)
     outcomes = np.zeros((n, t_max), dtype=np.int64)
     rows = np.arange(n)
     for t in range(t_max):
-        raws = np.einsum("kab,nbc,kdc->knad", ops, states, ops.conj(), optimize=False)
-        ps = np.einsum("knaa->kn", raws).real
+        big = (v @ states @ vh).reshape(n, k_count, d, k_count, d)
+        raws = big[:, range(k_count), :, range(k_count), :]
+        ps = np.trace(raws, axis1=-2, axis2=-1).real
         cum = np.cumsum(ps, axis=0)
         choice = np.minimum((uniforms[:, t][None, :] >= cum).sum(axis=0), k_count - 1)
         sel_p = ps[choice, rows]
@@ -564,6 +574,12 @@ def evolve_block_oracle(ops, state0, uniforms):
         log_p += np.log(sel_p)
         outcomes[:, t] = choice
     return states, log_p, outcomes
+
+
+def kraus_children(ops, rho):
+    """The unnormalised children K_k rho K_k^dagger, (K, d, d), by a direct
+    einsum over the Kraus stack."""
+    return np.einsum("kab,bc,kdc->kad", ops, rho, ops.conj())
 
 
 # ---- divisibility: the per-step loop the stacked scan replaced ----
@@ -614,7 +630,8 @@ def divisibility_scan_oracle(maps, cp_tol=1e-9):
 def window_step_oracle(model, rho0, steps):
     """System marginals [t=0 .. steps] of a custom model; the joint state is
     rebuilt as a validated DensityMatrix after every step and its closing
-    molecules, found by scan_closing, are traced out by name."""
+    molecules, found by scan_closing, are traced out by name. Each marginal
+    after t = 0 has the imaginary part of its diagonal set to zero."""
     from nmchain.chains import SYSTEM_SLOT, system_state, window_collide
     from nmchain.linalg import DensityMatrix, partial_trace
 
@@ -628,5 +645,7 @@ def window_step_oracle(model, rho0, steps):
         joint = DensityMatrix(m, tuple(f"mol{i}" for i in closing_ids) + keep)
         if closing_ids:
             joint = partial_trace(joint, keep)
-        out.append(partial_trace(joint, SYSTEM_SLOT) if joint.n_qubits > 1 else joint)
+        marginal = (partial_trace(joint, SYSTEM_SLOT) if joint.n_qubits > 1 else joint).matrix.copy()
+        marginal.imag[(0, 1), (0, 1)] = 0.0
+        out.append(DensityMatrix(marginal, (SYSTEM_SLOT,)))
     return out

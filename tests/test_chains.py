@@ -607,6 +607,20 @@ def test_run_window_bitwise_matches_step_oracle(name):
     assert all(g.slots == ("sys",) and np.array_equal(g.matrix, w.matrix) for g, w in zip(got, want))
 
 
+@pytest.mark.parametrize("gate", [xor_gate, sqrt_xor_gate])
+@pytest.mark.parametrize("layout", [overlap_schedule, advanced_overlap_schedule, H.burst_schedule])
+def test_window_marginals_have_exactly_real_diagonals(gate, layout):
+    # the step product is Hermitian only to round-off; the marginals after
+    # t = 0 carry an exact zero imaginary diagonal, and t = 0 is the input
+    rng = np.random.default_rng(7)
+    r0 = np.stack([_rho(rng), _rho(rng)])
+    assert np.diagonal(r0, axis1=-2, axis2=-1).imag.any()
+    stack, _ = evolve(custom_chain(gate(), layout(40), phi=0.7), r0, 40)
+    assert np.array_equal(stack[:, 0], r0)
+    diag = np.diagonal(stack[:, 1:], axis1=-2, axis2=-1)
+    assert not np.signbit(diag.imag).any() and not diag.imag.any()
+
+
 def _random_sys_mol_gate(seed):
     rng = np.random.default_rng(seed)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))

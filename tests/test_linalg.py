@@ -7,9 +7,7 @@ from nmchain.linalg import (
     DensityMatrix,
     PureState,
     as_matrix,
-    basis_state,
     check_states,
-    computational_basis,
     dagger,
     eig_hermitian,
     partial_trace,
@@ -47,13 +45,6 @@ def test_pure_state_validation():
         PureState(np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         PureState(np.array([np.nan, 0.0]))
-
-
-def test_basis_helpers():
-    v = basis_state((1, 0))
-    assert v.amplitudes[2] == 1.0 and abs(v.amplitudes).sum() == 1.0
-    bas = computational_basis(4)
-    assert np.allclose(np.stack([b.amplitudes for b in bas]), np.eye(4))
 
 
 def test_density_matrix_validation():

@@ -18,6 +18,7 @@ from nmchain.chains import (
     sqrt_xor,
 )
 from nmchain import trajectories
+from nmchain.channels import KrausSet
 from nmchain.gates import xor_gate
 from nmchain.trajectories import (
     MAX_ENUMERATION_READOUTS,
@@ -230,20 +231,67 @@ def test_ensemble_matches_sequential_sampling(factory):
     assert ens.log_probabilities.tolist() == [r.log_probability for r in seq]
 
 
+def _builtin_ops(model):
+    return (markov_xor_kraus(model.phi) if model.kind == MARKOV_XOR else build_embedding(model)[1]).operators
+
+
 @pytest.mark.parametrize("factory", [markov_xor, repeated_xor, sqrt_xor])
 def test_ensemble_bitwise_matches_per_sample_oracle(factory):
     model = factory(0.36)
     n, t_max, seed = 10_000, 10, 21
-    if model.kind == MARKOV_XOR:
-        ops, state0 = np.stack(markov_xor_kraus(model.phi).operators), _rho0().astype(complex)
-    else:
-        ops = np.stack(build_embedding(model)[1].operators)
-        state0 = np.kron(np.diag([1.0, 0.0]), _rho0()).astype(complex)
-    states, log_p, outcomes = H.evolve_block_oracle(ops, state0, H.spawned_uniforms(seed, n, t_max))
+    state0 = _rho0() if model.kind == MARKOV_XOR else np.kron(np.diag([1.0, 0.0]), _rho0())
+    states, log_p, outcomes = H.evolve_block_oracle(
+        np.stack(_builtin_ops(model)), state0.astype(complex), H.spawned_uniforms(seed, n, t_max))
     ens = sample_ensemble(model, _rho0(), t_max, n, seed)
     assert np.array_equal(ens.outcomes, outcomes)
     assert np.array_equal(ens.log_probabilities, log_p)
     assert np.array_equal(ens.mean_state.matrix, states.mean(axis=0))
+
+
+@pytest.mark.parametrize("factory", [markov_xor, repeated_xor, sqrt_xor])
+@pytest.mark.parametrize("phi", [0.0, -0.0, 0.4, np.nextafter(np.pi / 2, 0.0)])
+def test_walker_children_match_kraus_sandwich(factory, phi):
+    # the walker reads children off V rho V^dagger; each branch, unnormalised,
+    # must be the K_k rho K_k^dagger sandwich of its outcomes, and a branch
+    # the walker drops must be one the sandwiches leave empty
+    model = factory(phi)
+    ops = _builtin_ops(model)
+    start = simulate(model, _rho0(), 0)[0].matrix
+    for t_max in (1, 2, 3):
+        states, log_p, outcomes, _, _ = trajectories._evolve_block(model, _rho0(), t_max)
+        got = dict(zip(map(tuple, outcomes.tolist()), np.exp(log_p)[:, None, None] * states))
+        want = {(): start}
+        for _ in range(t_max):
+            want = {key + (k,): child for key, m in want.items()
+                    for k, child in enumerate(H.kraus_children(ops, m))}
+        tol = 1e-15 * max(np.abs(m).max() for m in want.values())
+        for key, m in want.items():
+            assert np.abs(got.get(key, 0.0) - m).max() <= tol
+
+
+def _dense_qubit_kraus(phi):
+    # a random two-outcome qubit channel: every child entry sums several
+    # products, so a batch-dependent summation order would show in its bits
+    rng = np.random.default_rng(31)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
+    return KrausSet(q.reshape(2, 2, 2))
+
+
+@pytest.mark.parametrize("factory", [markov_xor, repeated_xor, sqrt_xor, "dense"])
+def test_walk_rows_do_not_depend_on_the_batch(factory, monkeypatch):
+    # a sample's row is fixed by its own uniforms, at any number of samples
+    if factory == "dense":
+        monkeypatch.setattr(trajectories, "markov_xor_kraus", _dense_qubit_kraus)
+        factory = markov_xor
+    model = factory(0.4)
+    uniforms = trajectories._uniform_block(11, 0, 2000, 10)
+    full = trajectories._evolve_block(model, _rho0(), 10, uniforms)[:3]
+    for n in (1, 7, 500):
+        part = trajectories._evolve_block(model, _rho0(), 10, uniforms[:n])[:3]
+        assert all(np.array_equal(a, b[:n]) for a, b in zip(part, full))
+    for i in (6, 499, 1999):
+        one = trajectories._evolve_block(model, _rho0(), 10, uniforms[i:i + 1])[:3]
+        assert all(np.array_equal(a[0], b[i]) for a, b in zip(one, full))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1])
