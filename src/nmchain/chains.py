@@ -14,11 +14,16 @@ The two-collision models admit an exact satellite picture: one extra
 memory qubit that swaps with the fresh molecule each step. States on that
 compound live on slots ("mem", "sys"). Arbitrary collision layouts
 (custom models) run in a sliding-window engine that keeps only the
-currently open molecules; evolve is its one entry, and the window width a
-schedule needs is checked against WINDOW_QUBIT_CAP when the model is built.
-Each window step is one product V rho V^dagger with the step isometry V
-(attach the fresh molecules, run the step's collisions, put the molecules
-read out first), built once per step shape and kept in a bounded cache.
+currently open molecules; the window width a schedule needs is checked
+against WINDOW_QUBIT_CAP when the model is built. Each window step is one
+product V rho V^dagger with the step isometry V (attach the fresh
+molecules, run the step's collisions, put the molecules read out first),
+built once per step shape and kept in a bounded cache. collide is the one
+step of every model, for evolve and the trajectory walker: a built-in step
+reads its Kraus stack as V = sum_k |k> (x) K_k, so the two-collision
+compound is a window whose one open molecule is the satellite. evolve steps
+markov-xor by its closed form instead, which keeps the populations exact,
+and gives every model's rows after t = 0 exactly real diagonals.
 """
 from __future__ import annotations
 
@@ -31,15 +36,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channels import KrausSet, apply_kraus, kraus_from_collision, map_from_probes, tomography_probes
+from .channels import KrausSet, kraus_from_collision, map_from_probes, tomography_probes
 from .gates import UnitaryGate, apply_left, embed, molecule_state, sqrt_xor_gate, swap_gate, xor_gate
-from .linalg import (
-    DensityMatrix,
-    as_matrix,
-    check_states,
-    partial_trace_array,
-    tensor,
-)
+from .linalg import DensityMatrix, as_matrix, check_states, tensor
 
 MARKOV_XOR = "markov-xor"
 REPEATED_XOR = "repeated-xor"
@@ -419,6 +418,8 @@ def _cached_embedding(kind: str, phi: float) -> tuple[UnitaryGate, KrausSet]:
     u_swap = embed(swap_gate(), register, ("mol", MEMORY_SLOT)).matrix
     step = UnitaryGate(u_collide @ u_swap @ u_collide, register, label=f"{g.label}-step")
     kraus = kraus_from_collision(step, molecule_state(phi))
+    # shared by every caller at (kind, phi), so a write must not reach the next one
+    _readonly(step.matrix), _readonly(kraus.operators), _readonly(kraus.adjoints)
     return step, kraus
 
 
@@ -560,29 +561,37 @@ def window_collide(
     return v @ joint @ vh, [m for m in register if m not in closing], len(closing)
 
 
-def _window_marginals(model: ChainModel, states: np.ndarray, steps: int) -> np.ndarray:
-    """System marginals [t=1 .. steps] of one system state or a stack (..., 2, 2),
-    as one (..., steps, 2, 2) array.
+# --- one step for every model ----------------------------------------------
 
-    The joint state of the open molecules plus the system (newest molecule
-    first, system last) is carried as a raw array: each step runs the
-    step's collisions, then traces out the molecules past their last event,
-    the front of the new register, in one pass. The step product is
-    Hermitian only to round-off, so the marginals' diagonals are made
-    exactly real, once for the whole stack.
-    """
-    schedule = model.schedule
-    if steps > schedule.horizon:
-        raise ValueError(f"steps {steps} exceed the schedule horizon {schedule.horizon}")
-    out = np.empty(states.shape[:-2] + (steps, 2, 2), dtype=complex)
-    joint, open_ids = states, []
-    for t in range(steps):
-        joint, open_ids, closing = window_collide(joint, open_ids, model, t)
-        n = len(open_ids) + 1
-        joint = partial_trace_array(joint, closing + n, range(closing, closing + n))
-        out[..., t, :, :] = partial_trace_array(joint, n, [n - 1])
-    out.imag[..., (0, 1), (0, 1)] = 0.0
-    return out
+@lru_cache(maxsize=EMBED_CACHE_SIZE)
+def _kraus_isometry(kind: str, phi: float, sign: float) -> tuple:
+    """Read-only (V, V^dagger) of a built-in step: its Kraus stack read as
+    V = sum_k |k> (x) K_k. sign tells -0.0 from 0.0, as for _step_isometry."""
+    ops = (markov_xor_kraus(phi) if kind == MARKOV_XOR else build_embedding(ChainModel(kind, phi))[1]).operators
+    v = ops.reshape(-1, ops.shape[-1])
+    return _readonly(v), _readonly(np.ascontiguousarray(v.conj().T))
+
+
+def collide(joint: np.ndarray, open_ids: Sequence[int], model: ChainModel, t: int) -> tuple[np.ndarray, list, int]:
+    """Step t of any model, with the signature and return of window_collide,
+    which custom models run. A built-in step is V @ joint @ V^dagger with
+    its Kraus stack read as V = sum_k |k> (x) K_k: the outgoing molecule is
+    the one front qubit (closing = 1), and open_ids stays as given. A stack
+    takes one product per state, so that a state's round-off does not depend
+    on the states it is stacked with (one 2-D GEMM would not promise that)."""
+    if model.kind == CUSTOM:
+        return window_collide(joint, open_ids, model, t)
+    v, vh = _kraus_isometry(model.kind, model.phi, math.copysign(1.0, model.phi))
+    return v @ joint @ vh, open_ids, 1
+
+
+def _front_trace(a: np.ndarray, q: int) -> np.ndarray:
+    """Trace out the first q qubits of one state or a stack (..., D, D);
+    a itself when q = 0."""
+    if not q:
+        return a
+    d = a.shape[-1] >> q
+    return a.reshape(a.shape[:-2] + (2 ** q, d, 2 ** q, d)).trace(axis1=-4, axis2=-2)
 
 
 # --- one evolution per model, and the reduced maps it defines --------------
@@ -602,30 +611,40 @@ def evolve(model: ChainModel, states, steps: int, mem0=None) -> tuple[np.ndarray
     """States [t=0 .. steps] of one system state or a stack (..., 2, 2), as one array.
 
     Returns (stack, slots): stack has shape (..., steps + 1, D, D) on the
-    register slots. markov-xor gives the system state (closed-form step),
-    the two-collision models the ("mem", "sys") compound of the satellite
-    embedding with the memory starting in mem0 (default |0><0|), and custom
-    models the system marginal of the window engine. Only the two-collision
-    models have a memory slot; mem0 for any other kind raises. Every state
-    of the stack is checked as a DensityMatrix would be, in one pass.
+    register slots. markov-xor gives the system state, the two-collision
+    models the ("mem", "sys") compound of the satellite embedding with the
+    memory starting in mem0 (default |0><0|), and custom models the system
+    marginal of the window engine. Only the two-collision models have a
+    memory slot; mem0 for any other kind raises. Every state of the stack is
+    checked as a DensityMatrix would be, in one pass.
+
+    Every model but markov-xor (closed form) steps through collide, traces
+    out the molecules read out and records the front trace of the open ones.
+    V rho V^dagger is Hermitian only to round-off, so every row after t = 0
+    gets an exactly real diagonal, once per call.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     embedded = model.kind in (REPEATED_XOR, SQRT_XOR)
     if mem0 is not None and not embedded:
         raise ValueError(f"{model.kind} has no memory slot; mem0 does not apply")
-    s = _system_stack(states)
-    if model.kind == CUSTOM:
-        stack = np.concatenate([s[..., None, :, :], _window_marginals(model, s, steps)], axis=-3)
-    else:
-        if embedded:
-            kraus = build_embedding(model)[1]
-            s = _attach(_memory_array(mem0), s)
-            check_states(s)
-        out = [s]
-        for _ in range(steps):
-            out.append(apply_kraus(kraus, out[-1]) if embedded else markov_xor_step(out[-1], model.phi))
-        stack = np.stack(out, axis=-3)
+    joint, open_ids = _system_stack(states), []
+    if embedded:
+        joint = _attach(_memory_array(mem0), joint)
+        check_states(joint)
+    elif model.kind == CUSTOM and steps > model.schedule.horizon:
+        raise ValueError(f"steps {steps} exceed the schedule horizon {model.schedule.horizon}")
+    stack = np.empty(joint.shape[:-2] + (steps + 1,) + joint.shape[-2:], dtype=complex)
+    stack[..., 0, :, :] = joint
+    for t in range(steps):
+        if model.kind == MARKOV_XOR:
+            joint, closing = markov_xor_step(joint, model.phi), 0
+        else:
+            joint, open_ids, closing = collide(joint, open_ids, model, t)
+        joint = _front_trace(joint, closing)
+        stack[..., t + 1, :, :] = _front_trace(joint, len(open_ids))
+    diag = np.arange(stack.shape[-1])
+    stack.imag[..., 1:, diag, diag] = 0.0
     check_states(stack)
     return stack, (MEMORY_SLOT, SYSTEM_SLOT) if embedded else (SYSTEM_SLOT,)
 
@@ -646,7 +665,7 @@ def system_marginals(stack: np.ndarray, slots: tuple[str, ...]) -> np.ndarray:
     """
     if slots == (SYSTEM_SLOT,):
         return stack
-    out = partial_trace_array(stack, len(slots), [slots.index(SYSTEM_SLOT)])
+    out = _front_trace(stack, len(slots) - 1)  # the system is the last slot
     check_states(out)
     return out
 

@@ -4,11 +4,11 @@ Every collision chain here ends each molecule's life with a computational
 readout, and every model reads it the same way: a step is one isometry V
 (attach the fresh molecule, collide, leave the molecules read out at this
 step in front), and outcome j of a readout is the block <j| V rho V^dagger |j>
-on the front qubit. For the built-in models the Kraus stack of the step is
-V = sum_k |k> (x) K_k, one readout per step, so a trajectory is a bit string
-of length t_max. Custom schedules take V from the window engine and read a
-molecule out when its last collision is done; outcomes are recorded in
-closure order (ascending molecule id within a step).
+on the front qubit. Every step is chains.collide, as in evolve: for the
+built-in models V = sum_k |k> (x) K_k, one readout per step, so a
+trajectory is a bit string of length t_max. Custom schedules take V from
+the window engine and read a molecule out when its last collision is done;
+outcomes are recorded in closure order (ascending molecule id within a step).
 
 Enumeration and sampling walk the same readout tree. A conditional state
 depends only on its outcome prefix, so the walk holds one state per
@@ -31,15 +31,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chains import (
-    CUSTOM,
-    MARKOV_XOR,
-    ChainModel,
-    build_embedding,
-    evolve,
-    markov_xor_kraus,
-    window_collide,
-)
+from .chains import CUSTOM, ChainModel, collide, evolve
 from .linalg import DensityMatrix, check_states
 
 MAX_ENUMERATION_READOUTS = 20
@@ -240,7 +232,7 @@ def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_state
     """Walk the readout tree for t_max steps, one readout at a time.
 
     The walk holds one state per distinct outcome prefix (a node), stacked
-    as (nodes, D, D). Each step maps the stack through its isometry V, one
+    as (nodes, D, D). Each step maps the stack through chains.collide, one
     V @ rho @ V^dagger product per node (the window engine's V for custom
     models, the Kraus stack read as V for the built-in ones). Each readout
     of the step then splits every node into its children, the diagonal
@@ -264,24 +256,13 @@ def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_state
         # open molecules (newest first) ahead of the model's own register
         return tuple(f"mol{m}" for m in open_ids) + model_slots
 
-    if model.kind != CUSTOM:
-        # the Kraus stack is the step isometry V = sum_k |k> (x) K_k
-        ops = (markov_xor_kraus(model.phi) if model.kind == MARKOV_XOR else build_embedding(model)[1]).operators
-        v = ops.reshape(-1, ops.shape[-1])
-        vh = np.ascontiguousarray(v.conj().T)
     log_p = np.zeros(1)
     outcomes = np.zeros((1, 0), dtype=np.int64)
     history = [()] if keep_states else None
     leaf = None if uniforms is None else np.zeros(len(uniforms), dtype=np.int64)
 
     for t in range(t_max):
-        if model.kind == CUSTOM:
-            states, open_ids, closing = window_collide(states, open_ids, model, t)
-        else:
-            # stacked, one product per node: a row's round-off must not depend
-            # on the prefixes it is batched with, and one 2-D GEMM over all
-            # rows does not promise that
-            states, closing = v @ states @ vh, 1
+        states, open_ids, closing = collide(states, open_ids, model, t)
         for _ in range(closing):
             # child j of each node: <j| states |j> on the front qubit, and its trace
             n, d = states.shape[:2]

@@ -41,6 +41,7 @@ from nmchain.chains import (
 from nmchain.channels import apply_kraus, map_from_probes, tomography_probes
 from nmchain.gates import UnitaryGate, sqrt_xor_gate, xor_gate
 from nmchain.linalg import DensityMatrix, partial_trace_array, tensor
+from nmchain.trajectories import sample_ensemble
 
 
 def _rho(rng):
@@ -271,6 +272,15 @@ def _bitwise_equal(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def _exact_real_diagonals(run):
+    """A per-step run as evolve records it: every state after t = 0 with the
+    imaginary parts of its diagonal set to 0.0."""
+    out = [np.array(m, dtype=complex) for m in run]
+    for m in out[1:]:
+        np.fill_diagonal(m.imag, 0.0)
+    return out
+
+
 def _markov_scalar_step(m, phi):
     # the per-state step as numpy scalars form it
     k = np.sin(2.0 * phi)
@@ -324,6 +334,27 @@ def test_build_embedding_is_cached():
     assert a[0] is b[0] and a[1] is b[1]
     with pytest.raises(ValueError):
         build_embedding(markov_xor(0.3))
+
+
+@pytest.mark.parametrize("factory", [markov_xor, repeated_xor, sqrt_xor])
+def test_cached_step_arrays_are_read_only(factory):
+    # every later caller at (kind, phi) reads these arrays: a write raises,
+    # and evolve and the walker give the same bits after it
+    model = factory(0.3)
+    r0 = _rho(np.random.default_rng(47))
+    before = evolve(model, r0, 6)[0], sample_ensemble(model, r0, 6, 40, seed=5)
+    arrays = list(chains._kraus_isometry(model.kind, model.phi, 1.0))
+    if model.kind != MARKOV_XOR:
+        step, kraus = build_embedding(model)
+        arrays += [step.matrix, kraus.operators, kraus.adjoints]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 7
+    after = evolve(model, r0, 6)[0], sample_ensemble(model, r0, 6, 40, seed=5)
+    assert _bitwise_equal(after[0], before[0])
+    assert _bitwise_equal(after[1].mean_state.matrix, before[1].mean_state.matrix)
+    assert np.array_equal(after[1].log_probabilities, before[1].log_probabilities)
+    assert chains._kraus_isometry.cache_info().maxsize == chains.EMBED_CACHE_SIZE
 
 
 def test_embedding_cache_is_bounded():
@@ -607,16 +638,27 @@ def test_run_window_bitwise_matches_step_oracle(name):
     assert all(g.slots == ("sys",) and np.array_equal(g.matrix, w.matrix) for g, w in zip(got, want))
 
 
-@pytest.mark.parametrize("gate", [xor_gate, sqrt_xor_gate])
-@pytest.mark.parametrize("layout", [overlap_schedule, advanced_overlap_schedule, H.burst_schedule])
-def test_window_marginals_have_exactly_real_diagonals(gate, layout):
-    # the step product is Hermitian only to round-off; the marginals after
-    # t = 0 carry an exact zero imaginary diagonal, and t = 0 is the input
+_REAL_DIAGONAL_CASES = {
+    **{f"{layout.__name__}-{gate.__name__}": (custom_chain(gate(), layout(40), phi=0.7), None)
+       for layout in (overlap_schedule, advanced_overlap_schedule, H.burst_schedule)
+       for gate in (xor_gate, sqrt_xor_gate)},
+    "markov_xor": (markov_xor(0.7), None),
+    "repeated_xor": (repeated_xor(0.7), H.molecule_density(0.7)),
+    "sqrt_xor": (sqrt_xor(0.7), H.molecule_density(0.7)),
+}
+
+
+@pytest.mark.parametrize("case", list(_REAL_DIAGONAL_CASES))
+def test_window_marginals_have_exactly_real_diagonals(case):
+    # the step product is Hermitian only to round-off; the rows after t = 0
+    # carry an exact zero imaginary diagonal, and t = 0 is the input
+    model, mem0 = _REAL_DIAGONAL_CASES[case]
     rng = np.random.default_rng(7)
     r0 = np.stack([_rho(rng), _rho(rng)])
     assert np.diagonal(r0, axis1=-2, axis2=-1).imag.any()
-    stack, _ = evolve(custom_chain(gate(), layout(40), phi=0.7), r0, 40)
-    assert np.array_equal(stack[:, 0], r0)
+    stack, _ = evolve(model, r0, 40, mem0)
+    start = r0 if mem0 is None else np.stack([tensor(mem0, r) for r in r0])
+    assert _bitwise_equal(stack[:, 0], start)
     diag = np.diagonal(stack[:, 1:], axis1=-2, axis2=-1)
     assert not np.signbit(diag.imag).any() and not diag.imag.any()
 
@@ -785,20 +827,20 @@ def test_system_maps_custom_matches_builtin_on_same_schedule():
 
 
 def test_system_maps_runs_each_probe_once(monkeypatch):
-    """A custom model runs its four probes as one (4, 2, 2) stack through one window pass."""
+    """A custom model runs its four probes as one stack through one window pass."""
     calls = []
-    real = chains._window_marginals
+    real = chains.window_collide
 
-    def spy(model, states, steps):
-        calls.append((np.shape(states), steps))
-        return real(model, states, steps)
+    def spy(joint, open_ids, model, t):
+        calls.append((np.shape(joint)[0], t))
+        return real(joint, open_ids, model, t)
 
-    monkeypatch.setattr(chains, "_window_marginals", spy)
+    monkeypatch.setattr(chains, "window_collide", spy)
     custom = custom_chain(xor_gate(), advanced_overlap_schedule(8), phi=0.3)
     for t_max in (3, 8):
         calls.clear()
         assert len(system_maps(custom, t_max)) == t_max
-        assert calls == [((4, 2, 2), t_max)]
+        assert calls == [(4, t) for t in range(t_max)]
 
 
 @pytest.mark.parametrize("factory", [markov_xor, repeated_xor, sqrt_xor])
@@ -816,19 +858,19 @@ def test_system_maps_rebuild_every_map_in_one_call(monkeypatch, factory):
     assert got.shape == (7, 4, 4) and got.dtype == complex
 
 
-@pytest.mark.parametrize("name,factory", [("apply_kraus", sqrt_xor), ("apply_kraus", repeated_xor),
+@pytest.mark.parametrize("name,factory", [("collide", sqrt_xor), ("collide", repeated_xor),
                                           ("markov_xor_step", markov_xor)])
 def test_builtin_system_maps_step_the_probes_as_one_stack(monkeypatch, name, factory):
     shapes = []
     real = getattr(chains, name)
 
     def spy(*args):
-        shapes.append(np.shape(args[1] if name == "apply_kraus" else args[0]))
+        shapes.append(np.shape(args[0]))
         return real(*args)
 
     monkeypatch.setattr(chains, name, spy)
     assert len(system_maps(factory(0.3), 5)) == 5
-    assert shapes == [(4, 4, 4) if name == "apply_kraus" else (4, 2, 2)] * 5
+    assert shapes == [(4, 4, 4) if name == "collide" else (4, 2, 2)] * 5
 
 
 @pytest.mark.parametrize("gap", (1, 2, 3))
@@ -855,14 +897,14 @@ def test_simulate_picks_the_model_register():
     for _ in range(steps):
         want.append(markov_xor_step(want[-1], phi))
     assert [s.slots for s in got] == [("sys",)] * (steps + 1)
-    assert all(np.array_equal(g.matrix, w) for g, w in zip(got, want))
+    assert all(_bitwise_equal(g.matrix, w) for g, w in zip(got, _exact_real_diagonals(want)))
     for factory in (repeated_xor, sqrt_xor):
         got = simulate(factory(phi), r0, steps, mem0=H.molecule_density(phi))
         want = [tensor(H.molecule_density(phi), r0)]
         for _ in range(steps):
             want.append(apply_kraus(build_embedding(factory(phi))[1], want[-1]))
         assert [s.slots for s in got] == [("mem", "sys")] * (steps + 1)
-        assert all(np.array_equal(g.matrix, w) for g, w in zip(got, want))
+        assert all(_bitwise_equal(g.matrix, w) for g, w in zip(got, _exact_real_diagonals(want)))
     custom = custom_chain(sqrt_xor_gate(), advanced_overlap_schedule(6), phi=phi)
     got = simulate(custom, r0, steps)
     want = H.window_step_oracle(custom, r0, steps)
@@ -872,7 +914,7 @@ def test_simulate_picks_the_model_register():
         simulate(markov_xor(phi), r0, -1)
 
 
-_PHIS = (0.1, 0.3, 0.7, 1.2)
+_PHIS = (0.1, 0.3, 0.7, 1.2, 0.0, -0.0, -0.4)
 
 
 def _mixed_memory(phi):
@@ -882,18 +924,19 @@ def _mixed_memory(phi):
 def _per_step_run(model, r0, steps, mem0=None):
     """States [t=0 .. steps] of one state, one step at a time: the scalar
     markov-xor step, the compound Kraus pair from tensor(mem0, r0), or the window
-    engine's per-step DensityMatrix loop."""
+    engine's per-step DensityMatrix loop; every state after t = 0 with an
+    exactly real diagonal."""
     if model.kind == CUSTOM:
         return [s.matrix for s in H.window_step_oracle(model, r0, steps)]
     if model.kind == MARKOV_XOR:
         out = [np.asarray(r0, dtype=complex)]
         for _ in range(steps):
             out.append(_markov_scalar_step(out[-1], model.phi))
-        return out
+        return _exact_real_diagonals(out)
     out = [tensor(_mem0() if mem0 is None else mem0, r0)]
     for _ in range(steps):
         out.append(apply_kraus(build_embedding(model)[1], out[-1]))
-    return out
+    return _exact_real_diagonals(out)
 
 
 def _oracle_cases():
@@ -956,14 +999,15 @@ def test_evolve_errors_keep_their_messages():
 def test_evolve_checks_every_evolved_state(monkeypatch):
     r0 = np.diag([0.4, 0.6])
     # a step that loses trace on its third application
-    real = chains.apply_kraus
+    real = chains.collide
     count = []
 
-    def leaky(kraus, m):
+    def leaky(joint, open_ids, model, t):
         count.append(1)
-        return real(kraus, m) * (0.5 if len(count) == 3 else 1.0)
+        joint, open_ids, closing = real(joint, open_ids, model, t)
+        return joint * (0.5 if len(count) == 3 else 1.0), open_ids, closing
 
-    monkeypatch.setattr(chains, "apply_kraus", leaky)
+    monkeypatch.setattr(chains, "collide", leaky)
     with pytest.raises(ValueError, match="trace"):
         evolve(sqrt_xor(0.3), r0, 4)
     count.clear()

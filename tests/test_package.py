@@ -114,6 +114,31 @@ def test_benchmark_trace_names_resolve():
     assert not missing, missing
 
 
+_DIGEST_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import cli_digest
+
+call = {"cmd": "simulate", "model": "m", "format": "json", "exit": 0, "tokens": "t"}
+old = {"k": dict(call, sha256="a", floats={"x[0]": [-0.0, 1.0, 2.0], "y": [0.0]})}
+new = {"k": dict(call, sha256="b", floats={"x[0]": [0.0, 1.0, 2.5], "y": [-0.0]})}
+sys.exit(cli_digest.compare(old, new))
+"""
+
+
+def test_cli_digest_counts_zero_sign_flips_on_their_own_line():
+    # a -0.0 <-> 0.0 flip is no move of 0 to an exact 0.0
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    proc = subprocess.run([sys.executable, "-c", _DIGEST_PROBE, str(tools)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "    x[] (x[0]): 1 floats moved, max 0.5, 0 to exact 0.0" in lines
+    assert "    x[] (x[0]): 1 zero-sign flips (-0.0 <-> 0.0)" in lines
+    assert "    y (y): 1 zero-sign flips (-0.0 <-> 0.0)" in lines
+    assert not any(line.startswith("    y (y): ") and "floats moved" in line for line in lines)
+    assert "largest float move: 0.5 (k, x[0])" in lines
+
+
 def test_cli_runs_without_scipy_until_a_correlation_is_polished(tmp_path):
     # scipy.optimize is imported on the first polish only, so every other
     # subcommand starts without it; module names, not times, keep this exact

@@ -17,7 +17,7 @@ from nmchain.chains import (
     simulate,
     sqrt_xor,
 )
-from nmchain import trajectories
+from nmchain import chains, trajectories
 from nmchain.channels import KrausSet
 from nmchain.gates import xor_gate
 from nmchain.trajectories import (
@@ -278,10 +278,14 @@ def _dense_qubit_kraus(phi):
 
 
 @pytest.mark.parametrize("factory", [markov_xor, repeated_xor, sqrt_xor, "dense"])
-def test_walk_rows_do_not_depend_on_the_batch(factory, monkeypatch):
+def test_walk_rows_do_not_depend_on_the_batch(factory, monkeypatch, request):
     # a sample's row is fixed by its own uniforms, at any number of samples
     if factory == "dense":
-        monkeypatch.setattr(trajectories, "markov_xor_kraus", _dense_qubit_kraus)
+        # the step isometry is cached: clear it before and after the injected
+        # pair, so that the pair cannot leak into later walks
+        chains._kraus_isometry.cache_clear()
+        request.addfinalizer(chains._kraus_isometry.cache_clear)
+        monkeypatch.setattr(chains, "markov_xor_kraus", _dense_qubit_kraus)
         factory = markov_xor
     model = factory(0.4)
     uniforms = trajectories._uniform_block(11, 0, 2000, 10)
@@ -389,7 +393,7 @@ def test_custom_walk_raises_for_an_invalid_conditional_state(monkeypatch):
     # a non-Hermitian state inside the walk raises at its step, whether the
     # conditional states are kept or not
     model = custom_chain(xor_gate(), advanced_overlap_schedule(4), phi=0.31)
-    collide = trajectories.window_collide
+    collide = chains.window_collide
 
     def broken(states, open_ids, model, t):
         states, open_ids, closing = collide(states, open_ids, model, t)
@@ -397,7 +401,7 @@ def test_custom_walk_raises_for_an_invalid_conditional_state(monkeypatch):
             states = states + 1e-6j * np.eye(states.shape[-1])
         return states, open_ids, closing
 
-    monkeypatch.setattr(trajectories, "window_collide", broken)
+    monkeypatch.setattr(chains, "window_collide", broken)
     for walk in (lambda: sample_ensemble(model, _rho0(), t_max=4, n_samples=8, seed=1),
                  lambda: enumerate_branches(model, _rho0(), t_max=4, keep_states=False),
                  lambda: enumerate_branches(model, _rho0(), t_max=4)):

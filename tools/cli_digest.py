@@ -19,7 +19,8 @@ path without the line index, or a CSV column. --out writes it as JSON.
 --against OLD compares it with an earlier digest and prints, per workload,
 subcommand and format, the outputs that moved, by model; per field (list
 indices folded, the moved index paths named) the floats that moved, their
-largest move and how many moved to an exact 0.0; the largest float move
+largest move and how many moved to an exact 0.0, and on a line of its own
+the zeros that only changed sign (-0.0 <-> 0.0); the largest float move
 overall; and every exit-code or non-float change.
 The exit status is 1 when an exit code or a non-float token changed.
 """
@@ -152,12 +153,17 @@ def compare(old: dict, new: dict) -> int:
             continue
         for field, xs in a["floats"].items():
             ys = b["floats"][field]
-            moves = [(abs(y - x), y) for x, y in zip(xs, ys) if x != y or math.copysign(1, x) != math.copysign(1, y)]
-            if not moves:
+            moves = [(abs(y - x), y) for x, y in zip(xs, ys) if x != y]
+            # equal values that differ in the sign bit: -0.0 <-> 0.0
+            flips = sum(x == y and math.copysign(1, x) != math.copysign(1, y) for x, y in zip(xs, ys))
+            if not moves and not flips:
                 continue
             f = g["fields"].setdefault(re.sub(r"\[\d+\]", "[]", field),
-                                       {"floats": 0, "max": 0.0, "to_zero": 0, "paths": set()})
+                                       {"floats": 0, "max": 0.0, "to_zero": 0, "flips": 0, "paths": set()})
             f["paths"].add(field)
+            f["flips"] += flips
+            if not moves:
+                continue
             f["floats"] += len(moves)
             f["to_zero"] += sum(y == 0.0 and math.copysign(1, y) > 0 for _, y in moves)
             big = max(d for d, _ in moves)
@@ -171,8 +177,11 @@ def compare(old: dict, new: dict) -> int:
         for field, f in sorted(g["fields"].items()):
             paths = sorted(f["paths"])
             where = ", ".join(paths) if len(paths) <= 3 else f"{len(paths)} index paths"
-            print(f"    {field} ({where}): {f['floats']} floats moved, max {_fmt(f['max'])},"
-                  f" {f['to_zero']} to exact 0.0")
+            if f["floats"]:
+                print(f"    {field} ({where}): {f['floats']} floats moved, max {_fmt(f['max'])},"
+                      f" {f['to_zero']} to exact 0.0")
+            if f["flips"]:
+                print(f"    {field} ({where}): {f['flips']} zero-sign flips (-0.0 <-> 0.0)")
     if worst[1] is not None:
         print(f"largest float move: {_fmt(worst[0])} ({worst[1]}, {worst[2]})")
     else:
