@@ -38,7 +38,6 @@ from .channels import (
 )
 from .chains import (
     ChainModel,
-    CollisionEvent,
     CollisionSchedule,
     advanced_overlap_schedule,
     build_embedding,

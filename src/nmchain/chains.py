@@ -56,27 +56,6 @@ _GATE_CODES = {name: code for code, name in enumerate(GATE_NAMES)}
 _GATES = (None, xor_gate(), sqrt_xor_gate())
 
 
-@dataclass(frozen=True)
-class CollisionEvent:
-    """One collision: molecule `molecule` hits the system at step `step`.
-
-    gate overrides the model's collision gate by name ("xor", "sqrt-xor");
-    None means the model default.
-    """
-
-    step: int
-    molecule: int
-    gate: Optional[str] = None
-
-    def __post_init__(self):
-        if self.step < 0:
-            raise ValueError(f"negative step {self.step}")
-        if self.molecule < 0:
-            raise ValueError(f"negative molecule id {self.molecule}")
-        if self.gate is not None and self.gate not in _GATE_CODES:
-            raise ValueError(f"unknown gate {self.gate!r}; choose from {sorted(GATE_NAMES[1:])}")
-
-
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -87,30 +66,25 @@ class CollisionSchedule:
     `event_steps`, `event_molecules` and `event_gates` (codes into
     GATE_NAMES). Within a step the listed order is execution order.
 
-    The constructor takes CollisionEvents; the built-in layouts and
-    schedule_from_records fill the arrays directly. `events` and
-    `to_records()` are views built on demand.
+    The constructor takes the events as 1-D arrays of one length, in listed
+    order; gates=None gives every event the model's own gate (code 0). It
+    copies them, so the caller's arrays stay writeable and unaliased.
     """
 
-    def __init__(self, events: Sequence[CollisionEvent], horizon: int):
-        events = tuple(events)
-        self._index(
-            [ev.step for ev in events],
-            [ev.molecule for ev in events],
-            horizon,
-            [_GATE_CODES[ev.gate] for ev in events],
-        )
-
-    @classmethod
-    def _from_arrays(cls, steps, molecules, horizon: int, gates=None) -> CollisionSchedule:
-        # the caller has checked what CollisionEvent checks: no negative
-        # step or molecule, only known gate codes (default 0)
-        sched = cls.__new__(cls)
-        sched._index(steps, molecules, horizon, np.zeros(len(steps), np.int64) if gates is None else gates)
-        return sched
-
-    def _index(self, steps, molecules, horizon: int, gates) -> None:
-        steps, molecules, gates = (np.asarray(a, dtype=np.int64) for a in (steps, molecules, gates))
+    def __init__(self, steps, molecules, horizon: int, gates=None):
+        steps, molecules = np.asarray(steps, dtype=np.int64), np.asarray(molecules, dtype=np.int64)
+        gates = np.zeros(steps.shape, np.int64) if gates is None else np.asarray(gates, dtype=np.int64)
+        if steps.ndim != 1 or not steps.shape == molecules.shape == gates.shape:
+            raise ValueError("steps, molecules and gates must be 1-D arrays of one length, got shapes "
+                             f"{steps.shape}, {molecules.shape} and {gates.shape}")
+        bad = (steps < 0) | (molecules < 0) | (gates < 0) | (gates >= len(GATE_NAMES))
+        if bad.any():
+            i = int(np.argmax(bad))
+            if steps[i] < 0:
+                raise ValueError(f"negative step {steps[i]}")
+            if molecules[i] < 0:
+                raise ValueError(f"negative molecule id {molecules[i]}")
+            raise ValueError(f"unknown gate code {gates[i]}; choose from 0 to {len(GATE_NAMES) - 1}")
         if horizon < 1:
             raise ValueError(f"horizon must be positive, got {horizon}")
         # molecule-major, then step; lexsort is stable, so an event that
@@ -150,14 +124,6 @@ class CollisionSchedule:
         lo = bisect.bisect_left(self._step_list, step)
         return slice(lo, bisect.bisect_right(self._step_list, step, lo))
 
-    def _events(self, rows: slice) -> tuple[CollisionEvent, ...]:
-        return tuple(CollisionEvent(t, m, GATE_NAMES[g]) for t, m, g in zip(
-            self.event_steps[rows].tolist(), self.event_molecules[rows].tolist(), self.event_gates[rows].tolist()))
-
-    @property
-    def events(self) -> tuple[CollisionEvent, ...]:
-        return self._events(slice(None))
-
     def spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(molecule ids ascending, first steps, last steps) as read-only arrays."""
         return self._ids, self._first, self._last
@@ -174,13 +140,10 @@ class CollisionSchedule:
     def last_event(self, molecule: int) -> int:
         return int(self._last[self._span_row(molecule)])
 
-    def events_at(self, step: int) -> tuple[CollisionEvent, ...]:
-        return self._events(self._step_slice(step))
-
-    def to_records(self) -> list[dict]:
-        gate = [{} if name is None else {"gate": name} for name in GATE_NAMES]
-        return [{"t": t, "mol": m, **gate[g]} for t, m, g in zip(
-            self.event_steps.tolist(), self.event_molecules.tolist(), self.event_gates.tolist())]
+    def events_at(self, step: int) -> tuple[np.ndarray, np.ndarray]:
+        """(molecules, gate codes) of the step's events, in execution order, as read-only views."""
+        rows = self._step_slice(step)
+        return self.event_molecules[rows], self.event_gates[rows]
 
 
 def schedule_from_records(records: Sequence[dict], horizon: Optional[int] = None) -> CollisionSchedule:
@@ -200,9 +163,13 @@ def schedule_from_records(records: Sequence[dict], horizon: Optional[int] = None
         gate = rec.get("gate")
         if gate is not None and not isinstance(gate, str):
             raise ValueError(f"record {i}: 'gate' must be a string, got {gate!r}")
+        if t < 0:
+            raise ValueError(f"negative step {t}")
+        if mol < 0:
+            raise ValueError(f"negative molecule id {mol}")
         code = _GATE_CODES.get(gate)
-        if t < 0 or mol < 0 or code is None:
-            CollisionEvent(t, mol, gate)  # raises the event's own message
+        if code is None:
+            raise ValueError(f"unknown gate {gate!r}; choose from {sorted(GATE_NAMES[1:])}")
         steps.append(t)
         molecules.append(mol)
         gates.append(code)
@@ -210,7 +177,7 @@ def schedule_from_records(records: Sequence[dict], horizon: Optional[int] = None
         raise ValueError("schedule has no events")
     if horizon is None:
         horizon = max(steps) + 1
-    return CollisionSchedule._from_arrays(steps, molecules, horizon, gates)
+    return CollisionSchedule(steps, molecules, horizon, gates)
 
 
 def _step_range(horizon: int) -> np.ndarray:
@@ -224,13 +191,13 @@ def _step_range(horizon: int) -> np.ndarray:
 def chain_schedule(horizon: int) -> CollisionSchedule:
     """Every molecule collides exactly once: molecule t at step t."""
     t = _step_range(horizon)
-    return CollisionSchedule._from_arrays(t, t, horizon)
+    return CollisionSchedule(t, t, horizon)
 
 
 def single_molecule_schedule(horizon: int) -> CollisionSchedule:
     """One molecule colliding at every step."""
     t = _step_range(horizon)
-    return CollisionSchedule._from_arrays(t, np.zeros_like(t), horizon)
+    return CollisionSchedule(t, np.zeros_like(t), horizon)
 
 
 def _double_collision_schedule(horizon: int, gap: int) -> CollisionSchedule:
@@ -241,7 +208,7 @@ def _double_collision_schedule(horizon: int, gap: int) -> CollisionSchedule:
     t = _step_range(horizon)
     steps, molecules = np.repeat(t, 2), np.column_stack([t + gap, t]).ravel()
     keep = molecules < horizon
-    return CollisionSchedule._from_arrays(steps[keep], molecules[keep], horizon)
+    return CollisionSchedule(steps[keep], molecules[keep], horizon)
 
 
 def overlap_schedule(horizon: int) -> CollisionSchedule:

@@ -337,7 +337,7 @@ def _cmd_schedule(args) -> int:
     except (ValueError, MemoryError) as exc:
         # a horizon below 2**63 that np.arange cannot hold, or cannot allocate
         raise ConfigError(str(exc)) from None
-    # json.dumps(sched.to_records())'s text, one f-string per event
+    # json.dumps's text of the records [{"t": t, "mol": m, "gate"?: name}], one f-string per event
     records = (f'{{"t": {t}, "mol": {m}{_GATE_JSON[g]}}}' for t, m, g in zip(
         sched.event_steps.tolist(), sched.event_molecules.tolist(), sched.event_gates.tolist()))
     sys.stdout.write(_lines(["[" + ", ".join(records) + "]"]))

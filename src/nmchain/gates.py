@@ -57,7 +57,7 @@ def molecule_state(phi: float) -> PureState:
     return PureState(np.array([np.cos(phi), np.sin(phi)], dtype=complex))
 
 
-def _shared(matrix: list, roles: tuple[str, ...], label: str) -> UnitaryGate:
+def _shared(matrix, roles: tuple[str, ...], label: str) -> UnitaryGate:
     """A gate built and validated once, at import, with a read-only matrix."""
     gate = UnitaryGate(np.array(matrix, dtype=complex), roles, label=label)
     gate.matrix.flags.writeable = False
@@ -74,6 +74,8 @@ _XOR = _shared(
     ("mol", "sys"),
     "xor",
 )
+# the identity's rows in the order |00>, |10>, |01>, |11>
+_SWAP = _shared(np.eye(4)[[0, 2, 1, 3]], ("a", "b"), "swap")
 _SQRT_XOR = _shared(
     [
         [1, 0, 0, 0],
@@ -95,16 +97,8 @@ def xor_gate() -> UnitaryGate:
 
 
 def swap_gate() -> UnitaryGate:
-    m = np.array(
-        [
-            [1, 0, 0, 0],
-            [0, 0, 1, 0],
-            [0, 1, 0, 0],
-            [0, 0, 0, 1],
-        ],
-        dtype=complex,
-    )
-    return UnitaryGate(m, ("a", "b"), label="swap")
+    """Exchange of two qubits. Every call returns the same instance; its matrix is read-only."""
+    return _SWAP
 
 
 def sqrt_xor_gate() -> UnitaryGate:

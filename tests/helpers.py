@@ -232,13 +232,13 @@ def window_collide_oracle(joint, open_ids, model, t):
 
     open_ids = list(open_ids)
     xi = molecule_density(model.phi)
-    for ev in model.schedule.events_at(t):
-        if ev.molecule not in open_ids:
+    for mol, gate in scan_events_at(model.schedule, t):
+        if mol not in open_ids:
             joint = np.stack([np.kron(xi, r) for r in joint.reshape((-1,) + joint.shape[-2:])]).reshape(
                 joint.shape[:-2] + (2 * joint.shape[-2],) * 2)
-            open_ids.insert(0, ev.molecule)
-        g = model.collision_gate() if ev.gate is None else {"xor": xor_gate, "sqrt-xor": sqrt_xor_gate}[ev.gate]()
-        acting = [open_ids.index(ev.molecule) if role == "mol" else len(open_ids) for role in g.slot_roles]
+            open_ids.insert(0, mol)
+        g = model.collision_gate() if gate is None else {"xor": xor_gate, "sqrt-xor": sqrt_xor_gate}[gate]()
+        acting = [open_ids.index(mol) if role == "mol" else len(open_ids) for role in g.slot_roles]
         joint = apply_gate(joint, g, acting, len(open_ids) + 1)
     return joint, open_ids
 
@@ -503,17 +503,28 @@ def discord_oracle(r, n_theta=640, n_alpha=1280):
 
 # ---- collision schedules by linear scans (the definitions the index replaced) ----
 
+def schedule_records(sched):
+    """The schedule's events as JSON records {"t", "mol", "gate"?}, read off
+    its three arrays in step order: what `nmchain schedule` prints."""
+    from nmchain.chains import GATE_NAMES
+
+    gate = [{} if name is None else {"gate": name} for name in GATE_NAMES]
+    return [{"t": t, "mol": m, **gate[g]} for t, m, g in zip(
+        sched.event_steps.tolist(), sched.event_molecules.tolist(), sched.event_gates.tolist())]
+
+
 def scan_molecules(sched):
-    return tuple(sorted({ev.molecule for ev in sched.events}))
+    return tuple(sorted({r["mol"] for r in schedule_records(sched)}))
 
 
 def scan_span(sched, molecule):
-    steps = [ev.step for ev in sched.events if ev.molecule == molecule]
+    steps = [r["t"] for r in schedule_records(sched) if r["mol"] == molecule]
     return (min(steps), max(steps)) if steps else None
 
 
 def scan_events_at(sched, step):
-    return tuple(ev for ev in sched.events if ev.step == step)
+    """(molecule, gate name or None) of each event at the step, in execution order."""
+    return tuple((r["mol"], r.get("gate")) for r in schedule_records(sched) if r["t"] == step)
 
 
 def scan_closing(sched, step):
@@ -528,8 +539,8 @@ def scan_satellite_count(sched):
 def scan_window_width(sched):
     open_ids, width = set(), 1
     for t in range(sched.horizon):
-        for ev in scan_events_at(sched, t):
-            open_ids.add(ev.molecule)
+        for mol, _ in scan_events_at(sched, t):
+            open_ids.add(mol)
             width = max(width, len(open_ids) + 1)
         open_ids -= {m for m in open_ids if scan_span(sched, m)[1] <= t}
     return width

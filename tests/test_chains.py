@@ -11,7 +11,6 @@ from nmchain.chains import (
     SQRT_XOR,
     WINDOW_QUBIT_CAP,
     ChainModel,
-    CollisionEvent,
     CollisionSchedule,
     advanced_overlap_schedule,
     build_embedding,
@@ -55,30 +54,28 @@ def _mem0():
 # ---- schedules ------------------------------------------------------------
 
 def test_collision_event_validation():
-    CollisionEvent(0, 0)
-    CollisionEvent(2, 5, "sqrt-xor")
+    CollisionSchedule([0], [0], 1)
+    CollisionSchedule([2], [5], 3, gates=[GATE_NAMES.index("sqrt-xor")])
+    for steps, molecules, gates in (([-1], [0], None), ([0], [-2], None), ([0], [0], [3]), ([0], [0], [-1])):
+        with pytest.raises(ValueError):
+            CollisionSchedule(steps, molecules, 1, gates)
     with pytest.raises(ValueError):
-        CollisionEvent(-1, 0)
-    with pytest.raises(ValueError):
-        CollisionEvent(0, -2)
-    with pytest.raises(ValueError):
-        CollisionEvent(0, 0, "hadamard")
+        schedule_from_records([{"t": 0, "mol": 0, "gate": "hadamard"}])
 
 
 def test_schedule_sorting_keeps_intra_step_order():
-    evs = (CollisionEvent(1, 9), CollisionEvent(0, 3), CollisionEvent(1, 2))
-    sched = CollisionSchedule(evs, horizon=2)
-    assert [(e.step, e.molecule) for e in sched.events] == [(0, 3), (1, 9), (1, 2)]
-    assert sched.events_at(1)[0].molecule == 9
+    sched = CollisionSchedule([1, 0, 1], [9, 3, 2], horizon=2)
+    assert H.schedule_records(sched) == [{"t": 0, "mol": 3}, {"t": 1, "mol": 9}, {"t": 1, "mol": 2}]
+    assert sched.events_at(1)[0].tolist() == [9, 2]
 
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        CollisionSchedule((CollisionEvent(3, 0),), horizon=3)  # outside horizon
+        CollisionSchedule([3], [0], horizon=3)  # outside horizon
     with pytest.raises(ValueError):
-        CollisionSchedule((CollisionEvent(0, 0), CollisionEvent(0, 0)), horizon=1)
+        CollisionSchedule([0, 0], [0, 0], horizon=1)
     with pytest.raises(ValueError):
-        CollisionSchedule((), horizon=0)
+        CollisionSchedule([], [], horizon=0)
 
 
 def test_schedule_queries_and_records():
@@ -87,10 +84,10 @@ def test_schedule_queries_and_records():
     assert sched.first_event(2) == 1 and sched.last_event(2) == 2
     with pytest.raises(ValueError):
         sched.first_event(99)
-    recs = sched.to_records()
+    recs = H.schedule_records(sched)
     assert all(set(r) <= {"t", "mol", "gate"} for r in recs)
     again = schedule_from_records(recs, horizon=sched.horizon)
-    assert again.to_records() == recs
+    assert H.schedule_records(again) == recs
 
 
 def test_schedule_from_records_validation():
@@ -111,18 +108,20 @@ def test_schedule_from_records_validation():
 
 def test_builtin_schedule_shapes():
     ch = chain_schedule(5)
-    assert [(e.step, e.molecule) for e in ch.events] == [(t, t) for t in range(5)]
+    assert (ch.event_steps.tolist(), ch.event_molecules.tolist()) == (list(range(5)), list(range(5)))
     sm = single_molecule_schedule(4)
-    assert [(e.step, e.molecule) for e in sm.events] == [(t, 0) for t in range(4)]
+    assert (sm.event_steps.tolist(), sm.event_molecules.tolist()) == (list(range(4)), [0] * 4)
     ov = overlap_schedule(4)
     spans = {m: (ov.first_event(m), ov.last_event(m)) for m in ov.spans()[0].tolist()}
     assert spans == {0: (0, 0), 1: (0, 1), 2: (1, 2), 3: (2, 3)}
     # fresh molecule collides before the one finishing its pair
-    assert [e.molecule for e in ov.events_at(1)] == [2, 1]
+    assert ov.events_at(1)[0].tolist() == [2, 1]
     av = advanced_overlap_schedule(6)
     spans = {m: (av.first_event(m), av.last_event(m)) for m in av.spans()[0].tolist()}
     assert spans == {0: (0, 0), 1: (1, 1), 2: (0, 2), 3: (1, 3), 4: (2, 4), 5: (3, 5)}
-    assert [e.molecule for e in av.events_at(2)] == [4, 2]
+    assert av.events_at(2)[0].tolist() == [4, 2]
+    for sched in (ch, sm, ov, av):
+        assert not sched.event_gates.any()
 
 
 def test_satellite_count_and_window_width():
@@ -142,9 +141,9 @@ def test_schedule_index_matches_linear_scans():
         horizon = int(rng.integers(1, 12))
         pairs = {(int(rng.integers(0, 9)), int(rng.integers(0, horizon)))
                  for _ in range(int(rng.integers(1, 25)))}
-        events = [CollisionEvent(t, m) for m, t in pairs]
+        events = [(t, m) for m, t in pairs]
         rng.shuffle(events)
-        sched = CollisionSchedule(tuple(events), horizon)
+        sched = CollisionSchedule(*zip(*events), horizon)
         assert tuple(sched.spans()[0].tolist()) == H.scan_molecules(sched)
         for m in range(10):
             span = H.scan_span(sched, m)
@@ -156,9 +155,11 @@ def test_schedule_index_matches_linear_scans():
             else:
                 assert (sched.first_event(m), sched.last_event(m)) == span
         for t in range(horizon + 1):
-            assert sched.events_at(t) == H.scan_events_at(sched, t)
+            molecules, gates = sched.events_at(t)
+            got = tuple(zip(molecules.tolist(), [GATE_NAMES[g] for g in gates.tolist()]))
+            assert got == H.scan_events_at(sched, t)
         # beside each event: whether it is its molecule's last
-        assert sched._closes == [H.scan_span(sched, ev.molecule)[1] == ev.step for ev in sched.events]
+        assert sched._closes == [H.scan_span(sched, r["mol"])[1] == r["t"] for r in H.schedule_records(sched)]
         assert satellite_count(sched) == H.scan_satellite_count(sched)
         assert window_width(sched) == H.scan_window_width(sched)
 
@@ -170,10 +171,14 @@ def test_schedule_index_matches_linear_scans():
     ([(1, 2), (0, 2), (1, 2), (0, 2)], 2, "molecule 2 listed twice at step 1"),
     ([(2, 0)], 2, "event at step 2 outside horizon 2"),
     ([(0, 0)], 0, "horizon must be positive, got 0"),
+    # a negative step or molecule id wins over any horizon or repeat fault
+    ([(0, 0), (-1, 0)], 1, "negative step -1"),
+    ([(5, 0), (0, 0), (0, 0), (0, -3), (-1, 0)], 3, "negative molecule id -3"),
+    ([(0, -1)], 0, "negative molecule id -1"),
 ])
 def test_schedule_validation_messages(events, horizon, message):
     with pytest.raises(ValueError) as info:
-        CollisionSchedule(tuple(CollisionEvent(t, m) for t, m in events), horizon)
+        CollisionSchedule([t for t, _ in events], [m for _, m in events], horizon)
     assert str(info.value) == message
     recs = [{"t": t, "mol": m} for t, m in events]
     with pytest.raises(ValueError) as info:
@@ -181,19 +186,51 @@ def test_schedule_validation_messages(events, horizon, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("steps, molecules, gates, message", [
+    ([0, 1], [0, 1], [0, 3], "unknown gate code 3; choose from 0 to 2"),
+    ([0, -1], [0, 1], [-1, 0], "unknown gate code -1; choose from 0 to 2"),
+    ([0, 1], [0], None, "steps, molecules and gates must be 1-D arrays of one length, got shapes (2,), (1,) and (2,)"),
+    ([0, 1], [0, 1], [0], "steps, molecules and gates must be 1-D arrays of one length, got shapes (2,), (2,) and (1,)"),
+    ([[0, 1]], [[0, 1]], None, "steps, molecules and gates must be 1-D arrays of one length, got shapes (1, 2), (1, 2) and (1, 2)"),
+    (0, 0, None, "steps, molecules and gates must be 1-D arrays of one length, got shapes (), () and ()"),
+])
+def test_schedule_arrays_validation_messages(steps, molecules, gates, message):
+    # faults only the arrays can hold: records name gates, one record per event
+    with pytest.raises(ValueError) as info:
+        CollisionSchedule(steps, molecules, 2, gates)
+    assert str(info.value) == message
+
+
 def test_schedule_arrays_are_sorted_read_only_views():
-    evs = (CollisionEvent(2, 4, "sqrt-xor"), CollisionEvent(0, 3), CollisionEvent(2, 1, "xor"), CollisionEvent(0, 4))
-    sched = CollisionSchedule(evs, horizon=3)
+    codes = [GATE_NAMES.index(g) for g in ("sqrt-xor", None, "xor", None)]
+    sched = CollisionSchedule([2, 0, 2, 0], [4, 3, 1, 4], 3, gates=codes)
     assert sched.event_steps.tolist() == [0, 0, 2, 2]
     assert sched.event_molecules.tolist() == [3, 4, 4, 1]
     assert [GATE_NAMES[g] for g in sched.event_gates.tolist()] == [None, None, "sqrt-xor", "xor"]
-    assert sched.events == (evs[1], evs[3], evs[0], evs[2])
+    assert H.schedule_records(sched) == [
+        {"t": 0, "mol": 3}, {"t": 0, "mol": 4}, {"t": 2, "mol": 4, "gate": "sqrt-xor"}, {"t": 2, "mol": 1, "gate": "xor"}]
     ids, first, last = sched.spans()
     assert (ids.tolist(), first.tolist(), last.tolist()) == ([1, 3, 4], [2, 0, 0], [2, 0, 2])
-    for a in (sched.event_steps, sched.event_molecules, sched.event_gates, ids, first, last):
+    molecules, gates = sched.events_at(2)
+    assert (molecules.tolist(), gates.tolist()) == ([4, 1], codes[::2])
+    assert [a.size for a in sched.events_at(1)] == [0, 0]
+    for a in (sched.event_steps, sched.event_molecules, sched.event_gates, ids, first, last, molecules, gates):
         with pytest.raises(ValueError):
             a[0] = 7
-    assert schedule_from_records(sched.to_records(), horizon=3).to_records() == sched.to_records()
+    again = schedule_from_records(H.schedule_records(sched), horizon=3)
+    assert H.schedule_records(again) == H.schedule_records(sched)
+
+
+def test_schedule_neither_freezes_nor_aliases_the_callers_arrays():
+    # already sorted int64 input, the case a view would alias
+    steps, molecules, gates = (np.array(a, dtype=np.int64) for a in ([0, 1, 1], [1, 0, 2], [0, 2, 1]))
+    sched = CollisionSchedule(steps, molecules, 2, gates)
+    want = H.schedule_records(sched), [a.tolist() for a in sched.spans()], sched.events_at(1)[0].tolist()
+    for a in (steps, molecules, gates):
+        assert a.flags.writeable
+        a[:] = 0
+    assert (H.schedule_records(sched), [a.tolist() for a in sched.spans()], sched.events_at(1)[0].tolist()) == want
+    assert want[0] == [{"t": 0, "mol": 1}, {"t": 1, "mol": 0, "gate": "sqrt-xor"}, {"t": 1, "mol": 2, "gate": "xor"}]
 
 
 @pytest.mark.parametrize("figure, build", [
@@ -204,7 +241,7 @@ def test_builtin_layouts_list_the_events_of_the_loops(figure, build):
     for horizon in (1, 2, 3, 4, 7, 30):
         sched = build(horizon)
         assert sched.horizon == horizon
-        assert sched.to_records() == H.builtin_layout_records(figure, horizon)
+        assert H.schedule_records(sched) == H.builtin_layout_records(figure, horizon)
     with pytest.raises(ValueError, match="horizon must be positive"):
         build(0)
 
@@ -363,6 +400,17 @@ def test_embedding_cache_is_bounded():
     for phi in np.linspace(0.01, 1.5, chains.EMBED_CACHE_SIZE + 10):
         build_embedding(repeated_xor(float(phi)))
     assert chains._cached_embedding.cache_info().currsize <= chains.EMBED_CACHE_SIZE
+
+
+def test_embedding_misses_add_no_ordered_gate_entries():
+    # every miss embeds the same shared gates, so the gate cache stays flat
+    from nmchain import gates
+
+    build_embedding(repeated_xor(0.123))
+    before = gates._ordered.cache_info().currsize
+    for phi in np.linspace(0.2, 0.9, 40):
+        build_embedding(repeated_xor(float(phi) + 1e-9))
+    assert gates._ordered.cache_info().currsize == before
 
 
 @pytest.mark.parametrize("factory, recursion", [
@@ -559,7 +607,7 @@ def test_custom_window_gate_override_consistency():
     # per-event sqrt-xor overrides reproduce the sqrt model on the same schedule
     steps = 5
     sched = overlap_schedule(steps)
-    recs = [{"t": e.step, "mol": e.molecule, "gate": "sqrt-xor"} for e in sched.events]
+    recs = [{**r, "gate": "sqrt-xor"} for r in H.schedule_records(sched)]
     phi = 0.33
     custom = custom_chain(xor_gate(), schedule_from_records(recs, horizon=steps), phi=phi)
     r0 = np.diag([0.2, 0.8]).astype(complex)
@@ -675,7 +723,7 @@ _COMPILE_GATES = {"xor": xor_gate(), "sqrt-xor": sqrt_xor_gate(), "random": _ran
 def _mixed_gap2_schedule(horizon):
     # every third event overridden, alternately by xor and sqrt-xor, so the
     # model's own gate and both named gates meet in one step
-    recs = chains._double_collision_schedule(horizon, 2).to_records()
+    recs = H.schedule_records(chains._double_collision_schedule(horizon, 2))
     for i, rec in enumerate(recs[::3]):
         rec["gate"] = ("xor", "sqrt-xor")[i % 2]
     return schedule_from_records(recs, horizon=horizon)

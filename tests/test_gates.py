@@ -52,6 +52,13 @@ def test_swap_gate_matrix():
     assert np.allclose(swapped, np.kron(b, a), atol=1e-15)
 
 
+def test_swap_gate_is_one_shared_read_only_instance():
+    # the role-ordered matrix cache is keyed on the gate instance
+    assert swap_gate() is swap_gate()
+    with pytest.raises(ValueError, match="read-only"):
+        swap_gate().matrix[0, 0] = 7
+
+
 def test_sqrt_xor_squares_to_xor():
     q = sqrt_xor_gate()
     assert q.slot_roles == ("sys", "mol")

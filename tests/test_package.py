@@ -7,6 +7,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import nmchain
 
 SRC = Path(nmchain.__file__).parent
@@ -137,6 +139,39 @@ def test_cli_digest_counts_zero_sign_flips_on_their_own_line():
     assert "    y (y): 1 zero-sign flips (-0.0 <-> 0.0)" in lines
     assert not any(line.startswith("    y (y): ") and "floats moved" in line for line in lines)
     assert "largest float move: 0.5 (k, x[0])" in lines
+
+
+_TEXT_PROBE = """
+import hashlib, json, sys
+sys.path.insert(0, sys.argv[1])
+import cli_digest
+
+def entry(out, fmt):
+    floats, tokens = cli_digest.parse(out, "", fmt)
+    return {"cmd": "simulate", "model": "m", "format": fmt, "exit": 0, "tokens": tokens, "floats": floats,
+            "sha256": hashlib.sha256(out.encode()).hexdigest()}
+
+old, new, fmt = json.loads(sys.argv[2])
+sys.exit(cli_digest.compare({"k": entry(old, fmt)}, {"k": entry(new, fmt)}))
+"""
+
+
+@pytest.mark.parametrize("old, new, fmt, rc", [
+    ('{"a": 1, "b": 0.1}\n', '{"b": 0.1, "a": 1}\n', "json", 1),  # key order
+    ("x\n0.1\n", "x\n0.10000000000000001\n", "csv", 1),  # the spelling of an equal float
+    ("x\n0.0\n", "x\n-0.0\n", "csv", 0),  # a zero-sign flip only
+], ids=["key-order", "float-spelling", "zero-sign-flip"])
+def test_cli_digest_fails_on_a_text_only_change(old, new, fmt, rc):
+    # equal tokens and floats under a new sha256: no move explains the change
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    proc = subprocess.run([sys.executable, "-c", _TEXT_PROBE, str(tools), json.dumps([old, new, fmt])],
+                          capture_output=True, text=True)
+    assert proc.returncode == rc, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert ("CHANGED k: text changed, every token and float equal" in lines) == (rc == 1)
+    assert f"{rc} exit-code, outcome, structure or text changes" in lines
+    if not rc:
+        assert "    x (x): 1 zero-sign flips (-0.0 <-> 0.0)" in lines
 
 
 def test_cli_runs_without_scipy_until_a_correlation_is_polished(tmp_path):

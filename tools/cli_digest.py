@@ -21,8 +21,11 @@ subcommand and format, the outputs that moved, by model; per field (list
 indices folded, the moved index paths named) the floats that moved, their
 largest move and how many moved to an exact 0.0, and on a line of its own
 the zeros that only changed sign (-0.0 <-> 0.0); the largest float move
-overall; and every exit-code or non-float change.
-The exit status is 1 when an exit code or a non-float token changed.
+overall; and every exit-code or non-float change, and every output whose
+text changed while its tokens and floats did not (key order, the spelling
+of a float).
+The exit status is 1 when any of these changed; floats that moved, and
+zeros that only changed sign, leave it 0.
 """
 from __future__ import annotations
 
@@ -133,7 +136,7 @@ def _fmt(x: float) -> str:
 
 
 def compare(old: dict, new: dict) -> int:
-    """Print what moved from old to new; 1 if an exit code or token changed."""
+    """Print what moved from old to new; 1 if an exit code, a token or only the text changed."""
     changed = []
     if old.keys() != new.keys():
         changed.append(f"the digests cover different calls: {len(old.keys() ^ new.keys())} keys differ")
@@ -151,6 +154,7 @@ def compare(old: dict, new: dict) -> int:
         if a["tokens"] != b["tokens"] or a["floats"].keys() != b["floats"].keys():
             changed.append(f"{key}: outcomes, integers, strings or structure changed")
             continue
+        explained = False
         for field, xs in a["floats"].items():
             ys = b["floats"][field]
             moves = [(abs(y - x), y) for x, y in zip(xs, ys) if x != y]
@@ -158,6 +162,7 @@ def compare(old: dict, new: dict) -> int:
             flips = sum(x == y and math.copysign(1, x) != math.copysign(1, y) for x, y in zip(xs, ys))
             if not moves and not flips:
                 continue
+            explained = True
             f = g["fields"].setdefault(re.sub(r"\[\d+\]", "[]", field),
                                        {"floats": 0, "max": 0.0, "to_zero": 0, "flips": 0, "paths": set()})
             f["paths"].add(field)
@@ -170,6 +175,8 @@ def compare(old: dict, new: dict) -> int:
             f["max"] = max(f["max"], big)
             if big > worst[0]:
                 worst = (big, key, field)
+        if not explained and a["exit"] == b["exit"]:
+            changed.append(f"{key}: text changed, every token and float equal")
     for (workload, cmd, fmt), g in sorted(groups.items()):
         moved = sum(g["moved"].values())
         by_model = ", ".join(f"{m}: {c}" for m, c in sorted(g["moved"].items(), key=str))
@@ -188,7 +195,7 @@ def compare(old: dict, new: dict) -> int:
         print("largest float move: none")
     for line in changed:
         print(f"CHANGED {line}")
-    print(f"{len(changed)} exit-code, outcome or structure changes")
+    print(f"{len(changed)} exit-code, outcome, structure or text changes")
     return 1 if changed else 0
 
 
