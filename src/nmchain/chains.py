@@ -19,11 +19,15 @@ against WINDOW_QUBIT_CAP when the model is built. Each window step is one
 product V rho V^dagger with the step isometry V (attach the fresh
 molecules, run the step's collisions, put the molecules read out first),
 built once per step shape and kept in a bounded cache. collide is the one
-step of every model, for evolve and the trajectory walker: a built-in step
-reads its Kraus stack as V = sum_k |k> (x) K_k, so the two-collision
-compound is a window whose one open molecule is the satellite. evolve steps
-markov-xor by its closed form instead, which keeps the populations exact,
-and gives every model's rows after t = 0 exactly real diagonals.
+step of every model for the trajectory walker and for evolve's custom
+models: a built-in step reads its Kraus stack as V = sum_k |k> (x) K_k, so
+the two-collision compound is a window whose one open molecule is the
+satellite. evolve runs a built-in model without a per-step call: every
+two-collision step is one fixed linear map of the compound, so the run is
+filled by powers of its transfer matrix; markov-xor multiplies its
+coherences along the steps, bit for bit its closed-form step, which keeps
+the populations exact. evolve gives every model's rows after t = 0 exactly
+real diagonals.
 """
 from __future__ import annotations
 
@@ -61,6 +65,17 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _int64_array(name: str, values) -> np.ndarray:
+    """values as an int64 array; a float, bool or object array is refused,
+    not truncated (an empty one holds nothing to truncate)."""
+    a = np.asarray(values)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {a.dtype}")
+    if a.dtype.kind == "u" and a.size and a.max() >= 2**63:
+        raise ValueError(f"{name} must be below 2**63")
+    return a.astype(np.int64)
+
+
 class CollisionSchedule:
     """Collisions held as three read-only int64 arrays sorted by step:
     `event_steps`, `event_molecules` and `event_gates` (codes into
@@ -72,8 +87,8 @@ class CollisionSchedule:
     """
 
     def __init__(self, steps, molecules, horizon: int, gates=None):
-        steps, molecules = np.asarray(steps, dtype=np.int64), np.asarray(molecules, dtype=np.int64)
-        gates = np.zeros(steps.shape, np.int64) if gates is None else np.asarray(gates, dtype=np.int64)
+        steps, molecules = _int64_array("steps", steps), _int64_array("molecules", molecules)
+        gates = np.zeros(steps.shape, np.int64) if gates is None else _int64_array("gates", gates)
         if steps.ndim != 1 or not steps.shape == molecules.shape == gates.shape:
             raise ValueError("steps, molecules and gates must be 1-D arrays of one length, got shapes "
                              f"{steps.shape}, {molecules.shape} and {gates.shape}")
@@ -373,6 +388,10 @@ def build_embedding(model: ChainModel) -> tuple[UnitaryGate, KrausSet]:
     return _cached_embedding(model.kind, model.phi)
 
 
+# the swap of the fresh molecule into the memory slot, the same in every step
+_SWAP_MOL_MEM = _readonly(embed(swap_gate(), ("mol", MEMORY_SLOT, SYSTEM_SLOT), ("mol", MEMORY_SLOT)).matrix)
+
+
 @lru_cache(maxsize=EMBED_CACHE_SIZE)
 def _cached_embedding(kind: str, phi: float) -> tuple[UnitaryGate, KrausSet]:
     # the two-collision models take no gate override, so (kind, phi) fixes
@@ -382,8 +401,7 @@ def _cached_embedding(kind: str, phi: float) -> tuple[UnitaryGate, KrausSet]:
     g = model.collision_gate()
     acting = tuple("mol" if role == "mol" else SYSTEM_SLOT for role in g.slot_roles)
     u_collide = embed(g, register, acting).matrix
-    u_swap = embed(swap_gate(), register, ("mol", MEMORY_SLOT)).matrix
-    step = UnitaryGate(u_collide @ u_swap @ u_collide, register, label=f"{g.label}-step")
+    step = UnitaryGate(u_collide @ _SWAP_MOL_MEM @ u_collide, register, label=f"{g.label}-step")
     kraus = kraus_from_collision(step, molecule_state(phi))
     # shared by every caller at (kind, phi), so a write must not reach the next one
     _readonly(step.matrix), _readonly(kraus.operators), _readonly(kraus.adjoints)
@@ -563,6 +581,55 @@ def _front_trace(a: np.ndarray, q: int) -> np.ndarray:
 
 # --- one evolution per model, and the reduced maps it defines --------------
 
+def _step_powers(first: np.ndarray, ops: np.ndarray, steps: int) -> np.ndarray:
+    """States [t=0 .. steps] of the channel with Kraus stack ops, from one
+    state or a stack (..., d, d), as (..., steps + 1, d, d).
+
+    A state's row-major vec r steps to r @ P, P = S^T with
+    S = sum_k K_k (x) conj(K_k). Rows [n, 2n) are rows [0, n) times P^n, P^n
+    by repeated squaring: ceil(log2(steps + 1)) products. Each takes all n
+    rows, even where fewer are kept, so row t depends neither on steps (numpy
+    takes another BLAS kernel for one row) nor, one product per state, on
+    the stack. Each power's last column (the last diagonal entry) is re-set
+    so that the diagonal columns of each row sum to that row's entry of
+    vec(I); else P's ~1 ulp trace bias doubles with every squaring and the
+    trace drifts linearly in t.
+    """
+    d = ops.shape[-1]
+    rows = np.empty(first.shape[:-2] + (steps + 1, d * d), dtype=complex)
+    rows[..., 0, :] = first.reshape(first.shape[:-2] + (d * d,))
+    kt = ops.swapaxes(-1, -2)
+    trace = np.eye(d).ravel()  # 1 at the diagonal entries of a row-major vec
+    n = 1
+    while n <= steps:
+        if n == 1:  # P[(k, l), (i, j)] = sum_m K_m[i, k] conj(K_m[j, l])
+            power = (kt[:, :, None, :, None] * kt.conj()[:, None, :, None, :]).sum(0).reshape(d * d, d * d)
+        else:
+            power = power @ power
+        power[:, -1] = trace - power[:, :-1:d + 1].sum(1)
+        rows[..., n:2 * n, :] = (rows[..., :n, :] @ power)[..., :steps + 1 - n, :]
+        n *= 2
+    return rows.reshape(rows.shape[:-1] + (d, d))
+
+
+def _markov_powers(first: np.ndarray, phi: float, steps: int) -> np.ndarray:
+    """markov_xor_step applied 0 .. steps times to one state or a stack
+    (..., 2, 2), as (..., steps + 1, 2, 2), bit for bit.
+
+    The populations stay; each coherence is one multiply.accumulate of
+    k + 0j, k = sin(2 phi), along the steps. accumulate forms each complex
+    product one element at a time, x*k - y*0.0 and x*0.0 + y*k, unfused (an
+    array product may fuse a multiply-add), so every signed zero and
+    underflow matches the step's.
+    """
+    rows = np.empty(first.shape[:-2] + (steps + 1, 4), dtype=complex)
+    rows[...] = first.reshape(first.shape[:-2] + (1, 4))
+    coherences = rows[..., 1:3]
+    coherences[..., 1:, :] = complex(np.sin(2.0 * phi), 0.0)
+    np.multiply.accumulate(coherences, axis=-2, out=coherences)
+    return rows.reshape(rows.shape[:-1] + (2, 2))
+
+
 def _system_stack(states) -> np.ndarray:
     """One system state or a stack (..., 2, 2) as a checked complex array."""
     if isinstance(states, DensityMatrix):
@@ -585,31 +652,37 @@ def evolve(model: ChainModel, states, steps: int, mem0=None) -> tuple[np.ndarray
     memory slot; mem0 for any other kind raises. Every state of the stack is
     checked as a DensityMatrix would be, in one pass.
 
-    Every model but markov-xor (closed form) steps through collide, traces
-    out the molecules read out and records the front trace of the open ones.
-    V rho V^dagger is Hermitian only to round-off, so every row after t = 0
-    gets an exactly real diagonal, once per call.
+    markov-xor runs _markov_powers, bit for bit its closed-form step. The
+    two-collision models run _step_powers: ceil(log2(steps + 1)) products
+    with powers of one step's transfer matrix, in place of one V rho V^dagger
+    per step, so their rows agree with a per-step run to round-off. Custom
+    models step through collide, trace out the molecules read out and
+    record the front trace of the open ones. The products are Hermitian only
+    to round-off, so every row after t = 0 gets an exactly real diagonal,
+    once per call.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     embedded = model.kind in (REPEATED_XOR, SQRT_XOR)
     if mem0 is not None and not embedded:
         raise ValueError(f"{model.kind} has no memory slot; mem0 does not apply")
-    joint, open_ids = _system_stack(states), []
+    joint = _system_stack(states)
     if embedded:
         joint = _attach(_memory_array(mem0), joint)
         check_states(joint)
-    elif model.kind == CUSTOM and steps > model.schedule.horizon:
-        raise ValueError(f"steps {steps} exceed the schedule horizon {model.schedule.horizon}")
-    stack = np.empty(joint.shape[:-2] + (steps + 1,) + joint.shape[-2:], dtype=complex)
-    stack[..., 0, :, :] = joint
-    for t in range(steps):
-        if model.kind == MARKOV_XOR:
-            joint, closing = markov_xor_step(joint, model.phi), 0
-        else:
+        stack = _step_powers(joint, build_embedding(model)[1].operators, steps)
+    elif model.kind == MARKOV_XOR:
+        stack = _markov_powers(joint, model.phi, steps)
+    else:
+        if steps > model.schedule.horizon:
+            raise ValueError(f"steps {steps} exceed the schedule horizon {model.schedule.horizon}")
+        stack = np.empty(joint.shape[:-2] + (steps + 1,) + joint.shape[-2:], dtype=complex)
+        stack[..., 0, :, :] = joint
+        open_ids = []
+        for t in range(steps):
             joint, open_ids, closing = collide(joint, open_ids, model, t)
-        joint = _front_trace(joint, closing)
-        stack[..., t + 1, :, :] = _front_trace(joint, len(open_ids))
+            joint = _front_trace(joint, closing)
+            stack[..., t + 1, :, :] = _front_trace(joint, len(open_ids))
     diag = np.arange(stack.shape[-1])
     stack.imag[..., 1:, diag, diag] = 0.0
     check_states(stack)

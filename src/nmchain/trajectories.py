@@ -4,11 +4,12 @@ Every collision chain here ends each molecule's life with a computational
 readout, and every model reads it the same way: a step is one isometry V
 (attach the fresh molecule, collide, leave the molecules read out at this
 step in front), and outcome j of a readout is the block <j| V rho V^dagger |j>
-on the front qubit. Every step is chains.collide, as in evolve: for the
-built-in models V = sum_k |k> (x) K_k, one readout per step, so a
-trajectory is a bit string of length t_max. Custom schedules take V from
-the window engine and read a molecule out when its last collision is done;
-outcomes are recorded in closure order (ascending molecule id within a step).
+on the front qubit. Every step is chains.collide, the step evolve runs for
+custom models: for the built-in models V = sum_k |k> (x) K_k, one readout
+per step, so a trajectory is a bit string of length t_max. Custom
+schedules take V from the window engine and read a molecule out when its
+last collision is done; outcomes are recorded in closure order (ascending
+molecule id within a step).
 
 Enumeration and sampling walk the same readout tree. A conditional state
 depends only on its outcome prefix, so the walk holds one state per

@@ -201,6 +201,30 @@ def test_schedule_arrays_validation_messages(steps, molecules, gates, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("steps, molecules, gates, message", [
+    ([0.7], [0], None, "steps must be integers, got dtype float64"),
+    ([True], [0], None, "steps must be integers, got dtype bool"),
+    ([0], np.array([0], dtype=object), None, "molecules must be integers, got dtype object"),
+    ([0], [False], None, "molecules must be integers, got dtype bool"),
+    ([0], [0], [1.0], "gates must be integers, got dtype float64"),
+    (np.array([2**63], dtype=np.uint64), [0], None, "steps must be below 2**63"),
+])
+def test_schedule_arrays_refuse_non_integer_dtypes(steps, molecules, gates, message):
+    # a cast would truncate 0.7 to step 0 and read True as step 1
+    with pytest.raises(ValueError) as info:
+        CollisionSchedule(steps, molecules, 2, gates)
+    assert str(info.value) == message
+
+
+def test_schedule_arrays_take_any_integer_dtype():
+    sched = CollisionSchedule(np.array([1, 0], dtype=np.uint8), np.array([3, 2], dtype=np.int32), 2,
+                              np.array([0, 1], dtype=np.int16))
+    assert H.schedule_records(sched) == [{"t": 0, "mol": 2, "gate": "xor"}, {"t": 1, "mol": 3}]
+    assert all(a.dtype == np.int64 for a in (sched.event_steps, sched.event_molecules, sched.event_gates))
+    empty = CollisionSchedule([], [], 3)  # np.asarray([]) is float64, but holds no value to misread
+    assert empty.event_steps.dtype == np.int64 and empty.event_steps.size == 0
+
+
 def test_schedule_arrays_are_sorted_read_only_views():
     codes = [GATE_NAMES.index(g) for g in ("sqrt-xor", None, "xor", None)]
     sched = CollisionSchedule([2, 0, 2, 0], [4, 3, 1, 4], 3, gates=codes)
@@ -338,6 +362,23 @@ def test_markov_step_forms_the_scalar_products():
         markov_xor_step(np.eye(4) / 4, 0.3)
 
 
+def test_markov_powers_match_the_step_bit_for_bit():
+    # the coherences of test_markov_step_forms_the_scalar_products, stepped
+    # until the small ones underflow, and random stacks
+    rng = np.random.default_rng(65)
+    parts = [0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1e-300, -1e-300, -0.3, 0.7]
+    coherences = [complex(x, y) for x in parts for y in parts]
+    edge = np.array([[[0.5, c], [np.conj(c), 0.5]] for c in coherences])
+    edge[:, 1, 0] = coherences[::-1]
+    rand = rng.normal(size=(3, 5, 2, 2)) + 1j * rng.normal(size=(3, 5, 2, 2))
+    for phi in (0.1, 0.7, 1.2, 0.0, -0.0, np.pi / 4, -np.pi / 4, np.pi / 2, 1e-3, -1e-3, 1e-160, -2.9):
+        for stack, steps in ((edge, 600), (rand, 80), (edge[7], 30)):
+            want = [stack]
+            for _ in range(steps):
+                want.append(markov_xor_step(want[-1], phi))
+            assert _bitwise_equal(chains._markov_powers(stack, phi, steps), np.stack(want, -3))
+
+
 def test_markov_fixed_point():
     r = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
     fp = markov_xor_fixed_point(r, 0.3)
@@ -400,6 +441,29 @@ def test_embedding_cache_is_bounded():
     for phi in np.linspace(0.01, 1.5, chains.EMBED_CACHE_SIZE + 10):
         build_embedding(repeated_xor(float(phi)))
     assert chains._cached_embedding.cache_info().currsize <= chains.EMBED_CACHE_SIZE
+
+
+def test_embedding_miss_embeds_only_the_collision_gate():
+    # the swap into the memory slot is embedded once, at import: a miss
+    # looks up one ordered gate, its collision gate, and builds the same
+    # bits as the product of the three embedded gates
+    from nmchain import gates
+    from nmchain.channels import kraus_from_collision
+    from nmchain.gates import embed, molecule_state, swap_gate
+
+    register = ("mol", "mem", "sys")
+    for factory, gate in ((repeated_xor, xor_gate()), (sqrt_xor, sqrt_xor_gate())):
+        for phi in (0.2345678, -0.0, 1.3456789):
+            lookups = sum(gates._ordered.cache_info()[:2])  # hits and misses
+            misses = chains._cached_embedding.cache_info().misses
+            step, kraus = build_embedding(factory(phi))
+            assert chains._cached_embedding.cache_info().misses == misses + 1
+            assert sum(gates._ordered.cache_info()[:2]) == lookups + 1
+            u = embed(gate, register, gate.slot_roles).matrix
+            want = u @ embed(swap_gate(), register, ("mol", "mem")).matrix @ u
+            assert _bitwise_equal(step.matrix, want)
+            want = kraus_from_collision(UnitaryGate(want, register), molecule_state(phi)).operators
+            assert _bitwise_equal(kraus.operators, want)
 
 
 def test_embedding_misses_add_no_ordered_gate_entries():
@@ -909,16 +973,25 @@ def test_system_maps_rebuild_every_map_in_one_call(monkeypatch, factory):
 @pytest.mark.parametrize("name,factory", [("collide", sqrt_xor), ("collide", repeated_xor),
                                           ("markov_xor_step", markov_xor)])
 def test_builtin_system_maps_step_the_probes_as_one_stack(monkeypatch, name, factory):
-    shapes = []
-    real = getattr(chains, name)
+    # a built-in model makes no per-step call: one powers call fills every
+    # step of the whole probe stack
+    powers = "_markov_powers" if factory is markov_xor else "_step_powers"
+    per_step, shapes = [], []
+    real_step, real_powers = getattr(chains, name), getattr(chains, powers)
 
-    def spy(*args):
+    def step_spy(*args):
+        per_step.append(1)
+        return real_step(*args)
+
+    def powers_spy(*args):
         shapes.append(np.shape(args[0]))
-        return real(*args)
+        return real_powers(*args)
 
-    monkeypatch.setattr(chains, name, spy)
+    monkeypatch.setattr(chains, name, step_spy)
+    monkeypatch.setattr(chains, powers, powers_spy)
     assert len(system_maps(factory(0.3), 5)) == 5
-    assert shapes == [(4, 4, 4) if name == "collide" else (4, 2, 2)] * 5
+    assert per_step == []
+    assert shapes == [(4, 2, 2) if factory is markov_xor else (4, 4, 4)]
 
 
 @pytest.mark.parametrize("gap", (1, 2, 3))
@@ -952,7 +1025,7 @@ def test_simulate_picks_the_model_register():
         for _ in range(steps):
             want.append(apply_kraus(build_embedding(factory(phi))[1], want[-1]))
         assert [s.slots for s in got] == [("mem", "sys")] * (steps + 1)
-        assert all(_bitwise_equal(g.matrix, w) for g, w in zip(got, _exact_real_diagonals(want)))
+        assert _same_run(factory(phi), [g.matrix for g in got], _exact_real_diagonals(want))
     custom = custom_chain(sqrt_xor_gate(), advanced_overlap_schedule(6), phi=phi)
     got = simulate(custom, r0, steps)
     want = H.window_step_oracle(custom, r0, steps)
@@ -987,6 +1060,22 @@ def _per_step_run(model, r0, steps, mem0=None):
     return _exact_real_diagonals(out)
 
 
+# evolve steps the two-collision models by powers of one transfer matrix
+# (chains._step_powers). Its products sum each entry in another order than
+# the per-step K rho K^dagger, so those rows agree with the per-step run to
+# round-off only: at most 6 eps over the 9 steps of these tests, a few eps per
+# product. markov-xor and custom models step as the oracle does, bit for bit.
+_POWERS_TOL = 1e-14
+
+
+def _same_run(model, got, want):
+    if len(got) != len(want):
+        return False
+    if model.kind in (REPEATED_XOR, SQRT_XOR):
+        return all(g.shape == w.shape and np.abs(g - w).max() <= _POWERS_TOL for g, w in zip(got, want))
+    return all(_bitwise_equal(g, w) for g, w in zip(got, want))
+
+
 def _oracle_cases():
     for phi in _PHIS:
         yield markov_xor(phi), None
@@ -1008,8 +1097,7 @@ def test_evolve_stacks_equal_per_step_runs():
         assert stack.shape == (2, 3, steps + 1, dim, dim)
         assert slots == (("mem", "sys") if dim == 4 else ("sys",))
         for got, r0 in zip(stack.reshape(6, steps + 1, dim, dim), states):
-            want = _per_step_run(model, r0, steps, mem0)
-            assert all(_bitwise_equal(g, w) for g, w in zip(got, want))
+            assert _same_run(model, got, _per_step_run(model, r0, steps, mem0))
         one, _ = evolve(model, states[1], steps, mem0)
         assert _bitwise_equal(one, stack[0, 1])
 
@@ -1023,7 +1111,35 @@ def test_system_maps_equal_per_probe_runs():
         want = [map_from_probes(out, 2) for out in outs]
         got = system_maps(model, t_max, mem0)
         assert len(got) == t_max
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert _same_run(model, got, want)
+
+
+def test_evolve_rows_depend_on_neither_steps_nor_the_stack():
+    # row t of a built-in run always comes out of the same products: every
+    # prefix of a long run, and every state of a stack run alone, gives the
+    # same rows bit for bit
+    rng = np.random.default_rng(63)
+    for model, mem0 in ((repeated_xor(0.83), _mixed_memory(0.83)), (sqrt_xor(0.83), _mixed_memory(0.83)),
+                        (markov_xor(0.83), None)):
+        states = np.stack([_rho(rng) for _ in range(5)])
+        full, _ = evolve(model, states, 70, mem0)
+        for steps in range(71):
+            assert _bitwise_equal(evolve(model, states[2], steps, mem0)[0], full[2, :steps + 1])
+        for r0, rows in zip(states, full):
+            assert _bitwise_equal(evolve(model, r0, 70, mem0)[0], rows)
+
+
+@pytest.mark.parametrize("steps", [10_000, 100_000])
+@pytest.mark.parametrize("factory", [repeated_xor, sqrt_xor])
+def test_long_evolve_keeps_unit_trace(factory, steps):
+    # every power of the transfer matrix gets its trace column re-set; plain
+    # repeated squaring doubles P's ~1 ulp trace bias with every squaring, a
+    # deviation that grows linearly in t: up to 1.4e-12 at 10,000 steps, past
+    # check_states' TRACE_TOL (1e-12)
+    rng = np.random.default_rng(64)
+    for phi in (0.37, -1.21, 2.6):
+        stack, _ = evolve(factory(phi), _rho(rng), steps)  # check_states passed on every row
+        assert np.abs(stack.trace(axis1=-2, axis2=-1) - 1.0).max() < 1e-14
 
 
 def test_evolve_errors_keep_their_messages():
@@ -1046,24 +1162,46 @@ def test_evolve_errors_keep_their_messages():
 
 def test_evolve_checks_every_evolved_state(monkeypatch):
     r0 = np.diag([0.4, 0.6])
-    # a step that loses trace on its third application
-    real = chains.collide
+    custom = custom_chain(sqrt_xor_gate(), overlap_schedule(6), phi=0.3)
+    # the two-collision rows lose trace at t = 3
+    real_powers = chains._step_powers
+
+    def leaky_powers(first, ops, steps):
+        stack = real_powers(first, ops, steps)
+        stack[..., 3, :, :] *= 0.5
+        return stack
+
+    # a custom step that loses trace on its third application
+    real_collide = chains.collide
     count = []
 
-    def leaky(joint, open_ids, model, t):
+    def leaky_collide(joint, open_ids, model, t):
         count.append(1)
-        joint, open_ids, closing = real(joint, open_ids, model, t)
+        joint, open_ids, closing = real_collide(joint, open_ids, model, t)
         return joint * (0.5 if len(count) == 3 else 1.0), open_ids, closing
 
-    monkeypatch.setattr(chains, "collide", leaky)
-    with pytest.raises(ValueError, match="trace"):
-        evolve(sqrt_xor(0.3), r0, 4)
-    count.clear()
-    with pytest.raises(ValueError, match="trace"):
-        simulate(sqrt_xor(0.3), r0, 4)
-    count.clear()
-    with pytest.raises(ValueError, match="trace"):
-        system_maps(sqrt_xor(0.3), 4)
+    monkeypatch.setattr(chains, "_step_powers", leaky_powers)
+    monkeypatch.setattr(chains, "collide", leaky_collide)
+    for model in (sqrt_xor(0.3), custom):
+        for run, args in ((evolve, (r0, 4)), (simulate, (r0, 4)), (system_maps, (4,))):
+            count.clear()
+            with pytest.raises(ValueError, match="trace"):
+                run(model, *args)
+
+
+def test_front_trace_matches_partial_trace_bit_for_bit():
+    # np.trace adds each diagonal block after the first to 0.0 before the
+    # sum, so -0.0 + -0.0 traces to +0.0; the two-slice sum
+    # a[..., :h, :h] + a[..., h:, h:] keeps -0.0, which is why it is not used
+    rng = np.random.default_rng(66)
+    zeros = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+    for shape in ((4, 4), (3, 4, 4), (2, 3, 8, 8), (5, 16, 16)):
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for z in zeros:
+            a[rng.random(shape) < 0.2] = z
+        n = shape[-1].bit_length() - 1
+        for q in range(n + 1):
+            assert _bitwise_equal(chains._front_trace(a, q), partial_trace_array(a, n, range(q, n)))
 
 
 def test_system_marginals_trace_out_the_memory():
