@@ -33,7 +33,6 @@ from .channels import (
     choi,
     divisibility_scan,
     kraus_from_collision,
-    map_from_kraus,
     map_tomography,
 )
 from .chains import (

@@ -18,16 +18,17 @@ currently open molecules; the window width a schedule needs is checked
 against WINDOW_QUBIT_CAP when the model is built. Each window step is one
 product V rho V^dagger with the step isometry V (attach the fresh
 molecules, run the step's collisions, put the molecules read out first),
-built once per step shape and kept in a bounded cache. collide is the one
-step of every model for the trajectory walker and for evolve's custom
-models: a built-in step reads its Kraus stack as V = sum_k |k> (x) K_k, so
-the two-collision compound is a window whose one open molecule is the
-satellite. evolve runs a built-in model without a per-step call: every
-two-collision step is one fixed linear map of the compound, so the run is
-filled by powers of its transfer matrix; markov-xor multiplies its
-coherences along the steps, bit for bit its closed-form step, which keeps
-the populations exact. evolve gives every model's rows after t = 0 exactly
-real diagonals.
+compiled once per step shape by _step_isometry and kept in a bounded
+cache. A built-in model is a window with one step shape: markov-xor
+attaches one molecule and reads it out, and the two-collision compound is
+a window whose one open molecule is the satellite. So window_collide is
+the one step of every model, for the trajectory walker and for evolve's
+custom models. evolve runs a built-in model without a per-step call:
+every two-collision step is one fixed linear map of the compound, so the
+run is filled by powers of the transfer matrix of its V's blocks;
+markov-xor multiplies its coherences along the steps, bit for bit its
+closed-form step, which keeps the populations exact. evolve gives every
+model's rows after t = 0 exactly real diagonals.
 """
 from __future__ import annotations
 
@@ -372,7 +373,8 @@ def markov_xor_fixed_point(rho0, phi: float) -> DensityMatrix:
 
 # --- satellite-memory embedding -------------------------------------------
 
-EMBED_CACHE_SIZE = 128
+# the swap of the fresh molecule into the memory slot, the same in every step
+_SWAP_MOL_MEM = _readonly(embed(swap_gate(), ("mol", MEMORY_SLOT, SYSTEM_SLOT), ("mol", MEMORY_SLOT)).matrix)
 
 
 def build_embedding(model: ChainModel) -> tuple[UnitaryGate, KrausSet]:
@@ -381,31 +383,17 @@ def build_embedding(model: ChainModel) -> tuple[UnitaryGate, KrausSet]:
     The unitary lives on ("mol", "mem", "sys") and implements: collide the
     fresh molecule with the system, swap it into the memory slot, collide
     again. Reading the outgoing molecule in the computational basis gives
-    two Kraus operators on the ("mem", "sys") compound.
+    two Kraus operators on the ("mem", "sys") compound: the blocks of the
+    step that window_collide compiles for the model.
     """
     if model.kind not in (REPEATED_XOR, SQRT_XOR):
         raise ValueError(f"no satellite embedding for model kind {model.kind!r}")
-    return _cached_embedding(model.kind, model.phi)
-
-
-# the swap of the fresh molecule into the memory slot, the same in every step
-_SWAP_MOL_MEM = _readonly(embed(swap_gate(), ("mol", MEMORY_SLOT, SYSTEM_SLOT), ("mol", MEMORY_SLOT)).matrix)
-
-
-@lru_cache(maxsize=EMBED_CACHE_SIZE)
-def _cached_embedding(kind: str, phi: float) -> tuple[UnitaryGate, KrausSet]:
-    # the two-collision models take no gate override, so (kind, phi) fixes
-    # the embedding
-    model = ChainModel(kind, phi)
     register = ("mol", MEMORY_SLOT, SYSTEM_SLOT)
     g = model.collision_gate()
     acting = tuple("mol" if role == "mol" else SYSTEM_SLOT for role in g.slot_roles)
     u_collide = embed(g, register, acting).matrix
     step = UnitaryGate(u_collide @ _SWAP_MOL_MEM @ u_collide, register, label=f"{g.label}-step")
-    kraus = kraus_from_collision(step, molecule_state(phi))
-    # shared by every caller at (kind, phi), so a write must not reach the next one
-    _readonly(step.matrix), _readonly(kraus.operators), _readonly(kraus.adjoints)
-    return step, kraus
+    return step, kraus_from_collision(step, molecule_state(model.phi))
 
 
 def delta(rho_tilde):
@@ -463,6 +451,13 @@ def stationary_overlap(model: ChainModel) -> float:
 
 STEP_CACHE_SIZE = 64
 
+# The one step shape of each built-in model (see _step_isometry). markov-xor
+# attaches one molecule and reads it out. The two-collision models attach the
+# fresh molecule, collide it, collide the satellite (their one open molecule,
+# the "mem" slot) and read the satellite out; the fresh molecule takes its place.
+_BUILTIN_SHAPES = {MARKOV_XOR: (0, ((-1, 0),), (0,)),
+                   REPEATED_XOR: (1, ((-1, 0), (0, 0)), (1,)), SQRT_XOR: (1, ((-1, 0), (0, 0)), (1,))}
+
 
 def _attach(front: np.ndarray, joint: np.ndarray) -> np.ndarray:
     """tensor(front, joint) for one state or each of a stack (..., D, D):
@@ -504,25 +499,36 @@ def _step_isometry(gate: UnitaryGate, phi: float, sign: float, n_open: int, even
     return v, vh
 
 
+def _compiled(model: ChainModel, shape: tuple) -> tuple:
+    """(V, V^dagger) of one step shape of the model, from the step cache."""
+    return _step_isometry(model.collision_gate(), model.phi, math.copysign(1.0, model.phi), *shape)
+
+
 def window_collide(
     joint: np.ndarray,
     open_ids: Sequence[int],
     model: ChainModel,
     t: int,
 ) -> tuple[np.ndarray, list, int]:
-    """Attach fresh molecules and run the collisions of step t of a custom
-    model's schedule, in listed order, as one product V @ joint @ V^dagger.
+    """Step t of any model: attach fresh molecules and run the step's
+    collisions, in listed order, as one product V @ joint @ V^dagger.
 
     joint may be one state or a stack of states (..., D, D) on the register
-    of the open_ids molecules (newest first), then the system. The step
-    isometry V is compiled once per step shape (open register size, each
-    event's position or "fresh" and its gate code, the closing positions)
-    and kept in a bounded cache keyed on the collision gate instance and phi
-    with its sign. Mutates nothing; returns (joint, open_ids, closing): the
-    new register holds the `closing` molecules whose last event is step t,
-    in ascending id, then open_ids and the system; reading or tracing out
-    that front run is up to the caller.
+    of the open_ids molecules (newest first), then the model's own slots; a
+    stack takes one product per state, so that a state's round-off does not
+    depend on the states it is stacked with. V is compiled once per step
+    shape (see _step_isometry) and kept in a bounded cache keyed on the
+    collision gate instance and phi with its sign. A custom model's shape is
+    read off step t of its schedule; a built-in model runs its one shape,
+    _BUILTIN_SHAPES, at every t, with open_ids left as given. Mutates
+    nothing; returns (joint, open_ids, closing): the new register holds the
+    `closing` molecules whose last event is step t, in ascending id, then
+    open_ids and the model's slots; reading or tracing out that front run
+    is up to the caller.
     """
+    if model.kind != CUSTOM:
+        v, vh = _compiled(model, _BUILTIN_SHAPES[model.kind])
+        return v @ joint @ vh, open_ids, 1
     schedule = model.schedule
     if t >= schedule.horizon:
         raise ValueError(f"schedule horizon {schedule.horizon} exhausted at t={t}")
@@ -540,34 +546,8 @@ def window_collide(
         return joint, open_ids, 0
     register = fresh + open_ids
     closing = sorted(compress(molecules, schedule._closes[rows]))
-    phi = model.phi
-    v, vh = _step_isometry(model.collision_gate(), phi, math.copysign(1.0, phi), len(open_ids), tuple(events),
-                           tuple(map(register.index, closing)))
+    v, vh = _compiled(model, (len(open_ids), tuple(events), tuple(map(register.index, closing))))
     return v @ joint @ vh, [m for m in register if m not in closing], len(closing)
-
-
-# --- one step for every model ----------------------------------------------
-
-@lru_cache(maxsize=EMBED_CACHE_SIZE)
-def _kraus_isometry(kind: str, phi: float, sign: float) -> tuple:
-    """Read-only (V, V^dagger) of a built-in step: its Kraus stack read as
-    V = sum_k |k> (x) K_k. sign tells -0.0 from 0.0, as for _step_isometry."""
-    ops = (markov_xor_kraus(phi) if kind == MARKOV_XOR else build_embedding(ChainModel(kind, phi))[1]).operators
-    v = ops.reshape(-1, ops.shape[-1])
-    return _readonly(v), _readonly(np.ascontiguousarray(v.conj().T))
-
-
-def collide(joint: np.ndarray, open_ids: Sequence[int], model: ChainModel, t: int) -> tuple[np.ndarray, list, int]:
-    """Step t of any model, with the signature and return of window_collide,
-    which custom models run. A built-in step is V @ joint @ V^dagger with
-    its Kraus stack read as V = sum_k |k> (x) K_k: the outgoing molecule is
-    the one front qubit (closing = 1), and open_ids stays as given. A stack
-    takes one product per state, so that a state's round-off does not depend
-    on the states it is stacked with (one 2-D GEMM would not promise that)."""
-    if model.kind == CUSTOM:
-        return window_collide(joint, open_ids, model, t)
-    v, vh = _kraus_isometry(model.kind, model.phi, math.copysign(1.0, model.phi))
-    return v @ joint @ vh, open_ids, 1
 
 
 def _front_trace(a: np.ndarray, q: int) -> np.ndarray:
@@ -653,10 +633,11 @@ def evolve(model: ChainModel, states, steps: int, mem0=None) -> tuple[np.ndarray
     checked as a DensityMatrix would be, in one pass.
 
     markov-xor runs _markov_powers, bit for bit its closed-form step. The
-    two-collision models run _step_powers: ceil(log2(steps + 1)) products
-    with powers of one step's transfer matrix, in place of one V rho V^dagger
-    per step, so their rows agree with a per-step run to round-off. Custom
-    models step through collide, trace out the molecules read out and
+    two-collision models run _step_powers on the blocks of their compiled V:
+    ceil(log2(steps + 1)) products with powers of one step's transfer
+    matrix, in place of one V rho V^dagger per step, so their rows agree
+    with a per-step run to round-off. Custom models step through
+    window_collide, trace out the molecules read out and
     record the front trace of the open ones. The products are Hermitian only
     to round-off, so every row after t = 0 gets an exactly real diagonal,
     once per call.
@@ -670,7 +651,7 @@ def evolve(model: ChainModel, states, steps: int, mem0=None) -> tuple[np.ndarray
     if embedded:
         joint = _attach(_memory_array(mem0), joint)
         check_states(joint)
-        stack = _step_powers(joint, build_embedding(model)[1].operators, steps)
+        stack = _step_powers(joint, _compiled(model, _BUILTIN_SHAPES[model.kind])[0].reshape(2, 4, 4), steps)
     elif model.kind == MARKOV_XOR:
         stack = _markov_powers(joint, model.phi, steps)
     else:
@@ -680,7 +661,7 @@ def evolve(model: ChainModel, states, steps: int, mem0=None) -> tuple[np.ndarray
         stack[..., 0, :, :] = joint
         open_ids = []
         for t in range(steps):
-            joint, open_ids, closing = collide(joint, open_ids, model, t)
+            joint, open_ids, closing = window_collide(joint, open_ids, model, t)
             joint = _front_trace(joint, closing)
             stack[..., t + 1, :, :] = _front_trace(joint, len(open_ids))
     diag = np.arange(stack.shape[-1])
@@ -710,6 +691,10 @@ def system_marginals(stack: np.ndarray, slots: tuple[str, ...]) -> np.ndarray:
     return out
 
 
+# the four d = 2 probes of system_maps, in the order map_from_probes reads them
+_PROBES = _readonly(np.stack(tomography_probes(2)))
+
+
 def system_maps(model: ChainModel, t_max: int, mem0=None) -> np.ndarray:
     """Accumulated reduced maps of the system as one (t_max, 4, 4) stack;
     entry t - 1 is the map up to step t.
@@ -721,5 +706,5 @@ def system_maps(model: ChainModel, t_max: int, mem0=None) -> np.ndarray:
     """
     if t_max < 1:
         raise ValueError("t_max must be at least 1")
-    stack, slots = evolve(model, np.stack(tomography_probes(2)), t_max, mem0)
+    stack, slots = evolve(model, _PROBES, t_max, mem0)
     return map_from_probes(system_marginals(stack, slots)[:, 1:], 2)

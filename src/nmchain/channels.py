@@ -50,10 +50,6 @@ class KrausSet:
         if dev > COMPLETENESS_TOL:
             raise ValueError(f"Kraus completeness violated (residual {dev:.3e})")
 
-    @property
-    def dim(self) -> int:
-        return self.operators.shape[-1]
-
 
 def kraus_from_collision(u: UnitaryGate, molecule: PureState) -> KrausSet:
     """Kraus operators of one collision followed by a computational readout
@@ -89,14 +85,6 @@ def vec(m: np.ndarray) -> np.ndarray:
     """Column-stacked vector of one matrix, or of each of a stack (..., d, d)."""
     m = np.asarray(m, dtype=complex)
     return m.swapaxes(-1, -2).reshape(m.shape[:-2] + (-1,))
-
-
-def map_from_kraus(kraus: KrausSet) -> np.ndarray:
-    d = kraus.dim
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for op in kraus.operators:
-        s += np.kron(op.conj(), op)
-    return s
 
 
 def choi(s: np.ndarray) -> np.ndarray:

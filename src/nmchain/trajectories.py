@@ -2,13 +2,13 @@
 
 Every collision chain here ends each molecule's life with a computational
 readout, and every model reads it the same way: a step is one isometry V
-(attach the fresh molecule, collide, leave the molecules read out at this
+(attach the fresh molecules, collide, leave the molecules read out at this
 step in front), and outcome j of a readout is the block <j| V rho V^dagger |j>
-on the front qubit. Every step is chains.collide, the step evolve runs for
-custom models: for the built-in models V = sum_k |k> (x) K_k, one readout
-per step, so a trajectory is a bit string of length t_max. Custom
-schedules take V from the window engine and read a molecule out when its
-last collision is done; outcomes are recorded in closure order (ascending
+on the front qubit. Every step is chains.window_collide, the step evolve
+runs for custom models, with V compiled from the model's step shape. The
+built-in models read one molecule out per step, so a trajectory is a bit
+string of length t_max. Custom schedules read a molecule out when its last
+collision is done; outcomes are recorded in closure order (ascending
 molecule id within a step).
 
 Enumeration and sampling walk the same readout tree. A conditional state
@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chains import CUSTOM, ChainModel, collide, evolve
+from .chains import CUSTOM, ChainModel, evolve, window_collide
 from .linalg import DensityMatrix, check_states
 
 MAX_ENUMERATION_READOUTS = 20
@@ -233,11 +233,10 @@ def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_state
     """Walk the readout tree for t_max steps, one readout at a time.
 
     The walk holds one state per distinct outcome prefix (a node), stacked
-    as (nodes, D, D). Each step maps the stack through chains.collide, one
-    V @ rho @ V^dagger product per node (the window engine's V for custom
-    models, the Kraus stack read as V for the built-in ones). Each readout
-    of the step then splits every node into its children, the diagonal
-    blocks <j| . |j> of its front qubit, with probabilities their traces.
+    as (nodes, D, D). Each step maps the stack through chains.window_collide,
+    one V @ rho @ V^dagger product per node. Each readout of the step then
+    splits every node into its children, the diagonal blocks <j| . |j> of
+    its front qubit, with probabilities their traces.
     Without uniforms it keeps every child with p > 1e-300 and total
     probability above prune_below, node-major. With uniforms (samples x
     readouts), sample s takes the first child whose cumulative probability
@@ -263,7 +262,7 @@ def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_state
     leaf = None if uniforms is None else np.zeros(len(uniforms), dtype=np.int64)
 
     for t in range(t_max):
-        states, open_ids, closing = collide(states, open_ids, model, t)
+        states, open_ids, closing = window_collide(states, open_ids, model, t)
         for _ in range(closing):
             # child j of each node: <j| states |j> on the front qubit, and its trace
             n, d = states.shape[:2]

@@ -404,47 +404,75 @@ def test_build_embedding_matches_oracle(kind, factory):
         w0, w1 = H.kraus_pair(phi, kind)
         assert np.abs(kraus.operators[0] - w0).max() < 1e-14
         assert np.abs(kraus.operators[1] - w1).max() < 1e-14
-
-
-def test_build_embedding_is_cached():
-    a = build_embedding(repeated_xor(0.37))
-    b = build_embedding(repeated_xor(0.37))
-    assert a[0] is b[0] and a[1] is b[1]
     with pytest.raises(ValueError):
         build_embedding(markov_xor(0.3))
 
 
+_COMPILED_PHIS = (0.0, -0.0, np.pi / 4, -np.pi / 4, np.nextafter(np.pi / 2, 0.0), -np.nextafter(np.pi / 2, 0.0),
+                  *np.linspace(-7.0, 7.0, 141))
+
+
+def _builtin_isometry(model):
+    return chains._compiled(model, chains._BUILTIN_SHAPES[model.kind])
+
+
+def test_compiled_builtin_step_is_the_kraus_pair():
+    # the built-in step shapes compile to V = sum_k |k> (x) K_k of the
+    # paper's Kraus pairs: markov_xor_kraus, and build_embedding's gate
+    # sandwich U_c SWAP U_c. xor steps sum no two nonzero terms, so the
+    # values agree exactly, though markov-xor's two forms may give a zero
+    # opposite signs. V's sqrt-xor entries are sums formed in another order.
+    for phi in _COMPILED_PHIS:
+        for factory in (markov_xor, repeated_xor, sqrt_xor):
+            model = factory(float(phi))
+            v, vh = _builtin_isometry(model)
+            ops = (markov_xor_kraus(phi) if factory is markov_xor else build_embedding(model)[1]).operators
+            want = ops.reshape(v.shape)
+            assert _bitwise_equal(vh, v.conj().T)
+            if factory is markov_xor:
+                assert np.array_equal(v, want)
+            elif factory is repeated_xor:
+                assert _bitwise_equal(v, want)
+            else:
+                assert np.abs(v - want).max() <= 1e-15
+
+
+def test_builtin_steps_never_build_the_kraus_pair(monkeypatch):
+    # evolve, system_maps and the walker reach a built-in step through
+    # _step_isometry alone, also when its cache is cold
+    def refuse(*args):
+        raise AssertionError("a built-in step built its Kraus pair")
+
+    for name in ("build_embedding", "markov_xor_kraus", "kraus_from_collision"):
+        monkeypatch.setattr(chains, name, refuse)
+    chains._step_isometry.cache_clear()
+    r0 = _rho(np.random.default_rng(48))
+    for factory in (markov_xor, repeated_xor, sqrt_xor):
+        model = factory(0.52)
+        evolve(model, r0, 5)
+        system_maps(model, 3)
+        sample_ensemble(model, r0, 4, 20, seed=1)
+
+
 @pytest.mark.parametrize("factory", [markov_xor, repeated_xor, sqrt_xor])
 def test_cached_step_arrays_are_read_only(factory):
-    # every later caller at (kind, phi) reads these arrays: a write raises,
-    # and evolve and the walker give the same bits after it
+    # every later caller at (kind, phi) reads the compiled step: a write
+    # raises, and evolve and the walker give the same bits after it
     model = factory(0.3)
     r0 = _rho(np.random.default_rng(47))
     before = evolve(model, r0, 6)[0], sample_ensemble(model, r0, 6, 40, seed=5)
-    arrays = list(chains._kraus_isometry(model.kind, model.phi, 1.0))
-    if model.kind != MARKOV_XOR:
-        step, kraus = build_embedding(model)
-        arrays += [step.matrix, kraus.operators, kraus.adjoints]
-    for a in arrays:
+    for a in _builtin_isometry(model):
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 7
     after = evolve(model, r0, 6)[0], sample_ensemble(model, r0, 6, 40, seed=5)
     assert _bitwise_equal(after[0], before[0])
     assert _bitwise_equal(after[1].mean_state.matrix, before[1].mean_state.matrix)
     assert np.array_equal(after[1].log_probabilities, before[1].log_probabilities)
-    assert chains._kraus_isometry.cache_info().maxsize == chains.EMBED_CACHE_SIZE
+    assert chains._step_isometry.cache_info().maxsize == chains.STEP_CACHE_SIZE
 
 
-def test_embedding_cache_is_bounded():
-    from nmchain import chains
-
-    for phi in np.linspace(0.01, 1.5, chains.EMBED_CACHE_SIZE + 10):
-        build_embedding(repeated_xor(float(phi)))
-    assert chains._cached_embedding.cache_info().currsize <= chains.EMBED_CACHE_SIZE
-
-
-def test_embedding_miss_embeds_only_the_collision_gate():
-    # the swap into the memory slot is embedded once, at import: a miss
+def test_build_embedding_embeds_only_the_collision_gate():
+    # the swap into the memory slot is embedded once, at import: a call
     # looks up one ordered gate, its collision gate, and builds the same
     # bits as the product of the three embedded gates
     from nmchain import gates
@@ -455,9 +483,7 @@ def test_embedding_miss_embeds_only_the_collision_gate():
     for factory, gate in ((repeated_xor, xor_gate()), (sqrt_xor, sqrt_xor_gate())):
         for phi in (0.2345678, -0.0, 1.3456789):
             lookups = sum(gates._ordered.cache_info()[:2])  # hits and misses
-            misses = chains._cached_embedding.cache_info().misses
             step, kraus = build_embedding(factory(phi))
-            assert chains._cached_embedding.cache_info().misses == misses + 1
             assert sum(gates._ordered.cache_info()[:2]) == lookups + 1
             u = embed(gate, register, gate.slot_roles).matrix
             want = u @ embed(swap_gate(), register, ("mol", "mem")).matrix @ u
@@ -467,7 +493,7 @@ def test_embedding_miss_embeds_only_the_collision_gate():
 
 
 def test_embedding_misses_add_no_ordered_gate_entries():
-    # every miss embeds the same shared gates, so the gate cache stays flat
+    # every call embeds the same shared gates, so the gate cache stays flat
     from nmchain import gates
 
     build_embedding(repeated_xor(0.123))
@@ -873,6 +899,13 @@ def test_each_step_shape_compiles_once(gap):
 
 # ---- accumulated system maps ---------------------------------------------------
 
+def test_system_maps_probes_are_a_read_only_constant():
+    # built once at import, bit for bit the probes map_from_probes reads
+    assert _bitwise_equal(chains._PROBES, np.stack(tomography_probes(2)))
+    with pytest.raises(ValueError, match="read-only"):
+        chains._PROBES[0, 0, 0] = 7
+
+
 def test_system_maps_markov_closed_form():
     phi = 0.3
     maps = system_maps(markov_xor(phi), 5)
@@ -970,8 +1003,9 @@ def test_system_maps_rebuild_every_map_in_one_call(monkeypatch, factory):
     assert got.shape == (7, 4, 4) and got.dtype == complex
 
 
-@pytest.mark.parametrize("name,factory", [("collide", sqrt_xor), ("collide", repeated_xor),
-                                          ("markov_xor_step", markov_xor)])
+@pytest.mark.parametrize("name,factory", [("window_collide", sqrt_xor), ("window_collide", repeated_xor),
+                                          ("markov_xor_step", markov_xor)],
+                         ids=["collide-sqrt_xor", "collide-repeated_xor", "markov_xor_step-markov_xor"])
 def test_builtin_system_maps_step_the_probes_as_one_stack(monkeypatch, name, factory):
     # a built-in model makes no per-step call: one powers call fills every
     # step of the whole probe stack
@@ -1172,7 +1206,7 @@ def test_evolve_checks_every_evolved_state(monkeypatch):
         return stack
 
     # a custom step that loses trace on its third application
-    real_collide = chains.collide
+    real_collide = chains.window_collide
     count = []
 
     def leaky_collide(joint, open_ids, model, t):
@@ -1181,7 +1215,7 @@ def test_evolve_checks_every_evolved_state(monkeypatch):
         return joint * (0.5 if len(count) == 3 else 1.0), open_ids, closing
 
     monkeypatch.setattr(chains, "_step_powers", leaky_powers)
-    monkeypatch.setattr(chains, "collide", leaky_collide)
+    monkeypatch.setattr(chains, "window_collide", leaky_collide)
     for model in (sqrt_xor(0.3), custom):
         for run, args in ((evolve, (r0, 4)), (simulate, (r0, 4)), (system_maps, (4,))):
             count.clear()

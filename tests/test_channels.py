@@ -19,7 +19,6 @@ from nmchain.channels import (
     choi,
     divisibility_scan,
     kraus_from_collision,
-    map_from_kraus,
     map_from_probes,
     map_tomography,
     singular_values,
@@ -34,6 +33,11 @@ from nmchain.trajectories import enumerate_branches
 def _dephase_kraus(p):
     z = np.diag([1.0, -1.0]).astype(complex)
     return KrausSet((np.sqrt(1 - p) * np.eye(2, dtype=complex), np.sqrt(p) * z))
+
+
+def _kraus_map(ks):
+    """The superoperator of a qubit channel, from its action on the probes."""
+    return map_tomography(lambda r: apply_kraus(ks, r), 2)
 
 
 def test_kraus_set_validation():
@@ -127,10 +131,10 @@ def test_vec_unvec_column_stacking():
     assert np.array_equal(vec(m).reshape(2, 2, order="F"), m)
 
 
-def test_map_from_kraus_agrees_with_direct_application():
+def test_map_tomography_agrees_with_direct_application():
     rng = np.random.default_rng(2)
     ks = _dephase_kraus(0.3)
-    lm = map_from_kraus(ks)
+    lm = _kraus_map(ks)
     # trace preservation: vec(I)^dagger S = vec(I)^dagger
     ident = vec(np.eye(2))
     assert np.abs(ident @ lm - ident).max() < 1e-12
@@ -148,7 +152,7 @@ def test_choi_of_known_channels():
     v = np.array([1.0, 0.0, 0.0, 1.0])
     assert np.allclose(ident, np.outer(v, v))
     assert H.min_choi_eigenvalue(ident) == pytest.approx(0.0, abs=1e-13)
-    dephase = choi(map_from_kraus(_dephase_kraus(0.3)))
+    dephase = choi(_kraus_map(_dephase_kraus(0.3)))
     assert H.min_choi_eigenvalue(dephase) >= -1e-9
     # transpose map is the canonical non-CP positive map
     swap = np.zeros((4, 4), complex)
@@ -170,7 +174,8 @@ def test_choi_matches_oracle_for_collision_maps():
 
 def test_map_tomography_reconstructs_kraus_map():
     ks = _dephase_kraus(0.45)
-    lm = map_from_kraus(ks)
+    # column stacking: vec(K rho K^dagger) = (conj(K) kron K) vec(rho)
+    lm = sum(np.kron(op.conj(), op) for op in ks.operators)
     rebuilt = map_tomography(lambda r: apply_kraus(ks, r), 2)
     assert np.abs(rebuilt - lm).max() < 1e-13
 
@@ -179,9 +184,8 @@ def test_map_tomography_four_dimensional():
     rng = np.random.default_rng(5)
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     u, _ = np.linalg.qr(g)
-    ks = KrausSet((u,))
     rebuilt = map_tomography(lambda r: u @ r @ u.conj().T, 4)
-    assert np.abs(rebuilt - map_from_kraus(ks)).max() < 1e-12
+    assert np.abs(rebuilt - np.kron(u.conj(), u)).max() < 1e-12
 
 
 def test_map_from_probes_inverts_the_probe_outputs():
@@ -237,8 +241,8 @@ def test_singular_values_resolve_known_smallest(sigma):
 
 
 def test_divisibility_step_recovers_intermediate():
-    a = map_from_kraus(_dephase_kraus(0.2))
-    b = map_from_kraus(_dephase_kraus(0.35))
+    a = _kraus_map(_dephase_kraus(0.2))
+    b = _kraus_map(_dephase_kraus(0.35))
     total = b @ a
     step = divisibility_scan([a, total])[1]
     assert step.exists is True
@@ -283,7 +287,7 @@ def test_divisibility_step_round_off_is_indeterminate():
 
 
 def test_divisibility_scan_shapes():
-    maps = [map_from_kraus(_dephase_kraus(0.1 * (t + 1))) for t in range(4)]
+    maps = [_kraus_map(_dephase_kraus(0.1 * (t + 1))) for t in range(4)]
     scan = divisibility_scan(maps)
     assert len(scan) == 4
     assert all(s.exists is True for s in scan)

@@ -174,6 +174,41 @@ def test_cli_digest_fails_on_a_text_only_change(old, new, fmt, rc):
         assert "    x (x): 1 zero-sign flips (-0.0 <-> 0.0)" in lines
 
 
+_EXTRA_PROBE = """
+import json, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+import cli_digest
+from nmchain.chains import schedule_from_records
+
+records = cli_digest.burst_layout(cli_digest.BURST_HORIZON)
+sched = schedule_from_records(records)
+ids, _, last = sched.spans()
+closing = [[r["mol"] for r in records if r["t"] == t and last[list(ids).index(r["mol"])] == t]
+           for t in range(sched.horizon)]
+main = cli_digest.run.load_nmchain().cli.main
+with tempfile.TemporaryDirectory() as workdir:
+    out = dict(cli_digest.digest_calls(main, "extra", cli_digest.extra_calls(workdir)))
+exits = sorted({(v["cmd"], v["model"], v["exit"]) for v in out.values()})
+print(json.dumps({"closing": closing, "exits": exits, "n": len(out)}))
+"""
+
+
+def test_cli_digest_fixed_calls_read_out_several_molecules_per_step():
+    # the digest's own calls cover what no workload does: steps that read
+    # out several molecules listed out of id order, and the built-in models
+    # at signed zeros and at pi/4, where sqrt-xor has no stationary limit
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    proc = subprocess.run([sys.executable, "-c", _EXTRA_PROBE, str(tools)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    multi = [mols for mols in got["closing"] if len(mols) > 1]
+    assert multi and all(mols != sorted(mols) for mols in multi)
+    assert got["n"] == 2 * (3 * 2 + 3 * 4 * 4)
+    failed = [e for e in got["exits"] if e[2] != 0]
+    assert failed == [["measures", "sqrt-xor", 3]], got["exits"]
+
+
 def test_cli_runs_without_scipy_until_a_correlation_is_polished(tmp_path):
     # scipy.optimize is imported on the first polish only, so every other
     # subcommand starts without it; module names, not times, keep this exact

@@ -8,6 +8,7 @@ from nmchain.chains import (
     MARKOV_XOR,
     advanced_overlap_schedule,
     build_embedding,
+    chain_schedule,
     custom_chain,
     markov_xor,
     markov_xor_kraus,
@@ -18,8 +19,7 @@ from nmchain.chains import (
     sqrt_xor,
 )
 from nmchain import chains, trajectories
-from nmchain.channels import KrausSet
-from nmchain.gates import xor_gate
+from nmchain.gates import UnitaryGate, xor_gate
 from nmchain.trajectories import (
     MAX_ENUMERATION_READOUTS,
     PRUNE_REQUIRED_ABOVE,
@@ -231,8 +231,15 @@ def test_ensemble_matches_sequential_sampling(factory):
     assert ens.log_probabilities.tolist() == [r.log_probability for r in seq]
 
 
-def _builtin_ops(model):
+def _kraus_ops(model):
+    """The paper's Kraus pair of a built-in model."""
     return (markov_xor_kraus(model.phi) if model.kind == MARKOV_XOR else build_embedding(model)[1]).operators
+
+
+def _engine_blocks(model):
+    """The blocks K_k of the V the walker compiles for a built-in model."""
+    v = chains._compiled(model, chains._BUILTIN_SHAPES[model.kind])[0]
+    return v.reshape(2, v.shape[1], v.shape[1])
 
 
 @pytest.mark.parametrize("factory", [markov_xor, repeated_xor, sqrt_xor])
@@ -241,7 +248,7 @@ def test_ensemble_bitwise_matches_per_sample_oracle(factory):
     n, t_max, seed = 10_000, 10, 21
     state0 = _rho0() if model.kind == MARKOV_XOR else np.kron(np.diag([1.0, 0.0]), _rho0())
     states, log_p, outcomes = H.evolve_block_oracle(
-        np.stack(_builtin_ops(model)), state0.astype(complex), H.spawned_uniforms(seed, n, t_max))
+        _engine_blocks(model), state0.astype(complex), H.spawned_uniforms(seed, n, t_max))
     ens = sample_ensemble(model, _rho0(), t_max, n, seed)
     assert np.array_equal(ens.outcomes, outcomes)
     assert np.array_equal(ens.log_probabilities, log_p)
@@ -255,7 +262,7 @@ def test_walker_children_match_kraus_sandwich(factory, phi):
     # must be the K_k rho K_k^dagger sandwich of its outcomes, and a branch
     # the walker drops must be one the sandwiches leave empty
     model = factory(phi)
-    ops = _builtin_ops(model)
+    ops = _kraus_ops(model)
     start = simulate(model, _rho0(), 0)[0].matrix
     for t_max in (1, 2, 3):
         states, log_p, outcomes, _, _ = trajectories._evolve_block(model, _rho0(), t_max)
@@ -269,24 +276,19 @@ def test_walker_children_match_kraus_sandwich(factory, phi):
             assert np.abs(got.get(key, 0.0) - m).max() <= tol
 
 
-def _dense_qubit_kraus(phi):
-    # a random two-outcome qubit channel: every child entry sums several
-    # products, so a batch-dependent summation order would show in its bits
+def _dense_chain(phi):
+    # one collision per molecule through a random dense (mol, sys) unitary:
+    # every child entry sums several products, so a batch-dependent
+    # summation order would show in its bits
     rng = np.random.default_rng(31)
-    q, _ = np.linalg.qr(rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2)))
-    return KrausSet(q.reshape(2, 2, 2))
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    return custom_chain(UnitaryGate(q, ("mol", "sys"), label="dense"), chain_schedule(10), phi=phi)
 
 
-@pytest.mark.parametrize("factory", [markov_xor, repeated_xor, sqrt_xor, "dense"])
-def test_walk_rows_do_not_depend_on_the_batch(factory, monkeypatch, request):
+@pytest.mark.parametrize("factory", [markov_xor, repeated_xor, sqrt_xor, _dense_chain],
+                         ids=["markov_xor", "repeated_xor", "sqrt_xor", "dense"])
+def test_walk_rows_do_not_depend_on_the_batch(factory):
     # a sample's row is fixed by its own uniforms, at any number of samples
-    if factory == "dense":
-        # the step isometry is cached: clear it before and after the injected
-        # pair, so that the pair cannot leak into later walks
-        chains._kraus_isometry.cache_clear()
-        request.addfinalizer(chains._kraus_isometry.cache_clear)
-        monkeypatch.setattr(chains, "markov_xor_kraus", _dense_qubit_kraus)
-        factory = markov_xor
     model = factory(0.4)
     uniforms = trajectories._uniform_block(11, 0, 2000, 10)
     full = trajectories._evolve_block(model, _rho0(), 10, uniforms)[:3]
@@ -325,7 +327,7 @@ def test_uniform_block_passes_join_across_a_carry():
 @pytest.mark.parametrize("index", [2**32 - 1, 2**32])
 def test_sample_trajectory_index_past_one_word(index):
     model = sqrt_xor(0.4)
-    ops = np.stack(build_embedding(model)[1].operators)
+    ops = _engine_blocks(model)
     state0 = np.kron(np.diag([1.0, 0.0]), _rho0()).astype(complex)
     _, log_p, outcomes = H.evolve_block_oracle(ops, state0, H.spawned_uniforms(3, 1, 9, lo=index))
     rec = sample_trajectory(model, _rho0(), t_max=9, seed=3, index=index)
@@ -393,7 +395,7 @@ def test_custom_walk_raises_for_an_invalid_conditional_state(monkeypatch):
     # a non-Hermitian state inside the walk raises at its step, whether the
     # conditional states are kept or not
     model = custom_chain(xor_gate(), advanced_overlap_schedule(4), phi=0.31)
-    collide = chains.window_collide
+    collide = trajectories.window_collide
 
     def broken(states, open_ids, model, t):
         states, open_ids, closing = collide(states, open_ids, model, t)
@@ -401,7 +403,7 @@ def test_custom_walk_raises_for_an_invalid_conditional_state(monkeypatch):
             states = states + 1e-6j * np.eye(states.shape[-1])
         return states, open_ids, closing
 
-    monkeypatch.setattr(chains, "window_collide", broken)
+    monkeypatch.setattr(trajectories, "window_collide", broken)
     for walk in (lambda: sample_ensemble(model, _rho0(), t_max=4, n_samples=8, seed=1),
                  lambda: enumerate_branches(model, _rho0(), t_max=4, keep_states=False),
                  lambda: enumerate_branches(model, _rho0(), t_max=4)):

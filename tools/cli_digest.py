@@ -4,11 +4,12 @@
     python3 tools/cli_digest.py [--src DIR] [--seeds 0,17] [--out FILE] [--against OLD]
 
 Runs every call of passes 0-2 of each workload at each seed (the call lists
-of perfbench/calls.py, which this script only reads) through
-`nmchain.cli.main`, in process, once with `--format json` and once with
-`--format csv` (`schedule` takes no --format and runs once). Each call goes
-through perfbench's `run.invoke`, so an exception escaping main is recorded
-as exit code -1 with its traceback. The nmchain package is imported from DIR
+of perfbench/calls.py, which this script only reads), and once a fixed list
+of its own (see extra_calls), through `nmchain.cli.main`, in process, once
+with `--format json` and once with `--format csv` (`schedule` takes no
+--format and runs once). Each call goes through perfbench's `run.invoke`,
+so an exception escaping main is recorded as exit code -1 with its
+traceback. The nmchain package is imported from DIR
 (default: this checkout's src/), so a second source tree can be digested to
 compare against.
 
@@ -35,6 +36,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import sys
 import tempfile
@@ -48,6 +50,14 @@ import checker  # noqa: E402
 import run  # noqa: E402
 
 PASSES = 3
+
+# the fixed list: a burst layout under each gate, and the built-in models at
+# signed zeros, at pi/4 (sqrt-xor coherences stop decaying) and just below pi/2
+BURST_HORIZON = 12
+BURST_GATES = ("xor", "sqrt-xor")
+EXTRA_PHIS = (0.0, -0.0, math.pi / 4, math.nextafter(math.pi / 2, 0.0))
+EXTRA_INITIAL = "0.62,0.38,0.2,-0.15"
+EXTRA_MEMORY = "0.7,0.3,0.1,0.25"
 
 # CSV columns that hold integers, booleans, bit strings or labels, never floats
 CSV_TEXT_COLUMNS = {"t", "outcomes", "exists", "count_qubits", "classification"}
@@ -105,13 +115,55 @@ def parse(out: str, err: str, fmt: str):
     return dict(floats), hashlib.sha256("\x1f".join(tokens).encode()).hexdigest()
 
 
-def digest_calls(main, workload: str, seed: int, index: int, workdir: str):
-    for i, call in enumerate(calls.call_list(workload, seed, index, workdir)):
+def burst_layout(horizon: int) -> list:
+    """Molecules 3k, 3k + 1 and 3k + 2 open on steps 3k and 3k + 1, and all
+    three close on step 3k + 2, listed as 3k + 2, 3k, 3k + 1: three readouts
+    in one step, in a register order that is not their id order."""
+    records = []
+    for k in range(horizon // 3):
+        t, m = 3 * k, 3 * k
+        records += [{"t": t, "mol": m + 1}, {"t": t, "mol": m},
+                    {"t": t + 1, "mol": m + 2}, {"t": t + 1, "mol": m},
+                    {"t": t + 2, "mol": m + 2}, {"t": t + 2, "mol": m}, {"t": t + 2, "mol": m + 1}]
+    return records
+
+
+def extra_calls(workdir: str) -> list:
+    """The fixed call list, the same at every seed. No workload makes these
+    calls: readouts of three molecules in one step (the burst layout through
+    simulate, divisibility and trajectories), and the built-in models at
+    EXTRA_PHIS through every subcommand that takes a model."""
+    path = os.path.join(workdir, "burst.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(burst_layout(BURST_HORIZON), fh)
+    out = []
+    for gate in BURST_GATES:
+        model = ["--model", "custom", "--phi", "0.43", "--schedule", path, "--gate", gate]
+        steps = ["--steps", str(BURST_HORIZON)]
+        out += [calls.Call("simulate", ["simulate"] + model + ["--initial", EXTRA_INITIAL], {"model": "custom"}),
+                calls.Call("divisibility", ["divisibility"] + model + steps, {"model": "custom"}),
+                calls.Call("trajectories", ["trajectories"] + model + steps + [
+                    "--initial", EXTRA_INITIAL, "--samples", "40", "--seed", "5"], {"model": "custom"})]
+    for name in calls.BUILTIN_MODELS:
+        memory = ["--memory", EXTRA_MEMORY] if name in calls.TWO_COLLISION else []
+        for phi in EXTRA_PHIS:
+            model = ["--model", name, f"--phi={phi!r}"]
+            out += [calls.Call(cmd, [cmd] + model + rest, {"model": name}) for cmd, rest in (
+                ("simulate", ["--initial", EXTRA_INITIAL, "--steps", "12"] + memory),
+                ("measures", ["--initial", EXTRA_INITIAL]),
+                ("divisibility", ["--steps", "8"] + memory),
+                ("trajectories", ["--initial", EXTRA_INITIAL, "--steps", "8", "--samples", "64", "--seed", "3"]),
+            )]
+    return out
+
+
+def digest_calls(main, prefix: str, call_list: list):
+    for i, call in enumerate(call_list):
         for fmt in ("default",) if call.cmd == "schedule" else ("json", "csv"):
             argv = list(call.argv) + ([] if fmt == "default" else ["--format", fmt])
             rc, out, err, _, _ = run.invoke(main, argv)
             floats, tokens = parse(out, err, fmt)
-            yield f"{workload}:{seed}:{index}:{i}:{fmt}", {
+            yield f"{prefix}:{i}:{fmt}", {
                 "cmd": call.cmd, "model": call.params.get("model"), "format": fmt, "exit": rc,
                 "sha256": hashlib.sha256((out + "\0" + err).encode()).hexdigest(),
                 "tokens": tokens, "floats": floats,
@@ -127,7 +179,9 @@ def digest(src: Path, seeds) -> dict:
             calls.prepare(workload, workdir)
             for seed in seeds:
                 for index in range(PASSES):
-                    out.update(digest_calls(nmchain.cli.main, workload, seed, index, workdir))
+                    call_list = calls.call_list(workload, seed, index, workdir)
+                    out.update(digest_calls(nmchain.cli.main, f"{workload}:{seed}:{index}", call_list))
+        out.update(digest_calls(nmchain.cli.main, "extra:-:-", extra_calls(workdir)))
     return out
 
 
