@@ -323,11 +323,13 @@ def system_state(rho0) -> DensityMatrix:
 
 
 def _memory_array(mem0) -> np.ndarray:
+    """The memory's start state, |0><0| by default; a given one is checked as a state."""
     if mem0 is None:
         return np.diag([1.0, 0.0]).astype(complex)
     m = as_matrix(mem0)
     if m.shape != (2, 2):
         raise ValueError("memory state must be a single qubit")
+    check_states(m)
     return m
 
 
@@ -373,10 +375,6 @@ def markov_xor_fixed_point(rho0, phi: float) -> DensityMatrix:
 
 # --- satellite-memory embedding -------------------------------------------
 
-# the swap of the fresh molecule into the memory slot, the same in every step
-_SWAP_MOL_MEM = _readonly(embed(swap_gate(), ("mol", MEMORY_SLOT, SYSTEM_SLOT), ("mol", MEMORY_SLOT)).matrix)
-
-
 def build_embedding(model: ChainModel) -> tuple[UnitaryGate, KrausSet]:
     """Three-qubit step unitary and the compound Kraus pair of a two-collision model.
 
@@ -392,7 +390,8 @@ def build_embedding(model: ChainModel) -> tuple[UnitaryGate, KrausSet]:
     g = model.collision_gate()
     acting = tuple("mol" if role == "mol" else SYSTEM_SLOT for role in g.slot_roles)
     u_collide = embed(g, register, acting).matrix
-    step = UnitaryGate(u_collide @ _SWAP_MOL_MEM @ u_collide, register, label=f"{g.label}-step")
+    u_swap = embed(swap_gate(), register, ("mol", MEMORY_SLOT)).matrix
+    step = UnitaryGate(u_collide @ u_swap @ u_collide, register, label=f"{g.label}-step")
     return step, kraus_from_collision(step, molecule_state(model.phi))
 
 
@@ -459,13 +458,6 @@ _BUILTIN_SHAPES = {MARKOV_XOR: (0, ((-1, 0),), (0,)),
                    REPEATED_XOR: (1, ((-1, 0), (0, 0)), (1,)), SQRT_XOR: (1, ((-1, 0), (0, 0)), (1,))}
 
 
-def _attach(front: np.ndarray, joint: np.ndarray) -> np.ndarray:
-    """tensor(front, joint) for one state or each of a stack (..., D, D):
-    the products np.kron forms, bit for bit."""
-    d = front.shape[-1] * joint.shape[-1]
-    return (front[:, None, :, None] * joint[..., None, :, None, :]).reshape(joint.shape[:-2] + (d, d))
-
-
 @lru_cache(maxsize=STEP_CACHE_SIZE)
 def _step_isometry(gate: UnitaryGate, phi: float, sign: float, n_open: int, events: tuple, closing: tuple) -> tuple:
     """(V, V^dagger) of one step shape: V = U_k ... U_1 (|psi(phi)>^fresh (x) I).
@@ -481,10 +473,10 @@ def _step_isometry(gate: UnitaryGate, phi: float, sign: float, n_open: int, even
     """
     fresh = sum(pos < 0 for pos, _ in events)
     n = n_open + fresh + 1
-    psi = molecule_state(phi).amplitudes[:, None, None]
+    psi = molecule_state(phi).amplitudes[:, None]
     v = np.eye(2 ** (n_open + 1), dtype=complex)
     for _ in range(fresh):
-        v = (psi * v).reshape(-1, v.shape[1])  # np.kron(psi, v)
+        v = tensor(psi, v)
     newest = fresh  # a fresh molecule takes the slot in front of the one attached before it
     for pos, code in events:
         if pos < 0:
@@ -629,8 +621,9 @@ def evolve(model: ChainModel, states, steps: int, mem0=None) -> tuple[np.ndarray
     models the ("mem", "sys") compound of the satellite embedding with the
     memory starting in mem0 (default |0><0|), and custom models the system
     marginal of the window engine. Only the two-collision models have a
-    memory slot; mem0 for any other kind raises. Every state of the stack is
-    checked as a DensityMatrix would be, in one pass.
+    memory slot; mem0 for any other kind raises. A given mem0 is checked as a
+    state before it is attached, and every state of the stack is checked as
+    a DensityMatrix would be, in one pass.
 
     markov-xor runs _markov_powers, bit for bit its closed-form step. The
     two-collision models run _step_powers on the blocks of their compiled V:
@@ -649,8 +642,7 @@ def evolve(model: ChainModel, states, steps: int, mem0=None) -> tuple[np.ndarray
         raise ValueError(f"{model.kind} has no memory slot; mem0 does not apply")
     joint = _system_stack(states)
     if embedded:
-        joint = _attach(_memory_array(mem0), joint)
-        check_states(joint)
+        joint = tensor(_memory_array(mem0), joint)
         stack = _step_powers(joint, _compiled(model, _BUILTIN_SHAPES[model.kind])[0].reshape(2, 4, 4), steps)
     elif model.kind == MARKOV_XOR:
         stack = _markov_powers(joint, model.phi, steps)

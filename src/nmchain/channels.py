@@ -1,5 +1,6 @@
-"""Quantum channels: Kraus sets, superoperators, Choi matrices, process
-tomography and stepwise divisibility checks.
+"""Quantum channels: Kraus sets (their operators alone; apply_kraus forms
+the adjoints per call), superoperators, Choi matrices, process tomography
+and stepwise divisibility checks.
 
 A superoperator is a plain complex (d^2, d^2) array, and a trajectory of
 them a (t, d^2, d^2) stack. They use the column-stacking convention:
@@ -11,7 +12,7 @@ on the most significant index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,11 +29,9 @@ SINGULAR_CUTOFF = 1e-10
 @dataclass(frozen=True, eq=False)
 class KrausSet:
     """Kraus operators of a channel as one (L, d, d) array; operator l
-    belongs to readout outcome l. adjoints holds their conjugate
-    transposes, formed once."""
+    belongs to readout outcome l."""
 
     operators: np.ndarray
-    adjoints: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ops = [np.asarray(m, dtype=complex) for m in self.operators]
@@ -43,10 +42,8 @@ class KrausSet:
             if m.shape != (d, d):
                 raise ValueError("all Kraus operators must share one square shape")
         ops = np.stack(ops)
-        adjs = np.ascontiguousarray(dagger(ops))
         object.__setattr__(self, "operators", ops)
-        object.__setattr__(self, "adjoints", adjs)
-        dev = np.abs((adjs @ ops).sum(0) - np.eye(d)).max()
+        dev = np.abs((np.ascontiguousarray(dagger(ops)) @ ops).sum(0) - np.eye(d)).max()
         if dev > COMPLETENESS_TOL:
             raise ValueError(f"Kraus completeness violated (residual {dev:.3e})")
 
@@ -75,7 +72,8 @@ def apply_kraus(kraus: KrausSet, rho):
     m = as_matrix(rho)
     # one product over the operator axis; the sum starts from 0, as
     # zeros + sum of terms did, so it gives the same signed zeros
-    out = (kraus.operators @ m[..., None, :, :] @ kraus.adjoints).sum(-3, initial=0)
+    ops = kraus.operators
+    out = (ops @ m[..., None, :, :] @ np.ascontiguousarray(dagger(ops))).sum(-3, initial=0)
     if isinstance(rho, DensityMatrix):
         return DensityMatrix(out, rho.slots)
     return out

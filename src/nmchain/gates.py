@@ -5,7 +5,8 @@ the same ordering convention as the rest of the package (first role = most
 significant bit). embed() places a gate into a larger named register so
 callers never do index bookkeeping by hand; apply_left() multiplies a
 matrix by the gate on given register positions without building the
-embedded matrix (embed is apply_left on the identity).
+embedded matrix (embed is apply_left on the identity). Both place the gate
+afresh on each call: they run once per compiled step shape, not per step.
 
 The controlled gates here use the system qubit as control and the fresh
 molecule as target; the two constructors expose whichever slot ordering
@@ -14,7 +15,6 @@ makes their matrix most readable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -145,40 +145,13 @@ def apply_left(w: np.ndarray, gate: UnitaryGate, acting: Sequence[int], n_qubits
     entry sums the gate's terms in the order of the embedded product u @ w.
     """
     w = np.asarray(w)
-    if len(acting) != gate.arity:
-        raise ValueError(f"cannot place a {gate.arity}-qubit gate on positions {acting} of {n_qubits} qubits")
-    order, perm, inverse = _plan(n_qubits, tuple(acting))
-    t = w.reshape((2,) * n_qubits + (-1,)).transpose(perm)
-    m = _ordered(gate, order)
-    return (m @ t.reshape(m.shape[1], -1)).reshape(t.shape).transpose(inverse).reshape(w.shape)
-
-
-PLAN_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _plan(n_qubits: int, acting: tuple[int, ...]):
-    """Role order, and the (permutation, inverse) that brings the acting
-    axes of a (2,) * n + (columns,) tensor to the front, in register order,
-    ahead of every other axis in its original order.
-    """
-    if len(set(acting)) != len(acting) or not all(0 <= q < n_qubits for q in acting):
-        raise ValueError(f"cannot place a {len(acting)}-qubit gate on positions {acting} of {n_qubits} qubits")
-    order = tuple(sorted(range(len(acting)), key=acting.__getitem__))
+    k = gate.arity
+    if len(acting) != k or len(set(acting)) != k or not all(0 <= q < n_qubits for q in acting):
+        raise ValueError(f"cannot place a {k}-qubit gate on positions {acting} of {n_qubits} qubits")
+    order = sorted(range(k), key=acting.__getitem__)
     front = sorted(acting)
     perm = front + [a for a in range(n_qubits + 1) if a not in front]
-    return order, tuple(perm), tuple(np.argsort(perm).tolist())
-
-
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _ordered(gate: UnitaryGate, order: tuple[int, ...]) -> np.ndarray:
-    """The gate matrix with its roles in register order, read-only.
-
-    Keyed on the gate instance (gates compare by identity), so two gates
-    with the same roles never share an entry.
-    """
-    k = gate.arity
-    m = gate.matrix.reshape((2,) * (2 * k)).transpose(order + tuple(k + i for i in order))
-    m = np.ascontiguousarray(m.reshape(2 ** k, 2 ** k))
-    m.flags.writeable = False
-    return m
+    m = gate.matrix.reshape((2,) * (2 * k)).transpose(order + [k + i for i in order]).reshape(2 ** k, 2 ** k)
+    t = w.reshape((2,) * n_qubits + (-1,)).transpose(perm)
+    inverse = sorted(range(n_qubits + 1), key=perm.__getitem__)
+    return (m @ t.reshape(2 ** k, -1)).reshape(t.shape).transpose(inverse).reshape(w.shape)

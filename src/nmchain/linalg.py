@@ -6,7 +6,8 @@ Conventions used by the whole package:
   significant bit of the matrix index, so a state on ("a", "b", "c") is
   indexed like |abc>,
 * density matrices are complex128 arrays validated on construction
-  (check_states, which also takes stacks),
+  (check_states, which also takes stacks), and tensor() is the one
+  Kronecker product; its last factor may be a stack,
 * entropies are in bits (log base 2),
 * Hermitian eigenproblems go to LAPACK through numpy.linalg.eigh.
 """
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -32,12 +32,21 @@ def dagger(a: np.ndarray) -> np.ndarray:
 
 
 def tensor(*ops) -> np.ndarray:
-    """Kronecker product; the first factor takes the most significant indices."""
+    """Kronecker product; the first factor takes the most significant indices.
+
+    Every factor is one matrix, except the last, which may be a stack
+    (..., m, n): the result is then the stack of products with each of its
+    matrices. Each entry is one product of factor entries, as in np.kron.
+    """
     if not ops:
         raise ValueError("tensor() needs at least one operand")
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
+    ops = [np.asarray(op, dtype=complex) for op in ops]
+    if any(op.ndim != 2 for op in ops[:-1]) or ops[-1].ndim < 2:
+        raise ValueError(f"tensor() takes matrices, a stack only as the last; got {[op.shape for op in ops]}")
+    out = ops[0]
+    for b in ops[1:]:
+        shape = (out.shape[0] * b.shape[-2], out.shape[1] * b.shape[-1])
+        out = (out[:, None, :, None] * b[..., None, :, None, :]).reshape(b.shape[:-2] + shape)
     return out
 
 
@@ -150,31 +159,18 @@ def partial_trace_array(a: np.ndarray, n_qubits: int, keep: Sequence[int]) -> np
     reshaped array, so a run of traced slots costs one np.trace, the last
     run first.
     """
-    sizes, traces, d = _trace_plan(n_qubits, tuple(keep))
-    batch = a.shape[:-2]
-    t = a.reshape(batch + sizes)
-    for axis1, axis2 in traces:
-        t = t.trace(axis1=len(batch) + axis1, axis2=len(batch) + axis2)
-    return np.ascontiguousarray(t.reshape(batch + (d, d)))
-
-
-TRACE_PLAN_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=TRACE_PLAN_CACHE_SIZE)
-def _trace_plan(n_qubits: int, keep: tuple[int, ...]):
-    """Axis sizes of the reshaped array (the runs of adjacent kept or traced
-    slots, ket side then bra side), the (axis1, axis2) pair of each traced
-    run, last run first, and the kept dimension."""
     kept = [q in keep for q in range(n_qubits)]
     runs = [(k, 2 ** len(list(run))) for k, run in itertools.groupby(kept)]
-    traces, remaining = [], len(runs)
+    sizes = tuple(size for _, size in runs)
+    batch = a.shape[:-2]
+    t = a.reshape(batch + sizes + sizes)
+    remaining = len(runs)  # axes per side, less the runs traced already
     for r in reversed(range(len(runs))):
         if not runs[r][0]:
-            traces.append((r, r + remaining))
+            t = t.trace(axis1=len(batch) + r, axis2=len(batch) + r + remaining)
             remaining -= 1
-    sizes = tuple(size for _, size in runs)
-    return sizes + sizes, tuple(traces), 2 ** sum(kept)
+    d = 2 ** sum(kept)
+    return np.ascontiguousarray(t.reshape(batch + (d, d)))
 
 
 def partial_trace(rho: DensityMatrix, keep: Union[str, Iterable[str]]) -> DensityMatrix:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -472,35 +474,21 @@ def test_cached_step_arrays_are_read_only(factory):
 
 
 def test_build_embedding_embeds_only_the_collision_gate():
-    # the swap into the memory slot is embedded once, at import: a call
-    # looks up one ordered gate, its collision gate, and builds the same
-    # bits as the product of the three embedded gates
-    from nmchain import gates
+    # the step is the product of the three embedded gates, the collision
+    # gate on its own roles around the swap of the fresh molecule into the
+    # memory slot, bit for bit
     from nmchain.channels import kraus_from_collision
     from nmchain.gates import embed, molecule_state, swap_gate
 
     register = ("mol", "mem", "sys")
     for factory, gate in ((repeated_xor, xor_gate()), (sqrt_xor, sqrt_xor_gate())):
         for phi in (0.2345678, -0.0, 1.3456789):
-            lookups = sum(gates._ordered.cache_info()[:2])  # hits and misses
             step, kraus = build_embedding(factory(phi))
-            assert sum(gates._ordered.cache_info()[:2]) == lookups + 1
             u = embed(gate, register, gate.slot_roles).matrix
             want = u @ embed(swap_gate(), register, ("mol", "mem")).matrix @ u
             assert _bitwise_equal(step.matrix, want)
             want = kraus_from_collision(UnitaryGate(want, register), molecule_state(phi)).operators
             assert _bitwise_equal(kraus.operators, want)
-
-
-def test_embedding_misses_add_no_ordered_gate_entries():
-    # every call embeds the same shared gates, so the gate cache stays flat
-    from nmchain import gates
-
-    build_embedding(repeated_xor(0.123))
-    before = gates._ordered.cache_info().currsize
-    for phi in np.linspace(0.2, 0.9, 40):
-        build_embedding(repeated_xor(float(phi) + 1e-9))
-    assert gates._ordered.cache_info().currsize == before
 
 
 @pytest.mark.parametrize("factory, recursion", [
@@ -1192,6 +1180,40 @@ def test_evolve_errors_keep_their_messages():
             with pytest.raises(ValueError) as err:
                 run(*args)
             assert str(err.value) == message
+
+
+def test_evolve_checks_a_given_mem0_before_attaching_it(monkeypatch):
+    # a bad memory start raises its own message before any product runs, so
+    # under warnings-as-errors no RuntimeWarning from the attach takes the
+    # place of the ValueError
+    r0 = np.diag([0.4, 0.6])
+    cases = [
+        ([[np.inf, 0], [0, 0]], "density matrix has non-finite entries"),
+        ([[np.nan, 0], [0, 1]], "density matrix has non-finite entries"),
+        ([[0.5, 0.1], [0.3, 0.5]], "density matrix not Hermitian (residual 2.000e-01)"),
+        (np.eye(2), "density matrix trace (2+0j) differs from 1"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mem0, message in cases:
+            for model in (sqrt_xor(0.37), repeated_xor(0.37)):
+                for run in (lambda: evolve(model, r0, 5, mem0), lambda: evolve(model, r0, 0, mem0),
+                            lambda: simulate(model, r0, 5, mem0), lambda: system_maps(model, 3, mem0)):
+                    with pytest.raises(ValueError) as err:
+                        run()
+                    assert str(err.value) == message
+    # the default start is not checked, and the attached compound is checked
+    # once, as row 0 of the result: the system states and the result stack
+    calls = []
+    real_check = chains.check_states
+
+    def spy(m):
+        calls.append(m.shape)
+        real_check(m)
+
+    monkeypatch.setattr(chains, "check_states", spy)
+    evolve(sqrt_xor(0.37), r0, 0)
+    assert calls == [(2, 2), (1, 4, 4)]
 
 
 def test_evolve_checks_every_evolved_state(monkeypatch):

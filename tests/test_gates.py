@@ -175,22 +175,33 @@ def test_apply_gate_errors():
             H.apply_gate(rho, g, acting, 3)
 
 
+def _controlled(gate: UnitaryGate) -> UnitaryGate:
+    """gate on its own roles, controlled by a third qubit that comes first."""
+    m = np.eye(8, dtype=complex)
+    m[4:, 4:] = gate.matrix
+    return UnitaryGate(m, ("c",) + gate.slot_roles, label=f"c-{gate.label}")
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_apply_left_matches_embedded_product(n):
-    """The gate on two positions times a (2^n, m) matrix equals u @ w with
-    u = embed(...): bit for bit for the named gates on a square w, to
-    round-off for a random unitary and for narrow w, whose product u @ w
-    BLAS may sum in another order."""
+    """The gate on two or three positions times a (2^n, m) matrix equals
+    u @ w with u = embed(...): bit for bit for the named and controlled
+    gates on a square w, to round-off for a random unitary and for narrow
+    w, whose product u @ w BLAS may sum in another order."""
     rng = np.random.default_rng(40 + n)
     register = tuple(f"q{i}" for i in range(n))
-    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    q2, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    q3, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
     ws = [rng.normal(size=(2 ** n, m)) + 1j * rng.normal(size=(2 ** n, m)) for m in (2 ** n, 2, 1)]
-    for gate, exact in [(xor_gate(), True), (sqrt_xor_gate(), True), (UnitaryGate(q, ("x", "y")), False)]:
-        for pos in itertools.permutations(range(n), 2):
+    cases = [(xor_gate(), True), (sqrt_xor_gate(), True), (UnitaryGate(q2, ("x", "y")), False),
+             (_controlled(xor_gate()), True), (_controlled(sqrt_xor_gate()), True),
+             (UnitaryGate(q3, ("x", "y", "z")), False)]
+    for gate, exact in cases:
+        for pos in itertools.permutations(range(n), gate.arity):
             if exact:
                 u = embed(gate, register, acting_on=[register[p] for p in pos]).matrix
             else:
-                u = H.embed_front(gate.matrix, 2, n, pos)
+                u = H.embed_front(gate.matrix, gate.arity, n, pos)
             for w in ws:
                 got = apply_left(w, gate, pos, n)
                 assert got.shape == w.shape

@@ -37,6 +37,38 @@ def test_dagger_and_tensor():
     assert np.allclose(t, np.diag([1.0, 1.0, -1.0, -1.0]))
 
 
+def test_tensor_takes_a_stack_as_its_last_factor():
+    # each member of the result is np.kron of the factors, bit for bit,
+    # signed zeros included; a stack anywhere but last is refused
+    rng = np.random.default_rng(12)
+
+    def signed(*shape):
+        z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        zeros = rng.random(shape) < 0.3
+        z.real[zeros] = -0.0
+        z.imag[rng.random(shape) < 0.3] = -0.0
+        z[rng.random(shape) < 0.1] = 0.0
+        return z
+
+    def same_bits(x, y):
+        x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+        return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+    a = signed(2, 2)
+    for front, stack in ((a, signed(5, 2, 2)), (a, signed(2, 3, 2, 2)), (signed(2, 1), signed(3, 4)),
+                         (signed(2, 1), signed(2, 3, 4))):
+        got = tensor(front, stack)
+        members = stack.reshape((-1,) + stack.shape[-2:])
+        want = np.stack([np.kron(front, m) for m in members])
+        assert same_bits(got, want.reshape(stack.shape[:-2] + want.shape[-2:]))
+    b = signed(4, 2, 2)
+    got = tensor(a, a, b)
+    assert same_bits(got, np.stack([np.kron(np.kron(a, a), m) for m in b]))
+    for ops in ((b, a), (a, b, a), (np.ones(2), a), (a, np.ones(2))):
+        with pytest.raises(ValueError, match="a stack only as the last"):
+            tensor(*ops)
+
+
 def test_pure_state_validation():
     s = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
     assert s.dim == 2
