@@ -45,7 +45,7 @@ steps = 7
 rho0 = np.array([[0.55, 0.21 + 0.08j], [0.21 - 0.08j, 0.45]])
 model = sqrt_xor(phi)
 window = simulate(custom_chain(model.collision_gate(), overlap_schedule(steps), phi=phi), rho0, steps)
-psi = molecule_state(phi).amplitudes
+psi = molecule_state(phi)
 emb = simulate(model, rho0, steps=steps, mem0=np.outer(psi, psi.conj()))
 print()
 print("window engine vs satellite embedding (system marginals):")

@@ -38,7 +38,7 @@ show("split XOR from a fresh-molecule memory", sqrt_xor(phi))
 # in one step; every later intermediate map is then unrecoverable.
 show("repeated XOR from the default |0> memory", repeated_xor(phi))
 
-psi = molecule_state(phi).amplitudes
+psi = molecule_state(phi)
 show(
     "repeated XOR from a fresh-molecule memory",
     repeated_xor(phi),

@@ -9,7 +9,6 @@ from types import ModuleType as _ModuleType
 
 from .linalg import (
     DensityMatrix,
-    PureState,
     check_states,
     eig_hermitian,
     partial_trace,
@@ -28,7 +27,6 @@ from .gates import (
 )
 from .channels import (
     DivisibilityStep,
-    KrausSet,
     apply_kraus,
     choi,
     divisibility_scan,

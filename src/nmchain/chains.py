@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channels import KrausSet, kraus_from_collision, map_from_probes, tomography_probes
+from .channels import kraus_from_collision, map_from_probes, tomography_probes
 from .gates import UnitaryGate, apply_left, embed, molecule_state, sqrt_xor_gate, swap_gate, xor_gate
 from .linalg import DensityMatrix, as_matrix, check_states, tensor
 
@@ -356,8 +356,8 @@ def markov_xor_step(rho, phi: float):
     return out
 
 
-def markov_xor_kraus(phi: float) -> KrausSet:
-    """The same channel as two Kraus operators from the molecule readout."""
+def markov_xor_kraus(phi: float) -> np.ndarray:
+    """The same channel as a (2, 2, 2) array of Kraus operators from the molecule readout."""
     return kraus_from_collision(xor_gate(), molecule_state(phi))
 
 
@@ -375,14 +375,14 @@ def markov_xor_fixed_point(rho0, phi: float) -> DensityMatrix:
 
 # --- satellite-memory embedding -------------------------------------------
 
-def build_embedding(model: ChainModel) -> tuple[UnitaryGate, KrausSet]:
+def build_embedding(model: ChainModel) -> tuple[UnitaryGate, np.ndarray]:
     """Three-qubit step unitary and the compound Kraus pair of a two-collision model.
 
     The unitary lives on ("mol", "mem", "sys") and implements: collide the
     fresh molecule with the system, swap it into the memory slot, collide
     again. Reading the outgoing molecule in the computational basis gives
-    two Kraus operators on the ("mem", "sys") compound: the blocks of the
-    step that window_collide compiles for the model.
+    a (2, 4, 4) array of Kraus operators on the ("mem", "sys") compound:
+    the blocks of the step that window_collide compiles for the model.
     """
     if model.kind not in (REPEATED_XOR, SQRT_XOR):
         raise ValueError(f"no satellite embedding for model kind {model.kind!r}")
@@ -428,7 +428,7 @@ def stationary_state(model: ChainModel, rho0) -> DensityMatrix:
     if model.kind == SQRT_XOR and abs(abs(np.sin(2.0 * model.phi)) - 1.0) < 1e-12:
         if abs(sys0.matrix[0, 1]) > 1e-12:
             raise ValueError("coherence does not decay at this angle; no stationary limit")
-    psi = molecule_state(model.phi).amplitudes
+    psi = molecule_state(model.phi)
     psi_p = stationary_memory_vector(model)
     p00 = sys0.matrix[0, 0].real
     p11 = sys0.matrix[1, 1].real
@@ -442,7 +442,7 @@ def stationary_state(model: ChainModel, rho0) -> DensityMatrix:
 
 def stationary_overlap(model: ChainModel) -> float:
     """|<fresh molecule | stationary memory>| for the system-up branch."""
-    psi = molecule_state(model.phi).amplitudes
+    psi = molecule_state(model.phi)
     return float(abs(np.vdot(psi, stationary_memory_vector(model))))
 
 
@@ -473,7 +473,7 @@ def _step_isometry(gate: UnitaryGate, phi: float, sign: float, n_open: int, even
     """
     fresh = sum(pos < 0 for pos, _ in events)
     n = n_open + fresh + 1
-    psi = molecule_state(phi).amplitudes[:, None]
+    psi = molecule_state(phi)[:, None]
     v = np.eye(2 ** (n_open + 1), dtype=complex)
     for _ in range(fresh):
         v = tensor(psi, v)

@@ -1,6 +1,6 @@
-"""Quantum channels: Kraus sets (their operators alone; apply_kraus forms
-the adjoints per call), superoperators, Choi matrices, process tomography
-and stepwise divisibility checks.
+"""Quantum channels: Kraus operators (one (L, d, d) array; apply_kraus checks
+their completeness and forms the adjoints per call), superoperators, Choi
+matrices, process tomography and stepwise divisibility checks.
 
 A superoperator is a plain complex (d^2, d^2) array, and a trajectory of
 them a (t, d^2, d^2) stack. They use the column-stacking convention:
@@ -18,62 +18,50 @@ from typing import Callable, Optional
 import numpy as np
 
 from .gates import UnitaryGate
-from .linalg import DensityMatrix, PureState, as_matrix, dagger, eig_hermitian
+from .linalg import DensityMatrix, as_matrix, dagger, eig_hermitian
 
+NORM_TOL = 1e-12
 COMPLETENESS_TOL = 1e-12
 CHOI_HERMITIAN_TOL = 1e-8
 CP_TOL_DEFAULT = 1e-9
 SINGULAR_CUTOFF = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class KrausSet:
-    """Kraus operators of a channel as one (L, d, d) array; operator l
-    belongs to readout outcome l."""
-
-    operators: np.ndarray
-
-    def __post_init__(self):
-        ops = [np.asarray(m, dtype=complex) for m in self.operators]
-        if not ops:
-            raise ValueError("KrausSet needs at least one operator")
-        d = ops[0].shape[0]
-        for m in ops:
-            if m.shape != (d, d):
-                raise ValueError("all Kraus operators must share one square shape")
-        ops = np.stack(ops)
-        object.__setattr__(self, "operators", ops)
-        dev = np.abs((np.ascontiguousarray(dagger(ops)) @ ops).sum(0) - np.eye(d)).max()
-        if dev > COMPLETENESS_TOL:
-            raise ValueError(f"Kraus completeness violated (residual {dev:.3e})")
-
-
-def kraus_from_collision(u: UnitaryGate, molecule: PureState) -> KrausSet:
+def kraus_from_collision(u: UnitaryGate, molecule: np.ndarray) -> np.ndarray:
     """Kraus operators of one collision followed by a computational readout
-    of the molecule.
+    of the molecule, as one complex (L, d, d) array.
 
-    The molecule occupies the FIRST (most significant) slot of the unitary;
-    operator number l is <l| u |molecule>, acting on the remaining slots.
+    The molecule is a unit amplitude vector; it occupies the FIRST (most
+    significant) slot of the unitary. Operator number l is <l| u |molecule>,
+    acting on the remaining slots; it belongs to readout outcome l.
     """
-    matrix = u.matrix
-    d_mol = molecule.dim
-    total = matrix.shape[0]
-    if total % d_mol != 0:
+    amps = np.asarray(molecule, dtype=complex).reshape(-1)
+    norm = np.linalg.norm(amps)
+    # a NaN or inf amplitude gives a NaN or inf norm, which this refuses too
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise ValueError(f"state vector norm {norm!r} differs from 1")
+    d_mol = amps.shape[0]
+    d_rest, rest = divmod(u.matrix.shape[0], d_mol)
+    if rest:
         raise ValueError("unitary dimension does not factor over the molecule slot")
-    d_rest = total // d_mol
-    blocks = matrix.reshape(d_mol, d_rest, d_mol, d_rest)
-    ops = [np.einsum("rbc,b->rc", blocks[l], molecule.amplitudes) for l in range(d_mol)]
-    return KrausSet(tuple(ops))
+    return np.einsum("lrbc,b->lrc", u.matrix.reshape(d_mol, d_rest, d_mol, d_rest), amps)
 
 
-def apply_kraus(kraus: KrausSet, rho):
-    """Non-selective application to one state or a stack (..., d, d);
-    preserves the input type."""
+def apply_kraus(ops, rho):
+    """Non-selective application of the Kraus operators ops, an (L, d, d)
+    array whose sum of K^dagger K is I within COMPLETENESS_TOL, to one state
+    or a stack (..., d, d); preserves the input type."""
+    ops = np.asarray(ops, dtype=complex)
+    if ops.ndim != 3 or ops.shape[0] < 1 or ops.shape[1] != ops.shape[2]:
+        raise ValueError(f"expected an (L, d, d) stack of Kraus operators with L >= 1, got shape {ops.shape}")
+    adjoints = np.ascontiguousarray(dagger(ops))
+    dev = np.abs((adjoints @ ops).sum(0) - np.eye(ops.shape[1])).max()
+    if dev > COMPLETENESS_TOL:
+        raise ValueError(f"Kraus completeness violated (residual {dev:.3e})")
     m = as_matrix(rho)
     # one product over the operator axis; the sum starts from 0, as
     # zeros + sum of terms did, so it gives the same signed zeros
-    ops = kraus.operators
-    out = (ops @ m[..., None, :, :] @ np.ascontiguousarray(dagger(ops))).sum(-3, initial=0)
+    out = (ops @ m[..., None, :, :] @ adjoints).sum(-3, initial=0)
     if isinstance(rho, DensityMatrix):
         return DensityMatrix(out, rho.slots)
     return out

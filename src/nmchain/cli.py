@@ -3,7 +3,8 @@
 Subcommands: simulate, measures, divisibility, trajectories, schedule.
 States are entered as four comma-separated reals p00,p11,re01,im01 and
 printed as nested [re, im] pairs. Exit codes: 0 success, 2 configuration
-error, 3 numeric invariant violation, 4 unsupported feature.
+error or a run memory cannot hold, 3 numeric invariant violation, 4
+unsupported feature.
 """
 from __future__ import annotations
 
@@ -334,8 +335,8 @@ def _cmd_schedule(args) -> int:
         raise ConfigError("--horizon must be below 2**63")
     try:
         sched = _FIGURES[args.figure](args.horizon)
-    except (ValueError, MemoryError) as exc:
-        # a horizon below 2**63 that np.arange cannot hold, or cannot allocate
+    except ValueError as exc:
+        # a horizon below 2**63 that np.arange cannot hold (main reports one it cannot allocate)
         raise ConfigError(str(exc)) from None
     # json.dumps's text of the records [{"t": t, "mol": m, "gate"?: name}], one f-string per event
     records = (f'{{"t": {t}, "mol": {m}{_GATE_JSON[g]}}}' for t, m, g in zip(
@@ -419,7 +420,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:
+        # a run too large for memory is a configuration error, as a bad flag is
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnsupportedScheduleError as exc:

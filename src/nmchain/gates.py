@@ -19,8 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import PureState
-
 UNITARITY_TOL = 1e-12
 
 # branch of sqrt(i/2): squares to i/2, which makes sqrt_xor_gate()^2 the plain xor
@@ -52,9 +50,9 @@ class UnitaryGate:
         return len(self.slot_roles)
 
 
-def molecule_state(phi: float) -> PureState:
-    """Fresh molecule qubit: cos(phi)|0> + sin(phi)|1>."""
-    return PureState(np.array([np.cos(phi), np.sin(phi)], dtype=complex))
+def molecule_state(phi: float) -> np.ndarray:
+    """Amplitudes of a fresh molecule qubit: cos(phi)|0> + sin(phi)|1>."""
+    return np.array([np.cos(phi), np.sin(phi)], dtype=complex)
 
 
 def _shared(matrix, roles: tuple[str, ...], label: str) -> UnitaryGate:

@@ -22,7 +22,6 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
-NORM_TOL = 1e-12
 ENTROPY_EIG_FLOOR = 1e-15
 
 
@@ -48,29 +47,6 @@ def tensor(*ops) -> np.ndarray:
         shape = (out.shape[0] * b.shape[-2], out.shape[1] * b.shape[-1])
         out = (out[:, None, :, None] * b[..., None, :, None, :]).reshape(b.shape[:-2] + shape)
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class PureState:
-    """Normalized state vector of one or more qubits."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        object.__setattr__(self, "amplitudes", amp)
-        norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state vector norm {norm!r} differs from 1")
-        if not np.isfinite(amp).all():
-            raise ValueError("state vector has non-finite amplitudes")
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-    def density(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
 def check_states(m: np.ndarray) -> None:
@@ -135,13 +111,9 @@ class DensityMatrix:
         except ValueError:
             raise ValueError(f"no slot {name!r} in register {self.slots}") from None
 
-    def min_eigenvalue(self) -> float:
-        w, _ = eig_hermitian(self.matrix)
-        return float(w[-1])
-
-    def validate_positive(self, tol: float = POSITIVITY_TOL) -> "DensityMatrix":
-        w = self.min_eigenvalue()
-        if w < -tol:
+    def validate_positive(self) -> "DensityMatrix":
+        w = float(eig_hermitian(self.matrix)[0][-1])
+        if w < -POSITIVITY_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {w:.3e}")
         return self
 

@@ -52,6 +52,11 @@ def _rand_qubit(rng):
     return H.rand_rho(rng, 2)
 
 
+def _molecule_density(phi):
+    v = molecule_state(phi)
+    return np.outer(v, v.conj())
+
+
 # -- 1: single-collision coherence decay ------------------------------------
 
 def test_criterion_01_single_collision_decay():
@@ -136,11 +141,11 @@ def test_criterion_02_operator_literals():
         prep8 = tensor(H.prep(phi), np.eye(4))
         step_b, kraus_b = build_embedding(repeated_xor(phi))
         worst = max(worst, np.abs(step_b.matrix @ prep8 - _golden_step_double(phi)).max())
-        for got, want in zip(kraus_b.operators, _golden_kraus_double(phi)):
+        for got, want in zip(kraus_b, _golden_kraus_double(phi)):
             worst = max(worst, np.abs(got - want).max())
 
         _, kraus_c = build_embedding(sqrt_xor(phi))
-        for got, want in zip(kraus_c.operators, _golden_kraus_split(phi)):
+        for got, want in zip(kraus_c, _golden_kraus_split(phi)):
             worst = max(worst, np.abs(got - want).max())
     ok = worst <= 1e-14
     _line("02", "operator matrices match frozen literals", ok, f"max entry dev {worst:.2e} <= 1e-14")
@@ -203,7 +208,7 @@ def test_criterion_05_window_vs_embedding():
             model = factory(phi)
             steps = 12
             window = simulate(custom_chain(model.collision_gate(), overlap_schedule(steps), phi=phi), r0, steps)
-            emb = simulate(model, r0, steps=steps, mem0=molecule_state(phi).density())
+            emb = simulate(model, r0, steps=steps, mem0=_molecule_density(phi))
             for t in range(11):
                 sys_emb = partial_trace(emb[t], "sys")
                 worst = max(worst, H.tdist(window[t].matrix, sys_emb.matrix))
@@ -332,7 +337,7 @@ def test_criterion_10a_markov_divisible():
 def test_criterion_10b_split_collision_cp_witness():
     witness = np.inf
     for phi in (0.1, 0.3, np.pi / 6, 0.7, 1.2):
-        for mem0 in (None, molecule_state(phi).density()):
+        for mem0 in (None, _molecule_density(phi)):
             scan = divisibility_scan(system_maps(sqrt_xor(phi), 10, mem0))
             eigs = [s.min_choi_eig for s in scan if s.min_choi_eig is not None]
             if eigs:

@@ -311,8 +311,8 @@ def test_markov_step_matches_kraus_channel():
     for phi in (0.1, np.pi / 8, 0.7):
         ks = markov_xor_kraus(phi)
         c, s = np.cos(phi), np.sin(phi)
-        assert np.abs(ks.operators[0] - np.diag([c, s])).max() < 1e-15
-        assert np.abs(ks.operators[1] - np.diag([s, c])).max() < 1e-15
+        assert np.abs(ks[0] - np.diag([c, s])).max() < 1e-15
+        assert np.abs(ks[1] - np.diag([s, c])).max() < 1e-15
         for _ in range(5):
             r = _rho(rng)
             assert np.abs(markov_xor_step(r, phi) - apply_kraus(ks, r)).max() < 1e-15
@@ -404,8 +404,8 @@ def test_build_embedding_matches_oracle(kind, factory):
         want_u = H.step_unitary(phi, kind, with_prep=False)
         assert np.abs(step.matrix - want_u).max() < 1e-15
         w0, w1 = H.kraus_pair(phi, kind)
-        assert np.abs(kraus.operators[0] - w0).max() < 1e-14
-        assert np.abs(kraus.operators[1] - w1).max() < 1e-14
+        assert np.abs(kraus[0] - w0).max() < 1e-14
+        assert np.abs(kraus[1] - w1).max() < 1e-14
     with pytest.raises(ValueError):
         build_embedding(markov_xor(0.3))
 
@@ -428,7 +428,7 @@ def test_compiled_builtin_step_is_the_kraus_pair():
         for factory in (markov_xor, repeated_xor, sqrt_xor):
             model = factory(float(phi))
             v, vh = _builtin_isometry(model)
-            ops = (markov_xor_kraus(phi) if factory is markov_xor else build_embedding(model)[1]).operators
+            ops = markov_xor_kraus(phi) if factory is markov_xor else build_embedding(model)[1]
             want = ops.reshape(v.shape)
             assert _bitwise_equal(vh, v.conj().T)
             if factory is markov_xor:
@@ -487,8 +487,8 @@ def test_build_embedding_embeds_only_the_collision_gate():
             u = embed(gate, register, gate.slot_roles).matrix
             want = u @ embed(swap_gate(), register, ("mol", "mem")).matrix @ u
             assert _bitwise_equal(step.matrix, want)
-            want = kraus_from_collision(UnitaryGate(want, register), molecule_state(phi)).operators
-            assert _bitwise_equal(kraus.operators, want)
+            want = kraus_from_collision(UnitaryGate(want, register), molecule_state(phi))
+            assert _bitwise_equal(kraus, want)
 
 
 @pytest.mark.parametrize("factory, recursion", [

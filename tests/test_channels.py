@@ -14,7 +14,6 @@ from nmchain.chains import (
 )
 from nmchain.channels import (
     SINGULAR_CUTOFF,
-    KrausSet,
     apply_kraus,
     choi,
     divisibility_scan,
@@ -25,14 +24,14 @@ from nmchain.channels import (
     tomography_probes,
     vec,
 )
-from nmchain.gates import UnitaryGate, molecule_state, swap_gate
+from nmchain.gates import UnitaryGate, molecule_state, sqrt_xor_gate, swap_gate, xor_gate
 from nmchain.linalg import DensityMatrix
 from nmchain.trajectories import enumerate_branches
 
 
 def _dephase_kraus(p):
     z = np.diag([1.0, -1.0]).astype(complex)
-    return KrausSet((np.sqrt(1 - p) * np.eye(2, dtype=complex), np.sqrt(p) * z))
+    return np.stack([np.sqrt(1 - p) * np.eye(2, dtype=complex), np.sqrt(p) * z])
 
 
 def _kraus_map(ks):
@@ -41,11 +40,19 @@ def _kraus_map(ks):
 
 
 def test_kraus_set_validation():
-    _dephase_kraus(0.3)
-    with pytest.raises(ValueError):
-        KrausSet((np.eye(2), np.eye(2)))  # sums to 2*I
-    with pytest.raises(ValueError):
-        KrausSet(())
+    # apply_kraus checks the operators it is handed on every call
+    r = np.diag([0.5, 0.5]).astype(complex)
+    apply_kraus(_dephase_kraus(0.3), r)
+    with pytest.raises(ValueError, match="completeness"):
+        apply_kraus(np.stack([np.eye(2), np.eye(2)]), r)  # sums to 2*I
+    with pytest.raises(ValueError, match="L >= 1"):
+        apply_kraus(np.zeros((0, 2, 2)), r)
+    with pytest.raises(ValueError, match="L >= 1"):
+        apply_kraus(np.zeros((2, 2, 3)), r)
+    # and kraus_from_collision the molecule: a norm off 1, NaN or inf is refused
+    for amps in ([1.0, 1.0], [np.nan, 0.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="norm"):
+            kraus_from_collision(xor_gate(), np.array(amps))
 
 
 def test_apply_kraus_is_the_sum_from_zeros_bit_for_bit():
@@ -57,7 +64,7 @@ def test_apply_kraus_is_the_sum_from_zeros_bit_for_bit():
     mixed = g @ g.conj().T
     for rho in (np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex), mixed / np.trace(mixed)):
         want = np.zeros_like(rho)
-        for op in ks.operators:
+        for op in ks:
             want += op @ rho @ op.conj().T
         assert np.array_equal(apply_kraus(ks, rho).view(np.int64), want.view(np.int64))
 
@@ -68,7 +75,7 @@ def test_apply_kraus_is_the_two_term_sum_bit_for_bit(phi):
     # same values and same signed zeros, for one state and for a stack
     # (phi = +-0 gives Kraus operators and states full of zeros)
     ks = build_embedding(sqrt_xor(phi))[1]
-    assert ks.operators.shape == (2, 4, 4)
+    assert ks.shape == (2, 4, 4)
     rng = np.random.default_rng(11)
     probes = np.stack([np.kron(np.diag([1.0, 0.0]), p) for p in tomography_probes(2)])
     randoms = np.stack([H.rand_rho(rng, 4) for _ in range(6)])
@@ -77,7 +84,7 @@ def test_apply_kraus_is_the_two_term_sum_bit_for_bit(phi):
         for _ in range(12):
             got = apply_kraus(ks, got)
             loop = np.zeros_like(want)
-            for op in ks.operators:
+            for op in ks:
                 loop += op @ want @ op.conj().T
             want = loop
             assert np.array_equal(got, want)
@@ -88,17 +95,25 @@ def test_apply_kraus_is_the_two_term_sum_bit_for_bit(phi):
 
 
 @pytest.mark.parametrize("kind", ["double", "split"])
-@pytest.mark.parametrize("phi", [0.3, np.pi / 6, 1.1])
+@pytest.mark.parametrize("phi", [0.3, np.pi / 6, 1.1, 0.0, -0.0, np.pi / 4, np.nextafter(np.pi / 2, 0.0)])
 def test_kraus_from_collision_matches_block_oracle(kind, phi):
     model = repeated_xor(phi) if kind == "double" else sqrt_xor(phi)
     step, kraus = build_embedding(model)
     want0, want1 = H.kraus_pair(phi, kind)
-    assert np.abs(kraus.operators[0] - want0).max() < 1e-14
-    assert np.abs(kraus.operators[1] - want1).max() < 1e-14
+    assert np.abs(kraus[0] - want0).max() < 1e-14
+    assert np.abs(kraus[1] - want1).max() < 1e-14
     # and through the public constructor directly
     direct = kraus_from_collision(step, molecule_state(phi))
-    for a, b in zip(direct.operators, kraus.operators):
+    for a, b in zip(direct, kraus):
         assert np.abs(a - b).max() == 0.0
+    # the one einsum over all outcomes is bit for bit one einsum per outcome,
+    # signed zeros included
+    psi = molecule_state(phi)
+    for u in (xor_gate(), sqrt_xor_gate(), step):
+        blocks = u.matrix.reshape(2, u.matrix.shape[0] // 2, 2, -1)
+        want = np.stack([np.einsum("rbc,b->rc", blocks[l], psi) for l in range(2)])
+        got = kraus_from_collision(u, psi)
+        assert got.dtype == complex and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_apply_kraus_and_selective():
@@ -111,7 +126,7 @@ def test_apply_kraus_and_selective():
     assert isinstance(out_dm, DensityMatrix) and out_dm.slots == ("sys",)
     # the selective readout is the walker's: branch l of one collision is
     # K_l r K_l^dagger normalised by its probability, Kraus operator l being outcome l
-    ops = markov_xor_kraus(0.3).operators
+    ops = markov_xor_kraus(0.3)
     recs = enumerate_branches(markov_xor(0.3), r, t_max=1)
     assert [rec.outcomes for rec in recs] == [(0,), (1,)]
     for rec in recs:
@@ -173,7 +188,7 @@ def test_choi_matches_oracle_for_collision_maps():
 def test_map_tomography_reconstructs_kraus_map():
     ks = _dephase_kraus(0.45)
     # column stacking: vec(K rho K^dagger) = (conj(K) kron K) vec(rho)
-    lm = sum(np.kron(op.conj(), op) for op in ks.operators)
+    lm = sum(np.kron(op.conj(), op) for op in ks)
     rebuilt = map_tomography(lambda r: apply_kraus(ks, r), 2)
     assert np.abs(rebuilt - lm).max() < 1e-13
 

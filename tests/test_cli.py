@@ -677,6 +677,22 @@ def test_schedule_horizon_past_memory_is_a_config_error(capsys, monkeypatch):
     assert got == (2, "", f"error: Unable to allocate {8 * 2**40} bytes\n")
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("evolve", ["simulate", "--model", "sqrt-xor", "--phi", "0.3", "--steps", "1000000000000",
+                "--initial", INIT]),
+    ("system_maps", ["divisibility", "--model", "markov-xor", "--phi", "0.3", "--steps", "10000000000000000"]),
+    ("sample_ensemble", ["trajectories", "--model", "markov-xor", "--phi", "0.3", "--steps", "4",
+                         "--initial", INIT, "--samples", "10000000000000000"]),
+], ids=["simulate", "divisibility", "trajectories"])
+def test_run_past_memory_is_a_config_error(capsys, monkeypatch, name, argv):
+    # a run numpy cannot allocate, stood in for so that no memory is asked for
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(cli, name, refuse)
+    assert run(capsys, *argv) == (2, "", "error: Unable to allocate 7.28 TiB for an array\n")
+
+
 # ---- top level --------------------------------------------------------------------
 
 def test_version_and_help(capsys):

@@ -29,8 +29,8 @@ def test_unitary_gate_validation():
 def test_molecule_state_and_prepare():
     for phi in (0.0, 0.3, np.pi / 6, 1.2):
         v = molecule_state(phi)
-        assert np.allclose(v.amplitudes, [np.cos(phi), np.sin(phi)])
-        assert np.allclose(H.prep(phi) @ np.array([1.0, 0.0]), v.amplitudes)
+        assert np.allclose(v, [np.cos(phi), np.sin(phi)])
+        assert np.allclose(H.prep(phi) @ np.array([1.0, 0.0]), v)
 
 
 def test_xor_gate_matrix():

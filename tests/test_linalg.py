@@ -5,7 +5,6 @@ import pytest
 import helpers as H
 from nmchain.linalg import (
     DensityMatrix,
-    PureState,
     as_matrix,
     check_states,
     dagger,
@@ -67,16 +66,6 @@ def test_tensor_takes_a_stack_as_its_last_factor():
     for ops in ((b, a), (a, b, a), (np.ones(2), a), (a, np.ones(2))):
         with pytest.raises(ValueError, match="a stack only as the last"):
             tensor(*ops)
-
-
-def test_pure_state_validation():
-    s = PureState(np.array([1.0, 1.0]) / np.sqrt(2))
-    assert s.dim == 2
-    assert np.allclose(s.density(), 0.5 * np.ones((2, 2)))
-    with pytest.raises(ValueError):
-        PureState(np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        PureState(np.array([np.nan, 0.0]))
 
 
 def test_density_matrix_validation():
@@ -141,7 +130,7 @@ def test_pure_density_roundtrip():
     rng = np.random.default_rng(7)
     v = rng.normal(size=4) + 1j * rng.normal(size=4)
     v /= np.linalg.norm(v)
-    dm = DensityMatrix(PureState(v).density(), slots=("a", "b"))
+    dm = DensityMatrix(np.outer(v, v.conj()), slots=("a", "b"))
     assert np.allclose(dm.matrix, np.outer(v, v.conj()))
     assert dm.slots == ("a", "b")
 

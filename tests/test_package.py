@@ -107,6 +107,27 @@ def test_lru_caches_are_the_ones_with_traffic():
     assert uses == len(found), "a cache is made other than as a function decorator"
 
 
+def _is_dataclass_decorator(d):
+    d = getattr(d, "func", d)
+    return getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+
+
+# A type that holds one array and checks it is a wrapper its callers unwrap:
+# its check belongs in the public function that takes the input from outside,
+# and the array goes about plain. So every dataclass declares two fields or more.
+def test_dataclasses_hold_more_than_one_field():
+    found, thin = 0, []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass_decorator, node.decorator_list)):
+                found += 1
+                fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+                if len(fields) < 2:
+                    thin.append(f"{path.stem}.{node.name}")
+    assert found
+    assert not thin, f"dataclasses with fewer than two fields: {thin}"
+
+
 def test_all_lists_no_modules():
     assert nmchain.__all__
     modules = [n for n in nmchain.__all__ if isinstance(getattr(nmchain, n), types.ModuleType)]

@@ -233,7 +233,7 @@ def test_ensemble_matches_sequential_sampling(factory):
 
 def _kraus_ops(model):
     """The paper's Kraus pair of a built-in model."""
-    return (markov_xor_kraus(model.phi) if model.kind == MARKOV_XOR else build_embedding(model)[1]).operators
+    return markov_xor_kraus(model.phi) if model.kind == MARKOV_XOR else build_embedding(model)[1]
 
 
 def _engine_blocks(model):
