@@ -49,10 +49,6 @@ def test_kraus_set_validation():
         apply_kraus(np.zeros((0, 2, 2)), r)
     with pytest.raises(ValueError, match="L >= 1"):
         apply_kraus(np.zeros((2, 2, 3)), r)
-    # and kraus_from_collision the molecule: a norm off 1, NaN or inf is refused
-    for amps in ([1.0, 1.0], [np.nan, 0.0], [np.inf, 0.0]):
-        with pytest.raises(ValueError, match="norm"):
-            kraus_from_collision(xor_gate(), np.array(amps))
 
 
 def test_apply_kraus_is_the_sum_from_zeros_bit_for_bit():

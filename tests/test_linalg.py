@@ -3,6 +3,8 @@ import numpy as np
 import pytest
 
 import helpers as H
+from nmchain.channels import kraus_from_collision
+from nmchain.gates import molecule_state, xor_gate
 from nmchain.linalg import (
     DensityMatrix,
     as_matrix,
@@ -66,6 +68,18 @@ def test_tensor_takes_a_stack_as_its_last_factor():
     for ops in ((b, a), (a, b, a), (np.ones(2), a), (a, np.ones(2))):
         with pytest.raises(ValueError, match="a stack only as the last"):
             tensor(*ops)
+
+
+def test_pure_state_validation():
+    # a pure state is its plain amplitude vector; kraus_from_collision, the
+    # one function that takes a molecule from outside, refuses a norm off 1,
+    # NaN or inf
+    v = molecule_state(np.pi / 4)
+    assert v.shape == (2,)
+    assert np.allclose(np.outer(v, v.conj()), 0.5 * np.ones((2, 2)))
+    for amps in ([1.0, 1.0], [np.nan, 0.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="norm"):
+            kraus_from_collision(xor_gate(), np.array(amps))
 
 
 def test_density_matrix_validation():
