@@ -19,16 +19,18 @@ against WINDOW_QUBIT_CAP when the model is built. Each window step is one
 product V rho V^dagger with the step isometry V (attach the fresh
 molecules, run the step's collisions, put the molecules read out first),
 compiled once per step shape by _step_isometry and kept in a bounded
-cache. A built-in model is a window with one step shape: markov-xor
-attaches one molecule and reads it out, and the two-collision compound is
-a window whose one open molecule is the satellite. So window_collide is
-the one step of every model, for the trajectory walker and for evolve's
-custom models. evolve runs a built-in model without a per-step call:
-every two-collision step is one fixed linear map of the compound, so the
-run is filled by powers of the transfer matrix of its V's blocks;
-markov-xor multiplies its coherences along the steps, bit for bit its
-closed-form step, which keeps the populations exact. evolve gives every
-model's rows after t = 0 exactly real diagonals.
+cache. window_collide runs those steps for custom models. A built-in
+model is a window with one step shape: markov-xor attaches one molecule
+and reads it out, and the two-collision compound is a window whose one
+open molecule is the satellite. Its step, with the readout, is the
+instrument T_j = K_j (x) conj(K_j) of its V's blocks K_j, which
+step_instrument gives; the trajectory walker reads its children off it.
+evolve runs a built-in model without a per-step call: every two-collision
+step is one fixed linear map of the compound, so the run is filled by
+powers of the transfer matrix (T_0 + T_1)^T; markov-xor multiplies its
+coherences along the steps, bit for bit its closed-form step, which keeps
+the populations exact. evolve gives every model's rows after t = 0
+exactly real diagonals.
 """
 from __future__ import annotations
 
@@ -382,7 +384,7 @@ def build_embedding(model: ChainModel) -> tuple[UnitaryGate, np.ndarray]:
     fresh molecule with the system, swap it into the memory slot, collide
     again. Reading the outgoing molecule in the computational basis gives
     a (2, 4, 4) array of Kraus operators on the ("mem", "sys") compound:
-    the blocks of the step that window_collide compiles for the model.
+    the blocks K_k of the step that step_instrument reads for the model.
     """
     if model.kind not in (REPEATED_XOR, SQRT_XOR):
         raise ValueError(f"no satellite embedding for model kind {model.kind!r}")
@@ -496,31 +498,47 @@ def _compiled(model: ChainModel, shape: tuple) -> tuple:
     return _step_isometry(model.collision_gate(), model.phi, math.copysign(1.0, model.phi), *shape)
 
 
+def step_instrument(model: ChainModel) -> np.ndarray:
+    """The one step of a built-in model as an instrument: the read-only
+    (2, d^2, d^2) stack T_j = K_j (x) conj(K_j), K_j = <j| V the blocks of
+    its compiled V, on the register's row-major vec.
+
+    A state's vec r has the unnormalised child r @ T_j^T for readout j, and
+    steps to r @ (T_0 + T_1)^T. Formed on every call from the cached V; a
+    custom model, whose step shapes vary, is refused.
+    """
+    if model.kind == CUSTOM:
+        raise ValueError("a custom model has no one step instrument; it steps through window_collide")
+    v = _compiled(model, _BUILTIN_SHAPES[model.kind])[0]
+    d = v.shape[1]
+    ops = v.reshape(2, d, d)
+    # one broadcast product, not einsum: evolve's and the walker's outputs carry its bits
+    return _readonly((ops[:, :, None, :, None] * ops.conj()[:, None, :, None, :]).reshape(2, d * d, d * d))
+
+
 def window_collide(
     joint: np.ndarray,
     open_ids: Sequence[int],
     model: ChainModel,
     t: int,
 ) -> tuple[np.ndarray, list, int]:
-    """Step t of any model: attach fresh molecules and run the step's
+    """Step t of a custom model: attach fresh molecules and run the step's
     collisions, in listed order, as one product V @ joint @ V^dagger.
 
     joint may be one state or a stack of states (..., D, D) on the register
-    of the open_ids molecules (newest first), then the model's own slots; a
-    stack takes one product per state, so that a state's round-off does not
+    of the open_ids molecules (newest first), then the system; a stack
+    takes one product per state, so that a state's round-off does not
     depend on the states it is stacked with. V is compiled once per step
-    shape (see _step_isometry) and kept in a bounded cache keyed on the
-    collision gate instance and phi with its sign. A custom model's shape is
-    read off step t of its schedule; a built-in model runs its one shape,
-    _BUILTIN_SHAPES, at every t, with open_ids left as given. Mutates
-    nothing; returns (joint, open_ids, closing): the new register holds the
-    `closing` molecules whose last event is step t, in ascending id, then
-    open_ids and the model's slots; reading or tracing out that front run
+    shape read off step t of the schedule (see _step_isometry) and kept in
+    a bounded cache keyed on the collision gate instance and phi with its
+    sign. A built-in model is refused: its one step is step_instrument.
+    Mutates nothing; returns (joint, open_ids, closing): the new register
+    holds the `closing` molecules whose last event is step t, in ascending
+    id, then open_ids and the system; reading or tracing out that front run
     is up to the caller.
     """
     if model.kind != CUSTOM:
-        v, vh = _compiled(model, _BUILTIN_SHAPES[model.kind])
-        return v @ joint @ vh, open_ids, 1
+        raise ValueError(f"{model.kind} steps through step_instrument, not window_collide")
     schedule = model.schedule
     if t >= schedule.horizon:
         raise ValueError(f"schedule horizon {schedule.horizon} exhausted at t={t}")
@@ -553,12 +571,12 @@ def _front_trace(a: np.ndarray, q: int) -> np.ndarray:
 
 # --- one evolution per model, and the reduced maps it defines --------------
 
-def _step_powers(first: np.ndarray, ops: np.ndarray, steps: int) -> np.ndarray:
-    """States [t=0 .. steps] of the channel with Kraus stack ops, from one
-    state or a stack (..., d, d), as (..., steps + 1, d, d).
+def _step_powers(first: np.ndarray, instrument: np.ndarray, steps: int) -> np.ndarray:
+    """States [t=0 .. steps] of the channel of a step_instrument stack, from
+    one state or a stack (..., d, d), as (..., steps + 1, d, d).
 
-    A state's row-major vec r steps to r @ P, P = S^T with
-    S = sum_k K_k (x) conj(K_k). Rows [n, 2n) are rows [0, n) times P^n, P^n
+    A state's row-major vec r steps to r @ P, P = (T_0 + T_1)^T with
+    T_k = K_k (x) conj(K_k). Rows [n, 2n) are rows [0, n) times P^n, P^n
     by repeated squaring: ceil(log2(steps + 1)) products. Each takes all n
     rows, even where fewer are kept, so row t depends neither on steps (numpy
     takes another BLAS kernel for one row) nor, one product per state, on
@@ -567,15 +585,14 @@ def _step_powers(first: np.ndarray, ops: np.ndarray, steps: int) -> np.ndarray:
     vec(I); else P's ~1 ulp trace bias doubles with every squaring and the
     trace drifts linearly in t.
     """
-    d = ops.shape[-1]
+    d = first.shape[-1]
     rows = np.empty(first.shape[:-2] + (steps + 1, d * d), dtype=complex)
     rows[..., 0, :] = first.reshape(first.shape[:-2] + (d * d,))
-    kt = ops.swapaxes(-1, -2)
     trace = np.eye(d).ravel()  # 1 at the diagonal entries of a row-major vec
     n = 1
     while n <= steps:
-        if n == 1:  # P[(k, l), (i, j)] = sum_m K_m[i, k] conj(K_m[j, l])
-            power = (kt[:, :, None, :, None] * kt.conj()[:, None, :, None, :]).sum(0).reshape(d * d, d * d)
+        if n == 1:  # P as a C-ordered array of its own: the products' bits depend on the layout
+            power = instrument.sum(0).T.copy()
         else:
             power = power @ power
         power[:, -1] = trace - power[:, :-1:d + 1].sum(1)
@@ -626,7 +643,7 @@ def evolve(model: ChainModel, states, steps: int, mem0=None) -> tuple[np.ndarray
     a DensityMatrix would be, in one pass.
 
     markov-xor runs _markov_powers, bit for bit its closed-form step. The
-    two-collision models run _step_powers on the blocks of their compiled V:
+    two-collision models run _step_powers on their step_instrument:
     ceil(log2(steps + 1)) products with powers of one step's transfer
     matrix, in place of one V rho V^dagger per step, so their rows agree
     with a per-step run to round-off. Custom models step through
@@ -643,7 +660,7 @@ def evolve(model: ChainModel, states, steps: int, mem0=None) -> tuple[np.ndarray
     joint = _system_stack(states)
     if embedded:
         joint = tensor(_memory_array(mem0), joint)
-        stack = _step_powers(joint, _compiled(model, _BUILTIN_SHAPES[model.kind])[0].reshape(2, 4, 4), steps)
+        stack = _step_powers(joint, step_instrument(model), steps)
     elif model.kind == MARKOV_XOR:
         stack = _markov_powers(joint, model.phi, steps)
     else:

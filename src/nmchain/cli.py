@@ -13,6 +13,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -181,6 +182,21 @@ def _check_horizon(model, steps: int) -> None:
         raise ConfigError(f"--steps {steps} exceeds the schedule horizon {model.schedule.horizon}")
 
 
+def _check_stack(flags: str, shape: tuple, dtype) -> None:
+    """Refuse flags whose output stack numpy cannot size, more bytes than an
+    intp holds, before anything is allocated."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    if size > np.iinfo(np.intp).max:
+        raise ConfigError(f"{flags} needs a {size}-byte output stack, more than numpy can size")
+
+
+def _evolve_shape(model, states: int, steps: int) -> tuple:
+    """The shape of evolve's stack of `states` start states: on the compound
+    for the two-collision models, on the system for the others."""
+    d = 4 if model.kind in (REPEATED_XOR, SQRT_XOR) else 2
+    return (states, steps + 1, d, d)
+
+
 def _cmd_simulate(args) -> int:
     model = _build_model(args)
     rho0 = _parse_state(args.initial, "--initial")
@@ -191,6 +207,7 @@ def _cmd_simulate(args) -> int:
     _check_horizon(model, steps)
     if steps < 0:
         raise ConfigError("--steps must be non-negative")
+    _check_stack(f"--steps {steps}", _evolve_shape(model, 1, steps), complex)
 
     stack, slots = evolve(model, rho0, steps, mem0)
     # one-qubit stacks (custom, markov-xor) are the system rows already
@@ -264,6 +281,8 @@ def _cmd_divisibility(args) -> int:
     _check_horizon(model, steps)
     if not np.isfinite(args.tol_cp) or args.tol_cp < 0:
         raise ConfigError(f"--tol-cp must be finite and non-negative, got {args.tol_cp!r}")
+    # system_maps runs the four probe states of a qubit map as one stack
+    _check_stack(f"--steps {steps}", _evolve_shape(model, 4, steps), complex)
     maps = system_maps(model, steps, mem0)
     results = divisibility_scan(maps, cp_tol=args.tol_cp)
     if args.format == "json":
@@ -298,6 +317,8 @@ def _cmd_trajectories(args) -> int:
         raise ConfigError("--seed must fit an unsigned 64-bit integer")
     _check_threads(args)
     _check_horizon(model, args.steps)
+    # one uniform and one outcome per sample and step
+    _check_stack(f"--samples {samples} at --steps {args.steps}", (samples, args.steps), np.float64)
     stats = sample_ensemble(model, rho0, args.steps, samples, seed)
     # Every printed log_p is finite: a sample takes a zero-probability child
     # only when its uniform lies past the last cumulative probability, and

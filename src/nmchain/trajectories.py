@@ -1,13 +1,15 @@
 """Selective readout: branch enumeration and Monte Carlo sampling.
 
 Every collision chain here ends each molecule's life with a computational
-readout, and every model reads it the same way: a step is one isometry V
-(attach the fresh molecules, collide, leave the molecules read out at this
-step in front), and outcome j of a readout is the block <j| V rho V^dagger |j>
-on the front qubit. Every step is chains.window_collide, the step evolve
-runs for custom models, with V compiled from the model's step shape. The
+readout: a step is one isometry V (attach the fresh molecules, collide,
+leave the molecules read out at this step in front), and outcome j of a
+readout is the block <j| V rho V^dagger |j> on the front qubit. The
 built-in models read one molecule out per step, so a trajectory is a bit
-string of length t_max. Custom schedules read a molecule out when its last
+string of length t_max, and their one step is read as an instrument:
+chains.step_instrument gives T_j = K_j (x) conj(K_j), K_j = <j| V, and a
+node's children are its row-major vec times T_j^T. Custom schedules step
+through chains.window_collide, the step evolve runs for them, with V
+compiled from the step's shape, and read a molecule out when its last
 collision is done; outcomes are recorded in closure order (ascending
 molecule id within a step).
 
@@ -32,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chains import CUSTOM, ChainModel, evolve, window_collide
+from .chains import CUSTOM, ChainModel, evolve, step_instrument, window_collide
 from .linalg import DensityMatrix, check_states
 
 MAX_ENUMERATION_READOUTS = 20
@@ -178,9 +180,13 @@ def _dot128(x, c):
     return high[0] + high[1] + (total < low[0]), total
 
 
-# rows per pass of _uniform_block: its uint64 temporaries stay about 15 MB at
-# 20 draws whatever the block size
-_BLOCK_ROWS = 8192
+# rows per pass of _uniform_block. A pass's uint64 temporaries take some 100
+# bytes per row and draw, and a pass slows superlinearly once they outgrow the
+# core's cache. Measured on a shared 2-CPU Xeon (2 MB L2 per core) at 12
+# draws: 2,000 rows took 1.1 ms in 512-row passes against 1.8 ms in 8,192-row
+# passes; 1,024-row passes hit the same wall at 1,000 rows under load, and
+# 256-row passes cost 20% more in per-pass work.
+_BLOCK_ROWS = 512
 
 
 def _uniform_block(seed: int, lo: int, hi: int, draws: int) -> np.ndarray:
@@ -229,14 +235,25 @@ def _stream_rows(pool, rounds, advance, lo: int, hi: int) -> np.ndarray:
     return (raw >> 11) * 2.0 ** -53
 
 
+def _reached(key: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(key, return_inverse=True) of keys in [0, size), without a
+    sort: the keys that occur, ascending, and each key's index among them."""
+    hit = np.bincount(key, minlength=size) > 0
+    return np.flatnonzero(hit), (np.cumsum(hit) - 1)[key]
+
+
 def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_states=False):
     """Walk the readout tree for t_max steps, one readout at a time.
 
     The walk holds one state per distinct outcome prefix (a node), stacked
-    as (nodes, D, D). Each step maps the stack through chains.window_collide,
-    one V @ rho @ V^dagger product per node. Each readout of the step then
-    splits every node into its children, the diagonal blocks <j| . |j> of
-    its front qubit, with probabilities their traces.
+    as (nodes, D, D), and splits every node at each readout into its
+    children, with probabilities their traces. A built-in model reads one
+    molecule out per step: the children of a node with row-major vec r are
+    r @ T_j^T, T = chains.step_instrument(model), one (1, D^2) @ (D^2, 2 D^2)
+    product per node. A custom model steps the stack through
+    chains.window_collide, one V @ rho @ V^dagger product per node, and
+    each of the step's readouts takes the diagonal blocks <j| . |j> of the
+    front qubit.
     Without uniforms it keeps every child with p > 1e-300 and total
     probability above prune_below, node-major. With uniforms (samples x
     readouts), sample s takes the first child whose cumulative probability
@@ -261,20 +278,34 @@ def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_state
     history = [()] if keep_states else None
     leaf = None if uniforms is None else np.zeros(len(uniforms), dtype=np.int64)
 
+    # a built-in step's instrument blocks side by side, T^T = [T_0^T T_1^T]
+    instrument = None
+    if model.kind != CUSTOM:
+        blocks = step_instrument(model)
+        instrument = np.ascontiguousarray(blocks.transpose(2, 0, 1)).reshape(blocks.shape[1], -1)
+
     for t in range(t_max):
-        states, open_ids, closing = window_collide(states, open_ids, model, t)
+        closing = 1
+        if instrument is None:
+            states, open_ids, closing = window_collide(states, open_ids, model, t)
         for _ in range(closing):
-            # child j of each node: <j| states |j> on the front qubit, and its trace
             n, d = states.shape[:2]
-            raws = states.reshape(n, 2, d // 2, 2, d // 2)[:, (0, 1), :, (0, 1), :]
-            ps = np.trace(raws, axis1=-2, axis2=-1).real
+            if instrument is None:
+                # child j of each node: <j| states |j> on the front qubit, and its trace
+                raws = states.reshape(n, 2, d // 2, 2, d // 2)[:, (0, 1), :, (0, 1), :]
+                ps = np.trace(raws, axis1=-2, axis2=-1).real
+            else:
+                # child j of each node: its vec times T_j^T, and the sum of its diagonal
+                flat = (states.reshape(n, 1, d * d) @ instrument).reshape(n, 2, d * d).swapaxes(0, 1)
+                ps = flat[..., ::d + 1].real.sum(-1)
+                raws = flat.reshape(2, n, d, d)
             if uniforms is None:
                 keep = (ps > 1e-300) & (np.exp(log_p) * ps > prune_below)
                 parent, child = np.nonzero(keep.T)
             else:
                 u = uniforms[:, outcomes.shape[1]]
                 choice = np.minimum((u >= np.cumsum(ps, axis=0)[:, leaf]).sum(axis=0), len(ps) - 1)
-                keys, leaf = np.unique(leaf * len(ps) + choice, return_inverse=True)
+                keys, leaf = _reached(leaf * len(ps) + choice, len(ps) * n)
                 parent, child = np.divmod(keys, len(ps))
             p = ps[child, parent]
             states = raws[child, parent] / p[:, None, None]

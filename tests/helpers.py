@@ -560,31 +560,40 @@ def evolve_block_oracle(ops, state0, uniforms):
     """Per-sample Kraus sampling with one uniform per step: final states,
     log-probabilities and outcome indices, one row per sample.
 
-    The Kraus stack is read as the isometry V = sum_k |k> (x) K_k; each
-    sample's children are the diagonal blocks of V rho V^dagger on its
-    leading index, one (K d, d) @ (d, d) product per row. This pins the
-    walker's arithmetic bit for bit, not the physics: kraus_children is the
-    physics oracle.
+    The Kraus stack is read as the instrument T_k = K_k (x) conj(K_k) on
+    the row-major vec; each sample's children are its vec times T_k^T, one
+    (1, d^2) @ (d^2, K d^2) product per row, and their probabilities the
+    sums of their diagonals. This pins the walker's arithmetic bit for bit,
+    not the physics: kraus_children is the physics oracle.
     """
     n, t_max = uniforms.shape
     k_count, d = ops.shape[:2]
-    v = ops.reshape(k_count * d, d)
-    vh = np.ascontiguousarray(dag(v))
+    blocks = (ops[:, :, None, :, None] * ops.conj()[:, None, :, None, :]).reshape(k_count, d * d, d * d)
+    tt = np.ascontiguousarray(blocks.transpose(2, 0, 1)).reshape(d * d, k_count * d * d)
     states = np.broadcast_to(state0, (n,) + state0.shape).copy()
     log_p = np.zeros(n)
     outcomes = np.zeros((n, t_max), dtype=np.int64)
     rows = np.arange(n)
     for t in range(t_max):
-        big = (v @ states @ vh).reshape(n, k_count, d, k_count, d)
-        raws = big[:, range(k_count), :, range(k_count), :]
-        ps = np.trace(raws, axis1=-2, axis2=-1).real
+        children = (states.reshape(n, 1, d * d) @ tt).reshape(n, k_count, d * d).swapaxes(0, 1)
+        ps = children[..., ::d + 1].real.sum(-1)
         cum = np.cumsum(ps, axis=0)
         choice = np.minimum((uniforms[:, t][None, :] >= cum).sum(axis=0), k_count - 1)
         sel_p = ps[choice, rows]
-        states = raws[choice, rows] / sel_p[:, None, None]
+        states = children[choice, rows].reshape(n, d, d) / sel_p[:, None, None]
         log_p += np.log(sel_p)
         outcomes[:, t] = choice
     return states, log_p, outcomes
+
+
+def transfer_matrix_oracle(ops):
+    """P = S^T, S = sum_k K_k (x) conj(K_k), of a Kraus stack on the row-major
+    vec, as the evolve powers formed it inline before they read the step
+    instrument: one broadcast product of the transposed blocks, summed over
+    k. It pins that P bit for bit, not the physics."""
+    d = ops.shape[-1]
+    kt = ops.swapaxes(-1, -2)
+    return (kt[:, :, None, :, None] * kt.conj()[:, None, :, None, :]).sum(0).reshape(d * d, d * d)
 
 
 def kraus_children(ops, rho):

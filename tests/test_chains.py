@@ -34,6 +34,7 @@ from nmchain.chains import (
     stationary_memory_vector,
     stationary_overlap,
     stationary_state,
+    step_instrument,
     system_maps,
     system_marginals,
     window_collide,
@@ -437,6 +438,50 @@ def test_compiled_builtin_step_is_the_kraus_pair():
                 assert _bitwise_equal(v, want)
             else:
                 assert np.abs(v - want).max() <= 1e-15
+
+
+def test_step_instrument_is_the_kraus_pair_transfer_blocks():
+    # T_j = K_j (x) conj(K_j) of the paper's Kraus pairs. The compiled
+    # blocks miss the pairs by at most 1e-15 (sqrt-xor, above) and no entry
+    # exceeds 1 in modulus, so each product misses by at most 2e-15 plus
+    # its own rounding: 3e-15 bounds it
+    for phi in _COMPILED_PHIS:
+        for factory in (markov_xor, repeated_xor, sqrt_xor):
+            model = factory(float(phi))
+            ops = markov_xor_kraus(phi) if factory is markov_xor else build_embedding(model)[1]
+            got = step_instrument(model)
+            d = ops.shape[-1]
+            assert got.shape == (2, d * d, d * d) and got.dtype == complex
+            for block, k in zip(got, ops):
+                assert np.abs(block - np.kron(k, k.conj())).max() <= 3e-15
+
+
+def test_step_instrument_sums_to_the_inline_transfer_matrix():
+    # _step_powers takes P = (T_0 + T_1)^T; it is the P it formed inline
+    # from the compiled blocks before, bit for bit, signed zeros included
+    for phi in _COMPILED_PHIS:
+        for factory in (markov_xor, repeated_xor, sqrt_xor):
+            model = factory(float(phi))
+            v = _builtin_isometry(model)[0]
+            want = H.transfer_matrix_oracle(v.reshape(2, v.shape[1], v.shape[1]))
+            got = step_instrument(model)
+            assert _bitwise_equal((got[0] + got[1]).T, want)
+            assert _bitwise_equal(got.sum(0).T, want)
+
+
+def test_step_instrument_is_read_only_and_refuses_custom_models():
+    for factory in (markov_xor, repeated_xor, sqrt_xor):
+        got = step_instrument(factory(0.3))
+        with pytest.raises(ValueError, match="read-only"):
+            got[0, 0, 0] = 7
+    custom = custom_chain(xor_gate(), overlap_schedule(4), phi=0.3)
+    with pytest.raises(ValueError, match="custom model has no one step instrument"):
+        step_instrument(custom)
+    # and window_collide steps custom models alone
+    r0 = np.diag([1.0, 0.0]).astype(complex)
+    for factory in (markov_xor, repeated_xor, sqrt_xor):
+        with pytest.raises(ValueError, match="steps through step_instrument"):
+            window_collide(r0, [], factory(0.3), 0)
 
 
 def test_builtin_steps_never_build_the_kraus_pair(monkeypatch):
@@ -996,10 +1041,11 @@ def test_system_maps_rebuild_every_map_in_one_call(monkeypatch, factory):
                          ids=["collide-sqrt_xor", "collide-repeated_xor", "markov_xor_step-markov_xor"])
 def test_builtin_system_maps_step_the_probes_as_one_stack(monkeypatch, name, factory):
     # a built-in model makes no per-step call: one powers call fills every
-    # step of the whole probe stack
+    # step of the whole probe stack, and a two-collision model reads its
+    # step instrument once for it
     powers = "_markov_powers" if factory is markov_xor else "_step_powers"
-    per_step, shapes = [], []
-    real_step, real_powers = getattr(chains, name), getattr(chains, powers)
+    per_step, shapes, instruments = [], [], []
+    real_step, real_powers, real_instrument = getattr(chains, name), getattr(chains, powers), chains.step_instrument
 
     def step_spy(*args):
         per_step.append(1)
@@ -1009,11 +1055,17 @@ def test_builtin_system_maps_step_the_probes_as_one_stack(monkeypatch, name, fac
         shapes.append(np.shape(args[0]))
         return real_powers(*args)
 
+    def instrument_spy(model):
+        instruments.append(model.kind)
+        return real_instrument(model)
+
     monkeypatch.setattr(chains, name, step_spy)
     monkeypatch.setattr(chains, powers, powers_spy)
+    monkeypatch.setattr(chains, "step_instrument", instrument_spy)
     assert len(system_maps(factory(0.3), 5)) == 5
     assert per_step == []
     assert shapes == [(4, 2, 2) if factory is markov_xor else (4, 4, 4)]
+    assert instruments == ([] if factory is markov_xor else [factory(0.3).kind])
 
 
 @pytest.mark.parametrize("gap", (1, 2, 3))

@@ -693,6 +693,31 @@ def test_run_past_memory_is_a_config_error(capsys, monkeypatch, name, argv):
     assert run(capsys, *argv) == (2, "", "error: Unable to allocate 7.28 TiB for an array\n")
 
 
+@pytest.mark.parametrize("argv, flags, size", [
+    (["simulate", "--model", "sqrt-xor", "--steps", str(10**17), "--initial", INIT],
+     f"--steps {10**17}", (10**17 + 1) * 16 * 16),
+    (["divisibility", "--model", "repeated-xor", "--steps", str(10**17)],
+     f"--steps {10**17}", 4 * (10**17 + 1) * 16 * 16),
+    (["divisibility", "--model", "markov-xor", "--steps", str(10**17)],
+     f"--steps {10**17}", 4 * (10**17 + 1) * 4 * 16),
+    (["trajectories", "--model", "sqrt-xor", "--steps", str(10**17), "--samples", "100", "--initial", INIT],
+     f"--samples 100 at --steps {10**17}", 100 * 10**17 * 8),
+    (["trajectories", "--model", "markov-xor", "--steps", "12", "--samples", str(10**17), "--initial", INIT],
+     f"--samples {10**17} at --steps 12", 12 * 10**17 * 8),
+], ids=["simulate", "divisibility", "divisibility-markov", "trajectories-steps",
+        "trajectories-samples"])
+def test_run_numpy_cannot_size_is_a_config_error(capsys, monkeypatch, argv, flags, size):
+    # an output stack past the intp range is refused from the flags: no run starts
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    for name in ("evolve", "system_maps", "sample_ensemble"):
+        monkeypatch.setattr(cli, name, refuse)
+    assert size > np.iinfo(np.intp).max
+    want = f"error: {flags} needs a {size}-byte output stack, more than numpy can size\n"
+    assert run(capsys, *argv, "--phi", "0.3") == (2, "", want)
+
+
 # ---- top level --------------------------------------------------------------------
 
 def test_version_and_help(capsys):

@@ -258,9 +258,10 @@ def test_ensemble_bitwise_matches_per_sample_oracle(factory):
 @pytest.mark.parametrize("factory", [markov_xor, repeated_xor, sqrt_xor])
 @pytest.mark.parametrize("phi", [0.0, -0.0, 0.4, np.nextafter(np.pi / 2, 0.0)])
 def test_walker_children_match_kraus_sandwich(factory, phi):
-    # the walker reads children off V rho V^dagger; each branch, unnormalised,
-    # must be the K_k rho K_k^dagger sandwich of its outcomes, and a branch
-    # the walker drops must be one the sandwiches leave empty
+    # the walker reads children off the step instrument, vec(rho) T_k^T;
+    # each branch, unnormalised, must be the K_k rho K_k^dagger sandwich of
+    # its outcomes, and a branch the walker drops must be one the
+    # sandwiches leave empty
     model = factory(phi)
     ops = _kraus_ops(model)
     start = simulate(model, _rho0(), 0)[0].matrix
@@ -283,6 +284,53 @@ def _dense_chain(phi):
     rng = np.random.default_rng(31)
     q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     return custom_chain(UnitaryGate(q, ("mol", "sys"), label="dense"), chain_schedule(10), phi=phi)
+
+
+@pytest.mark.parametrize("factory", [markov_xor, repeated_xor, sqrt_xor])
+def test_builtin_walk_reads_one_instrument_per_call(monkeypatch, factory):
+    # a built-in model's walk makes no window step: it reads the instrument
+    # once, whatever the number of steps, samples or branches
+    model = factory(0.36)
+    want = sample_ensemble(model, _rho0(), 6, 50, seed=3)
+    reads, real = [], trajectories.step_instrument
+
+    def spy(m):
+        reads.append(m)
+        return real(m)
+
+    def refuse(*args):
+        raise AssertionError("a built-in walk ran a window step")
+
+    monkeypatch.setattr(trajectories, "step_instrument", spy)
+    monkeypatch.setattr(trajectories, "window_collide", refuse)
+    got = sample_ensemble(model, _rho0(), 6, 50, seed=3)
+    assert reads == [model]
+    assert np.array_equal(got.log_probabilities, want.log_probabilities)
+    assert len(enumerate_branches(model, _rho0(), 5, keep_states=False)) > 1
+    assert reads == [model, model]
+
+
+@pytest.mark.parametrize("case", ["random", "every-child", "one-child"])
+def test_reached_keys_equal_np_unique(case):
+    # the sampler's split: the keys that occur, ascending, and each key's
+    # index among them, as np.unique(return_inverse=True) gives them
+    rng = np.random.default_rng(71)
+    for nodes in (1, 2, 7, 60, 200):
+        size = 2 * nodes
+        if case == "random":
+            key = rng.integers(0, size, size=rng.integers(1, 3 * size))
+        elif case == "every-child":
+            key = rng.permutation(np.repeat(np.arange(size), rng.integers(1, 4, size=size)))
+        else:
+            key = np.full(rng.integers(1, 50), rng.integers(0, size))
+        keys, inverse = trajectories._reached(key, size)
+        want_keys, want_inverse = np.unique(key, return_inverse=True)
+        assert keys.dtype == want_keys.dtype and inverse.dtype == want_inverse.dtype
+        assert np.array_equal(keys, want_keys) and np.array_equal(inverse, want_inverse)
+        if case == "every-child":
+            assert len(keys) == size
+        elif case == "one-child":
+            assert len(keys) == 1 and not inverse.any()
 
 
 @pytest.mark.parametrize("factory", [markov_xor, repeated_xor, sqrt_xor, _dense_chain],
