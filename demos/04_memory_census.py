@@ -22,8 +22,7 @@ from nmchain.measures import nm_report
 rho0 = np.diag([0.75, 0.25])
 
 
-def show(label, report):
-    r = report.clamped()
+def show(label, r):
     print(f"{label:<34} memory qubits: {r.count_qubits}")
     if r.mutual_info is not None:
         print(f"{'':<34} I={r.mutual_info:.6f}  J={r.classical_J:.6f}  D={r.discord:.6f}")

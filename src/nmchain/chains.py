@@ -571,13 +571,14 @@ def _front_trace(a: np.ndarray, q: int) -> np.ndarray:
 
 # --- one evolution per model, and the reduced maps it defines --------------
 
-def _step_powers(first: np.ndarray, instrument: np.ndarray, steps: int) -> np.ndarray:
-    """States [t=0 .. steps] of the channel of a step_instrument stack, from
+def _step_powers(first: np.ndarray, model: ChainModel, steps: int) -> np.ndarray:
+    """States [t=0 .. steps] of a two-collision model's step channel, from
     one state or a stack (..., d, d), as (..., steps + 1, d, d).
 
     A state's row-major vec r steps to r @ P, P = (T_0 + T_1)^T with
-    T_k = K_k (x) conj(K_k). Rows [n, 2n) are rows [0, n) times P^n, P^n
-    by repeated squaring: ceil(log2(steps + 1)) products. Each takes all n
+    T = step_instrument(model), formed at the first step (0 steps form
+    none). Rows [n, 2n) are rows [0, n) times P^n, P^n by repeated
+    squaring: ceil(log2(steps + 1)) products. Each takes all n
     rows, even where fewer are kept, so row t depends neither on steps (numpy
     takes another BLAS kernel for one row) nor, one product per state, on
     the stack. Each power's last column (the last diagonal entry) is re-set
@@ -592,7 +593,7 @@ def _step_powers(first: np.ndarray, instrument: np.ndarray, steps: int) -> np.nd
     n = 1
     while n <= steps:
         if n == 1:  # P as a C-ordered array of its own: the products' bits depend on the layout
-            power = instrument.sum(0).T.copy()
+            power = step_instrument(model).sum(0).T.copy()
         else:
             power = power @ power
         power[:, -1] = trace - power[:, :-1:d + 1].sum(1)
@@ -643,14 +644,14 @@ def evolve(model: ChainModel, states, steps: int, mem0=None) -> tuple[np.ndarray
     a DensityMatrix would be, in one pass.
 
     markov-xor runs _markov_powers, bit for bit its closed-form step. The
-    two-collision models run _step_powers on their step_instrument:
-    ceil(log2(steps + 1)) products with powers of one step's transfer
-    matrix, in place of one V rho V^dagger per step, so their rows agree
-    with a per-step run to round-off. Custom models step through
-    window_collide, trace out the molecules read out and
-    record the front trace of the open ones. The products are Hermitian only
-    to round-off, so every row after t = 0 gets an exactly real diagonal,
-    once per call.
+    two-collision models run _step_powers on their step_instrument, which
+    steps = 0 (the walker's start) never forms: ceil(log2(steps + 1))
+    products with powers of one step's transfer matrix, in place of one
+    V rho V^dagger per step, so their rows agree with a per-step run to
+    round-off. Custom models step through window_collide, trace out the
+    molecules read out and record the front trace of the open ones. The
+    products are Hermitian only to round-off, so every row after t = 0 gets
+    an exactly real diagonal, once per call.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -660,7 +661,7 @@ def evolve(model: ChainModel, states, steps: int, mem0=None) -> tuple[np.ndarray
     joint = _system_stack(states)
     if embedded:
         joint = tensor(_memory_array(mem0), joint)
-        stack = _step_powers(joint, step_instrument(model), steps)
+        stack = _step_powers(joint, model, steps)
     elif model.kind == MARKOV_XOR:
         stack = _markov_powers(joint, model.phi, steps)
     else:

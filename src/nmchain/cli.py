@@ -240,7 +240,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_measures(args) -> int:
     model = _build_model(args)
     rho0 = _parse_state(args.initial, "--initial")
-    report = nm_report(model, rho0).clamped()
+    report = nm_report(model, rho0)
     basis = None
     if report.argmax_basis is not None:
         basis = {"theta": report.argmax_basis.theta, "psi": report.argmax_basis.psi}

@@ -101,10 +101,6 @@ class DensityMatrix:
     def n_qubits(self) -> int:
         return len(self.slots)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def slot_index(self, name: str) -> int:
         try:
             return self.slots.index(name)

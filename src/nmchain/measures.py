@@ -14,7 +14,7 @@ gradient refines it. Everything downstream builds on that optimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -203,22 +203,6 @@ class NMReport:
     argmax_basis: Optional[ProjectivePair]
     classification: str
 
-    def clamped(self) -> "NMReport":
-        """Round tiny negative measures (within 1e-9) up to zero for reporting."""
-        def fix(x):
-            if x is None:
-                return None
-            if x < -REPORT_CLAMP:
-                raise ValueError(f"measure {x!r} is negative beyond round-off")
-            return max(x, 0.0)
-
-        return replace(
-            self,
-            mutual_info=fix(self.mutual_info),
-            classical_J=fix(self.classical_J),
-            discord=fix(self.discord),
-        )
-
 
 def nm_report(model: ChainModel, rho0) -> NMReport:
     """Count the memory qubits and, for the built-in two-collision models,
@@ -228,6 +212,8 @@ def nm_report(model: ChainModel, rho0) -> NMReport:
     clears DISCORD_THRESHOLD, "classical non-Markovian" when only the memory
     count does, "Markovian" otherwise. Custom schedules get their count and
     an "undetermined" tag since no stationary compound is singled out.
+    The measures I, J and D = I - J are judged once: one below -REPORT_CLAMP
+    raises, and one within that round-off of zero is reported as 0.0.
     """
     if model.kind == MARKOV_XOR:
         return NMReport(0, 0.0, 0.0, 0.0, None, "Markovian")
@@ -239,9 +225,10 @@ def nm_report(model: ChainModel, rho0) -> NMReport:
     stat = stationary_state(model, rho0)
     info = mutual_information(stat, ("mem",))
     j, basis = classical_correlation(stat, "mem")
-    d = info - j
-    if d < -REPORT_CLAMP or j < -REPORT_CLAMP:
+    measures = (info, j, info - j)
+    if min(measures) < -REPORT_CLAMP:
         raise ValueError("correlation measures violate positivity beyond round-off")
+    info, j, d = (max(x, 0.0) for x in measures)
     if d > DISCORD_THRESHOLD:
         tag = "quantum non-Markovian"
     elif count > 0:

@@ -22,9 +22,11 @@ evolution.
 Sampling is reproducible by construction: sample index i always draws from
 the stream (seed, i), one uniform per outcome, so ensembles are bit-identical
 whether drawn one sample at a time or batched. The streams are computed in
-closed form on whole blocks of indices at once (SeedSequence hash, PCG64
-seeding and LCG advance as array arithmetic), and equal numpy's
-Generator(PCG64(SeedSequence(seed, spawn_key=(i,)))).random() bit for bit.
+closed form on whole blocks of indices at once, and equal numpy's
+Generator(PCG64(SeedSequence(seed, spawn_key=(i,)))).random() bit for bit:
+the seed's entropy pool is numpy's own SeedSequence(seed).pool, and only
+the per-row spawn-key hashing, PCG64 seeding and LCG advance run as array
+arithmetic.
 """
 from __future__ import annotations
 
@@ -124,7 +126,7 @@ def _columns(pairs, k: int) -> np.ndarray:
 
 
 def _hashmix(value, h):
-    # on Python ints, or on uint32 arrays, which wrap by themselves
+    # on uint32 arrays, which wrap by themselves
     value = (value ^ h[0]) * h[1] & _M32
     return value ^ value >> 16
 
@@ -141,29 +143,25 @@ def _seed_pool(seed: int, spawn_words: int):
     """The pool mixed from the seed alone, as a (4, 1) uint32 column, and the
     hash constants of the rounds of the first spawn_words spawn-key words.
 
-    The seed's words, zero-padded to 4, fill the pool; words past 4 are mixed
-    in after it is built, as numpy does.
+    The pool is numpy's SeedSequence(seed).pool. Mixing it took the first
+    4 * max(4, words of the seed) constants of the hash chain; the spawn
+    rounds take the ones after them.
     """
-    a = _hash_pairs(_INIT_A, _MULT_A)
-    run = _words(seed)
-    pool = [_hashmix(w, next(a)) for w in (run + [0, 0, 0])[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(a)))
-    for w in run[4:]:
-        pool = [_mix(p, _hashmix(w, next(a))) for p in pool]
-    return np.array(pool, dtype=np.uint32)[:, None], [_columns(a, 4) for _ in range(spawn_words)]
+    mixed = 4 * max(4, len(_words(seed)))
+    a = _hash_pairs(_INIT_A * pow(_MULT_A, mixed, 2 ** 32) & _M32, _MULT_A)
+    return np.random.SeedSequence(seed).pool[:, None], [_columns(a, 4) for _ in range(spawn_words)]
 
 
 def _advance(draws: int) -> np.ndarray:
     """(2, 2, draws, 1) uint64: the high, then the low words of MUL^(k+1)
     and of sum_{j<=k} MUL^j, k = 1 .. draws."""
-    mult, total, table = _PCG_MULT, 1, []
-    for _ in range(draws):
-        mult, total = mult * _PCG_MULT & _M128, (total * _PCG_MULT + 1) & _M128
-        table.append((mult >> 64, total >> 64, mult & _M64, total & _M64))
-    return np.array(table, dtype=np.uint64).reshape(draws, 4).T.reshape(2, 2, draws, 1)
+    def words():
+        mult, total = _PCG_MULT, 1
+        for _ in range(draws):
+            mult, total = mult * _PCG_MULT & _M128, (total * _PCG_MULT + 1) & _M128
+            yield from (mult >> 64, total >> 64, mult & _M64, total & _M64)
+
+    return np.fromiter(words(), np.uint64, 4 * draws).reshape(draws, 4).T.reshape(2, 2, draws, 1)
 
 
 def _dot128(x, c):

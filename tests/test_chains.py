@@ -1274,8 +1274,8 @@ def test_evolve_checks_every_evolved_state(monkeypatch):
     # the two-collision rows lose trace at t = 3
     real_powers = chains._step_powers
 
-    def leaky_powers(first, ops, steps):
-        stack = real_powers(first, ops, steps)
+    def leaky_powers(first, model, steps):
+        stack = real_powers(first, model, steps)
         stack[..., 3, :, :] *= 0.5
         return stack
 

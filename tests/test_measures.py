@@ -7,7 +7,6 @@ from nmchain.chains import custom_chain, markov_xor, overlap_schedule, repeated_
 from nmchain.gates import xor_gate
 from nmchain.linalg import DensityMatrix, tensor
 from nmchain.measures import (
-    NMReport,
     ProjectivePair,
     classical_correlation,
     discord,
@@ -365,10 +364,19 @@ def test_nm_report_custom():
     assert rep2.classification == "Markovian"
 
 
-def test_report_clamping():
-    rep = NMReport(1, -5e-10, 2e-10, -1e-12, None, "x")
-    fixed = rep.clamped()
-    assert fixed.mutual_info == 0.0 and fixed.discord == 0.0 and fixed.classical_J == 2e-10
-    bad = NMReport(1, None, None, -1e-3, None, "x")
-    with pytest.raises(ValueError):
-        bad.clamped()
+def test_report_clamping(monkeypatch):
+    # nm_report judges I, J and D = I - J once: round-off below zero is
+    # reported as 0.0, and a measure below -REPORT_CLAMP raises
+    measured = {}
+    monkeypatch.setattr(measures_module, "mutual_information", lambda rho, slots: measured["I"])
+    monkeypatch.setattr(measures_module, "classical_correlation", lambda rho, m: (measured["J"], None))
+    model, rho0 = repeated_xor(0.3), np.diag([0.3, 0.7])
+    for info, j, want in [(-5e-10, 2e-10, (0.0, 2e-10, 0.0)), (-1e-12, -1e-12, (0.0, 0.0, 0.0)),
+                          (0.3, 0.3 + 1e-12, (0.3, 0.3 + 1e-12, 0.0))]:
+        measured.update(I=info, J=j)
+        rep = nm_report(model, rho0)
+        assert (rep.mutual_info, rep.classical_J, rep.discord) == want
+    for info, j in [(-1e-3, 0.0), (0.0, -1e-3), (0.3, 0.3 + 1e-3)]:
+        measured.update(I=info, J=j)
+        with pytest.raises(ValueError, match="positivity beyond round-off"):
+            nm_report(model, rho0)

@@ -85,11 +85,10 @@ def test_every_lru_cache_has_an_integer_maxsize():
 # Each cache is one more thing to bound, so a cache stays only where there is
 # traffic. Lookups per pass of the benchmark workloads at seed 0
 # (ensemble / window / sweep):
-# - chains._step_isometry: 68 / 3,090 / 0 hits (980 on ensemble while the
-#   walker stepped built-in models through window_collide). Every custom
-#   step reads its compiled isometry, and a gap-k layout has 2k + 1 step
-#   shapes at any horizon; a built-in walk reads it once per call, for its
-#   step instrument.
+# - chains._step_isometry: 0 / 3,090 / 0 hits. Every custom step reads its
+#   compiled isometry, and a gap-k layout has 2k + 1 step shapes at any
+#   horizon; a built-in walk reads it once per call, for its one step
+#   instrument, and on ensemble every walk has a fresh phi.
 # - cli._shared_parser: one lookup per CLI call, in place of building the
 #   argparse tree each time.
 # A new cache lands with its measured hits, in this list.

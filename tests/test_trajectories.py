@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -288,11 +289,12 @@ def _dense_chain(phi):
 
 @pytest.mark.parametrize("factory", [markov_xor, repeated_xor, sqrt_xor])
 def test_builtin_walk_reads_one_instrument_per_call(monkeypatch, factory):
-    # a built-in model's walk makes no window step: it reads the instrument
-    # once, whatever the number of steps, samples or branches
+    # a built-in model's walk makes no window step: it forms the instrument
+    # once, whatever the number of steps, samples or branches, and its start
+    # state (evolve at 0 steps) forms none
     model = factory(0.36)
     want = sample_ensemble(model, _rho0(), 6, 50, seed=3)
-    reads, real = [], trajectories.step_instrument
+    reads, real = [], chains.step_instrument
 
     def spy(m):
         reads.append(m)
@@ -302,6 +304,7 @@ def test_builtin_walk_reads_one_instrument_per_call(monkeypatch, factory):
         raise AssertionError("a built-in walk ran a window step")
 
     monkeypatch.setattr(trajectories, "step_instrument", spy)
+    monkeypatch.setattr(chains, "step_instrument", spy)
     monkeypatch.setattr(trajectories, "window_collide", refuse)
     got = sample_ensemble(model, _rho0(), 6, 50, seed=3)
     assert reads == [model]
@@ -353,6 +356,18 @@ def test_uniform_block_equals_numpy_streams(seed):
     want = H.spawned_uniforms(seed, 10_000, 3)
     assert np.array_equal(trajectories._uniform_block(seed, 0, 10_000, 3), want)
     assert np.array_equal(trajectories._uniform_block(seed, 5000, 5100, 3), want[5000:5100])
+
+
+def test_advance_table_peak_memory_is_its_own_size():
+    # 100,000 draws take a 3.2 MB table; a Python list of 128-bit ints on
+    # the way to it peaked at 28.7 MB
+    tracemalloc.start()
+    try:
+        trajectories._advance(100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 @pytest.mark.parametrize("seed", [7, 2**64, 2**128 + 5, 3**100])
