@@ -45,7 +45,7 @@ import numpy as np
 
 from .channels import kraus_from_collision, map_from_probes, tomography_probes
 from .gates import UnitaryGate, apply_left, embed, molecule_state, sqrt_xor_gate, swap_gate, xor_gate
-from .linalg import DensityMatrix, as_matrix, check_states, tensor
+from .linalg import DensityMatrix, as_matrix, check_states, tensor, trace_front
 
 MARKOV_XOR = "markov-xor"
 REPEATED_XOR = "repeated-xor"
@@ -560,15 +560,6 @@ def window_collide(
     return v @ joint @ vh, [m for m in register if m not in closing], len(closing)
 
 
-def _front_trace(a: np.ndarray, q: int) -> np.ndarray:
-    """Trace out the first q qubits of one state or a stack (..., D, D);
-    a itself when q = 0."""
-    if not q:
-        return a
-    d = a.shape[-1] >> q
-    return a.reshape(a.shape[:-2] + (2 ** q, d, 2 ** q, d)).trace(axis1=-4, axis2=-2)
-
-
 # --- one evolution per model, and the reduced maps it defines --------------
 
 def _step_powers(first: np.ndarray, model: ChainModel, steps: int) -> np.ndarray:
@@ -672,8 +663,8 @@ def evolve(model: ChainModel, states, steps: int, mem0=None) -> tuple[np.ndarray
         open_ids = []
         for t in range(steps):
             joint, open_ids, closing = window_collide(joint, open_ids, model, t)
-            joint = _front_trace(joint, closing)
-            stack[..., t + 1, :, :] = _front_trace(joint, len(open_ids))
+            joint = trace_front(joint, closing)
+            stack[..., t + 1, :, :] = trace_front(joint, len(open_ids))
     diag = np.arange(stack.shape[-1])
     stack.imag[..., 1:, diag, diag] = 0.0
     check_states(stack)
@@ -696,7 +687,7 @@ def system_marginals(stack: np.ndarray, slots: tuple[str, ...]) -> np.ndarray:
     """
     if slots == (SYSTEM_SLOT,):
         return stack
-    out = _front_trace(stack, len(slots) - 1)  # the system is the last slot
+    out = trace_front(stack, len(slots) - 1)  # the system is the last slot
     check_states(out)
     return out
 

@@ -3,9 +3,10 @@ their completeness and forms the adjoints per call), superoperators, Choi
 matrices, process tomography and stepwise divisibility checks.
 
 A superoperator is a plain complex (d^2, d^2) array, and a trajectory of
-them a (t, d^2, d^2) stack. They use the column-stacking convention:
-vec(|i><j|) is the unit vector at index j*d + i, so
-vec(M rho M^dagger) = (conj(M) kron M) vec(rho). Choi matrices are
+them a (t, d^2, d^2) stack. They act on the row-major vec, the one that
+chains.step_instrument and evolve's transfer matrix use too:
+vec(|i><j|) is the unit vector at index i*d + j, so
+vec(M rho M^dagger) = (M kron conj(M)) vec(rho). Choi matrices are
 unnormalized (trace d for a trace-preserving map) with the reference copy
 on the most significant index.
 """
@@ -68,9 +69,9 @@ def apply_kraus(ops, rho):
 
 
 def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacked vector of one matrix, or of each of a stack (..., d, d)."""
+    """Row-major vector of one matrix, or of each of a stack (..., d, d)."""
     m = np.asarray(m, dtype=complex)
-    return m.swapaxes(-1, -2).reshape(m.shape[:-2] + (-1,))
+    return m.reshape(m.shape[:-2] + (-1,))
 
 
 def choi(s: np.ndarray) -> np.ndarray:
@@ -78,8 +79,9 @@ def choi(s: np.ndarray) -> np.ndarray:
     (..., d^2, d^2): block (i, j) is the map applied to |i><j|."""
     s = np.asarray(s, dtype=complex)
     d = math.isqrt(s.shape[-1])
-    # column stacking: S[b*d + a, j*d + i] is entry (a, b) of map(|i><j|)
-    return s.reshape(s.shape[:-2] + (d, d, d, d)).swapaxes(-4, -1).reshape(s.shape)
+    # S[a*d + b, i*d + j] is entry (a, b) of map(|i><j|); block (i, j) reads it as (i, a, j, b)
+    axes = tuple(range(s.ndim - 2)) + (-2, -4, -1, -3)
+    return s.reshape(s.shape[:-2] + (d, d, d, d)).transpose(axes).reshape(s.shape)
 
 
 def tomography_probes(dim: int) -> list[np.ndarray]:
@@ -116,8 +118,8 @@ def map_from_probes(outputs, dim: int) -> np.ndarray:
     s = np.empty(out.shape[1:-2] + (dim * dim, dim * dim), dtype=complex)
     # vec gives (probe, ..., dim^2); each probe fills one column
     s[..., diag] = np.moveaxis(vec(out[:dim]), 0, -1)
-    s[..., j * dim + i] = np.moveaxis(vec(cross), 0, -1)
-    s[..., i * dim + j] = np.moveaxis(vec(dagger(cross)), 0, -1)
+    s[..., i * dim + j] = np.moveaxis(vec(cross), 0, -1)
+    s[..., j * dim + i] = np.moveaxis(vec(dagger(cross)), 0, -1)
     return s
 
 
@@ -128,12 +130,6 @@ def map_tomography(evolve: Callable[[np.ndarray], np.ndarray], dim: int) -> np.n
     tomography_probes; map_from_probes rebuilds the map from the outputs.
     """
     return map_from_probes([evolve(p) for p in tomography_probes(dim)], dim)
-
-
-def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values (descending) of one matrix or of each of a stack,
-    taken by SVD so small ones stay resolved."""
-    return np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
 
 
 @dataclass(frozen=True)
@@ -177,7 +173,8 @@ def divisibility_scan(maps, *, cp_tol: float = CP_TOL_DEFAULT) -> list[Divisibil
         raise ValueError(f"superoperator side {cur.shape[1]} is not a perfect square")
     eye = np.eye(cur.shape[1], dtype=complex)
     prev = np.concatenate([eye[None], cur[:-1]])
-    smallest = singular_values(prev)[:, -1]
+    # SVD, not eigh of prev^dagger prev: squaring would lose a sigma near the cutoff
+    smallest = np.linalg.svd(prev, compute_uv=False)[:, -1]
     invertible = smallest >= SINGULAR_CUTOFF
     # a singular predecessor is swapped for the identity so that the one
     # batched solve cannot fail on it; its step is reported undecided

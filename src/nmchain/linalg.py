@@ -8,14 +8,15 @@ Conventions used by the whole package:
 * density matrices are complex128 arrays validated on construction
   (check_states, which also takes stacks), and tensor() is the one
   Kronecker product; its last factor may be a stack,
+* trace_front, which traces out the leading qubits of a state or a stack,
+  is the one partial-trace kernel,
 * entropies are in bits (log base 2),
 * Hermitian eigenproblems go to LAPACK through numpy.linalg.eigh.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -119,30 +120,21 @@ def as_matrix(rho) -> np.ndarray:
     return rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
 
 
-def partial_trace_array(a: np.ndarray, n_qubits: int, keep: Sequence[int]) -> np.ndarray:
-    """Partial trace of a 2^n x 2^n array, or of each in a stack (..., 2^n, 2^n);
-    keep lists slot indices (0 = most significant).
-
-    Each run of adjacent slots, kept or traced, is one axis of the
-    reshaped array, so a run of traced slots costs one np.trace, the last
-    run first.
-    """
-    kept = [q in keep for q in range(n_qubits)]
-    runs = [(k, 2 ** len(list(run))) for k, run in itertools.groupby(kept)]
-    sizes = tuple(size for _, size in runs)
-    batch = a.shape[:-2]
-    t = a.reshape(batch + sizes + sizes)
-    remaining = len(runs)  # axes per side, less the runs traced already
-    for r in reversed(range(len(runs))):
-        if not runs[r][0]:
-            t = t.trace(axis1=len(batch) + r, axis2=len(batch) + r + remaining)
-            remaining -= 1
-    d = 2 ** sum(kept)
-    return np.ascontiguousarray(t.reshape(batch + (d, d)))
+def trace_front(a: np.ndarray, q: int) -> np.ndarray:
+    """Trace out the first q qubits of one state or a stack (..., D, D);
+    a itself when q = 0."""
+    if not q:
+        return a
+    d = a.shape[-1] >> q
+    return a.reshape(a.shape[:-2] + (2 ** q, d, 2 ** q, d)).trace(axis1=-4, axis2=-2)
 
 
 def partial_trace(rho: DensityMatrix, keep: Union[str, Iterable[str]]) -> DensityMatrix:
-    """Reduced state over the kept slots, in their original register order."""
+    """Reduced state over the kept slots, in their original register order.
+
+    The register is transposed so that the traced slots come first, each
+    side in register order, and one trace_front call traces them out.
+    """
     if isinstance(keep, str):
         keep = (keep,)
     keep = tuple(keep)
@@ -150,8 +142,11 @@ def partial_trace(rho: DensityMatrix, keep: Union[str, Iterable[str]]) -> Densit
         raise ValueError("keep must name at least one slot")
     if len(set(keep)) != len(keep):
         raise ValueError(f"repeated slot names in keep={keep}")
+    n = rho.n_qubits
     positions = sorted(rho.slot_index(k) for k in keep)
-    reduced = partial_trace_array(rho.matrix, rho.n_qubits, positions)
+    order = [q for q in range(n) if q not in positions] + positions
+    t = rho.matrix.reshape((2,) * (2 * n)).transpose(order + [n + q for q in order])
+    reduced = trace_front(t.reshape(rho.matrix.shape), n - len(positions))
     return DensityMatrix(reduced, tuple(rho.slots[q] for q in positions))
 
 

@@ -188,6 +188,20 @@ def embed_front(g, n_gate, n_total, positions):
     return u_front[np.ix_(fidx, fidx)]
 
 
+def signed_zero_states(rng, n, count):
+    """count random states of n qubits as a (count, 2^n, 2^n) stack, about a
+    third of their off-diagonal entries set to a signed zero (and its
+    conjugate), so that the sign of every zero a partial trace gives shows."""
+    zeros = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+    out = np.stack([rand_rho(rng, 2 ** n) for _ in range(count)])
+    for a in out:
+        for i, j in zip(*np.triu_indices(2 ** n, 1)):
+            if rng.random() < 0.3:
+                a[i, j] = zeros[rng.integers(4)]
+                a[j, i] = np.conj(a[i, j])
+    return out
+
+
 def ptrace_per_qubit(a, n, keep):
     """Partial trace of a 2^n x 2^n array or a stack, one np.trace per traced
     qubit, the last qubit first."""
@@ -397,14 +411,14 @@ def sys_map_oracle(phi, kind, mem, t):
             for _ in range(t):
                 r = channel_apply(phi, kind, r)
             rs = r[0:2, 0:2] + r[2:4, 2:4]
-            s[:, j * 2 + i] = rs.reshape(-1, order="F")
+            s[:, i * 2 + j] = rs.reshape(-1)
     return s
 
 
 def superop_apply(s, r):
-    """The column-stacked superoperator s applied to the d x d matrix r."""
+    """The superoperator s, on the row-major vec, applied to the d x d matrix r."""
     d = r.shape[0]
-    return (s @ np.asarray(r, dtype=complex).reshape(-1, order="F")).reshape(d, d, order="F")
+    return (s @ np.asarray(r, dtype=complex).reshape(-1)).reshape(d, d)
 
 
 def choi_oracle(s):
@@ -413,7 +427,7 @@ def choi_oracle(s):
         for j in range(2):
             e = np.zeros((2, 2), complex)
             e[i, j] = 1.0
-            out = (s @ e.reshape(-1, order="F")).reshape(2, 2, order="F")
+            out = (s @ e.reshape(-1)).reshape(2, 2)
             c[i * 2:i * 2 + 2, j * 2:j * 2 + 2] = out
     return c
 
@@ -622,10 +636,8 @@ def min_choi_eigenvalue(c):
 
 
 def divisibility_step_oracle(m_t, m_prev, cp_tol=1e-9):
-    from nmchain.channels import (
-        CHOI_HERMITIAN_TOL, SINGULAR_CUTOFF, DivisibilityStep, choi, singular_values,
-    )
-    smallest = float(singular_values(m_prev)[-1])
+    from nmchain.channels import CHOI_HERMITIAN_TOL, SINGULAR_CUTOFF, DivisibilityStep, choi
+    smallest = float(np.linalg.svd(m_prev, compute_uv=False)[-1])
     if smallest < SINGULAR_CUTOFF:
         return DivisibilityStep(None, None, None, smallest)
     inter = np.linalg.solve(m_prev.T, m_t.T).T

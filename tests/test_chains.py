@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -42,7 +43,7 @@ from nmchain.chains import (
 )
 from nmchain.channels import apply_kraus, map_from_probes, tomography_probes
 from nmchain.gates import UnitaryGate, sqrt_xor_gate, xor_gate
-from nmchain.linalg import DensityMatrix, partial_trace_array, tensor
+from nmchain.linalg import DensityMatrix, partial_trace, tensor, trace_front
 from nmchain.trajectories import sample_ensemble
 
 
@@ -469,6 +470,17 @@ def test_step_instrument_sums_to_the_inline_transfer_matrix():
             assert _bitwise_equal(got.sum(0).T, want)
 
 
+def test_step_instrument_and_map_from_probes_share_the_vec():
+    # the step channel S = T_0 + T_1 acts on the row-major vec; process
+    # tomography of S through the probes must give S back in the same layout
+    for phi in (0.3, 0.77, 1.2):
+        for factory in (markov_xor, repeated_xor, sqrt_xor):
+            s = step_instrument(factory(phi)).sum(0)
+            d = math.isqrt(s.shape[0])
+            outputs = [(p.reshape(-1) @ s.T).reshape(d, d) for p in tomography_probes(d)]
+            assert np.abs(map_from_probes(outputs, d) - s).max() <= 1e-15
+
+
 def test_step_instrument_is_read_only_and_refuses_custom_models():
     for factory in (markov_xor, repeated_xor, sqrt_xor):
         got = step_instrument(factory(0.3))
@@ -710,7 +722,6 @@ def test_window_marginals_match_embedding_from_fresh_memory(factory):
     window = simulate(custom_chain(model.collision_gate(), overlap_schedule(steps), phi=phi), r0, steps)
     xi = H.molecule_density(phi)
     emb = simulate(model, r0, steps=steps, mem0=xi)
-    from nmchain.linalg import partial_trace
     for t in range(steps - 1):  # the final window step lacks its second collision
         sys_emb = partial_trace(emb[t], "sys")
         assert H.tdist(window[t].matrix, sys_emb.matrix) < 1e-12
@@ -781,7 +792,7 @@ def test_sliding_window_state_bookkeeping():
     assert (open_ids, closing) == ([1], 1)
     assert joint.shape == (8, 8)
     # molecule 1 stays open until its second event, at step 1
-    joint = partial_trace_array(joint, 3, [1, 2])
+    joint = trace_front(joint, 1)
     joint, open_ids, closing = window_collide(joint, open_ids, model, 1)
     assert (open_ids, closing) == ([2], 1)
     assert joint.shape == (8, 8)
@@ -873,8 +884,7 @@ def _engine_steps(model, start):
     for t in range(schedule.horizon):
         yield t, joint, open_ids
         joint, open_ids, closing = window_collide(joint, open_ids, model, t)
-        n = closing + len(open_ids) + 1
-        joint = partial_trace_array(joint, n, range(closing, n))
+        joint = trace_front(joint, closing)
 
 
 @pytest.mark.parametrize("phi", [0.43, 0.0, -0.0])
@@ -969,8 +979,8 @@ def test_system_maps_first_step_damping_factors():
     ]
     for model, mem, want in cases:
         m1 = system_maps(model, 1, mem0=mem)[0]
-        assert abs(m1[2, 2] - want) < 1e-13
-        assert abs(m1[1, 1] - np.conj(want)) < 1e-13
+        assert abs(m1[1, 1] - want) < 1e-13
+        assert abs(m1[2, 2] - np.conj(want)) < 1e-13
 
 
 def test_system_maps_split_decay_ratio():
@@ -1180,7 +1190,7 @@ def test_system_maps_equal_per_probe_runs():
     t_max = 9
     for model, mem0 in _oracle_cases():
         runs = [_per_step_run(model, p, t_max, mem0) for p in tomography_probes(2)]
-        outs = [[partial_trace_array(run[t], 2, [1]) if run[t].shape == (4, 4) else run[t] for run in runs]
+        outs = [[trace_front(run[t], 1) if run[t].shape == (4, 4) else run[t] for run in runs]
                 for t in range(1, t_max + 1)]
         want = [map_from_probes(out, 2) for out in outs]
         got = system_maps(model, t_max, mem0)
@@ -1298,18 +1308,17 @@ def test_evolve_checks_every_evolved_state(monkeypatch):
 
 
 def test_front_trace_matches_partial_trace_bit_for_bit():
-    # np.trace adds each diagonal block after the first to 0.0 before the
-    # sum, so -0.0 + -0.0 traces to +0.0; the two-slice sum
+    # partial_trace of a leading run of slots is trace_front of the same
+    # matrix, bit for bit. np.trace adds each diagonal block after the first
+    # to 0.0 before the sum, so -0.0 + -0.0 traces to +0.0; the two-slice sum
     # a[..., :h, :h] + a[..., h:, h:] keeps -0.0, which is why it is not used
     rng = np.random.default_rng(66)
-    zeros = [complex(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
-    for shape in ((4, 4), (3, 4, 4), (2, 3, 8, 8), (5, 16, 16)):
-        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        for z in zeros:
-            a[rng.random(shape) < 0.2] = z
-        n = shape[-1].bit_length() - 1
-        for q in range(n + 1):
-            assert _bitwise_equal(chains._front_trace(a, q), partial_trace_array(a, n, range(q, n)))
+    for n in range(1, 5):
+        slots = tuple(f"q{k}" for k in range(n))
+        for a in H.signed_zero_states(rng, n, 5):
+            for q in range(n):
+                want = partial_trace(DensityMatrix(a, slots), slots[q:]).matrix
+                assert _bitwise_equal(trace_front(a, q), want)
 
 
 def test_system_marginals_trace_out_the_memory():
@@ -1317,7 +1326,7 @@ def test_system_marginals_trace_out_the_memory():
     r0 = _rho(rng)
     stack, slots = evolve(sqrt_xor(0.4), r0, 5, H.molecule_density(0.4))
     got = system_marginals(stack, slots)
-    assert np.array_equal(got, partial_trace_array(stack, 2, [1]))
+    assert np.array_equal(got, trace_front(stack, 1))
     single, slots = evolve(markov_xor(0.4), r0, 5)
     assert system_marginals(single, slots) is single
     with pytest.raises(ValueError, match="trace"):

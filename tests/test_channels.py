@@ -20,7 +20,6 @@ from nmchain.channels import (
     kraus_from_collision,
     map_from_probes,
     map_tomography,
-    singular_values,
     tomography_probes,
     vec,
 )
@@ -35,8 +34,9 @@ def _dephase_kraus(p):
 
 
 def _kraus_map(ks):
-    """The superoperator of a qubit channel, from its action on the probes."""
-    return map_tomography(lambda r: apply_kraus(ks, r), 2)
+    """The superoperator of a channel on the row-major vec:
+    vec(K rho K^dagger) = (K kron conj(K)) vec(rho)."""
+    return sum(np.kron(k, k.conj()) for k in ks)
 
 
 def test_kraus_set_validation():
@@ -134,16 +134,16 @@ def test_apply_kraus_and_selective():
     assert sum(rec.probability for rec in recs) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_vec_unvec_column_stacking():
+def test_vec_is_row_major():
     m = np.array([[1, 2], [3, 4]], dtype=complex)
-    assert np.array_equal(vec(m), [1, 3, 2, 4])
-    assert np.array_equal(vec(m).reshape(2, 2, order="F"), m)
+    assert np.array_equal(vec(m), [1, 2, 3, 4])
+    assert np.array_equal(vec(m).reshape(2, 2), m)
 
 
 def test_map_tomography_agrees_with_direct_application():
     rng = np.random.default_rng(2)
     ks = _dephase_kraus(0.3)
-    lm = _kraus_map(ks)
+    lm = map_tomography(lambda r: apply_kraus(ks, r), 2)
     # trace preservation: vec(I)^dagger S = vec(I)^dagger
     ident = vec(np.eye(2))
     assert np.abs(ident @ lm - ident).max() < 1e-12
@@ -169,7 +169,7 @@ def test_choi_of_known_channels():
         for j in range(2):
             e = np.zeros((2, 2), complex)
             e[i, j] = 1.0
-            swap[:, j * 2 + i] = vec(e.T)
+            swap[:, i * 2 + j] = vec(e.T)
     assert H.min_choi_eigenvalue(choi(swap)) == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -183,8 +183,7 @@ def test_choi_matches_oracle_for_collision_maps():
 
 def test_map_tomography_reconstructs_kraus_map():
     ks = _dephase_kraus(0.45)
-    # column stacking: vec(K rho K^dagger) = (conj(K) kron K) vec(rho)
-    lm = sum(np.kron(op.conj(), op) for op in ks)
+    lm = _kraus_map(ks)
     rebuilt = map_tomography(lambda r: apply_kraus(ks, r), 2)
     assert np.abs(rebuilt - lm).max() < 1e-13
 
@@ -194,7 +193,7 @@ def test_map_tomography_four_dimensional():
     g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     u, _ = np.linalg.qr(g)
     rebuilt = map_tomography(lambda r: u @ r @ u.conj().T, 4)
-    assert np.abs(rebuilt - np.kron(u.conj(), u)).max() < 1e-12
+    assert np.abs(rebuilt - np.kron(u, u.conj())).max() < 1e-12
 
 
 def test_map_from_probes_inverts_the_probe_outputs():
@@ -208,7 +207,7 @@ def test_map_from_probes_inverts_the_probe_outputs():
             assert np.linalg.eigvalsh(p).min() > -1e-15
         # Hermiticity-preserving, as every map probed by physical states is
         a, b = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2))
-        g = np.kron(a.conj(), a) - 0.5 * np.kron(b.conj(), b)
+        g = np.kron(a, a.conj()) - 0.5 * np.kron(b, b.conj())
         outputs = [H.superop_apply(g, p) for p in probes]
         assert np.abs(map_from_probes(outputs, dim) - g).max() < 1e-12
 
@@ -225,15 +224,6 @@ def test_stacked_map_from_probes_equals_per_slice_calls(dim):
         assert np.array_equal(got[k].view(np.uint64), one.view(np.uint64))
 
 
-def test_singular_values_match_lapack():
-    rng = np.random.default_rng(8)
-    for n in (2, 3, 4):
-        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        got = singular_values(m)
-        want = np.linalg.svd(m, compute_uv=False)
-        assert np.allclose(got, want, atol=1e-11)
-
-
 @pytest.mark.parametrize("sigma", [1e-9, 3e-10, 3e-11, 1e-12])
 def test_singular_values_resolve_known_smallest(sigma):
     # squaring m (eigenvalues of m^dagger m) cannot resolve sigma near the cutoff;
@@ -242,7 +232,7 @@ def test_singular_values_resolve_known_smallest(sigma):
     u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     v, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     m = u @ np.diag([1.0, 0.5, 0.2, sigma]) @ v.conj().T
-    assert singular_values(m)[-1] == pytest.approx(sigma, rel=1e-6, abs=1e-15)
+    assert divisibility_scan([m, m])[1].smallest_singular == pytest.approx(sigma, rel=1e-6, abs=1e-15)
     if sigma < SINGULAR_CUTOFF:
         step = divisibility_scan([m, _identity_map()])[1]
         assert step.exists is None
@@ -272,7 +262,7 @@ def test_divisibility_step_indeterminate_on_singular_previous():
 
 def _rotated_dephasing(lam, u):
     # coherences of the rotated basis scaled by lam
-    su = np.kron(u.conj(), u)
+    su = np.kron(u, u.conj())
     return su @ np.diag([1.0, lam, lam, 1.0]) @ su.conj().T
 
 
@@ -287,7 +277,7 @@ def test_divisibility_step_round_off_is_indeterminate():
         for u in rotations:
             prev = _rotated_dephasing(lam, u)
             step = divisibility_scan([prev, _rotated_dephasing(lam / 2, u)])[1]
-            assert step.smallest_singular == singular_values(prev)[-1]
+            assert step.smallest_singular == np.linalg.svd(prev, compute_uv=False)[-1]
             assert step.smallest_singular >= SINGULAR_CUTOFF
             if step.exists is None:
                 undecided += 1
@@ -391,7 +381,7 @@ def test_divisibility_rejects_bad_tolerances(tols):
 
 
 def test_choi_matrix_validation():
-    # rho -> D rho with D = diag(1, 2) keeps no Hermiticity: its Choi matrix
+    # rho -> rho D with D = diag(1, 2) keeps no Hermiticity: its Choi matrix
     # is far from Hermitian, so the step is left undecided, not judged
     skewed = np.kron(np.eye(2), np.diag([1.0, 2.0]))
     with pytest.raises(ValueError, match="far from Hermitian"):

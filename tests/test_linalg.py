@@ -12,9 +12,9 @@ from nmchain.linalg import (
     dagger,
     eig_hermitian,
     partial_trace,
-    partial_trace_array,
     partial_transpose,
     tensor,
+    trace_front,
     trace_norm_distance,
     von_neumann_entropy,
 )
@@ -149,8 +149,12 @@ def test_pure_density_roundtrip():
     assert dm.slots == ("a", "b")
 
 
-# traced as a (2, 3) stack, which must give each state's own result
-_STACKED = (4, (0, 3))
+# traced by trace_front as a (2, 3) stack, which must give each state's own result
+_STACKED = (4, (2, 3))
+
+
+def _slots(n):
+    return tuple(f"q{k}" for k in range(n))
 
 
 @pytest.mark.parametrize("n,keep", [(2, (0,)), (2, (1,)), (3, (0, 2)), (3, (1,)), (4, (1, 3)), _STACKED])
@@ -158,34 +162,40 @@ def test_partial_trace_against_einsum(n, keep):
     rng = np.random.default_rng(n * 10 + keep[0])
     if (n, keep) == _STACKED:
         rs = np.stack([H.rand_rho(rng, 2 ** n) for _ in range(6)]).reshape(2, 3, 2 ** n, 2 ** n)
-        got = partial_trace_array(rs, n, keep)
+        got = trace_front(rs, n - len(keep))
         assert got.shape == (2, 3, 4, 4)
-        assert all(np.array_equal(g, partial_trace_array(r, n, keep))
+        assert all(np.array_equal(g.view(np.uint64), trace_front(r, n - len(keep)).view(np.uint64))
                    for g, r in zip(got.reshape(6, 4, 4), rs.reshape(6, 2 ** n, 2 ** n)))
         r, got = rs[1, 2], got[1, 2]
     else:
         r = H.rand_rho(rng, 2 ** n)
-        got = partial_trace_array(r, n, keep)
+        got = partial_trace(DensityMatrix(r, _slots(n)), [_slots(n)[q] for q in keep]).matrix
     want = H.ptrace_general(r, n, list(keep))
     assert np.allclose(got, want, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_partial_trace_traces_each_run_of_slots_at_once(n):
-    # every keep set of a (2, 3) stack against one np.trace per traced qubit:
-    # the same bits when no two traced slots are adjacent, round-off otherwise
+    # every keep set of six states against one np.trace per traced qubit:
+    # the same bits, signed zeros included, when one slot is traced (the
+    # traffic of measures), round-off otherwise; partial_trace keeps at
+    # least one slot, so the empty keep set is trace_front of all n
     rng = np.random.default_rng(70 + n)
-    stack = np.stack([H.rand_rho(rng, 2 ** n) for _ in range(6)]).reshape(2, 3, 2 ** n, 2 ** n)
-    for size in range(n + 1):
-        for keep in itertools.combinations(range(n), size):
-            got = partial_trace_array(stack, n, keep)
-            want = H.ptrace_per_qubit(stack, n, keep)
-            assert got.shape == want.shape == (2, 3, 2 ** size, 2 ** size)
-            traced = [q for q in range(n) if q not in keep]
-            if all(b - a > 1 for a, b in zip(traced, traced[1:])):
-                assert np.array_equal(got, want), keep
-            else:
-                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), keep
+    slots = _slots(n)
+    for a in H.signed_zero_states(rng, n, 6):
+        rho = DensityMatrix(a, slots)
+        for size in range(n + 1):
+            for keep in itertools.combinations(range(n), size):
+                if keep:
+                    got = partial_trace(rho, [slots[q] for q in keep]).matrix
+                else:
+                    got = trace_front(a, n)
+                want = H.ptrace_per_qubit(a, n, keep)
+                assert got.shape == want.shape == (2 ** size, 2 ** size)
+                if size == n - 1:
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), keep
+                else:
+                    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), keep
 
 
 def test_partial_trace_slot_names():
