@@ -19,7 +19,11 @@ against WINDOW_QUBIT_CAP when the model is built. Each window step is one
 product V rho V^dagger with the step isometry V (attach the fresh
 molecules, run the step's collisions, put the molecules read out first),
 compiled once per step shape by _step_isometry and kept in a bounded
-cache. window_collide runs those steps for custom models. A built-in
+cache. A schedule is a table of runs of one step shape
+(CollisionSchedule.runs), scanned once, when a window step first needs
+it; a gap-k double-collision layout has 2k + 1 runs at any horizon. evolve
+and the walker step a custom model run by run (window_runs), with one V
+per run, and window_collide is the one-step form. A built-in
 model is a window with one step shape: markov-xor attaches one molecule
 and reads it out, and the two-collision compound is a window whose one
 open molecule is the satellite. Its step, with the readout, is the
@@ -128,15 +132,111 @@ class CollisionSchedule:
         self.event_gates = _readonly(gates[order])
         # molecule ids ascending, each with its first and last step
         self._ids, self._first, self._last = (_readonly(a) for a in (mol[first], step[first], step[last]))
-        # the window engine looks up every step it runs; bisect on lists is
-        # the cheapest search of the sorted steps. Beside each event, whether
-        # it is its molecule's last: the molecules a step reads out.
+        # a one-step lookup (events_at, open_after) bisects the sorted steps
+        # as a list, the cheapest search. Beside each event, whether it is
+        # its molecule's last: the molecules a step reads out.
         self._step_list = self.event_steps.tolist()
         closes = np.empty(len(mol), dtype=bool)
         closes[by_mol] = last
-        self._closes = closes[order].tolist()
+        self._closes = closes[order]
         # for the census: all first steps and all last steps, each sorted
         self._ends = (np.sort(self._first), np.sort(self._last))
+        # the run table, built by runs() when a window step first needs it:
+        # the census and the schedule printer never do
+        self._runs = self._run_starts = None
+
+    def runs(self) -> tuple:
+        """Steps 0 .. horizon - 1 as runs of one step shape: a tuple of
+        (shape, first step, count) in step order, neighbours of different shape.
+
+        A shape is what _step_isometry compiles: (the open molecules before
+        the step, its events as (position in the open register, newest first,
+        or -1 for a fresh molecule; gate code) in listed order, the positions
+        of the molecules it closes among the fresh (newest first) and open
+        ones, in ascending id). A step without events has the shape
+        (open, (), ()). Built by one scan of the events on the first call and
+        kept on the schedule.
+        """
+        if self._runs is None:
+            self._runs = self._scan_runs()
+            self._run_starts = [start for _, start, _ in self._runs]
+        return self._runs
+
+    def _scan_runs(self) -> tuple:
+        # One step's shape at a time, from the open register before it. A
+        # step that repeats the one before it shifted by d (the next step,
+        # as many events, each on the molecule listed at its place in that
+        # step plus d, with the same gate and closing) has the earlier
+        # step's shape when its open register is the earlier one plus d;
+        # then so has every later step of a stretch of such repeats with one
+        # d, by induction, and the scan takes the stretch in one go.
+        steps, molecules, codes, closes = self.event_steps, self.event_molecules, self.event_gates, self._closes
+        n = len(steps)
+        if not n:
+            return (((0, (), ()), 0, self.horizon),)
+        edge = np.ones(n + 1, dtype=bool)
+        edge[1:n] = steps[1:] != steps[:-1]
+        bounds = edge.nonzero()[0]  # each step's first event, then n
+        lo, size = bounds[:-1], bounds[1:] - bounds[:-1]
+        prev = np.arange(n) - size.repeat(size)  # the event at this one's place a step before
+        shift = molecules - molecules[prev]
+        same = (shift == shift[lo].repeat(size)) & (codes == codes[prev]) & (closes == closes[prev])
+        at, shift = steps[lo], shift[lo]
+        repeats = np.logical_and.reduceat(same, lo)
+        repeats[1:] &= (at[1:] == at[:-1] + 1) & (size[1:] == size[:-1])
+        repeats[0] = False
+        # the steps after which a stretch of repeats with one shift ends
+        goes_on = repeats[1:] & repeats[:-1] & (shift[1:] == shift[:-1])
+        ends = np.flatnonzero(~goes_on).tolist() + [len(lo) - 1]
+        at, bounds, repeats, shift = at.tolist(), bounds.tolist(), repeats.tolist(), shift.tolist()
+        molecules, codes, closes = molecules.tolist(), codes.tolist(), closes.tolist()
+        runs, open_ids, t, i = [], [], 0, 0
+
+        def add(shape, start, count):
+            if runs and runs[-1][0] == shape:
+                runs[-1][2] += count
+            else:
+                runs.append([shape, start, count])
+
+        while i < len(at):
+            if at[i] > t:
+                add((len(open_ids), (), ()), t, at[i] - t)
+            rows = slice(bounds[i], bounds[i + 1])
+            events, register = [], list(open_ids)
+            for molecule, code in zip(molecules[rows], codes[rows]):
+                if molecule in open_ids:
+                    events.append((open_ids.index(molecule), code))
+                else:
+                    events.append((-1, code))
+                    register.insert(0, molecule)
+            closing = sorted(compress(molecules[rows], closes[rows]))
+            shape = (len(open_ids), tuple(events), tuple(map(register.index, closing)))
+            held = [m for m in register if m not in closing]
+            k = i + 1
+            if k < len(at) and repeats[k] and held == [m + shift[k] for m in open_ids]:
+                k = ends[bisect.bisect_left(ends, k)] + 1
+                held = [m + (k - i - 1) * shift[i + 1] for m in held]
+            add(shape, at[i], k - i)
+            open_ids, t, i = held, at[k - 1] + 1, k
+        if t < self.horizon:
+            add((len(open_ids), (), ()), t, self.horizon - t)
+        return tuple(map(tuple, runs))
+
+    def step_shape(self, step: int) -> tuple:
+        """The shape of one step (see runs), read from the run table."""
+        if not 0 <= step < self.horizon:
+            raise ValueError(f"step {step} outside horizon {self.horizon}")
+        runs = self.runs()
+        return runs[bisect.bisect_right(self._run_starts, step) - 1][0]
+
+    def open_after(self, step: int, open_ids: Sequence[int]) -> list:
+        """The molecules open after the step, newest first, given open_ids,
+        those open before it: the step's fresh molecules (newest first) and
+        open_ids, less the ones the step closes."""
+        _, events, closing = self.step_shape(step)
+        fresh = [m for m, (pos, _) in zip(self.event_molecules[self._step_slice(step)].tolist(), events) if pos < 0]
+        register = fresh[::-1] + list(open_ids)
+        return [m for q, m in enumerate(register) if q not in closing]
 
     def _step_slice(self, step: int) -> slice:
         lo = bisect.bisect_left(self._step_list, step)
@@ -508,7 +608,7 @@ def step_instrument(model: ChainModel) -> np.ndarray:
     custom model, whose step shapes vary, is refused.
     """
     if model.kind == CUSTOM:
-        raise ValueError("a custom model has no one step instrument; it steps through window_collide")
+        raise ValueError("a custom model has no one step instrument; it steps run by run through window_runs")
     v = _compiled(model, _BUILTIN_SHAPES[model.kind])[0]
     d = v.shape[1]
     ops = v.reshape(2, d, d)
@@ -528,10 +628,12 @@ def window_collide(
     joint may be one state or a stack of states (..., D, D) on the register
     of the open_ids molecules (newest first), then the system; a stack
     takes one product per state, so that a state's round-off does not
-    depend on the states it is stacked with. V is compiled once per step
-    shape read off step t of the schedule (see _step_isometry) and kept in
-    a bounded cache keyed on the collision gate instance and phi with its
-    sign. A built-in model is refused: its one step is step_instrument.
+    depend on the states it is stacked with. The step's shape is read from
+    the schedule's run table (CollisionSchedule.runs), and V is compiled
+    once per shape (see _step_isometry) and kept in a bounded cache keyed
+    on the collision gate instance and phi with its sign. A built-in model
+    is refused: its one step is step_instrument. evolve and the walker step
+    a whole run at a time (window_runs); this is the one-step form.
     Mutates nothing; returns (joint, open_ids, closing): the new register
     holds the `closing` molecules whose last event is step t, in ascending
     id, then open_ids and the system; reading or tracing out that front run
@@ -542,22 +644,58 @@ def window_collide(
     schedule = model.schedule
     if t >= schedule.horizon:
         raise ValueError(f"schedule horizon {schedule.horizon} exhausted at t={t}")
-    open_ids = list(open_ids)
-    rows = schedule._step_slice(t)
-    molecules = schedule.event_molecules[rows].tolist()
-    events, fresh = [], []
-    for molecule, code in zip(molecules, schedule.event_gates[rows].tolist()):
-        if molecule in open_ids:
-            events.append((open_ids.index(molecule), code))
-        else:
-            events.append((-1, code))
-            fresh.insert(0, molecule)
-    if not events:
-        return joint, open_ids, 0
-    register = fresh + open_ids
-    closing = sorted(compress(molecules, schedule._closes[rows]))
-    v, vh = _compiled(model, (len(open_ids), tuple(events), tuple(map(register.index, closing))))
-    return v @ joint @ vh, [m for m in register if m not in closing], len(closing)
+    shape = schedule.step_shape(t)
+    if not shape[1]:
+        return joint, list(open_ids), 0
+    v, vh = _compiled(model, shape)
+    return v @ joint @ vh, schedule.open_after(t, open_ids), len(shape[2])
+
+
+def window_runs(model: ChainModel, steps: int):
+    """The runs of a custom model's first `steps` steps, in order, from its
+    schedule's run table: (V, V^dagger, closing, held, first step, count)
+    each, count cut at steps. V is fetched once per run from the step cache,
+    and is None, with V^dagger, on a run of steps without events; each step
+    of the run reads out `closing` molecules, the front run of V's output,
+    and leaves `held` open.
+    """
+    if model.kind != CUSTOM:
+        raise ValueError(f"{model.kind} steps through step_instrument, not window_runs")
+    for (n_open, events, closing), start, count in model.schedule.runs():
+        if start >= steps:
+            return
+        v, vh = _compiled(model, (n_open, events, closing)) if events else (None, None)
+        fresh = sum(pos < 0 for pos, _ in events)
+        yield v, vh, len(closing), n_open + fresh - len(closing), start, min(count, steps - start)
+
+
+# bytes of register states a run holds before their system marginals are
+# taken together; a whole 300-step run of one 4-qubit register would hold
+# 1.2 MB, and of the four probes of system_maps 4.9 MB
+RUN_BUFFER_BYTES = 1 << 16
+
+
+def _evolve_run(joint: np.ndarray, run: tuple, rows: np.ndarray) -> np.ndarray:
+    """Step joint, one state or a stack (..., D, D), through one run of
+    window_runs: the run's V @ joint @ V^dagger, then the front trace of the
+    molecules read out, on every step. Writes the system marginal after
+    step t to rows[t + 1], rows of shape (steps + 1, ..., 2, 2), from one
+    front trace of the open molecules per RUN_BUFFER_BYTES of held register
+    states, and returns the last register state.
+    """
+    v, vh, closing, held, start, count = run
+    d = 2 << held  # the register after each step: the held molecules and the system
+    cap = max(1, RUN_BUFFER_BYTES // (joint[..., 0, 0].nbytes * d * d))
+    buffer = []
+    for row in range(start + 1, start + count + 1):
+        if v is not None:
+            joint = v @ joint @ vh
+        joint = trace_front(joint, closing)
+        buffer.append(joint)
+        if len(buffer) == cap or row == start + count:
+            rows[row + 1 - len(buffer):row + 1] = trace_front(np.array(buffer), held)
+            buffer = []
+    return joint
 
 
 # --- one evolution per model, and the reduced maps it defines --------------
@@ -639,8 +777,10 @@ def evolve(model: ChainModel, states, steps: int, mem0=None) -> tuple[np.ndarray
     steps = 0 (the walker's start) never forms: ceil(log2(steps + 1))
     products with powers of one step's transfer matrix, in place of one
     V rho V^dagger per step, so their rows agree with a per-step run to
-    round-off. Custom models step through window_collide, trace out the
-    molecules read out and record the front trace of the open ones. The
+    round-off. Custom models step run by run through window_runs, trace
+    out the molecules read out after each step and take the system
+    marginals of a run's register states with one front trace per
+    RUN_BUFFER_BYTES of them: the same products as a per-step run. The
     products are Hermitian only to round-off, so every row after t = 0 gets
     an exactly real diagonal, once per call.
     """
@@ -658,13 +798,11 @@ def evolve(model: ChainModel, states, steps: int, mem0=None) -> tuple[np.ndarray
     else:
         if steps > model.schedule.horizon:
             raise ValueError(f"steps {steps} exceed the schedule horizon {model.schedule.horizon}")
-        stack = np.empty(joint.shape[:-2] + (steps + 1,) + joint.shape[-2:], dtype=complex)
-        stack[..., 0, :, :] = joint
-        open_ids = []
-        for t in range(steps):
-            joint, open_ids, closing = window_collide(joint, open_ids, model, t)
-            joint = trace_front(joint, closing)
-            stack[..., t + 1, :, :] = trace_front(joint, len(open_ids))
+        rows = np.empty((steps + 1,) + joint.shape, dtype=complex)
+        rows[0] = joint
+        for run in window_runs(model, steps):
+            joint = _evolve_run(joint, run, rows)
+        stack = np.ascontiguousarray(np.moveaxis(rows, 0, -3))
     diag = np.arange(stack.shape[-1])
     stack.imag[..., 1:, diag, diag] = 0.0
     check_states(stack)

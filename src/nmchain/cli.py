@@ -325,18 +325,20 @@ def _cmd_trajectories(args) -> int:
     # that child's state is 0/0 = NaN, which sample_ensemble's state checks
     # reject (exit 3) before any stdout is written. So the f-string row below
     # is the text json.dumps gives: the outcome list's repr and
-    # float.__repr__ of log_p.
-    log_ps = stats.log_probabilities.tolist()
+    # float.__repr__ of log_p. Samples share log_p values, so each distinct
+    # one is formatted once.
+    fmt = float.__repr__ if args.format == "json" else _fmt
+    log_ps = [cell for cell, in _cells([stats.log_probabilities], fmt)]
     # readouts are bits; built-in rows list both, custom rows only those drawn
     freqs = [{str(k): f.get(k, 0) for k in (sorted(f) if model.kind == CUSTOM else (0, 1))}
              for f in stats.outcome_frequencies]
 
     if args.format == "json":
-        text = _lines(f'{{"outcomes": [{bits}], "log_p": {lp!r}}}'
+        text = _lines(f'{{"outcomes": [{bits}], "log_p": {lp}}}'
                       for bits, lp in zip(_digit_rows(stats.outcomes, ", "), log_ps))
     else:
         text = _csv_text([["outcomes", "log_p"]] + [
-            [bits, _fmt(lp)] for bits, lp in zip(_digit_rows(stats.outcomes, ""), log_ps)
+            [bits, lp] for bits, lp in zip(_digit_rows(stats.outcomes, ""), log_ps)
         ])
     sys.stdout.write(text)
     summary = {

@@ -8,8 +8,8 @@ built-in models read one molecule out per step, so a trajectory is a bit
 string of length t_max, and their one step is read as an instrument:
 chains.step_instrument gives T_j = K_j (x) conj(K_j), K_j = <j| V, and a
 node's children are its row-major vec times T_j^T. Custom schedules step
-through chains.window_collide, the step evolve runs for them, with V
-compiled from the step's shape, and read a molecule out when its last
+run by run through chains.window_runs, as evolve does, with one V per run
+of the schedule's run table, and read a molecule out when its last
 collision is done; outcomes are recorded in closure order (ascending
 molecule id within a step).
 
@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chains import CUSTOM, ChainModel, evolve, step_instrument, window_collide
+from .chains import CUSTOM, ChainModel, evolve, step_instrument, window_runs
 from .linalg import DensityMatrix, check_states
 
 MAX_ENUMERATION_READOUTS = 20
@@ -248,10 +248,11 @@ def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_state
     children, with probabilities their traces. A built-in model reads one
     molecule out per step: the children of a node with row-major vec r are
     r @ T_j^T, T = chains.step_instrument(model), one (1, D^2) @ (D^2, 2 D^2)
-    product per node. A custom model steps the stack through
-    chains.window_collide, one V @ rho @ V^dagger product per node, and
-    each of the step's readouts takes the diagonal blocks <j| . |j> of the
-    front qubit.
+    product per node. A custom model steps the stack run by run through
+    chains.window_runs, one V @ rho @ V^dagger product per node and step
+    with the run's V, and each of the step's readouts takes the diagonal
+    blocks <j| . |j> of the front qubit. The open molecules, which name the
+    register, follow the table's shapes (CollisionSchedule.open_after).
     Without uniforms it keeps every child with p > 1e-300 and total
     probability above prune_below, node-major. With uniforms (samples x
     readouts), sample s takes the first child whose cumulative probability
@@ -276,16 +277,22 @@ def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_state
     history = [()] if keep_states else None
     leaf = None if uniforms is None else np.zeros(len(uniforms), dtype=np.int64)
 
-    # a built-in step's instrument blocks side by side, T^T = [T_0^T T_1^T]
+    # a built-in step's instrument blocks side by side, T^T = [T_0^T T_1^T];
+    # as a run, its one shape steps t_max times, each reading one molecule out
     instrument = None
-    if model.kind != CUSTOM:
+    if model.kind == CUSTOM:
+        runs = window_runs(model, t_max)
+    else:
         blocks = step_instrument(model)
         instrument = np.ascontiguousarray(blocks.transpose(2, 0, 1)).reshape(blocks.shape[1], -1)
+        runs = [(None, None, 1, 0, 0, t_max)]
 
-    for t in range(t_max):
-        closing = 1
-        if instrument is None:
-            states, open_ids, closing = window_collide(states, open_ids, model, t)
+    steps = ((t, v, vh, closing) for v, vh, closing, _, start, count in runs for t in range(start, start + count))
+    for t, v, vh, closing in steps:
+        if v is not None:
+            states = v @ states @ vh
+        if model.kind == CUSTOM:
+            open_ids = model.schedule.open_after(t, open_ids)
         for _ in range(closing):
             n, d = states.shape[:2]
             if instrument is None:

@@ -257,6 +257,30 @@ def window_collide_oracle(joint, open_ids, model, t):
     return joint, open_ids
 
 
+def step_shape_oracle(schedule, open_ids, t):
+    """(shape, open ids after the step) of step t, worked out from the
+    schedule's events at that step and the open ids before it (newest first),
+    as the window engine once did on every step: each event's position in
+    the open register or -1 for a fresh molecule, and the closing molecules'
+    positions among the fresh (newest first) and open ones, in ascending id."""
+    from itertools import compress
+
+    open_ids = list(open_ids)
+    rows = schedule._step_slice(t)
+    molecules = schedule.event_molecules[rows].tolist()
+    events, fresh = [], []
+    for molecule, code in zip(molecules, schedule.event_gates[rows].tolist()):
+        if molecule in open_ids:
+            events.append((open_ids.index(molecule), code))
+        else:
+            events.append((-1, code))
+            fresh.insert(0, molecule)
+    register = fresh + open_ids
+    closing = sorted(compress(molecules, schedule._closes[rows]))
+    shape = (len(open_ids), tuple(events), tuple(map(register.index, closing)))
+    return shape, [m for m in register if m not in closing]
+
+
 def closing_first(joint, ids, closing):
     """joint on the register ids (then the system), its qubits reordered by a
     transpose into the window engine's layout after a step: the closing

@@ -163,7 +163,7 @@ def test_schedule_index_matches_linear_scans():
             got = tuple(zip(molecules.tolist(), [GATE_NAMES[g] for g in gates.tolist()]))
             assert got == H.scan_events_at(sched, t)
         # beside each event: whether it is its molecule's last
-        assert sched._closes == [H.scan_span(sched, r["mol"])[1] == r["t"] for r in H.schedule_records(sched)]
+        assert sched._closes.tolist() == [H.scan_span(sched, r["mol"])[1] == r["t"] for r in H.schedule_records(sched)]
         assert satellite_count(sched) == H.scan_satellite_count(sched)
         assert window_width(sched) == H.scan_window_width(sched)
 
@@ -940,6 +940,102 @@ def test_each_step_shape_compiles_once(gap):
         assert chains._step_isometry.cache_info().misses <= 2 * gap + 1
 
 
+# ---- run table ------------------------------------------------------------------
+# A custom model's steps are read from its schedule's run table; the per-step
+# bookkeeping the window engine once did is the oracle.
+
+def _idle_schedule(horizon):
+    # molecule k collides at steps 4k and 4k + 2: step 4k + 1 holds it open
+    # without an event, and step 4k + 3 holds no molecule
+    return schedule_from_records([{"t": t, "mol": t // 4} for t in range(horizon) if t % 4 in (0, 2)],
+                                 horizon=horizon)
+
+
+_RUN_LAYOUTS = {**_COMPILE_LAYOUTS, "1d": single_molecule_schedule, "idle": _idle_schedule}
+
+
+def _check_runs_against_step_oracle(sched):
+    runs = sched.runs()
+    # the runs tile the steps in order, and neighbours differ in shape
+    assert [start for _, start, _ in runs] == np.cumsum([0] + [count for *_, count in runs[:-1]]).tolist()
+    assert min(count for *_, count in runs) > 0 and sum(count for *_, count in runs) == sched.horizon
+    assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
+    open_ids = []
+    for t, shape in enumerate(shape for shape, _, count in runs for _ in range(count)):
+        want, want_ids = H.step_shape_oracle(sched, open_ids, t)
+        assert shape == want == sched.step_shape(t)
+        open_ids = sched.open_after(t, open_ids)
+        assert open_ids == want_ids
+    assert sched.runs() is runs
+    return runs
+
+
+@pytest.mark.parametrize("layout", list(_RUN_LAYOUTS))
+def test_run_table_expands_to_the_step_oracle(layout):
+    # a burst layout lists its first events at horizon 3
+    for horizon in (*range(3 if layout == "burst" else 1, 14), 300):
+        runs = _check_runs_against_step_oracle(_RUN_LAYOUTS[layout](horizon))
+        if layout.startswith("gap") and horizon == 300:
+            # k start-up runs, one steady run and k closing runs
+            assert len(runs) == 2 * int(layout[3:]) + 1
+
+
+def test_run_table_of_random_schedules_expands_to_the_step_oracle():
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        horizon = int(rng.integers(1, 12))
+        pairs = {(int(rng.integers(0, 9)), int(rng.integers(0, horizon)))
+                 for _ in range(int(rng.integers(1, 25)))}
+        events = [(t, m) for m, t in pairs]
+        rng.shuffle(events)
+        codes = rng.integers(0, len(GATE_NAMES), len(events))
+        _check_runs_against_step_oracle(CollisionSchedule(*zip(*events), horizon, codes))
+
+
+def test_run_table_scan_does_not_grow_with_the_horizon():
+    # idle stretches are one run each, however long
+    sched = schedule_from_records([{"t": 0, "mol": 0}, {"t": 10**12, "mol": 0}])
+    assert sched.runs() == (((0, ((-1, 0),), ()), 0, 1), ((1, (), ()), 1, 10**12 - 1),
+                            ((1, ((0, 0),), (0,)), 10**12, 1))
+    assert sched.step_shape(5 * 10**11) == (1, (), ())
+    for step in (-1, 10**12 + 1):
+        with pytest.raises(ValueError, match="outside horizon"):
+            sched.step_shape(step)
+
+
+def test_census_and_schedule_printer_build_no_run_table(monkeypatch, capsys):
+    # the table is built when a window step first needs it; the census, the
+    # schedule printer and a built-in nm_report never do
+    from nmchain import cli
+    from nmchain.measures import nm_report
+
+    def refuse(self):
+        raise AssertionError("a run table was built")
+
+    monkeypatch.setattr(CollisionSchedule, "runs", refuse)
+    assert cli.main(["schedule", "--figure", "1b", "--horizon", "800"]) == 0
+    assert "satellite_count = 1" in capsys.readouterr().err
+    sched = overlap_schedule(800)
+    assert (satellite_count(sched), window_width(sched)) == (1, 3)
+    for factory in (markov_xor, repeated_xor, sqrt_xor):
+        nm_report(factory(0.3), np.diag([0.6, 0.4]))
+    assert sched._runs is None
+
+
+@pytest.mark.parametrize("layout", ["gap1", "gap2", "gap3", "burst", "idle"])
+def test_evolve_cut_inside_a_run_is_the_head_of_the_whole_run(layout):
+    # steps = k cuts a run, and a run's register buffer, anywhere: the rows
+    # are the first k + 1 of the whole run, bit for bit, for one state and
+    # for the probe stack
+    for horizon, cuts in ((40, range(41)), (300, (1, 2, 3, 4, 5, 17, 150, 296, 297, 298, 299))):
+        model = custom_chain(sqrt_xor_gate(), _RUN_LAYOUTS[layout](horizon), phi=0.43)
+        for start in (_rho(np.random.default_rng(59)), chains._PROBES):
+            whole = evolve(model, start, horizon)[0]
+            for k in cuts:
+                head = evolve(model, start, k)[0]
+                assert np.array_equal(head.view(np.int64), whole[..., :k + 1, :, :].view(np.int64))
+
+
 # ---- accumulated system maps ---------------------------------------------------
 
 def test_system_maps_probes_are_a_read_only_constant():
@@ -1017,13 +1113,14 @@ def test_system_maps_custom_matches_builtin_on_same_schedule():
 def test_system_maps_runs_each_probe_once(monkeypatch):
     """A custom model runs its four probes as one stack through one window pass."""
     calls = []
-    real = chains.window_collide
+    real = chains._evolve_run
 
-    def spy(joint, open_ids, model, t):
-        calls.append((np.shape(joint)[0], t))
-        return real(joint, open_ids, model, t)
+    def spy(joint, run, rows):
+        start, count = run[-2:]
+        calls.extend((np.shape(joint)[0], t) for t in range(start, start + count))
+        return real(joint, run, rows)
 
-    monkeypatch.setattr(chains, "window_collide", spy)
+    monkeypatch.setattr(chains, "_evolve_run", spy)
     custom = custom_chain(xor_gate(), advanced_overlap_schedule(8), phi=0.3)
     for t_max in (3, 8):
         calls.clear()
@@ -1046,7 +1143,7 @@ def test_system_maps_rebuild_every_map_in_one_call(monkeypatch, factory):
     assert got.shape == (7, 4, 4) and got.dtype == complex
 
 
-@pytest.mark.parametrize("name,factory", [("window_collide", sqrt_xor), ("window_collide", repeated_xor),
+@pytest.mark.parametrize("name,factory", [("_evolve_run", sqrt_xor), ("_evolve_run", repeated_xor),
                                           ("markov_xor_step", markov_xor)],
                          ids=["collide-sqrt_xor", "collide-repeated_xor", "markov_xor_step-markov_xor"])
 def test_builtin_system_maps_step_the_probes_as_one_stack(monkeypatch, name, factory):
@@ -1289,20 +1386,20 @@ def test_evolve_checks_every_evolved_state(monkeypatch):
         stack[..., 3, :, :] *= 0.5
         return stack
 
-    # a custom step that loses trace on its third application
-    real_collide = chains.window_collide
-    count = []
+    # and so do the custom rows, written by the window run that holds t = 3
+    real_run = chains._evolve_run
 
-    def leaky_collide(joint, open_ids, model, t):
-        count.append(1)
-        joint, open_ids, closing = real_collide(joint, open_ids, model, t)
-        return joint * (0.5 if len(count) == 3 else 1.0), open_ids, closing
+    def leaky_run(joint, run, rows):
+        joint = real_run(joint, run, rows)
+        start, count = run[-2:]
+        if start < 3 <= start + count:
+            rows[3] *= 0.5
+        return joint
 
     monkeypatch.setattr(chains, "_step_powers", leaky_powers)
-    monkeypatch.setattr(chains, "window_collide", leaky_collide)
+    monkeypatch.setattr(chains, "_evolve_run", leaky_run)
     for model in (sqrt_xor(0.3), custom):
         for run, args in ((evolve, (r0, 4)), (simulate, (r0, 4)), (system_maps, (4,))):
-            count.clear()
             with pytest.raises(ValueError, match="trace"):
                 run(model, *args)
 

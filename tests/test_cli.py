@@ -564,6 +564,36 @@ def test_trajectories_rows_are_the_dumped_rows(tmp_path, capsys, flags, records,
         assert want_csv == "outcomes,log_p\n" + ",0\n" * samples
 
 
+def test_trajectories_repeating_rows_are_the_dumped_rows(capsys, monkeypatch):
+    # markov-xor's log_p counts the readouts of each outcome, so 2,000
+    # samples of 8 steps share nine values up to round-off (ten here), each
+    # formatted once; every row is still what json.dumps and csv.writer print
+    argv = ["trajectories", "--model", "markov-xor", "--phi", "0.3", "--initial", INIT,
+            "--steps", "8", "--samples", "2000", "--seed", "7"]
+    rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+    stats = sample_ensemble(ChainModel("markov-xor", 0.3), rho0, 8, 2000, 7)
+    distinct = len(np.unique(stats.log_probabilities.view(np.int64)))
+    assert distinct <= 18
+    want_json, want_csv = _dumped_rows(stats)
+    formed, cells = [], cli._cells
+
+    def counting_cells(blocks, fmt):
+        def counted(x):
+            formed.append(x)
+            return fmt(x)
+        return cells(blocks, counted)
+
+    monkeypatch.setattr(cli, "_cells", counting_cells)
+    for fmt, want in (("json", want_json), ("csv", want_csv)):
+        formed.clear()
+        rc, out, _ = run(capsys, *argv, "--format", fmt)
+        assert rc == 0 and len(formed) == distinct
+        got, want = out.splitlines(), want.splitlines()
+        assert len(got) == len(want) == 2000 + (fmt == "csv")
+        assert all(g == w for g, w in zip(got, want))
+        assert out.endswith("\n")
+
+
 def test_trajectories_csv(capsys):
     rc, out, _ = run(capsys, "trajectories", "--model", "markov-xor", "--phi", "0.3",
                      "--steps", "3", "--initial", INIT, "--samples", "2",

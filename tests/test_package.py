@@ -85,10 +85,13 @@ def test_every_lru_cache_has_an_integer_maxsize():
 # Each cache is one more thing to bound, so a cache stays only where there is
 # traffic. Lookups per pass of the benchmark workloads at seed 0
 # (ensemble / window / sweep):
-# - chains._step_isometry: 0 / 3,090 / 0 hits. Every custom step reads its
-#   compiled isometry, and a gap-k layout has 2k + 1 step shapes at any
-#   horizon; a built-in walk reads it once per call, for its one step
-#   instrument, and on ensemble every walk has a fresh phi.
+# - chains._step_isometry: 0 / 0 / 0 hits (0 / 3,090 / 0 when every custom
+#   step read its isometry). A custom model reads it once per run of its
+#   schedule's run table, and every benchmark call has a fresh phi, so each
+#   read compiles; a built-in walk reads it once per call, for its one step
+#   instrument. Its hits are library traffic at one gate and phi (evolve,
+#   system_maps and the walker on one model) and layouts whose runs repeat
+#   a shape: a 12-step burst layout reads it 12 times and compiles 3.
 # - cli._shared_parser: one lookup per CLI call, in place of building the
 #   argparse tree each time.
 # A new cache lands with its measured hits, in this list.

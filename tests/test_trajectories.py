@@ -305,7 +305,7 @@ def test_builtin_walk_reads_one_instrument_per_call(monkeypatch, factory):
 
     monkeypatch.setattr(trajectories, "step_instrument", spy)
     monkeypatch.setattr(chains, "step_instrument", spy)
-    monkeypatch.setattr(trajectories, "window_collide", refuse)
+    monkeypatch.setattr(trajectories, "window_runs", refuse)
     got = sample_ensemble(model, _rho0(), 6, 50, seed=3)
     assert reads == [model]
     assert np.array_equal(got.log_probabilities, want.log_probabilities)
@@ -458,15 +458,15 @@ def test_custom_walk_raises_for_an_invalid_conditional_state(monkeypatch):
     # a non-Hermitian state inside the walk raises at its step, whether the
     # conditional states are kept or not
     model = custom_chain(xor_gate(), advanced_overlap_schedule(4), phi=0.31)
-    collide = trajectories.window_collide
+    runs = trajectories.window_runs
 
-    def broken(states, open_ids, model, t):
-        states, open_ids, closing = collide(states, open_ids, model, t)
-        if t == 2:
-            states = states + 1e-6j * np.eye(states.shape[-1])
-        return states, open_ids, closing
+    def broken(model, steps):
+        # the runs one step at a time; step 2's V is scaled by 1 + 1e-6j on one side
+        for v, vh, closing, held, start, count in runs(model, steps):
+            for t in range(start, start + count):
+                yield (v * (1 + 1e-6j) if t == 2 else v), vh, closing, held, t, 1
 
-    monkeypatch.setattr(trajectories, "window_collide", broken)
+    monkeypatch.setattr(trajectories, "window_runs", broken)
     for walk in (lambda: sample_ensemble(model, _rho0(), t_max=4, n_samples=8, seed=1),
                  lambda: enumerate_branches(model, _rho0(), t_max=4, keep_states=False),
                  lambda: enumerate_branches(model, _rho0(), t_max=4)):
