@@ -18,13 +18,13 @@ currently open molecules; the window width a schedule needs is checked
 against WINDOW_QUBIT_CAP when the model is built. Each window step is one
 product V rho V^dagger with the step isometry V (attach the fresh
 molecules, run the step's collisions, put the molecules read out first),
-compiled once per step shape by _step_isometry and kept in a bounded
-cache. A schedule is a table of runs of one step shape
-(CollisionSchedule.runs), scanned once, when a window step first needs
-it; a gap-k double-collision layout has 2k + 1 runs at any horizon. evolve
-and the walker step a custom model run by run (window_runs), with one V
-per run, and window_collide is the one-step form. A built-in
-model is a window with one step shape: markov-xor attaches one molecule
+compiled by _step_isometry where it is read: once per run, per one-step
+call or per step_instrument call; nothing caches it. A schedule is a
+table of runs of one step shape (CollisionSchedule.runs), scanned once,
+when a window step first needs it; a gap-k double-collision layout has
+2k + 1 runs at any horizon. evolve and the walker step a custom model
+run by run (window_runs), with one V per run, and window_collide is the
+one-step form. A built-in model is a window with one step shape: markov-xor attaches one molecule
 and reads it out, and the two-collision compound is a window whose one
 open molecule is the satellite. Its step, with the readout, is the
 instrument T_j = K_j (x) conj(K_j) of its V's blocks K_j, which
@@ -39,9 +39,7 @@ exactly real diagonals.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress
 from typing import Optional, Sequence
 
@@ -132,10 +130,8 @@ class CollisionSchedule:
         self.event_gates = _readonly(gates[order])
         # molecule ids ascending, each with its first and last step
         self._ids, self._first, self._last = (_readonly(a) for a in (mol[first], step[first], step[last]))
-        # a one-step lookup (events_at, open_after) bisects the sorted steps
-        # as a list, the cheapest search. Beside each event, whether it is
-        # its molecule's last: the molecules a step reads out.
-        self._step_list = self.event_steps.tolist()
+        # beside each event, whether it is its molecule's last: the
+        # molecules a step reads out
         closes = np.empty(len(mol), dtype=bool)
         closes[by_mol] = last
         self._closes = closes[order]
@@ -239,8 +235,7 @@ class CollisionSchedule:
         return [m for q, m in enumerate(register) if q not in closing]
 
     def _step_slice(self, step: int) -> slice:
-        lo = bisect.bisect_left(self._step_list, step)
-        return slice(lo, bisect.bisect_right(self._step_list, step, lo))
+        return slice(*self.event_steps.searchsorted([step, step + 1]))
 
     def spans(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(molecule ids ascending, first steps, last steps) as read-only arrays."""
@@ -550,8 +545,6 @@ def stationary_overlap(model: ChainModel) -> float:
 
 # --- sliding-window engine -------------------------------------------------
 
-STEP_CACHE_SIZE = 64
-
 # The one step shape of each built-in model (see _step_isometry). markov-xor
 # attaches one molecule and reads it out. The two-collision models attach the
 # fresh molecule, collide it, collide the satellite (their one open molecule,
@@ -560,22 +553,22 @@ _BUILTIN_SHAPES = {MARKOV_XOR: (0, ((-1, 0),), (0,)),
                    REPEATED_XOR: (1, ((-1, 0), (0, 0)), (1,)), SQRT_XOR: (1, ((-1, 0), (0, 0)), (1,))}
 
 
-@lru_cache(maxsize=STEP_CACHE_SIZE)
-def _step_isometry(gate: UnitaryGate, phi: float, sign: float, n_open: int, events: tuple, closing: tuple) -> tuple:
-    """(V, V^dagger) of one step shape: V = U_k ... U_1 (|psi(phi)>^fresh (x) I).
+def _step_isometry(model: ChainModel, shape: tuple) -> tuple:
+    """(V, V^dagger) of one step shape of the model:
+    V = U_k ... U_1 (|psi(phi)>^fresh (x) I), compiled on every call.
 
-    The shape is n_open, the open molecules before the step, the events in
-    listed order as (position in the incoming register or -1 for a fresh
-    molecule, gate code), and the closing molecules' positions among the
-    fresh (newest first) and open ones, in ascending id. V's output holds
-    those first, then the others in that order, then the system. sign tells
-    -0.0 from 0.0: they hash alike but prepare differently signed zeros.
-    Keyed on the gate instance, so two gates with the same roles never
-    share an entry.
+    The shape is (n_open, events, closing): the open molecules before the
+    step, the events in listed order as (position in the incoming register
+    or -1 for a fresh molecule, gate code), and the closing molecules'
+    positions among the fresh (newest first) and open ones, in ascending
+    id. V's output holds those first, then the others in that order, then
+    the system.
     """
+    n_open, events, closing = shape
+    gate = model.collision_gate()
     fresh = sum(pos < 0 for pos, _ in events)
     n = n_open + fresh + 1
-    psi = molecule_state(phi)[:, None]
+    psi = molecule_state(model.phi)[:, None]
     v = np.eye(2 ** (n_open + 1), dtype=complex)
     for _ in range(fresh):
         v = tensor(psi, v)
@@ -588,14 +581,7 @@ def _step_isometry(gate: UnitaryGate, phi: float, sign: float, n_open: int, even
         v = apply_left(v, g, [q if role == "mol" else n - 1 for role in g.slot_roles], n)
     order = list(closing) + [q for q in range(n) if q not in closing]
     v = v.reshape((2,) * n + (-1,)).transpose(order + [n]).reshape(v.shape)
-    vh = np.ascontiguousarray(v.conj().T)
-    v.flags.writeable = vh.flags.writeable = False
-    return v, vh
-
-
-def _compiled(model: ChainModel, shape: tuple) -> tuple:
-    """(V, V^dagger) of one step shape of the model, from the step cache."""
-    return _step_isometry(model.collision_gate(), model.phi, math.copysign(1.0, model.phi), *shape)
+    return v, np.ascontiguousarray(v.conj().T)
 
 
 def step_instrument(model: ChainModel) -> np.ndarray:
@@ -604,12 +590,12 @@ def step_instrument(model: ChainModel) -> np.ndarray:
     its compiled V, on the register's row-major vec.
 
     A state's vec r has the unnormalised child r @ T_j^T for readout j, and
-    steps to r @ (T_0 + T_1)^T. Formed on every call from the cached V; a
-    custom model, whose step shapes vary, is refused.
+    steps to r @ (T_0 + T_1)^T. Formed on every call from a V compiled for
+    it; a custom model, whose step shapes vary, is refused.
     """
     if model.kind == CUSTOM:
         raise ValueError("a custom model has no one step instrument; it steps run by run through window_runs")
-    v = _compiled(model, _BUILTIN_SHAPES[model.kind])[0]
+    v = _step_isometry(model, _BUILTIN_SHAPES[model.kind])[0]
     d = v.shape[1]
     ops = v.reshape(2, d, d)
     # one broadcast product, not einsum: evolve's and the walker's outputs carry its bits
@@ -630,10 +616,9 @@ def window_collide(
     takes one product per state, so that a state's round-off does not
     depend on the states it is stacked with. The step's shape is read from
     the schedule's run table (CollisionSchedule.runs), and V is compiled
-    once per shape (see _step_isometry) and kept in a bounded cache keyed
-    on the collision gate instance and phi with its sign. A built-in model
-    is refused: its one step is step_instrument. evolve and the walker step
-    a whole run at a time (window_runs); this is the one-step form.
+    for it on every call (see _step_isometry). A built-in model is
+    refused: its one step is step_instrument. evolve and the walker step a
+    whole run at a time (window_runs); this is the one-step form.
     Mutates nothing; returns (joint, open_ids, closing): the new register
     holds the `closing` molecules whose last event is step t, in ascending
     id, then open_ids and the system; reading or tracing out that front run
@@ -647,24 +632,25 @@ def window_collide(
     shape = schedule.step_shape(t)
     if not shape[1]:
         return joint, list(open_ids), 0
-    v, vh = _compiled(model, shape)
+    v, vh = _step_isometry(model, shape)
     return v @ joint @ vh, schedule.open_after(t, open_ids), len(shape[2])
 
 
 def window_runs(model: ChainModel, steps: int):
     """The runs of a custom model's first `steps` steps, in order, from its
     schedule's run table: (V, V^dagger, closing, held, first step, count)
-    each, count cut at steps. V is fetched once per run from the step cache,
-    and is None, with V^dagger, on a run of steps without events; each step
-    of the run reads out `closing` molecules, the front run of V's output,
-    and leaves `held` open.
+    each, count cut at steps. V is compiled once per run, as the run is
+    reached, and is None, with V^dagger, on a run of steps without events;
+    each step of the run reads out `closing` molecules, the front run of
+    V's output, and leaves `held` open.
     """
     if model.kind != CUSTOM:
         raise ValueError(f"{model.kind} steps through step_instrument, not window_runs")
-    for (n_open, events, closing), start, count in model.schedule.runs():
+    for shape, start, count in model.schedule.runs():
         if start >= steps:
             return
-        v, vh = _compiled(model, (n_open, events, closing)) if events else (None, None)
+        n_open, events, closing = shape
+        v, vh = _step_isometry(model, shape) if events else (None, None)
         fresh = sum(pos < 0 for pos, _ in events)
         yield v, vh, len(closing), n_open + fresh - len(closing), start, min(count, steps - start)
 

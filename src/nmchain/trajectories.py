@@ -251,8 +251,10 @@ def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_state
     product per node. A custom model steps the stack run by run through
     chains.window_runs, one V @ rho @ V^dagger product per node and step
     with the run's V, and each of the step's readouts takes the diagonal
-    blocks <j| . |j> of the front qubit. The open molecules, which name the
-    register, follow the table's shapes (CollisionSchedule.open_after).
+    blocks <j| . |j> of the front qubit. Only a walk that keeps its states
+    names their register, the open molecules (newest first, from
+    CollisionSchedule.open_after) then the model's slots; a walk ends with
+    no molecule open (_readout_count), on the model's slots.
     Without uniforms it keeps every child with p > 1e-300 and total
     probability above prune_below, node-major. With uniforms (samples x
     readouts), sample s takes the first child whose cumulative probability
@@ -267,11 +269,6 @@ def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_state
     # the start state as a one-node stack
     states, model_slots = evolve(model, rho0, 0)
     open_ids = []
-
-    def register():
-        # open molecules (newest first) ahead of the model's own register
-        return tuple(f"mol{m}" for m in open_ids) + model_slots
-
     log_p = np.zeros(1)
     outcomes = np.zeros((1, 0), dtype=np.int64)
     history = [()] if keep_states else None
@@ -291,8 +288,6 @@ def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_state
     for t, v, vh, closing in steps:
         if v is not None:
             states = v @ states @ vh
-        if model.kind == CUSTOM:
-            open_ids = model.schedule.open_after(t, open_ids)
         for _ in range(closing):
             n, d = states.shape[:2]
             if instrument is None:
@@ -321,11 +316,13 @@ def _evolve_block(model, rho0, t_max, uniforms=None, prune_below=0.0, keep_state
         if model.kind == CUSTOM:
             check_states(states)
         if keep_states:
-            slots = register()
+            if model.kind == CUSTOM:
+                open_ids = model.schedule.open_after(t, open_ids)
+            slots = tuple(f"mol{m}" for m in open_ids) + model_slots
             history = [h + (DensityMatrix(s, slots),) for h, s in zip(history, states)]
     rows = np.arange(len(states)) if uniforms is None else leaf
     kept = None if history is None else [history[i] for i in rows]
-    return states[rows], log_p[rows], outcomes[rows], kept, register()
+    return states[rows], log_p[rows], outcomes[rows], kept, model_slots
 
 
 def _records(log_p: np.ndarray, outcomes: np.ndarray, history) -> list[TrajectoryRecord]:

@@ -417,7 +417,7 @@ _COMPILED_PHIS = (0.0, -0.0, np.pi / 4, -np.pi / 4, np.nextafter(np.pi / 2, 0.0)
 
 
 def _builtin_isometry(model):
-    return chains._compiled(model, chains._BUILTIN_SHAPES[model.kind])
+    return chains._step_isometry(model, chains._BUILTIN_SHAPES[model.kind])
 
 
 def test_compiled_builtin_step_is_the_kraus_pair():
@@ -498,36 +498,18 @@ def test_step_instrument_is_read_only_and_refuses_custom_models():
 
 def test_builtin_steps_never_build_the_kraus_pair(monkeypatch):
     # evolve, system_maps and the walker reach a built-in step through
-    # _step_isometry alone, also when its cache is cold
+    # _step_isometry alone
     def refuse(*args):
         raise AssertionError("a built-in step built its Kraus pair")
 
     for name in ("build_embedding", "markov_xor_kraus", "kraus_from_collision"):
         monkeypatch.setattr(chains, name, refuse)
-    chains._step_isometry.cache_clear()
     r0 = _rho(np.random.default_rng(48))
     for factory in (markov_xor, repeated_xor, sqrt_xor):
         model = factory(0.52)
         evolve(model, r0, 5)
         system_maps(model, 3)
         sample_ensemble(model, r0, 4, 20, seed=1)
-
-
-@pytest.mark.parametrize("factory", [markov_xor, repeated_xor, sqrt_xor])
-def test_cached_step_arrays_are_read_only(factory):
-    # every later caller at (kind, phi) reads the compiled step: a write
-    # raises, and evolve and the walker give the same bits after it
-    model = factory(0.3)
-    r0 = _rho(np.random.default_rng(47))
-    before = evolve(model, r0, 6)[0], sample_ensemble(model, r0, 6, 40, seed=5)
-    for a in _builtin_isometry(model):
-        with pytest.raises(ValueError, match="read-only"):
-            a[(0,) * a.ndim] = 7
-    after = evolve(model, r0, 6)[0], sample_ensemble(model, r0, 6, 40, seed=5)
-    assert _bitwise_equal(after[0], before[0])
-    assert _bitwise_equal(after[1].mean_state.matrix, before[1].mean_state.matrix)
-    assert np.array_equal(after[1].log_probabilities, before[1].log_probabilities)
-    assert chains._step_isometry.cache_info().maxsize == chains.STEP_CACHE_SIZE
 
 
 def test_build_embedding_embeds_only_the_collision_gate():
@@ -904,16 +886,17 @@ def test_compiled_step_matches_per_gate_sandwich(layout, gate, phi):
 
 
 def test_step_cache_tells_signed_zeros_and_gate_instances_apart():
-    # -0.0 and 0.0 hash alike but prepare differently signed zeros
+    # -0.0 and 0.0 compare equal but prepare differently signed zeros; run
+    # one after the other, each step reads its own
     r0 = _rho(np.random.default_rng(31))
-    chains._step_isometry.cache_clear()
-    for phi in (0.0, -0.0):
-        window_collide(r0, [], custom_chain(xor_gate(), chain_schedule(2), phi=phi), 0)
-    assert chains._step_isometry.cache_info().misses == 2
     shape = (0, ((-1, 0),), (0,))  # one fresh molecule, its collision and its readout
-    v_pos, _ = chains._step_isometry(xor_gate(), 0.0, 1.0, *shape)
-    v_neg, _ = chains._step_isometry(xor_gate(), -0.0, -1.0, *shape)
-    assert chains._step_isometry.cache_info().misses == 2
+    isometries = []
+    for phi in (0.0, -0.0):
+        model = custom_chain(xor_gate(), chain_schedule(2), phi=phi)
+        v, vh = chains._step_isometry(model, shape)
+        assert _bitwise_equal(window_collide(r0, [], model, 0)[0], v @ r0 @ vh)
+        isometries.append(v)
+    v_pos, v_neg = isometries
     assert not np.signbit(v_pos.real).any() and np.signbit(v_neg.real).any()
     # two gates with the same roles, run one after the other on one shape
     a, b = _random_sys_mol_gate(7), _random_sys_mol_gate(8)
@@ -923,21 +906,28 @@ def test_step_cache_tells_signed_zeros_and_gate_instances_apart():
             got, _, _ = window_collide(joint, open_ids, model, t)
             want, _ = _oracle_step(joint, open_ids, model, t)
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-    assert chains._step_isometry(a, 0.43, 1.0, *shape)[0] is not chains._step_isometry(b, 0.43, 1.0, *shape)[0]
+    v_a, v_b = (chains._step_isometry(custom_chain(g, chain_schedule(2), phi=0.43), shape)[0] for g in (a, b))
+    assert not np.allclose(v_a, v_b)
 
 
 @pytest.mark.parametrize("gap", [1, 2, 3])
-def test_each_step_shape_compiles_once(gap):
+def test_each_step_shape_compiles_once(gap, monkeypatch):
     # a gap-k layout has k start-up shapes, one steady shape and k closing
-    # shapes, whatever the horizon
+    # shapes, whatever the horizon: one run each, so one compile each
+    compiled, compile_step = [], chains._step_isometry
+
+    def spy(model, shape):
+        compiled.append(shape)
+        return compile_step(model, shape)
+
+    monkeypatch.setattr(chains, "_step_isometry", spy)
     model = custom_chain(sqrt_xor_gate(), chains._double_collision_schedule(300, gap), phi=0.37)
-    chains._step_isometry.cache_clear()
     evolve(model, _rho(np.random.default_rng(37)), 300)
-    assert chains._step_isometry.cache_info().misses == 2 * gap + 1
-    for horizon in (1, 2, 3, 5, 8, 13, 40, 300):
-        chains._step_isometry.cache_clear()
+    assert len(compiled) == len(set(compiled)) == 2 * gap + 1
+    for horizon in range(1, 301):
+        compiled.clear()
         system_maps(custom_chain(xor_gate(), chains._double_collision_schedule(horizon, gap), phi=0.37), horizon)
-        assert chains._step_isometry.cache_info().misses <= 2 * gap + 1
+        assert len(compiled) == len(set(compiled)) <= 2 * gap + 1
 
 
 # ---- run table ------------------------------------------------------------------

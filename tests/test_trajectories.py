@@ -239,7 +239,7 @@ def _kraus_ops(model):
 
 def _engine_blocks(model):
     """The blocks K_k of the V the walker compiles for a built-in model."""
-    v = chains._compiled(model, chains._BUILTIN_SHAPES[model.kind])[0]
+    v = chains._step_isometry(model, chains._BUILTIN_SHAPES[model.kind])[0]
     return v.reshape(2, v.shape[1], v.shape[1])
 
 
@@ -452,6 +452,41 @@ def test_ensemble_custom_model_checks_each_step_without_keeping_states(monkeypat
     assert built == [("sys",)]
     assert ens.outcomes.tolist() == want.outcomes.tolist()
     assert ens.log_probabilities.tolist() == want.log_probabilities.tolist()
+
+
+@pytest.mark.parametrize("layout", ["gap2", "burst"])
+def test_kept_states_are_named_by_the_open_molecules(layout):
+    # each conditional state after step t lives on the molecules open after
+    # it, newest first, as the step oracle tracks them, then the system
+    sched = advanced_overlap_schedule(8) if layout == "gap2" else H.burst_schedule(9)
+    model = custom_chain(xor_gate(), sched, phi=0.31)
+    want, open_ids = [], []
+    for t in range(sched.horizon):
+        _, open_ids = H.step_shape_oracle(sched, open_ids, t)
+        want.append(tuple(f"mol{m}" for m in open_ids) + ("sys",))
+    assert want[-1] == ("sys",) and max(map(len, want)) == 3
+    records = enumerate_branches(model, _rho0(), sched.horizon)
+    assert len(records) == 2 ** len(sched.spans()[0])
+    for r in records:
+        assert [s.slots for s in r.conditional_states] == want
+
+
+def test_custom_sampling_never_names_the_register(monkeypatch):
+    # a walk that keeps no states asks no step which molecules it leaves open
+    model = custom_chain(xor_gate(), H.burst_schedule(9), phi=0.31)
+    asked, open_after = [], chains.CollisionSchedule.open_after
+
+    def spy(self, step, open_ids):
+        asked.append(step)
+        return open_after(self, step, open_ids)
+
+    monkeypatch.setattr(chains.CollisionSchedule, "open_after", spy)
+    ens = sample_ensemble(model, _rho0(), t_max=9, n_samples=40, seed=4)
+    assert asked == []
+    assert ens.mean_state.slots == ("sys",)
+    # a walk that keeps its states asks once per step
+    sample_trajectory(model, _rho0(), t_max=9, seed=4, keep_states=True)
+    assert asked == list(range(9))
 
 
 def test_custom_walk_raises_for_an_invalid_conditional_state(monkeypatch):

@@ -51,10 +51,12 @@ import run  # noqa: E402
 
 PASSES = 3
 
-# the fixed list: a burst layout under each gate, and the built-in models at
-# signed zeros, at pi/4 (sqrt-xor coherences stop decaying) and just below pi/2
+# the fixed list: a burst layout under each gate, at 0.43 and at signed
+# zeros, and the built-in models at signed zeros, at pi/4 (sqrt-xor
+# coherences stop decaying) and just below pi/2
 BURST_HORIZON = 12
 BURST_GATES = ("xor", "sqrt-xor")
+BURST_ZERO_PHIS = (0.0, -0.0)
 EXTRA_PHIS = (0.0, -0.0, math.pi / 4, math.nextafter(math.pi / 2, 0.0))
 EXTRA_INITIAL = "0.62,0.38,0.2,-0.15"
 EXTRA_MEMORY = "0.7,0.3,0.1,0.25"
@@ -131,19 +133,25 @@ def burst_layout(horizon: int) -> list:
 def extra_calls(workdir: str) -> list:
     """The fixed call list, the same at every seed. No workload makes these
     calls: readouts of three molecules in one step (the burst layout through
-    simulate, divisibility and trajectories), and the built-in models at
-    EXTRA_PHIS through every subcommand that takes a model."""
+    simulate, divisibility and trajectories), the built-in models at
+    EXTRA_PHIS through every subcommand that takes a model, and last the
+    burst layout again at BURST_ZERO_PHIS, one after the other in one
+    process, so that each run must prepare its own signed zero."""
     path = os.path.join(workdir, "burst.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(burst_layout(BURST_HORIZON), fh)
-    out = []
-    for gate in BURST_GATES:
-        model = ["--model", "custom", "--phi", "0.43", "--schedule", path, "--gate", gate]
+
+    def burst_calls(gate, phi):
+        model = ["--model", "custom", f"--phi={phi}", "--schedule", path, "--gate", gate]
         steps = ["--steps", str(BURST_HORIZON)]
-        out += [calls.Call("simulate", ["simulate"] + model + ["--initial", EXTRA_INITIAL], {"model": "custom"}),
+        return [calls.Call("simulate", ["simulate"] + model + ["--initial", EXTRA_INITIAL], {"model": "custom"}),
                 calls.Call("divisibility", ["divisibility"] + model + steps, {"model": "custom"}),
                 calls.Call("trajectories", ["trajectories"] + model + steps + [
                     "--initial", EXTRA_INITIAL, "--samples", "40", "--seed", "5"], {"model": "custom"})]
+
+    out = []
+    for gate in BURST_GATES:
+        out += burst_calls(gate, "0.43")
     for name in calls.BUILTIN_MODELS:
         memory = ["--memory", EXTRA_MEMORY] if name in calls.TWO_COLLISION else []
         for phi in EXTRA_PHIS:
@@ -154,6 +162,9 @@ def extra_calls(workdir: str) -> list:
                 ("divisibility", ["--steps", "8"] + memory),
                 ("trajectories", ["--initial", EXTRA_INITIAL, "--steps", "8", "--samples", "64", "--seed", "3"]),
             )]
+    for gate in BURST_GATES:
+        for phi in BURST_ZERO_PHIS:
+            out += burst_calls(gate, repr(phi))
     return out
 
 
